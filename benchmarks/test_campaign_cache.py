@@ -23,6 +23,8 @@ import shutil
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.experiments import CampaignRunner, get_preset, open_store
 from repro.experiments.store import RESULTS_NAMESPACE
 
@@ -42,6 +44,7 @@ def _timed_run(root, **kw):
     return runner, result, time.perf_counter() - start
 
 
+@pytest.mark.bench
 def test_campaign_cache_replay(benchmark, tmp_path):
     cold_runner, cold, cold_s = _timed_run(tmp_path)
     assert cold.total_pipeline_runs == sum(

@@ -6,12 +6,12 @@ from __future__ import annotations
 from repro.llm.profiles import CellPlan
 from repro.llm.simulated import SimulatedLLM
 from repro.minilang.source import Dialect
-from repro.pipeline import LassiPipeline
+from repro.pipeline import build_pipeline
 
 
 def render_architecture() -> str:
     llm = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA, plan=CellPlan())
-    pipeline = LassiPipeline(llm, Dialect.OMP, Dialect.CUDA)
+    pipeline = build_pipeline(llm, Dialect.OMP, Dialect.CUDA)
     stages = pipeline.stage_names()
     width = max(len(s) for s in stages) + 4
     lines = ["Figure 1: The LASSI framework (stage graph of the live pipeline)"]

@@ -17,6 +17,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.minilang import parse
 from repro.minilang.source import Dialect, SourceFile
 from repro.interp import ProgramRunner
@@ -78,6 +80,7 @@ def _per_launch_seconds(source_text: str) -> float:
     return elapsed / LAUNCHES
 
 
+@pytest.mark.bench
 def test_fastpath_per_launch_latency():
     fast_s = _per_launch_seconds(_kernel_source(with_barrier=False))
     barrier_s = _per_launch_seconds(_kernel_source(with_barrier=True))

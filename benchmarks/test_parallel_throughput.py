@@ -28,14 +28,17 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from typing import Dict
+
+import pytest
 
 from repro.api import build_pipeline
 from repro.experiments import ParallelExperimentRunner
 from repro.hecbench import get_app
 from repro.llm.profiles import CellPlan
 from repro.llm.simulated import SimulatedLLM
-from repro.metrics.aggregate import merge_stage_seconds
 from repro.minilang.source import Dialect
+from repro.pipeline.events import StageFinished
 from repro.toolchain import compile_cache_stats
 
 #: Modelled LLM round-trip per scenario (seconds).
@@ -54,28 +57,36 @@ MIN_THREAD_SPEEDUP = 1.5
 #: Floor for the process leg (the headline number; typically >3x).
 MIN_PROCESS_SPEEDUP = 2.0
 #: Ceiling on the stage-graph engine's own bookkeeping (event publication,
-#: outcome dispatch, timing collection) as a fraction of per-scenario wall
-#: time — the redesign must not tax the hot path.
+#: outcome dispatch) as a fraction of per-scenario wall time — the
+#: redesign must not tax the hot path.
 MAX_STAGE_GRAPH_OVERHEAD = 0.05
-#: Translations measured for the overhead figure.
+#: Translations measured for the stage breakdown and overhead figure.
 OVERHEAD_RUNS = 10
 
 BENCH_ARTIFACT = Path("BENCH_parallel_throughput.json")
 
 
-def _stage_graph_overhead() -> float:
-    """Fraction of translate wall time *not* spent inside stages.
+def _stage_graph_profile():
+    """Per-stage wall time, and the fraction of wall time *not* in stages.
 
-    Everything between stage boundaries — event publication, the timing
-    collector, outcome dispatch, context setup — is stage-graph machinery
-    the monolithic seed pipeline did not have; the engine's per-stage
-    clocks let us measure it directly as (wall - sum(stage_seconds)).
+    A bus subscriber sums ``StageFinished.seconds`` per stage over
+    ``OVERHEAD_RUNS`` successful translations (each enters every stage).
+    Everything between stage boundaries — event publication, outcome
+    dispatch, context setup — is stage-graph machinery the monolithic seed
+    pipeline did not have; the engine's per-stage clocks measure it
+    directly as (wall - staged) / wall.
     """
+    totals: Dict[str, float] = {}
+
+    def collect(event):
+        if isinstance(event, StageFinished):
+            totals[event.stage] = totals.get(event.stage, 0.0) + event.seconds
+
     app = get_app("layout")
     llm = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA, plan=CellPlan())
-    pipeline = build_pipeline(llm, Dialect.OMP, Dialect.CUDA)
+    pipeline = build_pipeline(llm, Dialect.OMP, Dialect.CUDA,
+                              subscribers=[collect])
     wall = 0.0
-    staged = 0.0
     for _ in range(OVERHEAD_RUNS):
         start = time.perf_counter()
         result = pipeline.run(
@@ -86,9 +97,16 @@ def _stage_graph_overhead() -> float:
             launch_scale=app.launch_scale,
         )
         wall += time.perf_counter() - start
-        staged += sum(result.stage_seconds.values())
         assert result.ok
-    return (wall - staged) / wall
+    breakdown = {
+        stage: {
+            "total_s": round(total, 4),
+            "mean_s": round(total / OVERHEAD_RUNS, 6),
+            "runs": OVERHEAD_RUNS,
+        }
+        for stage, total in totals.items()
+    }
+    return breakdown, (wall - sum(totals.values())) / wall
 
 
 class _LatencyModelRunner(ParallelExperimentRunner):
@@ -111,6 +129,7 @@ def _timed_grid(jobs: int, backend: str = "thread"):
     return results, elapsed
 
 
+@pytest.mark.bench
 def test_parallel_grid_beats_serial():
     serial_results, serial_s = _timed_grid(jobs=1)
     thread_results, thread_s = _timed_grid(jobs=JOBS, backend="thread")
@@ -130,19 +149,8 @@ def test_parallel_grid_beats_serial():
     process_speedup = serial_s / process_s
 
     # Per-stage latency attribution (generation vs. correction vs.
-    # toolchain), from the serial leg's event-bus telemetry: the modelled
-    # LLM sleep happens outside the pipeline, so stage clocks are clean.
-    stage_breakdown = {
-        stage: {
-            "total_s": round(stats.total_seconds, 4),
-            "mean_s": round(stats.mean_seconds, 6),
-            "runs": stats.runs,
-        }
-        for stage, stats in merge_stage_seconds(
-            r.result.stage_seconds for r in serial_results
-        ).items()
-    }
-    overhead_fraction = _stage_graph_overhead()
+    # toolchain), from StageFinished events of latency-free translations.
+    stage_breakdown, overhead_fraction = _stage_graph_profile()
 
     BENCH_ARTIFACT.write_text(
         json.dumps(

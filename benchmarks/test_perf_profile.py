@@ -22,6 +22,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from repro import api
 from repro.experiments import ParallelExperimentRunner
 from repro.pipeline import BaselinePreparer
@@ -50,6 +52,7 @@ def _timed_grid(baselines) -> float:
     return elapsed
 
 
+@pytest.mark.bench
 def test_profile_collection_overhead_stays_under_budget(monkeypatch):
     baselines = BaselinePreparer()
     # Warm the shared baselines and the process-wide compile cache so

@@ -19,6 +19,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.synth import (
     SynthSpec,
     differential_check,
@@ -37,6 +39,7 @@ SEEDS = 3
 MIN_GENERATION_RATE = 20.0
 
 
+@pytest.mark.bench
 def test_synth_generation_rate_and_agreement():
     specs = [
         SynthSpec(family, difficulty=1 + seed % 3, seed=seed)

@@ -25,6 +25,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.experiments import ParallelExperimentRunner, RunSession
 from repro.pipeline import (
     BaselinePreparer,
@@ -109,6 +111,7 @@ def _timed_grid(baselines, trace: bool, session_path=None) -> float:
     return elapsed
 
 
+@pytest.mark.bench
 def test_telemetry_overhead_stays_under_budget(tmp_path):
     baselines = BaselinePreparer()
     # Warm the shared baselines and the process-wide compile cache so

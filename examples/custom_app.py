@@ -7,7 +7,7 @@ experiment harness): you provide source + reference, LASSI does the rest.
 from repro.llm.profiles import CellPlan
 from repro.llm.simulated import SimulatedLLM
 from repro.minilang.source import Dialect
-from repro.pipeline import LassiPipeline
+from repro.pipeline import build_pipeline
 
 OMP_SOURCE = r"""
 // saxpy with an L2-norm check, OpenMP target offload
@@ -94,10 +94,8 @@ int main(int argc, char** argv) {
 
 def main() -> int:
     llm = SimulatedLLM("codestral", Dialect.OMP, Dialect.CUDA, plan=CellPlan())
-    pipeline = LassiPipeline(llm, Dialect.OMP, Dialect.CUDA)
-    result = pipeline.translate(
-        OMP_SOURCE, reference_target_code=CUDA_REFERENCE
-    )
+    pipeline = build_pipeline(llm, Dialect.OMP, Dialect.CUDA)
+    result = pipeline.run(OMP_SOURCE, reference_target_code=CUDA_REFERENCE)
     print(f"status: {result.status}, verified: {result.verified}")
     print(f"Sim-T {result.sim_t:.2f}  Sim-L {result.sim_l:.2f}  "
           f"Ratio {result.ratio:.3f}")

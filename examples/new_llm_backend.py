@@ -14,7 +14,7 @@ from repro.llm.clients import OllamaClient
 from repro.llm.profiles import CellPlan
 from repro.llm.simulated import SimulatedLLM
 from repro.minilang.source import Dialect
-from repro.pipeline import LassiPipeline
+from repro.pipeline import build_pipeline
 
 backing = SimulatedLLM("deepseek", Dialect.CUDA, Dialect.OMP, plan=CellPlan())
 
@@ -37,8 +37,8 @@ def main() -> int:
         transport=fake_ollama_transport,  # drop this arg on a real server
     )
     app = get_app("entropy")
-    pipeline = LassiPipeline(client, Dialect.CUDA, Dialect.OMP)
-    result = pipeline.translate(
+    pipeline = build_pipeline(client, Dialect.CUDA, Dialect.OMP)
+    result = pipeline.run(
         app.cuda_source,
         reference_target_code=app.omp_source,
         args=app.args,

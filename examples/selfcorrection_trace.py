@@ -5,9 +5,11 @@ A scenario planned to need three correction rounds (compile, compile,
 execute) is run with a subscriber attached to the pipeline's
 :class:`~repro.pipeline.events.EventBus`; every stage entry/exit,
 recorded attempt and issued correction prints as it happens, followed by
-the recorded attempt trace and the per-stage wall-time breakdown the
-engine collected through the same bus.
+the recorded attempt trace and the per-stage wall-time breakdown the same
+subscriber summed from ``StageFinished`` events.
 """
+
+from typing import Callable, Dict
 
 from repro.api import build_pipeline
 from repro.hecbench import get_app
@@ -26,23 +28,32 @@ PLAN = CellPlan(
     fault_ids=("missing-semicolon", "kernel-called-directly", "oob-guard-cuda"),
 )
 
+def narrator(stage_seconds: Dict[str, float]) -> Callable[[PipelineEvent], None]:
+    """A subscriber that prints each event and sums wall time per stage
+    (over re-entries) into ``stage_seconds``."""
 
-def narrate(event: PipelineEvent) -> None:
-    if isinstance(event, AttemptRecorded):
-        print(f"  [attempt {event.index}] {event.kind} (in {event.stage})")
-    elif isinstance(event, CorrectionIssued):
-        first = event.stderr.splitlines()[0] if event.stderr else ""
-        print(f"  [correction #{event.corrections}] {event.kind}: {first}")
-    elif isinstance(event, StageFinished):
-        print(f"  [stage] {event.stage:16s} {event.outcome:20s} "
-              f"{event.seconds * 1e3:8.2f} ms")
+    def narrate(event: PipelineEvent) -> None:
+        if isinstance(event, AttemptRecorded):
+            print(f"  [attempt {event.index}] {event.kind} (in {event.stage})")
+        elif isinstance(event, CorrectionIssued):
+            first = event.stderr.splitlines()[0] if event.stderr else ""
+            print(f"  [correction #{event.corrections}] {event.kind}: {first}")
+        elif isinstance(event, StageFinished):
+            stage_seconds[event.stage] = (
+                stage_seconds.get(event.stage, 0.0) + event.seconds
+            )
+            print(f"  [stage] {event.stage:16s} {event.outcome:20s} "
+                  f"{event.seconds * 1e3:8.2f} ms")
+
+    return narrate
 
 
 def main() -> int:
     app = get_app("pathfinder")
     llm = SimulatedLLM("wizardcoder", Dialect.OMP, Dialect.CUDA, plan=PLAN)
+    stage_seconds: Dict[str, float] = {}
     pipeline = build_pipeline(llm, Dialect.OMP, Dialect.CUDA,
-                              subscribers=[narrate])
+                              subscribers=[narrator(stage_seconds)])
 
     print(f"=== self-correction trace: {app.name}, {llm.name} ===\n")
     result = pipeline.run(
@@ -62,7 +73,7 @@ def main() -> int:
             print(f"   error fed back to the LLM: {first}")
 
     print("\nwhere the time went:")
-    for stage, seconds in result.stage_seconds.items():
+    for stage, seconds in stage_seconds.items():
         print(f"  {stage:16s} {seconds * 1e3:8.2f} ms")
 
     print(f"\nfinal status: {result.status} after "

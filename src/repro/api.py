@@ -21,11 +21,6 @@ Example::
     result = api.translate("layout", model="gpt4", direction="omp2cuda")
     results = api.evaluate(models=["gpt4"], jobs=4, backend="process")
     campaign = api.run_campaign("knowledge-ablation")
-
-Migration from the pre-stage-graph API: ``LassiPipeline(llm, src, tgt,
-config=...)`` becomes ``api.build_pipeline(llm, src, tgt, config=...)``
-(the returned pipeline's ``run`` is the old ``translate``; the shim class
-still works and now exposes the same event bus).
 """
 
 from __future__ import annotations
@@ -77,9 +72,7 @@ DEFAULT_SEED = 2024
 
 
 # build_pipeline is the engine's assembly function re-exported verbatim —
-# one signature, no facade copy to drift.  `subscribers` attach to the
-# pipeline's event bus before it runs anything, so they observe every
-# stage of every translation.
+# one signature, no facade copy to drift.
 
 
 def translate(

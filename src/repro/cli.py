@@ -384,50 +384,6 @@ def _render_telemetry_block(telemetry: dict) -> str:
     return "\n".join(lines)
 
 
-def _stage_attribution_warnings(manifest: dict, summary: dict) -> List[str]:
-    """Warn-only cross-check of the two stage-time attributions.
-
-    Both the manifest and the trace sidecars attribute wall time to
-    pipeline stages, from different vantage points.  The manifest's
-    per-cell ``stage_seconds`` (summed per stage across cells here) is
-    **authoritative for totals**: it merges prior entries on resume, so
-    it covers every pipeline this directory ever executed.  Trace
-    sidecars are **authoritative for percentiles**: they keep every raw
-    span, which per-cell sums cannot reconstruct.  On a fresh traced run
-    the totals agree to float/rounding noise; a larger divergence means
-    the two views describe different run sets (a resume whose earlier
-    trace sidecars were pruned, or traces copied from another host), so
-    say so instead of silently presenting both.
-    """
-    manifest_totals: dict = {}
-    for cell in manifest.get("cells", []):
-        if not isinstance(cell, dict):
-            continue
-        for stage, secs in (cell.get("stage_seconds") or {}).items():
-            manifest_totals[stage] = (
-                manifest_totals.get(stage, 0.0) + float(secs)
-            )
-    trace_totals = {
-        name: float(stats.get("total", 0.0))
-        for name, stats in (summary.get("stages") or {}).items()
-    }
-    warnings: List[str] = []
-    for stage in sorted(set(manifest_totals) | set(trace_totals)):
-        m = manifest_totals.get(stage, 0.0)
-        t = trace_totals.get(stage, 0.0)
-        # stage_seconds is rounded to 6dp per cell before summing; allow
-        # that plus a sliver of relative slack before calling it real.
-        if abs(m - t) > max(1e-4, 1e-3 * max(abs(m), abs(t))):
-            warnings.append(
-                f"warning: stage '{stage}' wall-time attribution "
-                f"diverges: manifest stage_seconds sum {m:.4f}s vs trace "
-                f"spans {t:.4f}s — the views cover different run sets "
-                f"(manifest is authoritative for totals, traces for "
-                f"percentiles)"
-            )
-    return warnings
-
-
 def _cmd_campaign_report(args) -> int:
     directory = Path(args.dir) / args.name if args.name else Path(args.dir)
     try:
@@ -453,8 +409,6 @@ def _cmd_campaign_report(args) -> int:
                 pass  # metrics without trace sidecars is still a report
             else:
                 print("\n" + render_trace_summary(summary))
-                for line in _stage_attribution_warnings(manifest, summary):
-                    print(line, file=sys.stderr)
     return 0
 
 

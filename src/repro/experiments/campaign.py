@@ -48,10 +48,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.errors import ReproError
 from repro.experiments.cache import ResultCache
 from repro.experiments.store import CacheStore, RESULTS_NAMESPACE, open_store
-from repro.metrics.aggregate import merge_stage_seconds
 from repro.metrics.runtime import speedup_distribution
 from repro.experiments.parallel import ParallelExperimentRunner
-from repro.experiments.runner import ExperimentRunner, Scenario, ScenarioResult
+from repro.experiments.runner import ExperimentRunner, ScenarioResult
 from repro.experiments.session import RunSession
 from repro.pipeline import BaselinePreparer, PipelineConfig
 from repro.telemetry import (
@@ -307,14 +306,10 @@ class CellRun:
     config_fingerprint: str
     expected_scenarios: int
     pipeline_runs: int = 0  # scenarios actually executed (not replayed)
-    #: Accumulated per-stage wall seconds over the cell's executed
-    #: pipelines (telemetry from the event bus; replayed scenarios
-    #: contribute nothing).  Persisted in the manifest, not the sessions.
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Deterministic performance summary over the cell's scored results
-    #: (speedup-ratio distribution + scenario counts).  Unlike
-    #: ``stage_seconds`` it derives from session-persisted ratios, so
-    #: replayed and executed runs produce identical blocks.
+    #: (speedup-ratio distribution + scenario counts).  It derives from
+    #: session-persisted ratios, so replayed and executed runs produce
+    #: identical blocks.
     perf: Optional[Dict[str, Any]] = None
 
     @property
@@ -457,18 +452,7 @@ class CampaignRunner:
                 f"campaign {spec.name!r} has an unusable suite "
                 f"{spec.suite!r}: {exc}"
             ) from exc
-        manifest = self._check_existing_manifest()
-        #: Per-cell stage timings recorded by earlier runs of this
-        #: directory.  Scenarios replayed from sessions/cache execute no
-        #: pipeline and collect no telemetry, so the rewritten manifest
-        #: merges the previously measured attribution with whatever the
-        #: resumed run adds instead of blanking or undercounting it.
-        self._prior_stage_seconds: Dict[Any, Dict[str, float]] = {}
-        if isinstance(manifest, dict):
-            for entry in manifest.get("cells", []):
-                if isinstance(entry, dict) and entry.get("stage_seconds"):
-                    key = (entry.get("variant"), entry.get("seed"))
-                    self._prior_stage_seconds[key] = dict(entry["stage_seconds"])
+        self._check_existing_manifest()
         #: Scenarios per cell, known before any cell runs — the manifest
         #: records it so loaders can tell truncated cells from finished
         #: ones.  Enumerating also validates spec.apps against the suite,
@@ -512,11 +496,8 @@ class CampaignRunner:
             and not p.name.endswith(".trace.jsonl")
         )
 
-    def _check_existing_manifest(self) -> Optional[dict]:
+    def _check_existing_manifest(self) -> None:
         """Refuse to resume a directory recorded under a different grid.
-
-        Returns the parsed manifest (or None when absent/unreadable) so
-        the caller can reuse the single parse.
 
         The directory is keyed by campaign name and its per-cell sessions
         validate profile/seed/config — but not the grid subset.  Re-running
@@ -529,7 +510,6 @@ class CampaignRunner:
         any grid, so resuming over them is refused too.
         """
         path = self._manifest_path
-        manifest = None
         try:
             manifest = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
@@ -546,7 +526,7 @@ class CampaignRunner:
                     f"manifest; cannot verify they belong to this grid — "
                     f"delete the directory (or its sessions/) to start over"
                 )
-            return manifest
+            return
         recorded_raw = {
             "suite": recorded_spec.get("suite", "table4"),
             "models": recorded_spec.get("models"),
@@ -577,7 +557,6 @@ class CampaignRunner:
                 f"experiments — use a new campaign name or --dir, or delete "
                 f"the directory to start over"
             )
-        return manifest
 
     # ------------------------------------------------------------------
     def _cell_scenario_indexes(self, cell_index: int) -> Optional[List[int]]:
@@ -637,21 +616,6 @@ class CampaignRunner:
                 progress=progress,
                 scenario_indexes=self._cell_scenario_indexes(cell_index),
             )
-            # This run's telemetry (replayed scenarios contribute nothing),
-            # merged with what earlier runs of this directory measured for
-            # the scenarios now being replayed.  Limitation: the manifest
-            # records a cell only once it completes, so a cell interrupted
-            # mid-grid resumes with no prior entry and its attribution
-            # covers just the scenarios executed after the restart.
-            prior = self._prior_stage_seconds.get(
-                (cell.variant.name, cell.seed), {}
-            )
-            stage_seconds = {
-                stage: stats.total_seconds
-                for stage, stats in merge_stage_seconds(
-                    [prior] + [sr.result.stage_seconds for sr in results]
-                ).items()
-            }
             runs.append(CellRun(
                 variant=cell.variant,
                 seed=cell.seed,
@@ -659,7 +623,6 @@ class CampaignRunner:
                 config_fingerprint=config.fingerprint(),
                 expected_scenarios=self._cell_expected(cell_index),
                 pipeline_runs=runner.pipeline_runs,
-                stage_seconds=stage_seconds,
                 perf=cell_perf_summary(results),
             ))
             self._log(
@@ -693,16 +656,9 @@ class CampaignRunner:
                 "completed": run is not None,
                 "scenarios": len(run.results) if run is not None else None,
                 "pipeline_runs": run.pipeline_runs if run is not None else None,
-                # Where the cell's wall-clock went, stage by stage — lets a
-                # campaign attribute latency to generation vs. correction
-                # vs. toolchain without re-running anything.
-                "stage_seconds": (
-                    {k: round(v, 6) for k, v in run.stage_seconds.items()}
-                    if run is not None else None
-                ),
                 # Speedup distribution over the cell's scored scenarios.
                 # Deterministic (derived from session-persisted ratios),
-                # so equality checks keep it — unlike stage_seconds.
+                # so equality checks keep it.
                 "perf": run.perf if run is not None else None,
             })
         manifest: Dict[str, Any] = {
@@ -721,9 +677,9 @@ class CampaignRunner:
             # The full (unsharded) per-cell grid size: the merge checks its
             # own enumeration against what the shards were cut from.
             manifest["grid_size"] = self._grid_size
-        # Telemetry rides in the manifest only for traced runs; like
-        # stage_seconds it is measurement, not science, and is stripped by
-        # normalize_manifest for shard-vs-reference equality.
+        # Telemetry rides in the manifest only for traced runs; it is
+        # measurement, not science, and is stripped by normalize_manifest
+        # for shard-vs-reference equality.
         if self._telemetry is not None:
             manifest["telemetry"] = self._telemetry
         elif self.trace and self._metrics_before is not None:
@@ -745,20 +701,19 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
 def normalize_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
     """A manifest with its execution telemetry stripped, for equality checks.
 
-    ``stage_seconds`` is wall-clock attribution — a nondeterministic
-    measurement, not a result — and ``pipeline_runs`` counts how many
-    pipelines *executed* rather than replayed, which depends on cache and
-    session state, not on the experiment (a reference rebuilt from a warm
-    store reports 0 where a cold run reports the full grid).  So
-    "shard + merge ≡ unsharded" is asserted over everything *except*
-    those two.  The CI fan-in gate and the shard tests compare
+    The ``telemetry`` block is a nondeterministic measurement, not a
+    result, and ``pipeline_runs`` counts how many pipelines *executed*
+    rather than replayed, which depends on cache and session state, not on
+    the experiment (a reference rebuilt from a warm store reports 0 where
+    a cold run reports the full grid).  So "shard + merge ≡ unsharded" is
+    asserted over everything *except* those two.  The CI fan-in gate and
+    the shard tests compare
     ``normalize_manifest(merged) == normalize_manifest(reference)``.
     """
     normalized = copy.deepcopy(manifest)
     normalized.pop("telemetry", None)
     for cell in normalized.get("cells", []):
         if isinstance(cell, dict):
-            cell.pop("stage_seconds", None)
             cell.pop("pipeline_runs", None)
     return normalized
 
@@ -810,8 +765,8 @@ def merge_manifests(directory: Union[str, Path]) -> CampaignResult:
     shards' coverage is disjoint and complete against the deterministic
     scenario enumeration.  On success the canonical ``manifest.json`` and
     per-cell ``sessions/*.jsonl`` are written exactly as an unsharded run
-    would have written them (byte-identical modulo ``stage_seconds``
-    telemetry), and the merged :class:`CampaignResult` is returned.
+    would have written them (manifest-identical modulo ``pipeline_runs``),
+    and the merged :class:`CampaignResult` is returned.
 
     Traced shards additionally leave ``.trace.jsonl`` sidecars: these are
     fused per cell into a canonical trace file (trace ids remapped to one
@@ -888,7 +843,6 @@ def merge_manifests(directory: Union[str, Path]) -> CampaignResult:
         merged: Dict[Any, ScenarioResult] = {}
         owner: Dict[Any, int] = {}
         pipeline_runs = 0
-        timing_maps: List[Dict[str, float]] = []
         for shard_index, manifest in enumerate(ordered):
             try:
                 entry = manifest["cells"][cell_index]
@@ -938,8 +892,6 @@ def merge_manifests(directory: Union[str, Path]) -> CampaignResult:
                 owner[key] = shard_index
                 merged[key] = result
             pipeline_runs += entry.get("pipeline_runs") or 0
-            if entry.get("stage_seconds"):
-                timing_maps.append(dict(entry["stage_seconds"]))
 
         extra = sorted(k for k in merged if k not in set(full_keys))
         if extra:
@@ -987,10 +939,6 @@ def merge_manifests(directory: Union[str, Path]) -> CampaignResult:
             config_fingerprint=expected_fp,
             expected_scenarios=len(full_keys),
             pipeline_runs=pipeline_runs,
-            stage_seconds={
-                stage: stats.total_seconds
-                for stage, stats in merge_stage_seconds(timing_maps).items()
-            },
             # Recomputed over the full merged result list, not fused from
             # the shards' partial blocks — identical to what an unsharded
             # run writes (the merge gate compares it).
@@ -1061,7 +1009,6 @@ def load_campaign(directory: Union[str, Path]) -> CampaignResult:
             config_fingerprint=entry.get("config_fingerprint", ""),
             expected_scenarios=expected,
             pipeline_runs=entry.get("pipeline_runs") or 0,
-            stage_seconds=dict(entry.get("stage_seconds") or {}),
             # Recompute from the loaded results (deterministic) so reports
             # stay consistent even against a manifest written mid-cell.
             perf=cell_perf_summary(results) if results else entry.get("perf"),

@@ -116,9 +116,9 @@ def _init_process_worker(
 def _run_scenario_in_worker(scenario_dict: Dict[str, str]) -> dict:
     assert _WORKER_RUNNER is not None, "worker initializer did not run"
     result = _WORKER_RUNNER.run_scenario(Scenario.from_dict(scenario_dict))
-    # Per-stage wall times ride along so the parent's in-memory results
-    # carry the same telemetry as thread-backend ones (sessions and the
-    # cache still serialize without timings — byte-determinism).
+    # Spans and the profile block ride along so the parent's in-memory
+    # results carry the same telemetry as thread-backend ones (sessions and
+    # the cache still serialize without them — byte-determinism).
     return result.to_dict(include_timings=True)
 
 

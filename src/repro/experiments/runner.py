@@ -69,8 +69,9 @@ class ScenarioResult:
         return self.result.metrics()
 
     def to_dict(self, include_timings: bool = False) -> Dict[str, Any]:
-        """Serialize; ``include_timings`` carries per-stage wall times
-        (telemetry) — off by default so sessions/caches stay deterministic.
+        """Serialize; ``include_timings`` carries the telemetry fields
+        (spans, profile block) — off by default so sessions/caches stay
+        deterministic.
         """
         return {
             "scenario": self.scenario.to_dict(),

@@ -13,7 +13,7 @@ Computes the paper's headline numbers for a direction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.metrics.runtime import within_10pct_or_faster
 from repro.metrics.similarity import HIGH_SIMILARITY_THRESHOLD
@@ -74,39 +74,3 @@ def aggregate(results: Sequence[ScenarioMetrics]) -> AggregateStats:
         ),
         first_try_rate=frac(lambda r: (r.self_corrections or 0) == 0),
     )
-
-
-@dataclass(frozen=True)
-class StageTimeStats:
-    """Accumulated wall time of one pipeline stage across many runs."""
-
-    total_seconds: float
-    runs: int  # runs in which the stage executed at least once
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.runs if self.runs else 0.0
-
-
-def merge_stage_seconds(
-    timing_maps: Iterable[Mapping[str, float]],
-) -> Dict[str, StageTimeStats]:
-    """Fold per-run ``LassiResult.stage_seconds`` maps into per-stage totals.
-
-    The input is plain ``{stage-name: seconds}`` mappings (kept dict-typed
-    so this module stays import-cycle-free of :mod:`repro.pipeline`);
-    stage order of first appearance is preserved, which for pipeline runs
-    means graph order.  Runs that never entered a stage (early halts,
-    cache replays with empty telemetry) simply don't count toward that
-    stage's ``runs``.
-    """
-    totals: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for timings in timing_maps:
-        for stage, seconds in timings.items():
-            totals[stage] = totals.get(stage, 0.0) + seconds
-            counts[stage] = counts.get(stage, 0) + 1
-    return {
-        stage: StageTimeStats(total_seconds=totals[stage], runs=counts[stage])
-        for stage in totals
-    }

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Sequence
 
+from repro.telemetry.summary import percentile
+
 #: "Correct but slow" threshold: a scenario counts as slow when the
 #: generated code is at least this many times slower than the reference.
 SLOW_FACTOR = 2.0
@@ -38,19 +40,6 @@ def geomean(values: Sequence[float]) -> Optional[float]:
     return math.exp(sum(math.log(v) for v in positive) / len(positive))
 
 
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of an already-sorted sequence."""
-    if not sorted_values:
-        raise ValueError("percentile of an empty sequence")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = (len(sorted_values) - 1) * (q / 100.0)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
-
-
 def speedup_distribution(
     ratios: Sequence[float], slow_factor: float = SLOW_FACTOR
 ) -> Optional[Dict[str, Any]]:
@@ -68,8 +57,8 @@ def speedup_distribution(
     return {
         "count": len(scored),
         "geomean": round(gm, 6) if gm is not None else None,
-        "p50": round(percentile(scored, 50.0), 6),
-        "p95": round(percentile(scored, 95.0), 6),
+        "p50": round(percentile(scored, 0.50), 6),
+        "p95": round(percentile(scored, 0.95), 6),
         "min": round(scored[0], 6),
         "max": round(scored[-1], 6),
         "slow_factor": slow_factor,

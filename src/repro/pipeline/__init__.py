@@ -22,10 +22,8 @@ Stages, in the paper's order (each a node in
 6. **Metrics** (``ComputeMetrics``) — the §V-A columns.
 
 The engine publishes typed :mod:`~repro.pipeline.events` around every
-stage and accumulates per-stage wall time into
-:attr:`LassiResult.stage_seconds`.  :class:`LassiPipeline` remains the
-backward-compatible construction shim; prefer :func:`build_pipeline` (or
-the :mod:`repro.api` facade) in new code.
+stage; assemble the standard graph with :func:`build_pipeline` (or the
+:mod:`repro.api` facade).
 """
 
 from repro.pipeline.config import PipelineConfig
@@ -43,7 +41,6 @@ from repro.pipeline.events import (
     StageFinished,
     StageStarted,
 )
-from repro.pipeline.lassi import LassiPipeline
 from repro.pipeline.results import Attempt, LassiResult, Status
 from repro.pipeline.baseline import Baseline, BaselinePreparer
 from repro.pipeline.stages import PipelineContext, Stage, StageOutcome
@@ -57,7 +54,6 @@ __all__ = [
     "CorrectionIssued",
     "EventBus",
     "ExecutionFinished",
-    "LassiPipeline",
     "LassiResult",
     "LlmCallFinished",
     "PipelineBuilder",

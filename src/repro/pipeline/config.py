@@ -1,9 +1,7 @@
 """Pipeline configuration (the ablation switches).
 
-Lives in its own module so the stage implementations, the engine and the
-:class:`~repro.pipeline.lassi.LassiPipeline` shim can all import it
-without cycles.  Re-exported from :mod:`repro.pipeline` (and, for
-backward compatibility, from :mod:`repro.pipeline.lassi`).
+Lives in its own module so the stage implementations and the engine can
+both import it without cycles.  Re-exported from :mod:`repro.pipeline`.
 """
 
 from __future__ import annotations

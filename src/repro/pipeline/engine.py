@@ -4,8 +4,7 @@
 into a concrete stage sequence — ablation switches are graph edits here,
 not ``if`` branches inside a monolithic method — and
 :class:`StagePipeline` executes that sequence for one translation at a
-time, publishing typed events and accumulating per-stage wall-clock time
-into the result via the event bus.
+time, publishing typed events around every stage on its event bus.
 
 Control flow: stages normally fall through in order; a stage may *jump*
 to a named stage (the execute loop's fall-back edge into the compile
@@ -26,7 +25,6 @@ from repro.pipeline.baseline import BaselinePreparer
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.events import (
     EventBus,
-    PipelineEvent,
     PipelineFinished,
     PipelineStarted,
     StageFinished,
@@ -119,14 +117,6 @@ class StagePipeline:
             result=result,
             events=self.events,
         )
-
-        def collect_timing(event: PipelineEvent) -> None:
-            if isinstance(event, StageFinished):
-                result.stage_seconds[event.stage] = (
-                    result.stage_seconds.get(event.stage, 0.0) + event.seconds
-                )
-
-        unsubscribe = self.events.subscribe(collect_timing)
         self.events.publish(PipelineStarted(
             model=self.llm.name,
             source_dialect=self.source_dialect.value,
@@ -172,17 +162,7 @@ class StagePipeline:
                 status="error" if failed else str(result.status),
                 seconds=time.perf_counter() - run_start,
             ))
-            unsubscribe()
         return result
-
-    #: Back-compat alias: the monolithic pipeline called this ``translate``.
-    translate = run
-
-    # ------------------------------------------------------------------
-    def subscribe(self, callback: Subscriber) -> "StagePipeline":
-        """Attach an event subscriber; returns ``self`` for chaining."""
-        self.events.subscribe(callback)
-        return self
 
     def stage_names(self) -> List[str]:
         """The Figure 1 stage graph, in order — derived from the stages
@@ -220,13 +200,6 @@ class PipelineBuilder:
             target_dialect,
             include_knowledge=self.config.include_knowledge,
         )
-        self._subscribers: List[Subscriber] = []
-
-    # ------------------------------------------------------------------
-    def subscribe(self, callback: Subscriber) -> "PipelineBuilder":
-        """Queue an event subscriber for the built pipeline's bus."""
-        self._subscribers.append(callback)
-        return self
 
     def default_stages(self) -> List[Stage]:
         """The standard graph for ``self.config``, in execution order."""
@@ -251,16 +224,13 @@ class PipelineBuilder:
 
     def build(self, stages: Optional[Sequence[Stage]] = None) -> StagePipeline:
         """Build the pipeline (``stages`` overrides the default graph)."""
-        pipeline = StagePipeline(
+        return StagePipeline(
             stages=list(stages) if stages is not None else self.default_stages(),
             llm=self.llm,
             source_dialect=self.source_dialect,
             target_dialect=self.target_dialect,
             config=self.config,
         )
-        for callback in self._subscribers:
-            pipeline.events.subscribe(callback)
-        return pipeline
 
 
 def build_pipeline(
@@ -272,15 +242,19 @@ def build_pipeline(
     baseline_preparer: Optional[BaselinePreparer] = None,
     subscribers: Sequence[Subscriber] = (),
 ) -> StagePipeline:
-    """One-call assembly of the standard LASSI stage graph."""
-    builder = PipelineBuilder(
+    """One-call assembly of the standard LASSI stage graph.
+
+    ``subscribers`` attach to the pipeline's event bus before it runs
+    anything, so they observe every stage of every translation.
+    """
+    pipeline = PipelineBuilder(
         llm,
         source_dialect,
         target_dialect,
         config=config,
         executor=executor,
         baseline_preparer=baseline_preparer,
-    )
+    ).build()
     for callback in subscribers:
-        builder.subscribe(callback)
-    return builder.build()
+        pipeline.events.subscribe(callback)
+    return pipeline

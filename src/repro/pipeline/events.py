@@ -5,8 +5,8 @@ Every :class:`~repro.pipeline.engine.StagePipeline` owns an
 :class:`StageFinished` (with wall-clock seconds) around every stage
 execution, and the self-correction stages publish
 :class:`CorrectionIssued` / :class:`AttemptRecorded` from inside their
-loops.  Subscribers are plain callables — telemetry, progress displays and
-the engine's own per-stage timing collector all attach the same way::
+loops.  Subscribers are plain callables — span tracers and progress
+displays attach the same way::
 
     pipeline = build_pipeline(llm, src, tgt)
     pipeline.events.subscribe(lambda e: print(e))
@@ -109,7 +109,8 @@ class LlmCallFinished(PipelineEvent):
     """One LLM round-trip completed.
 
     ``purpose`` is ``"generate"``, ``"compile-correction"`` or
-    ``"execute-correction"``; token counts come from the client's
+    ``"execute-correction"``; ``seconds`` times the chat call alone (not
+    prompt building); token counts come from the client's
     :class:`~repro.llm.base.GenerationResult`.
     """
 

@@ -9,10 +9,9 @@ to the exact historical string literals (``"success"``, ``"no-code"``,
 …) — session files and cache entries written before the enum existed
 load unchanged, and new ones are byte-identical to old ones.
 
-Per-stage wall-clock timings (:attr:`LassiResult.stage_seconds`,
-populated by the engine via the event bus) are telemetry, not science:
-they are excluded from equality comparisons and from ``to_dict`` by
-default so sessions and caches stay deterministic; pass
+Telemetry fields (:attr:`LassiResult.spans` and the ``profile`` block)
+are not science: they are excluded from equality comparisons and from
+``to_dict`` by default so sessions and caches stay deterministic; pass
 ``include_timings=True`` to carry them across a process boundary.
 """
 
@@ -94,18 +93,15 @@ class LassiResult:
     prompt_tokens: int = 0
     verified: bool = False
     failure_detail: str = ""
-    #: Wall-clock seconds per stage name, accumulated over re-entries
-    #: (telemetry — excluded from equality and default serialization).
-    stage_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
     #: Serialized telemetry spans from a :class:`~repro.telemetry.spans.
-    #: SpanTracer`, when the run was traced (telemetry — same exclusions
-    #: as ``stage_seconds``; this is how process-backend workers ship
-    #: their spans to the parent).
+    #: SpanTracer`, when the run was traced — the only per-stage wall-time
+    #: record (excluded from equality and default serialization; this is
+    #: how process-backend workers ship their spans to the parent).
     spans: List[Dict[str, Any]] = field(default_factory=list, compare=False)
     #: Deterministic runtime-profile block from :class:`~repro.pipeline.
     #: stages.finalize.ComputeMetrics`: the generated and reference
-    #: :class:`~repro.telemetry.profile.RuntimeProfile` dicts plus the
-    #: speedup score.  Observability, not science: excluded from equality
+    #: :class:`~repro.telemetry.profile.RuntimeProfile` dicts plus their
+    #: step ratio.  Observability, not science: excluded from equality
     #: and from default serialization (session bytes stay pinned), but —
     #: unlike wall-clock timings — its counts are exact, so it also rides
     #: campaign manifests as a per-cell summary.
@@ -147,7 +143,6 @@ class LassiResult:
             "failure_detail": self.failure_detail,
         }
         if include_timings:
-            data["stage_seconds"] = dict(self.stage_seconds)
             if self.spans:
                 data["spans"] = [dict(s) for s in self.spans]
             if self.profile is not None:
@@ -172,7 +167,6 @@ class LassiResult:
             prompt_tokens=data.get("prompt_tokens", 0),
             verified=data.get("verified", False),
             failure_detail=data.get("failure_detail", ""),
-            stage_seconds=dict(data.get("stage_seconds", {})),
             spans=[dict(s) for s in data.get("spans", [])],
             profile=(
                 dict(data["profile"])

@@ -88,7 +88,7 @@ class Stage(Protocol):
     """One node of the pipeline graph.
 
     ``name`` is the stable machine name used for jump targets, event
-    payloads and :attr:`LassiResult.stage_seconds` keys; ``describe``
+    payloads and ``stage`` span names; ``describe``
     yields the human-readable Figure 1 labels this stage contributes.
     """
 

@@ -16,22 +16,19 @@ def score_profiles(
     reference: Optional[RuntimeProfile],
     generated: Optional[RuntimeProfile],
 ) -> Optional[Dict[str, Any]]:
-    """The ``profile`` block: both runtime profiles plus the speedup score.
+    """The ``profile`` block: both runtime profiles plus their step ratio.
 
-    ``speedup`` is the paper's Ratio over the *simulated* clocks
-    (reference seconds / generated seconds, > 1 = generated faster);
-    ``step_ratio`` is the same comparison over exact interpreter steps,
-    immune to performance-model changes.  Returns ``None`` when the
-    generated run carried no interpreter profile.
+    ``step_ratio`` is the paper's Ratio (reference / generated, > 1 =
+    generated faster) over exact interpreter steps, immune to
+    performance-model changes; the simulated-clock Ratio is the result's
+    own ``ratio``.  Returns ``None`` when the generated run carried no
+    interpreter profile.
     """
     if generated is None:
         return None
     block: Dict[str, Any] = {"generated": generated.to_dict()}
     if reference is not None:
         block["reference"] = reference.to_dict()
-        block["speedup"] = runtime_ratio(
-            reference.sim_seconds, generated.sim_seconds
-        )
         block["step_ratio"] = (
             round(reference.steps / generated.steps, 6)
             if generated.steps > 0

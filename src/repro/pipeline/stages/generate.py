@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from repro.llm.base import ChatMessage, LLMClient
+from repro.llm.base import ChatMessage, GenerationResult, LLMClient
 from repro.minilang.source import Dialect
 from repro.pipeline.events import LlmCallFinished
 from repro.pipeline.stages.base import PipelineContext, StageOutcome
@@ -26,6 +26,31 @@ def extract_target_code(response_text: str, target_dialect: Dialect) -> Optional
     )
 
 
+def timed_chat(
+    ctx: PipelineContext,
+    llm: LLMClient,
+    stage: str,
+    purpose: str,
+    messages: List[ChatMessage],
+) -> GenerationResult:
+    """One LLM round-trip, timed and published as :class:`LlmCallFinished`.
+
+    Generation and every correction round call the LLM through here, so
+    their ``llm`` spans time the same thing: the chat alone.
+    """
+    start = time.perf_counter()
+    response = llm.chat(messages)
+    ctx.events.publish(LlmCallFinished(
+        stage=stage,
+        purpose=purpose,
+        model=response.model,
+        seconds=time.perf_counter() - start,
+        prompt_tokens=response.prompt_tokens,
+        completion_tokens=response.completion_tokens,
+    ))
+    return response
+
+
 class Generate:
     """Query the LLM with the assembled prompt and extract the code block.
 
@@ -43,19 +68,10 @@ class Generate:
     def run(self, ctx: PipelineContext) -> StageOutcome:
         bundle = ctx.bundle
         assert bundle is not None, "Generate requires ContextPrep's bundle"
-        start = time.perf_counter()
-        response = self.llm.chat([
+        response = timed_chat(ctx, self.llm, self.name, "generate", [
             ChatMessage("system", bundle.system),
             ChatMessage("user", bundle.full_user_prompt),
         ])
-        ctx.events.publish(LlmCallFinished(
-            stage=self.name,
-            purpose="generate",
-            model=response.model,
-            seconds=time.perf_counter() - start,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-        ))
         ctx.code = extract_target_code(response.text, self.target_dialect)
         return StageOutcome.proceed()
 

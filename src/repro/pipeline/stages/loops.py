@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from repro.llm.base import GenerationResult, LLMClient
+from repro.llm.base import LLMClient
 from repro.minilang.source import Dialect
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.events import (
@@ -32,11 +32,10 @@ from repro.pipeline.events import (
     CompileFinished,
     CorrectionIssued,
     ExecutionFinished,
-    LlmCallFinished,
 )
 from repro.pipeline.results import Attempt, Status
 from repro.pipeline.stages.base import PipelineContext, StageOutcome
-from repro.pipeline.stages.generate import extract_target_code
+from repro.pipeline.stages.generate import extract_target_code, timed_chat
 from repro.prompts.builder import PromptBuilder
 from repro.telemetry.profile import profile_from_execution
 from repro.toolchain.compiler import CompilerDriver, compile_cache_stats
@@ -63,38 +62,25 @@ class SelfCorrector:
         self.llm = llm
         self.prompt_builder = prompt_builder
         self.target_dialect = target_dialect
-        #: Telemetry hook: the loop stages read the round-trip's token
-        #: counts and model name off this after each :meth:`correct`.
-        self.last_response: Optional[GenerationResult] = None
 
     def correct(
-        self, kind: str, code: str, command: str, stderr: str
+        self,
+        ctx: PipelineContext,
+        stage: str,
+        kind: str,
+        code: str,
+        command: str,
+        stderr: str,
     ) -> Optional[str]:
+        """Re-prompt with ``stderr`` (a ``kind``-correction call published
+        under ``stage``) and return the re-extracted code."""
         messages = self.prompt_builder.correction_messages(
             self.llm, kind, code, command, stderr
         )
-        response = self.llm.chat(messages)
-        self.last_response = response
+        response = timed_chat(
+            ctx, self.llm, stage, f"{kind}-correction", messages
+        )
         return extract_target_code(response.text, self.target_dialect)
-
-
-def _publish_correction_call(
-    ctx: PipelineContext,
-    stage: str,
-    purpose: str,
-    corrector: SelfCorrector,
-    seconds: float,
-) -> None:
-    """Emit the telemetry event for a just-finished correction round-trip."""
-    response = corrector.last_response
-    ctx.events.publish(LlmCallFinished(
-        stage=stage,
-        purpose=purpose,
-        model=response.model if response is not None else corrector.llm.name,
-        seconds=seconds,
-        prompt_tokens=response.prompt_tokens if response is not None else 0,
-        completion_tokens=response.completion_tokens if response is not None else 0,
-    ))
 
 
 class CompileCorrectLoop:
@@ -166,14 +152,9 @@ class CompileCorrectLoop:
                 result.self_corrections = ctx.corrections
                 return StageOutcome.halt()
 
-            correct_start = time.perf_counter()
             ctx.code = self.corrector.correct(
-                "compile", code, compile_result.command,
+                ctx, self.name, "compile", code, compile_result.command,
                 compile_result.stderr,
-            )
-            _publish_correction_call(
-                ctx, self.name, "compile-correction", self.corrector,
-                time.perf_counter() - correct_start,
             )
             ctx.corrections += 1
             ctx.attempt_kind = "compile-correction"
@@ -254,13 +235,9 @@ class ExecuteCorrectLoop:
             result.self_corrections = ctx.corrections
             return StageOutcome.halt()
 
-        correct_start = time.perf_counter()
         ctx.code = self.corrector.correct(
-            "execute", code, compile_result.command, execution.stderr
-        )
-        _publish_correction_call(
-            ctx, self.name, "execute-correction", self.corrector,
-            time.perf_counter() - correct_start,
+            ctx, self.name, "execute", code, compile_result.command,
+            execution.stderr,
         )
         ctx.corrections += 1
         ctx.attempt_kind = "execute-correction"

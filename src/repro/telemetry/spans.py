@@ -103,7 +103,6 @@ class SpanTracer:
         self._t0: Optional[float] = None
         self._root: Optional[Span] = None
         self._stage: Optional[Span] = None
-        self._stage_wall_start = 0.0
         self._stage_cpu_start = 0.0
         self._root_cpu_start = 0.0
 
@@ -152,7 +151,6 @@ class SpanTracer:
         elif kind == "StageStarted":
             parent = self._root.id if self._root is not None else None
             self._stage = self._open(event.stage, STAGE, parent)
-            self._stage_wall_start = time.perf_counter()
             self._stage_cpu_start = time.process_time()
         elif kind == "StageFinished":
             stage = self._stage

@@ -268,12 +268,35 @@ class TestCampaignExecution:
         assert replay.total_pipeline_runs == 0
         second = json.loads(manifest_path.read_text())
         # perf derives from session-persisted ratios, so an executed run
-        # and its replay agree exactly — unlike stage_seconds.
+        # and its replay agree exactly.
         assert [c["perf"] for c in first["cells"]] == [
             c["perf"] for c in second["cells"]
         ]
         from repro.experiments import normalize_manifest
         assert "perf" in normalize_manifest(first)["cells"][0]
+
+    def test_stage_time_is_recorded_only_as_trace_spans(self, tmp_path):
+        from repro.telemetry import collect_trace_paths, summarize_traces
+
+        CampaignRunner(_spec(), root=tmp_path / "plain").run()
+        manifest = json.loads(
+            (tmp_path / "plain" / "mini" / MANIFEST_NAME).read_text()
+        )
+        assert all("stage_seconds" not in cell for cell in manifest["cells"])
+
+        directory = tmp_path / "traced" / "mini"
+
+        def stage_totals():
+            summary = summarize_traces(collect_trace_paths(directory))
+            return {name: s["total"] for name, s in summary["stages"].items()}
+
+        CampaignRunner(_spec(), root=tmp_path / "traced", trace=True).run()
+        before = stage_totals()
+        assert "generate" in before
+        # A replayed rerun executes nothing and so adds no spans.
+        rerun = CampaignRunner(_spec(), root=tmp_path / "traced", trace=True)
+        assert rerun.run().total_pipeline_runs == 0
+        assert stage_totals() == before
 
     def test_rerun_replays_everything(self, tmp_path):
         first = CampaignRunner(_spec(), root=tmp_path)

@@ -6,9 +6,8 @@ consumer:
 
 * **golden session bytes** — a jobs=1 session JSONL is byte-identical to
   one recorded by the pre-redesign pipeline (the digest below was
-  captured from the monolithic ``LassiPipeline.translate`` immediately
-  before the rewrite);
-* **both backends carry timing telemetry** in-memory without perturbing
+  captured from the monolithic pipeline immediately before the rewrite);
+* **both backends carry traced stage spans** in-memory without perturbing
   sessions or the cache;
 * **the cache replays** stage-graph results exactly.
 """
@@ -73,18 +72,29 @@ class TestPreRedesignByteIdentity:
         assert data["metrics"]["counters"]
 
 
+def stage_walls(result):
+    """Stage span name -> wall seconds (the per-stage time record)."""
+    return {s["name"]: s["wall"] for s in result.spans if s["kind"] == "stage"}
+
+
 class TestTimingTelemetryTransport:
     def test_thread_backend_results_carry_stage_seconds(self):
-        results = ParallelExperimentRunner(jobs=2, backend="thread").run(**SMALL)
+        results = ParallelExperimentRunner(
+            jobs=2, backend="thread", trace=True
+        ).run(**SMALL)
         for sr in results:
-            assert sr.result.stage_seconds, "thread result lost telemetry"
-            assert "generate" in sr.result.stage_seconds
+            walls = stage_walls(sr.result)
+            assert "generate" in walls, "thread result lost its stage spans"
+            assert all(wall >= 0 for wall in walls.values())
 
     def test_process_backend_results_carry_stage_seconds(self):
-        results = ParallelExperimentRunner(jobs=2, backend="process").run(**SMALL)
+        results = ParallelExperimentRunner(
+            jobs=2, backend="process", trace=True
+        ).run(**SMALL)
         for sr in results:
-            assert sr.result.stage_seconds, "worker telemetry not shipped"
-            assert "generate" in sr.result.stage_seconds
+            walls = stage_walls(sr.result)
+            assert "generate" in walls, "worker stage spans not shipped"
+            assert all(wall >= 0 for wall in walls.values())
 
     def test_sessions_stay_timing_free_on_both_backends(self, tmp_path):
         import json
@@ -92,12 +102,13 @@ class TestTimingTelemetryTransport:
         for backend in ("thread", "process"):
             path = tmp_path / f"{backend}.jsonl"
             ParallelExperimentRunner(
-                jobs=1, backend=backend, session=RunSession(path)
+                jobs=1, backend=backend, session=RunSession(path), trace=True
             ).run(**SMALL)
             for line in path.read_text(encoding="utf-8").splitlines():
                 record = json.loads(line)
                 if record.get("type") == "scenario":
-                    assert "stage_seconds" not in record["result"]
+                    assert "spans" not in record["result"]
+                    assert "profile" not in record["result"]
 
     def test_traced_results_round_trip_byte_deterministically(self):
         import json
@@ -148,14 +159,14 @@ class TestTimingTelemetryTransport:
 
     def test_cache_replays_without_timings_but_identical_results(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        warm = ParallelExperimentRunner(jobs=1, cache=cache)
+        warm = ParallelExperimentRunner(jobs=1, cache=cache, trace=True)
         originals = warm.run(**SMALL)
-        replay_runner = ParallelExperimentRunner(jobs=1, cache=cache)
+        replay_runner = ParallelExperimentRunner(jobs=1, cache=cache, trace=True)
         replayed = replay_runner.run(**SMALL)
         assert replay_runner.pipeline_runs == 0
         for original, replay in zip(originals, replayed):
-            # Equality ignores telemetry; replays carry none (they did
+            # Equality ignores telemetry; replays carry no spans (they did
             # not execute a pipeline).
             assert replay.result == original.result
-            assert replay.result.stage_seconds == {}
-            assert original.result.stage_seconds
+            assert replay.result.spans == []
+            assert stage_walls(original.result)

@@ -166,11 +166,3 @@ class TestSpeedupDistribution:
         assert geomean([]) is None
         assert geomean([0.0, -2.0]) is None
         assert geomean([4.0, 1.0]) == pytest.approx(2.0)
-
-    def test_percentile_interpolates(self):
-        from repro.metrics.runtime import percentile
-        with pytest.raises(ValueError):
-            percentile([], 50.0)
-        assert percentile([3.0], 95.0) == 3.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
-        assert percentile([1.0, 2.0, 3.0, 4.0], 100.0) == 4.0

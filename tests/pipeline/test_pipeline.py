@@ -9,19 +9,19 @@ from repro.hecbench import get_app
 from repro.llm.profiles import CellPlan
 from repro.llm.simulated import SimulatedLLM
 from repro.minilang.source import Dialect
-from repro.pipeline import BaselinePreparer, LassiPipeline, PipelineConfig
+from repro.pipeline import BaselinePreparer, PipelineConfig, build_pipeline
 from repro.pipeline.verification import verify_output
 
 
 def make_pipeline(model="gpt4", src=Dialect.OMP, tgt=Dialect.CUDA,
                   plan=None, config=None):
     llm = SimulatedLLM(model, src, tgt, plan=plan or CellPlan())
-    return LassiPipeline(llm, src, tgt, config=config)
+    return build_pipeline(llm, src, tgt, config=config)
 
 
 def run_app(pipeline, app_name="layout", src=Dialect.OMP, tgt=Dialect.CUDA):
     app = get_app(app_name)
-    return pipeline.translate(
+    return pipeline.run(
         app.source(src),
         reference_target_code=app.source(tgt),
         args=app.args,
@@ -34,12 +34,12 @@ class TestBaselineStage:
     def test_broken_source_halts_pipeline(self):
         pipeline = make_pipeline()
         with pytest.raises(BaselineError):
-            pipeline.translate("int main() { return undeclared; }")
+            pipeline.run("int main() { return undeclared; }")
 
     def test_crashing_source_halts_pipeline(self):
         pipeline = make_pipeline(src=Dialect.OMP, tgt=Dialect.CUDA)
         with pytest.raises(BaselineError):
-            pipeline.translate(
+            pipeline.run(
                 "int main() { int* p = NULL; return p[0]; }"
             )
 

@@ -14,7 +14,6 @@ from repro.llm.profiles import CellPlan
 from repro.llm.simulated import SimulatedLLM
 from repro.minilang.source import Dialect
 from repro.pipeline import (
-    LassiPipeline,
     PipelineBuilder,
     PipelineConfig,
     StagePipeline,
@@ -30,6 +29,7 @@ from repro.pipeline.events import (
 )
 from repro.pipeline.stages import StageOutcome
 from repro.experiments.runner import Scenario, ScenarioResult
+from repro.telemetry import SpanTracer
 
 APP = get_app("layout")
 
@@ -55,6 +55,21 @@ def run_app(pipeline, app=APP):
         work_scale=app.work_scale,
         launch_scale=app.launch_scale,
     )
+
+
+def traced_run(pipeline, app=APP):
+    """Run with a :class:`SpanTracer` attached; the result carries its spans."""
+    tracer = SpanTracer()
+    pipeline.events.subscribe(tracer)
+    result = run_app(pipeline, app=app)
+    pipeline.events.unsubscribe(tracer)
+    result.spans = tracer.drain()
+    return result
+
+
+def stage_spans(result):
+    """(name, wall) of every stage entry, in execution order."""
+    return [(s["name"], s["wall"]) for s in result.spans if s["kind"] == "stage"]
 
 
 class ScriptedLLM(LLMClient):
@@ -188,36 +203,41 @@ class TestEventBus:
 
 
 class TestStageTimings:
+    """Stage spans are the one per-stage wall-time record."""
+
     def test_success_populates_every_stage(self):
-        result = run_app(make_pipeline())
-        assert list(result.stage_seconds) == FULL_GRAPH
-        assert all(v >= 0 for v in result.stage_seconds.values())
+        result = traced_run(make_pipeline())
+        spans = stage_spans(result)
+        assert [name for name, _ in spans] == FULL_GRAPH
+        assert all(wall >= 0 for _, wall in spans)
 
     def test_reentered_loop_accumulates(self):
         plan = CellPlan(self_corrections=1, fault_ids=("oob-guard-cuda",))
-        result = run_app(make_pipeline(plan=plan), app=get_app("pathfinder"))
+        result = traced_run(make_pipeline(plan=plan), app=get_app("pathfinder"))
         assert result.ok
-        # One runtime fault: compile loop entered twice, still one key.
-        assert list(result.stage_seconds) == FULL_GRAPH
+        # One runtime fault: the execute loop jumps back and the compile
+        # loop is entered twice, one span per entry.
+        assert [name for name, _ in stage_spans(result)] == (
+            FULL_GRAPH[:5] + ["compile-correct", "execute-correct"]
+            + FULL_GRAPH[5:]
+        )
 
     def test_timings_are_per_run_not_cumulative(self):
         pipeline = make_pipeline()
-        first = run_app(pipeline)
-        second = run_app(pipeline)
+        first = dict(stage_spans(traced_run(pipeline)))
+        second = dict(stage_spans(traced_run(pipeline)))
         # Baselines are cached after the first run, so the second run's
         # baseline stage must reflect its own (cheaper) wall time.
-        assert second.stage_seconds["baseline-prep"] <= first.stage_seconds[
-            "baseline-prep"
-        ]
+        assert second["baseline-prep"] <= first["baseline-prep"]
 
     def test_timings_excluded_from_serialization_and_equality(self):
-        result = run_app(make_pipeline())
+        result = traced_run(make_pipeline())
         data = result.to_dict()
-        assert "stage_seconds" in result.to_dict(include_timings=True)
-        assert "stage_seconds" not in data
+        assert "spans" in result.to_dict(include_timings=True)
+        assert "spans" not in data
         back = type(result).from_dict(json.loads(json.dumps(data)))
         assert back == result  # equality ignores the telemetry
-        assert back.stage_seconds == {}
+        assert back.spans == []
 
 
 class TestGraphEdits:
@@ -286,22 +306,26 @@ class TestGraphEdits:
 class TestContextWindowExceeded:
     """The §III-B budget check halts before any attempt is generated."""
 
-    def _result(self):
+    def _result(self, subscribers=()):
         # Tiny window: the knowledge-summary budget check trips before
         # any LLM call is made.
         llm = ScriptedLLM(responses=[], context_length=64)
-        pipeline = build_pipeline(llm, Dialect.OMP, Dialect.CUDA)
+        pipeline = build_pipeline(llm, Dialect.OMP, Dialect.CUDA,
+                                  subscribers=subscribers)
         return run_app(pipeline)
 
     def test_early_return_shape(self):
-        result = self._result()
+        events = []
+        result = self._result(subscribers=[events.append])
         assert result.status == Status.NO_CODE
         assert result.attempts == []
         assert result.generated_code is None
         assert result.prompt_tokens == 0
         assert "exceeds context window" in result.failure_detail
-        # Only the stages that actually ran have timings.
-        assert list(result.stage_seconds) == ["baseline-prep", "context-prep"]
+        # The run halts in context-prep: no later stage is entered.
+        assert [e.stage for e in events if isinstance(e, StageFinished)] == [
+            "baseline-prep", "context-prep"
+        ]
 
     def test_round_trips_through_scenario_result(self):
         result = self._result()
@@ -357,36 +381,3 @@ class TestCorrectionWithoutCodeBlock:
         assert [a.kind for a in result.attempts] == ["initial"]
         assert result.attempts[0].stderr == ""
 
-
-class TestShimCompatibility:
-    def test_shim_matches_stage_pipeline(self):
-        plan = CellPlan(self_corrections=2,
-                        fault_ids=("missing-semicolon",
-                                   "undeclared-index-cuda"))
-        llm_a = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA, plan=plan)
-        llm_b = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA, plan=plan)
-        shim = LassiPipeline(llm_a, Dialect.OMP, Dialect.CUDA)
-        staged = build_pipeline(llm_b, Dialect.OMP, Dialect.CUDA)
-        a = shim.translate(
-            APP.omp_source, reference_target_code=APP.cuda_source,
-            args=APP.args, work_scale=APP.work_scale,
-            launch_scale=APP.launch_scale,
-        )
-        b = run_app(staged)
-        assert a == b
-        assert a.to_dict() == b.to_dict()
-
-    def test_shim_exposes_events_and_translate(self):
-        pipeline = make_pipeline()
-        llm = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA, plan=CellPlan())
-        shim = LassiPipeline(llm, Dialect.OMP, Dialect.CUDA)
-        seen = []
-        shim.events.subscribe(seen.append)
-        result = shim.translate(
-            APP.omp_source, reference_target_code=APP.cuda_source,
-            args=APP.args, work_scale=APP.work_scale,
-            launch_scale=APP.launch_scale,
-        )
-        assert result.ok
-        assert any(isinstance(e, StageFinished) for e in seen)
-        assert shim.stage_names() == pipeline.stage_names()

@@ -62,6 +62,14 @@ class TestPercentile:
         assert percentile(values, 0.0) == 1.0
         assert percentile(values, 1.0) == 4.0
 
+    def test_percentile_interpolates(self):
+        # The campaign speedup distribution's p50/p95 come from here too.
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert percentile([3.0], 0.95) == 3.0
+        assert percentile(values, 0.50) == pytest.approx(2.5)
+        assert percentile(values, 0.95) == pytest.approx(3.85)
+        assert percentile(values, 1.00) == 4.0
+
 
 class TestCollectTracePaths:
     def test_trace_file_resolves_to_itself(self, trace_file):
