@@ -70,8 +70,11 @@ def test_campaign_cache_replay(benchmark, tmp_path):
     # host takes after downloading a sharded campaign's store artifact.
     store = open_store(f"sqlite:{tmp_path / 'store.db'}")
     tree = open_store(f"dir:{cold.directory / 'cache'}")
-    for key in tree.keys():
-        store.put(key, tree.get(key), namespace=RESULTS_NAMESPACE)
+    for key in tree.keys(namespace=RESULTS_NAMESPACE):
+        store.put(
+            key, tree.get(key, namespace=RESULTS_NAMESPACE),
+            namespace=RESULTS_NAMESPACE,
+        )
     shared_runner, shared, shared_s = _timed_run(
         tmp_path / "shared-host", cache_store=store
     )

@@ -9,9 +9,9 @@ artifact; the bench-backends job gates on the overhead fraction):
   marginal cost of every instrumented point in a traced pipeline;
 * **span serialization rate** — span dicts → compact JSONL, the
   per-trace cost of the ``.trace.jsonl`` sidecar writer;
-* **overhead fraction** — wall time of a traced grid (spans, metrics,
-  flight ring, sidecar writes) over an untraced one, best-of-N trials
-  on both sides so scheduler noise cancels.  Must stay under
+* **overhead fraction** — wall time of a traced grid (spans, flight
+  ring, sidecar writes) over an untraced one, best-of-N trials on both
+  sides so scheduler noise cancels.  Must stay under
   :data:`MAX_TELEMETRY_OVERHEAD`.
 
 Both grid legs share one warmed :class:`BaselinePreparer` and the
@@ -39,7 +39,7 @@ from repro.pipeline import (
     StageFinished,
     StageStarted,
 )
-from repro.telemetry import FlightRecorder, SpanTracer
+from repro.telemetry import FlightRecorder, RuntimeProfile, SpanTracer
 from repro.telemetry.tracefile import _dumps
 
 #: Ceiling on traced-vs-untraced grid wall time (the bookkeeping budget).
@@ -69,7 +69,10 @@ EVENT_MIX = (
     CompileFinished(stage="compile-correct", ok=True, seconds=0.001,
                     cached=True),
     ExecutionFinished(stage="compile-correct", ok=True, seconds=0.005,
-                      steps=100, launches=2),
+                      profile=RuntimeProfile.from_dict({
+                          "steps": 100, "kernel_launches": 2,
+                          "flat_launches": 2,
+                      }).to_dict()),
     StageFinished(stage="compile-correct", seconds=0.01, outcome="proceed"),
 )
 

@@ -169,8 +169,7 @@ def build_campaign(
     makes the runner execute only its slice of the variant×scenario
     cells and write a partial ``manifest.shard-i-of-N.json`` that
     :func:`merge_campaign` later fuses.  ``trace=True`` writes a
-    ``.trace.jsonl`` sidecar next to every cell session and a metrics
-    snapshot into the manifest's ``telemetry`` block.
+    ``.trace.jsonl`` sidecar next to every cell session.
     """
     resolved = get_preset(spec) if isinstance(spec, str) else spec
     return CampaignRunner(

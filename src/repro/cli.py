@@ -66,7 +66,6 @@ from repro.experiments import (
     render_translation_tables,
 )
 from repro.experiments.campaign import MANIFEST_NAME, PRESETS
-from repro.experiments.store import RESULTS_NAMESPACE
 from repro.hecbench import DEFAULT_SUITE, get_app, resolve_suite, suite_names
 from repro.llm.profiles import CUDA2OMP, OMP2CUDA
 from repro.llm.registry import all_models, model_keys
@@ -304,11 +303,11 @@ def _cmd_campaign_merge(args) -> int:
         merged = json.loads(merged_path.read_text(encoding="utf-8"))
         if normalize_manifest(merged) != normalize_manifest(reference):
             print(f"error: merged manifest differs from reference "
-                  f"{args.reference} (beyond timing telemetry)",
+                  f"{args.reference} (beyond pipeline_runs)",
                   file=sys.stderr)
             return 1
         logger.info("merged manifest matches reference %s "
-                    "(modulo timing telemetry)", args.reference)
+                    "(modulo pipeline_runs)", args.reference)
     print(render_campaign_report(result))
     return 0
 
@@ -331,15 +330,12 @@ def _cmd_cache_warm(args) -> int:
         dest = open_store(args.store)
         copied: dict = {}
         for ns in sorted(source.stat()["namespaces"]):
-            # Legacy per-campaign cache trees keep scenario results at the
-            # tree root; shared stores expect them namespaced.
-            target_ns = ns if ns else args.namespace
             for key in source.keys(namespace=ns):
                 entry = source.get(key, namespace=ns)
                 if entry is None:
                     continue  # corrupt at source: counted there, not copied
-                dest.put(key, entry, namespace=target_ns)
-                copied[target_ns] = copied.get(target_ns, 0) + 1
+                dest.put(key, entry, namespace=ns)
+                copied[ns] = copied.get(ns, 0) + 1
     except CacheStoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -370,20 +366,6 @@ def _cmd_cache_gc(args) -> int:
     return 0
 
 
-def _render_telemetry_block(telemetry: dict) -> str:
-    """Render a manifest's ``telemetry`` metrics snapshot as text."""
-    lines = ["Telemetry (manifest metrics snapshot):"]
-    counters = telemetry.get("counters", {})
-    for key in sorted(counters):
-        lines.append(f"  {counters[key]:>12g}  {key}")
-    gauges = telemetry.get("gauges", {})
-    for key in sorted(gauges):
-        lines.append(f"  {gauges[key]:>12g}  {key} (gauge)")
-    if len(lines) == 1:
-        lines.append("  (empty snapshot)")
-    return "\n".join(lines)
-
-
 def _cmd_campaign_report(args) -> int:
     directory = Path(args.dir) / args.name if args.name else Path(args.dir)
     try:
@@ -392,23 +374,6 @@ def _cmd_campaign_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_campaign_report(campaign))
-    if args.with_telemetry:
-        manifest = json.loads(
-            (directory / MANIFEST_NAME).read_text(encoding="utf-8")
-        )
-        telemetry = manifest.get("telemetry")
-        if telemetry is None:
-            print("\nno telemetry in manifest "
-                  "(re-run the campaign with --trace)")
-        else:
-            print("\n" + _render_telemetry_block(telemetry))
-            try:
-                paths = collect_trace_paths(directory)
-                summary = summarize_traces(paths)
-            except (OSError, json.JSONDecodeError):
-                pass  # metrics without trace sidecars is still a report
-            else:
-                print("\n" + render_trace_summary(summary))
     return 0
 
 
@@ -718,8 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "with 'campaign merge'")
     cr.add_argument("--trace", action="store_true",
                     help="write a .trace.jsonl sidecar next to every cell "
-                         "session and a metrics snapshot into the "
-                         "manifest's telemetry block")
+                         "session (inspect with 'repro trace summarize')")
     cr.add_argument("--verbose", "-v", action="store_true")
     cr.set_defaults(func=_cmd_campaign_run)
 
@@ -734,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--reference", metavar="PATH",
                     help="an unsharded manifest.json to compare against; "
                          "exits 1 unless the merged manifest matches it "
-                         "modulo timing telemetry")
+                         "modulo the per-cell pipeline_runs counters")
     cm.set_defaults(func=_cmd_campaign_merge)
 
     cp = cgsub.add_parser("report", help="render a campaign's comparison "
@@ -743,9 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="campaign name under --dir (omit if --dir points "
                          "straight at the campaign directory)")
     cp.add_argument("--dir", default="campaigns", metavar="DIR")
-    cp.add_argument("--with-telemetry", action="store_true",
-                    help="append the manifest's metrics snapshot and, when "
-                         "trace sidecars exist, the full trace summary")
     cp.set_defaults(func=_cmd_campaign_report)
 
     cl = cgsub.add_parser("list", help="list presets and campaign "
@@ -768,16 +729,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cw = casub.add_parser(
         "warm",
-        help="copy every readable entry from another store (e.g. seed a "
-             "shared sqlite store from a campaign's cache/ tree)",
+        help="copy every readable entry from another store, namespaces "
+             "unchanged (e.g. seed a shared sqlite store from a "
+             "campaign's cache/ tree)",
     )
     cw.add_argument("store", help=f"destination {store_help}")
     cw.add_argument("--from", dest="source", required=True, metavar="URI",
                     help=f"source {store_help}")
-    cw.add_argument("--namespace", default=RESULTS_NAMESPACE, metavar="NS",
-                    help="namespace for entries found at the source's "
-                         "root (legacy campaign caches keep scenario "
-                         "results there; default: results)")
     cw.set_defaults(func=_cmd_cache_warm)
 
     cg_ = casub.add_parser(

@@ -19,12 +19,13 @@ before a scenario is scheduled and written as each scenario completes.
 Entries whose stored identity does not match their digest (tampering,
 partial writes, format drift) are treated as misses and overwritten.
 
-Storage is pluggable (:mod:`repro.experiments.store`): the default is the
-historical directory tree (``<root>/<digest>.json``), but any
-:class:`~repro.experiments.store.CacheStore` — e.g. a sqlite file shared
-by every host of a sharded campaign — can be passed instead.  Corrupt
-entries are counted by the store (``corrupt_reads``), logged with the
-offending path, and quarantined by ``repro cache gc``.
+Storage is pluggable (:mod:`repro.experiments.store`): entries live in
+the ``results`` namespace of any
+:class:`~repro.experiments.store.CacheStore` — a campaign's own directory
+tree (``<campaign>/cache/results/<digest>.json``) or, e.g., a sqlite file
+shared by every host of a sharded campaign.  Corrupt entries are counted
+by the store (``corrupt_reads``), logged with the offending path, and
+quarantined by ``repro cache gc``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.experiments.runner import Scenario, ScenarioResult
-from repro.experiments.store import CacheStore, DirectoryCacheStore
+from repro.experiments.store import CacheStore, RESULTS_NAMESPACE, open_store
 
 #: Bumped when the on-disk entry shape changes incompatibly, or when the
 #: results an identical cell identity would produce change (version 2:
@@ -65,31 +66,19 @@ def cache_key(
 class ResultCache:
     """Store-backed, content-addressed cache of :class:`ScenarioResult`s.
 
-    ``ResultCache(path)`` keeps the historical behaviour: a directory tree
-    with one atomically-renamed JSON file per entry.  ``ResultCache(
-    store=...)`` routes the same entries through any
-    :class:`~repro.experiments.store.CacheStore` backend under the given
-    ``namespace`` (shared stores separate scenario results from persisted
-    compile entries this way).  Thread-safe either way; ``hits`` /
-    ``misses`` / ``stores`` expose the traffic — the campaign replay tests
-    assert on them — and ``corrupt_reads`` counts undecodable entries the
-    backend encountered.
+    ``store`` is a URI, a path (a directory store) or an open
+    :class:`~repro.experiments.store.CacheStore`, resolved by
+    :func:`~repro.experiments.store.open_store`.  Entries live in the
+    store's ``results`` namespace, so persisted compile entries can share
+    the store.  Thread-safe; ``hits`` / ``misses`` / ``stores`` expose the
+    traffic — the campaign replay tests assert on them — and
+    ``corrupt_reads`` counts undecodable entries the backend encountered.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        store: Optional[CacheStore] = None,
-        namespace: Optional[str] = None,
-    ) -> None:
-        if (root is None) == (store is None):
-            raise ValueError("pass exactly one of root= or store=")
-        self.store = store if store is not None else DirectoryCacheStore(root)
-        #: Legacy directory layout keeps entries at the tree root; shared
-        #: stores get an explicit namespace so compile entries can coexist.
-        self.namespace = namespace if namespace is not None else ""
-        if root is not None:
-            self.root = Path(root)
+    namespace = RESULTS_NAMESPACE
+
+    def __init__(self, store: Union[str, Path, CacheStore]) -> None:
+        self.store = open_store(store)
 
     # ------------------------------------------------------------------
     @property

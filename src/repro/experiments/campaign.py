@@ -16,7 +16,7 @@ On disk a campaign is a directory::
 
     <root>/<campaign-name>/
         manifest.json            # spec + per-cell status (rewritten per cell)
-        cache/                   # shared ResultCache entries
+        cache/results/           # shared ResultCache entries
         sessions/<variant>-seed<seed>.jsonl   # one RunSession per cell
 
 Both levels of resume compose: killing a campaign midway loses at most the
@@ -47,19 +47,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.experiments.cache import ResultCache
-from repro.experiments.store import CacheStore, RESULTS_NAMESPACE, open_store
+from repro.experiments.store import CacheStore, open_store
 from repro.metrics.runtime import speedup_distribution
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, ScenarioResult
 from repro.experiments.session import RunSession
 from repro.pipeline import BaselinePreparer, PipelineConfig
-from repro.telemetry import (
-    diff_snapshots,
-    merge_snapshots,
-    merge_trace_files,
-    snapshot as metrics_snapshot,
-    trace_path_for,
-)
+from repro.telemetry import merge_trace_files, trace_path_for
 from repro.toolchain import Executor, PersistentCompileCache, compile_cache_scope
 
 #: Bumped when the manifest shape changes incompatibly.
@@ -410,14 +404,9 @@ class CampaignRunner:
         self.directory = Path(root) / spec.name
         self.jobs = jobs
         self.backend = backend
-        #: Telemetry switch: each cell runner traces its pipelines, every
-        #: cell session gets a ``.trace.jsonl`` sidecar, and the manifest
-        #: carries this run's metrics delta under ``"telemetry"``.
+        #: Telemetry switch: each cell runner traces its pipelines and
+        #: every cell session gets a ``.trace.jsonl`` sidecar.
         self.trace = trace
-        self._metrics_before = metrics_snapshot() if trace else None
-        #: Set by :func:`merge_manifests` to publish the shards' merged
-        #: telemetry instead of this process's (empty) delta.
-        self._telemetry: Optional[Dict[str, Any]] = None
         self.executor = executor or Executor()
         self.baselines = BaselinePreparer(self.executor)
         #: ``(index, count)`` when this runner executes one shard of the
@@ -426,18 +415,17 @@ class CampaignRunner:
         self.shard = parse_shard_spec(shard)
         #: Shared pluggable store (``dir:<path>`` / ``sqlite:<path>`` URI,
         #: path, or an open CacheStore).  When given, scenario results go
-        #: through it under the ``results`` namespace and compilations are
-        #: persisted under ``compile``; when absent, the historical
-        #: per-campaign-directory cache tree is used.
+        #: through it and compilations are persisted under ``compile``;
+        #: when absent, results go to the campaign's own ``cache/`` tree.
         self.cache_store: Optional[CacheStore] = (
             open_store(cache_store) if cache_store is not None else None
         )
-        if self.cache_store is not None:
-            self.cache = ResultCache(
-                store=self.cache_store, namespace=RESULTS_NAMESPACE
-            )
-        else:
-            self.cache = ResultCache(self.directory / "cache")
+        # ``is not None``, not ``or``: an empty store is falsy (its
+        # ``__len__`` counts entries) and must still receive the results.
+        self.cache = ResultCache(
+            self.cache_store if self.cache_store is not None
+            else self.directory / "cache"
+        )
         self.sessions_dir = self.directory / "sessions"
         self.sessions_dir.mkdir(parents=True, exist_ok=True)
         self._log = log or (lambda _msg: None)
@@ -677,15 +665,6 @@ class CampaignRunner:
             # The full (unsharded) per-cell grid size: the merge checks its
             # own enumeration against what the shards were cut from.
             manifest["grid_size"] = self._grid_size
-        # Telemetry rides in the manifest only for traced runs; it is
-        # measurement, not science, and is stripped by normalize_manifest
-        # for shard-vs-reference equality.
-        if self._telemetry is not None:
-            manifest["telemetry"] = self._telemetry
-        elif self.trace and self._metrics_before is not None:
-            manifest["telemetry"] = diff_snapshots(
-                self._metrics_before, metrics_snapshot()
-            )
         _write_json_atomic(self._manifest_path, manifest)
 
 
@@ -699,19 +678,17 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
 
 
 def normalize_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
-    """A manifest with its execution telemetry stripped, for equality checks.
+    """A manifest with its execution counters stripped, for equality checks.
 
-    The ``telemetry`` block is a nondeterministic measurement, not a
-    result, and ``pipeline_runs`` counts how many pipelines *executed*
-    rather than replayed, which depends on cache and session state, not on
-    the experiment (a reference rebuilt from a warm store reports 0 where
-    a cold run reports the full grid).  So "shard + merge ≡ unsharded" is
-    asserted over everything *except* those two.  The CI fan-in gate and
-    the shard tests compare
+    ``pipeline_runs`` counts how many pipelines *executed* rather than
+    replayed, which depends on cache and session state, not on the
+    experiment (a reference rebuilt from a warm store reports 0 where a
+    cold run reports the full grid).  So "shard + merge ≡ unsharded" is
+    asserted over everything *except* that counter.  The CI fan-in gate
+    and the shard tests compare
     ``normalize_manifest(merged) == normalize_manifest(reference)``.
     """
     normalized = copy.deepcopy(manifest)
-    normalized.pop("telemetry", None)
     for cell in normalized.get("cells", []):
         if isinstance(cell, dict):
             cell.pop("pipeline_runs", None)
@@ -770,8 +747,7 @@ def merge_manifests(directory: Union[str, Path]) -> CampaignResult:
 
     Traced shards additionally leave ``.trace.jsonl`` sidecars: these are
     fused per cell into a canonical trace file (trace ids remapped to one
-    sequential space, metrics deltas summed), and the shard manifests'
-    ``telemetry`` blocks merge into the canonical manifest's.
+    sequential space).
     """
     directory = Path(directory)
     shards = _load_shard_manifests(directory)
@@ -945,12 +921,6 @@ def merge_manifests(directory: Union[str, Path]) -> CampaignResult:
             perf=cell_perf_summary(ordered_results),
         ))
 
-    shard_telemetry = [
-        m["telemetry"] for m in ordered
-        if isinstance(m.get("telemetry"), dict)
-    ]
-    if shard_telemetry:
-        runner._telemetry = merge_snapshots(shard_telemetry)
     runner._write_manifest(runs, cells)
     return CampaignResult(spec=spec, directory=directory, runs=runs)
 

@@ -53,7 +53,6 @@ from repro.telemetry import (
     TraceWriter,
     get_logger,
     install_sigterm_handler,
-    record_run,
     trace_path_for,
 )
 from repro.toolchain import Executor
@@ -299,16 +298,6 @@ class ParallelExperimentRunner(ExperimentRunner):
                         # accounting (executed vs replayed) correct here.
                         with self._counter_lock:
                             self.pipeline_runs += 1
-                        if self.trace:
-                            # Worker registries die with the pool: fold the
-                            # shipped telemetry into the parent's metrics so
-                            # every run counts exactly once either way.
-                            record_run(
-                                str(res.result.status),
-                                res.result.self_corrections,
-                                len(res.result.attempts),
-                                res.result.spans,
-                            )
                     results[i] = res
                     if trace_writer is not None and res.result.spans:
                         trace_writer.write_trace(

@@ -22,7 +22,7 @@ from repro.metrics.aggregate import ScenarioMetrics
 from repro.minilang.source import Dialect
 from repro.pipeline import BaselinePreparer, PipelineConfig, build_pipeline
 from repro.pipeline.results import LassiResult
-from repro.telemetry import SpanTracer, get_flight_recorder, record_run
+from repro.telemetry import SpanTracer, get_flight_recorder
 from repro.toolchain import Executor
 from repro.utils.rng import derive_seed
 
@@ -209,12 +209,6 @@ class ExperimentRunner:
             raise
         if tracer is not None:
             result.spans = tracer.drain()
-            record_run(
-                str(result.status),
-                result.self_corrections,
-                len(result.attempts),
-                result.spans,
-            )
         return ScenarioResult(scenario=scenario, result=result)
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ names that protocol; two backends implement it:
 
 * :class:`DirectoryCacheStore` — the original one-file-per-entry tree
   (``<root>/<namespace>/<digest>.json``; the empty namespace maps onto the
-  root itself, so pre-store campaign cache directories read unchanged).
+  root itself).
   Writers take a per-entry advisory file lock (``fcntl``-based, with an
   ``O_EXCL`` spin fallback) around the tmp-write + atomic rename, so
   concurrent processes sharing one tree never corrupt an entry.
@@ -40,33 +40,13 @@ import os
 import sqlite3
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
-from repro.telemetry import metrics as _metrics
 
 logger = logging.getLogger(__name__)
-
-#: Live store handles whose counters the metrics provider aggregates.
-_LIVE_STORES: "weakref.WeakSet[CacheStore]" = weakref.WeakSet()
-
-
-def _store_counter_totals() -> Dict[str, float]:
-    """Summed hit/miss/store/corrupt traffic across live store handles
-    (polled into metrics snapshots as ``cache_store.*`` gauges)."""
-    totals: Dict[str, float] = {
-        "hits": 0.0, "misses": 0.0, "stores": 0.0, "corrupt": 0.0,
-    }
-    for store in list(_LIVE_STORES):
-        for key, value in store.counters().items():
-            totals[key] = totals.get(key, 0.0) + value
-    return totals
-
-
-_metrics.register_provider("cache_store", _store_counter_totals)
 
 #: Recognized cache-store URI schemes.
 STORE_SCHEMES = ("dir", "sqlite")
@@ -200,7 +180,6 @@ class CacheStore(abc.ABC):
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-        _LIVE_STORES.add(self)
 
     # -- backend primitives --------------------------------------------
     @abc.abstractmethod
@@ -280,11 +259,10 @@ class CacheStore(abc.ABC):
 class DirectoryCacheStore(CacheStore):
     """One JSON file per entry under ``<root>/<namespace>/``.
 
-    The empty namespace lives directly in ``root``, which keeps the
-    layout byte-compatible with pre-store ``ResultCache`` directories.
-    Writes go through a per-entry advisory :class:`FileLock` plus a
-    tmp-file + ``os.replace`` so concurrent writers (threads or
-    processes) can race on the same key without torn entries.
+    The empty namespace lives directly in ``root``.  Writes go through a
+    per-entry advisory :class:`FileLock` plus a tmp-file + ``os.replace``
+    so concurrent writers (threads or processes) can race on the same key
+    without torn entries.
     """
 
     backend = "dir"

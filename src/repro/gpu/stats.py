@@ -133,16 +133,3 @@ class ExecutionProfile:
             key = e.path or ("omp" if e.api == "omp" else "slow")
             counts[key] = counts.get(key, 0) + 1
         return counts
-
-    def summary(self) -> dict:
-        return {
-            "host_ops": self.host.ops,
-            "host_mem_bytes": self.host.mem_bytes,
-            "kernel_launches": self.total_kernel_launches,
-            "kernel_ops": sum(e.counters.ops for e in self.kernel_events),
-            "kernel_mem_bytes": sum(e.counters.mem_bytes for e in self.kernel_events),
-            "atomics": self.total_atomics,
-            "barrier_waits": self.barrier_waits,
-            "transfers": len(self.transfer_events),
-            "transfer_bytes": self.total_transfer_bytes,
-        }

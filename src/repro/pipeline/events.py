@@ -15,8 +15,7 @@ displays attach the same way::
 Subscriber exceptions are contained: a broken subscriber must not turn
 an observability bug into a pipeline outcome.  :meth:`EventBus.publish`
 catches the exception, logs it at warning level with the subscriber's
-name, increments the ``telemetry_subscriber_errors`` counter, and keeps
-delivering the event to the remaining subscribers.
+name, and keeps delivering the event to the remaining subscribers.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.telemetry.log import get_logger
-from repro.telemetry.metrics import counter as _metrics_counter
 
 _logger = get_logger("pipeline.events")
 
@@ -126,9 +124,10 @@ class LlmCallFinished(PipelineEvent):
 class CompileFinished(PipelineEvent):
     """One compiler invocation returned.
 
-    ``cached`` reports whether the process-wide compile memo served the
-    result (derived from its hit counter around the call — exact in the
-    single-pipeline-per-thread model the bus assumes).
+    ``cached`` reports whether the compile memo (in memory or its
+    persistent store) served the result, so the front end did not run;
+    the driver records that per thread (see
+    :func:`~repro.toolchain.compiler.last_compile_cached`).
     """
 
     stage: str
@@ -141,20 +140,17 @@ class CompileFinished(PipelineEvent):
 class ExecutionFinished(PipelineEvent):
     """One simulated program execution returned.
 
-    ``steps`` / ``launches`` are the interpreter step count and kernel
-    launch count the run consumed — the step-budget accounting surfaced
-    as telemetry.  ``profile``, when present, is the execution's full
+    ``profile`` is the execution's full
     :class:`~repro.telemetry.profile.RuntimeProfile` as a plain dict
-    (deterministic counts: dispatch-path launches, barrier waits,
-    atomics, memory traffic, simulated seconds).
+    (deterministic counts: interpreter steps, kernel launches per
+    dispatch path, barrier waits, atomics, memory traffic, simulated
+    seconds), or ``None`` when no interpreter profile was attached.
     """
 
     stage: str
     ok: bool
     seconds: float
-    steps: int
-    launches: int
-    profile: Optional[Dict[str, Any]] = None
+    profile: Optional[Dict[str, Any]]
 
 
 Subscriber = Callable[[PipelineEvent], None]
@@ -215,8 +211,8 @@ class EventBus:
 
         A raising subscriber is an observability bug, not a pipeline
         outcome: the exception is logged at warning level with the
-        subscriber's name, counted on ``telemetry_subscriber_errors``,
-        and delivery continues to the remaining subscribers.
+        subscriber's name, and delivery continues to the remaining
+        subscribers.
         """
         for callback in list(self._subscribers):
             try:
@@ -231,9 +227,6 @@ class EventBus:
                     type(exc).__name__,
                     exc,
                     type(event).__name__,
-                )
-                _metrics_counter("telemetry_subscriber_errors").inc(
-                    subscriber=str(name)
                 )
 
     def __len__(self) -> int:

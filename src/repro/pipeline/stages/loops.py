@@ -38,12 +38,12 @@ from repro.pipeline.stages.base import PipelineContext, StageOutcome
 from repro.pipeline.stages.generate import extract_target_code, timed_chat
 from repro.prompts.builder import PromptBuilder
 from repro.telemetry.profile import profile_from_execution
-from repro.toolchain.compiler import CompilerDriver, compile_cache_stats
+from repro.toolchain.compiler import CompilerDriver, last_compile_cached
 from repro.toolchain.executor import Executor, ExecutionResult
 
 
 def _execution_profile_payload(execution: ExecutionResult) -> Optional[dict]:
-    """The widened ``ExecutionFinished.profile`` payload (None when no
+    """The ``ExecutionFinished.profile`` payload (None when no
     interpreter profile is attached).  Module-level so the perf-profile
     benchmark can stub it out to measure collection overhead."""
     runtime_profile = profile_from_execution(execution)
@@ -128,14 +128,13 @@ class CompileCorrectLoop:
                 result.failure_detail = "response contained no code block"
                 return StageOutcome.halt()
 
-            hits_before = compile_cache_stats().get("hits", 0)
             compile_start = time.perf_counter()
             compile_result = self.compiler.compile(code)
             ctx.events.publish(CompileFinished(
                 stage=self.name,
                 ok=compile_result.ok,
                 seconds=time.perf_counter() - compile_start,
-                cached=compile_cache_stats().get("hits", 0) > hits_before,
+                cached=last_compile_cached(),
             ))
             attempt.compiled = compile_result.ok
             if compile_result.ok:
@@ -209,13 +208,10 @@ class ExecuteCorrectLoop:
             compile_result.program, self.target_dialect, ctx.args,
             work_scale=ctx.work_scale, launch_scale=ctx.launch_scale,
         )
-        profile = execution.profile
         ctx.events.publish(ExecutionFinished(
             stage=self.name,
             ok=execution.ok,
             seconds=time.perf_counter() - exec_start,
-            steps=execution.steps_used,
-            launches=profile.total_kernel_launches if profile is not None else 0,
             profile=_execution_profile_payload(execution),
         ))
         attempt.executed = execution.ok

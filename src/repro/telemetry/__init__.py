@@ -1,5 +1,5 @@
-"""Unified telemetry: tracing spans, a metrics registry, a flight
-recorder, and the ``repro.*`` logging namespace.
+"""Unified telemetry: tracing spans, trace files and their summaries, a
+flight recorder, and the ``repro.*`` logging namespace.
 
 The layer rides on the typed pipeline event bus — a
 :class:`~repro.telemetry.spans.SpanTracer` is just another subscriber —
@@ -13,21 +13,6 @@ own modules, so any layer can depend on it without cycles.
 
 from repro.telemetry.log import configure as configure_logging
 from repro.telemetry.log import get_logger
-from repro.telemetry.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    diff_snapshots,
-    gauge,
-    histogram,
-    merge_snapshots,
-    record_run,
-    register_provider,
-    snapshot,
-)
 from repro.telemetry.recorder import (
     FlightRecorder,
     configure_flight_recorder,
@@ -61,12 +46,7 @@ from repro.telemetry.summary import (
 )
 
 __all__ = [
-    "Counter",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
     "RuntimeProfile",
     "Span",
     "SpanTracer",
@@ -75,28 +55,20 @@ __all__ = [
     "collect_trace_paths",
     "configure_flight_recorder",
     "configure_logging",
-    "counter",
     "critical_path_report",
     "diff_profile_snapshots",
-    "diff_snapshots",
-    "gauge",
     "get_flight_recorder",
     "get_logger",
-    "histogram",
     "install_sigterm_handler",
     "load_profile_snapshot",
     "load_trace_file",
-    "merge_snapshots",
     "merge_trace_files",
     "profile_from_execution",
-    "record_run",
-    "register_provider",
     "regression_gate",
     "render_critical_path",
     "render_profile_diff",
     "render_trace_show",
     "render_trace_summary",
-    "snapshot",
     "summarize_traces",
     "trace_critical_path",
     "trace_path_for",

@@ -13,10 +13,6 @@ exec) is parented to the stage entry it happened inside.
     pipeline.run(code)
     spans = tracer.drain()          # list of JSON-able span dicts
 
-The tracer never touches the metrics registry — counters for process-
-backend runs are derived from shipped span payloads on the parent side
-(:func:`repro.telemetry.metrics.record_run`), so each run counts once.
-
 No imports from the rest of the package: events are matched by class
 *name*, which keeps the dependency arrow pointing from the pipeline to
 telemetry only at the subscription site.
@@ -179,14 +175,9 @@ class SpanTracer:
                 {"ok": event.ok, "cached": event.cached},
             )
         elif kind == "ExecutionFinished":
-            attrs = {
-                "ok": event.ok,
-                "steps": event.steps,
-                "launches": event.launches,
-            }
-            profile = getattr(event, "profile", None)
-            if profile:
-                attrs["profile"] = dict(profile)
+            attrs: Dict[str, Any] = {"ok": event.ok}
+            if event.profile:
+                attrs["profile"] = dict(event.profile)
             self._leaf("execute", EXEC, event.seconds, attrs)
         elif kind == "PipelineFinished":
             if self._root is not None:

@@ -5,10 +5,11 @@ session log (its sidecar is found by convention), or a campaign
 directory (every canonical trace under ``sessions/`` — falling back to
 per-shard trace files when the campaign has not been merged yet).
 
-The summary reports per-stage latency percentiles, the slowest traces,
-the LLM-call latency histogram, compile-cache efficiency, interpreter
-work, and the merged metrics snapshot — the same numbers the campaign
-manifest carries, derived from the same records.
+The summary reports run statuses, per-stage latency percentiles, the
+slowest traces, the LLM-call latency histogram, compile-cache
+efficiency, and interpreter work summed from the exec spans' runtime
+profiles.  Spans are the only telemetry record, so this is the only
+aggregate over them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracefile import (
     TRACE_SUFFIX,
     load_trace_file,
@@ -25,6 +25,7 @@ from repro.telemetry.tracefile import (
 )
 
 __all__ = [
+    "LLM_LATENCY_BUCKETS",
     "collect_trace_paths",
     "critical_path_report",
     "percentile",
@@ -34,6 +35,17 @@ __all__ = [
     "summarize_traces",
     "trace_critical_path",
 ]
+
+#: Upper bounds of the LLM-latency histogram buckets, in seconds
+#: (modelled round-trips are ~seconds); the trailing +inf bucket is
+#: implicit.
+LLM_LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
+
+#: Interpreter dispatch paths, as ``RuntimeProfile`` names their
+#: ``<path>_launches`` fields.
+LAUNCH_PATHS = ("flat", "barrier", "slow", "omp")
 
 
 def collect_trace_paths(target: Union[str, Path]) -> List[Path]:
@@ -99,16 +111,17 @@ def summarize_traces(
     completion_tokens = 0
     compile_total = 0
     compile_cached = 0
+    statuses: Dict[str, int] = {}
     exec_runs = 0
-    exec_steps = 0
-    exec_launches = 0
+    exec_failed = 0
+    # Summed from each exec span's RuntimeProfile payload.
+    work = {"steps": 0, "kernel_launches": 0, "atomics": 0, "barrier_waits": 0}
+    path_launches: Dict[str, int] = {}
     trace_rows: List[Dict[str, Any]] = []
-    snapshots: List[Dict[str, Any]] = []
     n_traces = 0
 
     for path in paths:
         data = load_trace_file(path)
-        snapshots.append(data["metrics"])
         for trace in data["traces"]:
             n_traces += 1
             root_wall = 0.0
@@ -136,8 +149,18 @@ def summarize_traces(
                         compile_cached += 1
                 elif kind == "exec":
                     exec_runs += 1
-                    exec_steps += int(attrs.get("steps") or 0)
-                    exec_launches += int(attrs.get("launches") or 0)
+                    if not attrs.get("ok"):
+                        exec_failed += 1
+                    profile = attrs.get("profile") or {}
+                    for key in work:
+                        work[key] += int(profile.get(key) or 0)
+                    for name in LAUNCH_PATHS:
+                        launches = int(profile.get(f"{name}_launches") or 0)
+                        if launches:
+                            path_launches[name] = (
+                                path_launches.get(name, 0) + launches
+                            )
+            statuses[status] = statuses.get(status, 0) + 1
             trace_rows.append(
                 {
                     "scenario": trace.get("scenario", {}),
@@ -180,6 +203,7 @@ def summarize_traces(
     return {
         "files": [str(p) for p in paths],
         "traces": n_traces,
+        "statuses": statuses,
         "stages": stages,
         "llm": llm_summary,
         "compile": {
@@ -189,17 +213,20 @@ def summarize_traces(
         },
         "exec": {
             "runs": exec_runs,
-            "steps": exec_steps,
-            "launches": exec_launches,
+            "failed": exec_failed,
+            "steps": work["steps"],
+            "launches": work["kernel_launches"],
+            "launches_by_path": path_launches,
+            "atomics": work["atomics"],
+            "barrier_waits": work["barrier_waits"],
         },
         "slowest": trace_rows[: max(0, top)],
-        "metrics": _metrics.merge_snapshots(snapshots),
     }
 
 
 def _latency_histogram(sorted_walls: Sequence[float]) -> List[Tuple[str, int]]:
     """Fixed log-spaced latency buckets for the LLM histogram display."""
-    bounds = list(_metrics.LLM_LATENCY_BUCKETS)
+    bounds = list(LLM_LATENCY_BUCKETS)
     counts = [0] * (len(bounds) + 1)
     for value in sorted_walls:
         for i, bound in enumerate(bounds):
@@ -337,6 +364,8 @@ def render_trace_summary(summary: Dict[str, Any]) -> str:
     lines.append(
         f"{summary['traces']} trace(s) across {len(summary['files'])} file(s)"
     )
+    if summary["statuses"]:
+        lines.append("Statuses: " + _render_counts(summary["statuses"]))
 
     stages = summary["stages"]
     if stages:
@@ -361,10 +390,9 @@ def render_trace_summary(summary: Dict[str, Any]) -> str:
     lines.append("")
     lines.append(f"LLM calls: {llm['calls']}")
     if llm["calls"]:
-        by_purpose = ", ".join(
-            f"{k}={v}" for k, v in sorted(llm["calls_by_purpose"].items())
+        lines.append(
+            "  by purpose: " + _render_counts(llm["calls_by_purpose"])
         )
-        lines.append(f"  by purpose: {by_purpose}")
         lines.append(
             f"  latency p50 {_fmt_s(llm['p50'])} · p90 {_fmt_s(llm['p90'])}"
             f" · p99 {_fmt_s(llm['p99'])} · max {_fmt_s(llm['max'])}"
@@ -388,8 +416,16 @@ def render_trace_summary(summary: Dict[str, Any]) -> str:
     )
     ex = summary["exec"]
     lines.append(
-        f"Executions: {ex['runs']} · {ex['launches']} kernel launch(es) · "
+        f"Executions: {ex['runs']} ({ex['failed']} failed) · "
+        f"{ex['launches']} kernel launch(es) · "
         f"{ex['steps']} interpreter step(s)"
+    )
+    if ex["launches_by_path"]:
+        lines.append(
+            "  launches by path: " + _render_counts(ex["launches_by_path"])
+        )
+    lines.append(
+        f"  atomics: {ex['atomics']} · barrier waits: {ex['barrier_waits']}"
     )
 
     slowest = summary["slowest"]
@@ -401,16 +437,11 @@ def render_trace_summary(summary: Dict[str, Any]) -> str:
                 f"  {_fmt_s(row['wall']):>10}  {row['status']:<16} "
                 f"{_scenario_label(row['scenario'])}"
             )
-
-    counters = summary["metrics"].get("counters", {})
-    if counters:
-        lines.append("")
-        lines.append("Metrics counters:")
-        for key in sorted(counters):
-            value = counters[key]
-            rendered = f"{value:g}"
-            lines.append(f"  {key} = {rendered}")
     return "\n".join(lines)
+
+
+def _render_counts(counts: Dict[str, int]) -> str:
+    return ", ".join(f"{key}={counts[key]}" for key in sorted(counts))
 
 
 def render_trace_show(

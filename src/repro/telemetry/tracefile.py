@@ -6,14 +6,13 @@ holds everything timing-shaped.  Line format, one JSON object per line:
 
 * ``{"record": "header", "format": 1, ...}`` — first line;
 * ``{"record": "trace", "trace_id": N, "scenario": {...}, "spans": [...]}``
-  — one per traced pipeline run, ``trace_id`` sequential per file;
-* ``{"record": "metrics", "snapshot": {...}}`` — the writer's metrics
-  *delta* (what this file's runs contributed), appended on close so
-  summing metrics records across shard files is correct.
+  — one per traced pipeline run, ``trace_id`` sequential per file.
+
+Readers skip any other record kind, so sidecars written by older
+versions (which closed with a ``metrics`` record) still load.
 
 :func:`merge_trace_files` fuses per-shard trace files into one canonical
-file, remapping ``trace_id`` to a single sequential space and merging the
-shards' metrics deltas.
+file, remapping ``trace_id`` to a single sequential space.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
-
-from repro.telemetry import metrics as _metrics
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -61,9 +58,7 @@ def _dumps(obj: Dict[str, Any]) -> str:
 class TraceWriter:
     """Appends trace records for one session (or shard) to one file.
 
-    The writer snapshots the metrics registry when opened and writes the
-    *delta* snapshot on :meth:`close`, so per-file metrics records sum
-    cleanly across shards.  Safe to use as a context manager.
+    Safe to use as a context manager.
     """
 
     def __init__(self, path: Union[str, Path], resume: bool = False) -> None:
@@ -88,7 +83,6 @@ class TraceWriter:
                 + "\n"
             )
             self._fh.flush()
-        self._metrics_before = _metrics.snapshot()
 
     def write_trace(
         self, scenario: Dict[str, Any], spans: Sequence[Dict[str, Any]]
@@ -114,8 +108,6 @@ class TraceWriter:
         if self._closed:
             return
         self._closed = True
-        delta = _metrics.diff_snapshots(self._metrics_before, _metrics.snapshot())
-        self._fh.write(_dumps({"record": "metrics", "snapshot": delta}) + "\n")
         self._fh.close()
 
     def __enter__(self) -> "TraceWriter":
@@ -145,22 +137,18 @@ def iter_trace_records(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
 
 
 def load_trace_file(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse one trace file into ``{header, traces, metrics}``."""
+    """Parse one trace file into ``{header, traces}``."""
     header: Optional[Dict[str, Any]] = None
     traces: List[Dict[str, Any]] = []
-    snapshots: List[Dict[str, Any]] = []
     for record in iter_trace_records(path):
         kind = record.get("record")
         if kind == "header":
             header = record
         elif kind == "trace":
             traces.append(record)
-        elif kind == "metrics":
-            snapshots.append(record.get("snapshot", {}))
     return {
         "header": header or {"record": "header", "format": TRACE_FORMAT_VERSION},
         "traces": traces,
-        "metrics": _metrics.merge_snapshots(snapshots),
     }
 
 
@@ -169,38 +157,24 @@ def merge_trace_files(
 ) -> int:
     """Concatenate shard trace files into one, remapping trace ids.
 
-    Shards are consumed in the given order; trace ids become one
-    sequential space and the shards' metrics deltas merge into a single
-    trailing metrics record.  Writes atomically (temp file + replace).
-    Returns the number of traces written.
+    Shards are consumed in the given order and trace ids become one
+    sequential space.  Writes atomically (temp file + replace).  Returns
+    the number of traces written.
     """
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
     next_id = 0
-    snapshots: List[Dict[str, Any]] = []
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(
             _dumps({"record": "header", "format": TRACE_FORMAT_VERSION}) + "\n"
         )
         for shard in shard_paths:
             for record in iter_trace_records(shard):
-                kind = record.get("record")
-                if kind == "trace":
+                if record.get("record") == "trace":
                     record = dict(record)
                     record["trace_id"] = next_id
                     next_id += 1
                     fh.write(_dumps(record) + "\n")
-                elif kind == "metrics":
-                    snapshots.append(record.get("snapshot", {}))
-        fh.write(
-            _dumps(
-                {
-                    "record": "metrics",
-                    "snapshot": _metrics.merge_snapshots(snapshots),
-                }
-            )
-            + "\n"
-        )
     os.replace(tmp, out)
     return next_id

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.minilang import analyze, parse
-from repro.telemetry import metrics as _telemetry_metrics
 from repro.minilang.ast import Program
 from repro.minilang.diagnostics import DiagnosticBag, Severity
 from repro.minilang.source import Dialect, SourceFile
@@ -198,10 +197,19 @@ def compile_cache_stats() -> Dict[str, float]:
     return _COMPILE_CACHE.stats()
 
 
-# Polled into metrics snapshots as ``compile_cache.*`` gauges — whichever
-# cache is installed (a campaign's persistent one inside
-# :func:`compile_cache_scope`, the plain memo otherwise).
-_telemetry_metrics.register_provider("compile_cache", compile_cache_stats)
+#: Per-thread outcome of the calling thread's latest
+#: :meth:`CompilerDriver.compile` (see :func:`last_compile_cached`).
+_LAST_COMPILE = threading.local()
+
+
+def last_compile_cached() -> bool:
+    """Whether this thread's latest compile was served by the memo.
+
+    True when the in-memory memo or its persistent store returned the
+    entry, so the front end did not run.  Per thread, so concurrent grid
+    workers sharing the memo cannot see each other's hits.
+    """
+    return getattr(_LAST_COMPILE, "cached", False)
 
 
 def clear_compile_cache() -> None:
@@ -244,11 +252,13 @@ class CompilerDriver:
 
         Identical (source, dialect, filename) invocations are served from
         the process-wide :class:`CompileCache`; the returned result must be
-        treated as read-only.
+        treated as read-only.  :func:`last_compile_cached` tells the
+        calling thread whether this call was such a replay.
         """
         fname = filename or ("code" + self.dialect.file_extension)
         key = CompileCache.key(source_text, self.dialect, fname)
         cached = _COMPILE_CACHE.get(key)
+        _LAST_COMPILE.cached = cached is not None
         if cached is not None:
             return cached
         result = self._front_end(source_text, fname)

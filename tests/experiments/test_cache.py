@@ -87,7 +87,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         _run_one(cache)
         digest = cache_key(SCENARIO, "paper", 2024, FP)
-        path = tmp_path / f"{digest}.json"
+        path = tmp_path / "results" / f"{digest}.json"
 
         path.write_text("{not json")
         assert cache.get(SCENARIO, "paper", 2024, FP) is None
@@ -104,7 +104,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         _run_one(cache)
         digest = cache_key(SCENARIO, "paper", 2024, FP)
-        path = tmp_path / f"{digest}.json"
+        path = tmp_path / "results" / f"{digest}.json"
         entry = json.loads(path.read_text())
         entry["version"] = 999
         path.write_text(json.dumps(entry))

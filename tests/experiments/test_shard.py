@@ -109,7 +109,7 @@ class TestShardMerge:
         merged = json.loads(
             (shard_root / "mini" / MANIFEST_NAME).read_text()
         )
-        # Byte-identity modulo timing telemetry for the manifest...
+        # Byte-identity modulo pipeline_runs for the manifest...
         assert normalize_manifest(merged) == normalize_manifest(ref)
         # ...and full byte-identity for the canonical sessions.
         for cell in ref["cells"]:
@@ -307,7 +307,7 @@ class TestSharedStoreReplay:
 class TestTracedShardMerge:
     """PR-7 acceptance: a sharded campaign with a shared cache store and
     tracing yields per-shard trace sidecars that merge fuses into one
-    queryable trace per cell, whose numbers agree with the manifest."""
+    queryable trace per cell, with one trace per executed scenario."""
 
     def test_traced_shards_fuse_into_canonical_traces(self, tmp_path):
         from repro.telemetry import (
@@ -333,6 +333,9 @@ class TestTracedShardMerge:
 
         merge_manifests(campaign_dir)
         manifest = json.loads((campaign_dir / MANIFEST_NAME).read_text())
+        # Spans are the only telemetry record: no manifest carries any.
+        for path in campaign_dir.glob("manifest*.json"):
+            assert "telemetry" not in json.loads(path.read_text()), path
 
         # The merge fused every cell's shards into a canonical sidecar...
         for cell in manifest["cells"]:
@@ -340,35 +343,12 @@ class TestTracedShardMerge:
         paths = collect_trace_paths(campaign_dir)
         assert all(".shard-" not in p.name for p in paths)
 
-        # ...and the fused trace agrees with the manifest's telemetry.
+        # ...and the fused traces hold every executed scenario once.
         summary = summarize_traces(paths)
         assert summary["traces"] == 4  # 2 cells x 2 scenarios, all traced
-        telemetry = manifest["telemetry"]
-
-        def executed(counters):
-            return {
-                key: value for key, value in counters.items()
-                if not key.startswith(("cache_store.", "compile_cache."))
-            }
-
-        assert executed(summary["metrics"]["counters"]) == executed(
-            telemetry["counters"]
-        )
-        run_total = sum(
-            value for key, value in telemetry["counters"].items()
-            if key.startswith("pipeline.runs")
-        )
-        assert run_total == 4
+        assert sum(summary["statuses"].values()) == 4
         assert summary["compile"]["calls"] >= 4
         assert summary["llm"]["calls"] >= 4
-
-    def test_manifest_telemetry_is_stripped_by_normalize(self, tmp_path):
-        CampaignRunner(_spec(), root=tmp_path, trace=True).run()
-        manifest = json.loads(
-            (tmp_path / "mini" / MANIFEST_NAME).read_text()
-        )
-        assert "telemetry" in manifest
-        assert "telemetry" not in normalize_manifest(manifest)
 
     def test_untraced_campaign_writes_no_telemetry(self, tmp_path):
         CampaignRunner(_spec(), root=tmp_path).run()

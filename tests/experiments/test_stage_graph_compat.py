@@ -63,13 +63,17 @@ class TestPreRedesignByteIdentity:
             "session JSONL must be byte-identical to an untraced one"
         )
         # The timing-shaped data all went to the sidecar instead.
-        from repro.telemetry import load_trace_file, trace_path_for
+        from repro.telemetry import (
+            load_trace_file,
+            summarize_traces,
+            trace_path_for,
+        )
 
         sidecar = trace_path_for(path)
         assert sidecar.exists()
         data = load_trace_file(sidecar)
         assert len(data["traces"]) == 12
-        assert data["metrics"]["counters"]
+        assert sum(summarize_traces([sidecar])["statuses"].values()) == 12
 
 
 def stage_walls(result):
@@ -129,7 +133,11 @@ class TestTimingTelemetryTransport:
     def test_process_backend_ships_spans_and_writes_the_sidecar(
         self, tmp_path
     ):
-        from repro.telemetry import load_trace_file, trace_path_for
+        from repro.telemetry import (
+            load_trace_file,
+            summarize_traces,
+            trace_path_for,
+        )
 
         path = tmp_path / "proc.jsonl"
         runner = ParallelExperimentRunner(
@@ -140,16 +148,12 @@ class TestTimingTelemetryTransport:
             assert sr.result.spans, "worker spans not shipped to the parent"
             kinds = {s["kind"] for s in sr.result.spans}
             assert "pipeline" in kinds and "stage" in kinds
-        data = load_trace_file(trace_path_for(path))
+        sidecar = trace_path_for(path)
+        data = load_trace_file(sidecar)
         assert len(data["traces"]) == len(results)
-        runs = [
-            (key, value)
-            for key, value in data["metrics"]["counters"].items()
-            if key.startswith("pipeline.runs")
-        ]
-        # The parent folds shipped worker telemetry into its registry
-        # exactly once per executed scenario.
-        assert sum(value for _, value in runs) == len(results)
+        # The parent writes each shipped worker trace exactly once.
+        statuses = summarize_traces([sidecar])["statuses"]
+        assert sum(statuses.values()) == len(results)
 
     def test_untraced_runs_carry_no_spans(self):
         results = ParallelExperimentRunner(jobs=1).run(**SMALL)

@@ -223,7 +223,7 @@ def test_result_cache_counts_and_quarantines_corrupt_entries(tmp_path, caplog):
         models=["gpt4"], directions=["omp2cuda"], apps=["layout"]
     )
     digest = cache_key(scenario, "paper", 2024, fp)
-    path = tmp_path / f"{digest}.json"
+    path = tmp_path / "results" / f"{digest}.json"
     path.write_text("{not json", encoding="utf-8")
 
     with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):

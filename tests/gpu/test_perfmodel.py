@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.gpu.stats import (
     OpCounters,
     TransferEvent,
 )
+from repro.telemetry.profile import profile_from_execution
 
 
 def make_counters(ops=0.0, load=0.0, store=0.0, atomics=0.0) -> OpCounters:
@@ -191,7 +194,9 @@ class TestOpCounters:
         p = ExecutionProfile()
         p.events.append(kernel(atomics=5))
         p.events.append(TransferEvent(bytes=100, direction="d2h"))
-        s = p.summary()
-        assert s["kernel_launches"] == 1
-        assert s["atomics"] == 5
-        assert s["transfer_bytes"] == 100
+        s = profile_from_execution(
+            SimpleNamespace(profile=p, steps_used=0, runtime_seconds=0.0)
+        )
+        assert s.kernel_launches == 1
+        assert s.atomics == 5
+        assert s.transfer_bytes == 100

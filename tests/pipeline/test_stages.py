@@ -163,7 +163,6 @@ class TestEventBus:
 
     def test_poisoned_subscriber_does_not_abort_delivery(self, capsys):
         from repro.telemetry.log import configure
-        from repro.telemetry.metrics import counter
 
         bus = EventBus()
         before, after = [], []
@@ -175,24 +174,23 @@ class TestEventBus:
         bus.subscribe(poisoned)
         bus.subscribe(after.append)
         configure("warning")
-        errors = counter("telemetry_subscriber_errors")
-        baseline = errors.value(
-            subscriber=f"{poisoned.__qualname__}"
-        )
         bus.publish(StageStarted(stage="x"))
         bus.publish(StageStarted(stage="y"))
         # Every healthy subscriber saw every event, before AND after the
         # poisoned one in registration order.
         assert [e.stage for e in before] == ["x", "y"]
         assert [e.stage for e in after] == ["x", "y"]
-        # The failure is observable: a warning naming the subscriber and
-        # a labeled error counter, once per failed delivery.
-        err = capsys.readouterr().err
-        assert "poisoned" in err and "telemetry bug" in err
-        assert "StageStarted" in err
-        assert errors.value(
-            subscriber=f"{poisoned.__qualname__}"
-        ) == baseline + 2
+        # The failure is observable: a warning naming the subscriber,
+        # once per failed delivery.
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "telemetry bug" in line
+        ]
+        assert len(warnings) == 2
+        assert all(
+            poisoned.__qualname__ in line and "StageStarted" in line
+            for line in warnings
+        )
 
     def test_poisoned_subscriber_does_not_break_a_pipeline_run(self):
         def poisoned(event):
@@ -381,3 +379,61 @@ class TestCorrectionWithoutCodeBlock:
         assert [a.kind for a in result.attempts] == ["initial"]
         assert result.attempts[0].stderr == ""
 
+
+
+class TestCompileFinishedCached:
+    """``cached`` is the loop's own memo outcome, not another thread's."""
+
+    def test_concurrent_hit_does_not_mark_a_miss_cached(self, monkeypatch):
+        import threading
+
+        from repro.pipeline.events import CompileFinished
+        from repro.pipeline.results import LassiResult
+        from repro.pipeline.stages.base import PipelineContext
+        from repro.pipeline.stages.loops import CompileCorrectLoop
+        from repro.toolchain import (
+            CUDA_COMPILER,
+            CompileCache,
+            CompilerDriver,
+            compile_cache_scope,
+        )
+
+        warm_src = "int main() { return 0; }\n"
+        miss_src = "int main() { return 1; }\n"
+        entered, release = threading.Event(), threading.Event()
+        front_end = CompilerDriver._front_end
+
+        def gated_front_end(self, source_text, fname):
+            # Hold the loop's miss inside the front end while the main
+            # thread hits the shared memo.
+            if source_text == miss_src:
+                entered.set()
+                release.wait(timeout=30)
+            return front_end(self, source_text, fname)
+
+        monkeypatch.setattr(CompilerDriver, "_front_end", gated_front_end)
+        events = EventBus()
+        finished = []
+        events.subscribe(
+            lambda e: finished.append(e) if isinstance(e, CompileFinished)
+            else None
+        )
+        ctx = PipelineContext(
+            source_code="", args=(), work_scale=1.0, launch_scale=None,
+            reference_code=None, events=events, code=miss_src,
+            result=LassiResult(status=Status.NO_CODE, source_dialect="omp",
+                               target_dialect="cuda", model="m"),
+        )
+        loop = CompileCorrectLoop(CUDA_COMPILER, None, PipelineConfig())
+        with compile_cache_scope(CompileCache()):
+            CUDA_COMPILER.compile(warm_src)
+            worker = threading.Thread(target=loop.run, args=(ctx,))
+            worker.start()
+            try:
+                assert entered.wait(timeout=30)
+                CUDA_COMPILER.compile(warm_src)  # a hit, mid-miss
+            finally:
+                release.set()
+                worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert [(e.ok, e.cached) for e in finished] == [(True, False)]

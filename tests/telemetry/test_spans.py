@@ -13,6 +13,9 @@ from repro.pipeline.events import (
 )
 from repro.telemetry.spans import Span, SpanTracer
 
+PROFILE = {"steps": 500, "kernel_launches": 3, "flat_launches": 3,
+           "atomics": 0, "sim_seconds": 0.125}
+
 
 def trace_one_run(tracer):
     tracer(PipelineStarted(model="GPT-4", source_dialect="omp",
@@ -29,7 +32,7 @@ def trace_one_run(tracer):
                          outcome="proceed"))
     tracer(StageStarted(stage="execute-correct"))
     tracer(ExecutionFinished(stage="execute-correct", ok=True, seconds=0.1,
-                             steps=500, launches=3))
+                             profile=PROFILE))
     tracer(StageFinished(stage="execute-correct", seconds=0.12,
                          outcome="proceed"))
     tracer(PipelineFinished(status="success", seconds=0.5))
@@ -67,26 +70,21 @@ class TestSpanTracer:
             "purpose": "generate", "model": "GPT-4",
             "prompt_tokens": 120, "completion_tokens": 40,
         }
-        assert by_kind["exec"]["attrs"] == {
-            "ok": True, "steps": 500, "launches": 3,
-        }
+        assert by_kind["exec"]["attrs"] == {"ok": True, "profile": PROFILE}
 
     def test_exec_leaf_carries_the_runtime_profile(self):
-        profile = {"steps": 500, "kernel_launches": 3, "flat_launches": 3,
-                   "atomics": 0, "sim_seconds": 0.125}
         tracer = SpanTracer()
         tracer(PipelineStarted(model="GPT-4", source_dialect="omp",
                                target_dialect="cuda"))
         tracer(StageStarted(stage="execute-correct"))
         tracer(ExecutionFinished(stage="execute-correct", ok=True,
-                                 seconds=0.1, steps=500, launches=3,
-                                 profile=profile))
+                                 seconds=0.1, profile=PROFILE))
         tracer(StageFinished(stage="execute-correct", seconds=0.12,
                              outcome="proceed"))
         tracer(PipelineFinished(status="success", seconds=0.5))
         spans = tracer.drain()
         exec_span = next(s for s in spans if s["kind"] == "exec")
-        assert exec_span["attrs"]["profile"] == profile
+        assert exec_span["attrs"]["profile"] == PROFILE
 
     def test_leaf_start_is_backdated_by_its_duration(self):
         spans = trace_one_run(SpanTracer())

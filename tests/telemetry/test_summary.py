@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import metrics as _metrics
 from repro.telemetry.summary import (
     collect_trace_paths,
     critical_path_report,
@@ -32,7 +31,9 @@ def spans_for(app, wall, status="success", cached=False):
          "wall": 0.01, "parent": 1, "attrs": {"ok": True, "cached": cached}},
         {"id": 4, "name": "execute", "kind": "exec", "start": 0.2,
          "wall": 0.05, "parent": 1,
-         "attrs": {"ok": True, "steps": 100, "launches": 2}},
+         "attrs": {"ok": True,
+                   "profile": {"steps": 100, "kernel_launches": 2,
+                               "flat_launches": 2}}},
     ]
 
 
@@ -125,7 +126,7 @@ class TestTruncatedTail:
         text = trace_file.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True)
         # Keep the header + first trace, tear the second trace record
-        # mid-line (everything after it — the metrics record — is lost).
+        # mid-line.
         torn = lines[:2] + [lines[2][: len(lines[2]) // 2]]
         truncated.write_text("".join(torn), encoding="utf-8")
         data = load_trace_file(truncated)
@@ -148,7 +149,12 @@ class TestSummarize:
         assert summary["compile"] == {
             "calls": 2, "cached": 1, "cache_rate": 0.5
         }
-        assert summary["exec"] == {"runs": 2, "steps": 200, "launches": 4}
+        assert summary["statuses"] == {"success": 1, "output-mismatch": 1}
+        assert summary["exec"] == {
+            "runs": 2, "failed": 0, "steps": 200, "launches": 4,
+            "launches_by_path": {"flat": 4}, "atomics": 0,
+            "barrier_waits": 0,
+        }
         slowest = summary["slowest"]
         assert slowest[0]["scenario"]["app"] == "slow"
         assert slowest[0]["status"] == "output-mismatch"
@@ -156,12 +162,59 @@ class TestSummarize:
     def test_top_limits_the_slowest_list(self, trace_file):
         assert len(summarize_traces([trace_file], top=1)["slowest"]) == 1
 
-    def test_summary_carries_the_files_metric_deltas(self, tmp_path):
-        path = tmp_path / "m.trace.jsonl"
+
+class TestSpanDerivedCounts:
+    """Run outcomes and interpreter work come from the spans alone."""
+
+    @staticmethod
+    def summarize(tmp_path, *span_lists):
+        path = tmp_path / "counts.trace.jsonl"
         with TraceWriter(path) as writer:
-            _metrics.REGISTRY.counter("test.summary").inc(5)
-        summary = summarize_traces([path])
-        assert summary["metrics"]["counters"]["test.summary"] == 5.0
+            for i, spans in enumerate(span_lists):
+                writer.write_trace({"app": f"app{i}"}, spans)
+        return summarize_traces([path])
+
+    def test_statuses_and_failed_executions(self, tmp_path):
+        failed = spans_for("b", 0.2, status="execute-failed")
+        failed[4]["attrs"] = dict(failed[4]["attrs"], ok=False)
+        summary = self.summarize(
+            tmp_path, spans_for("a", 0.1), failed, spans_for("c", 0.3)
+        )
+        assert summary["statuses"] == {"success": 2, "execute-failed": 1}
+        assert sum(summary["statuses"].values()) == summary["traces"]
+        assert summary["exec"]["runs"] == 3
+        assert summary["exec"]["failed"] == 1
+
+    def test_trace_without_leaves_counts_status_only(self, tmp_path):
+        summary = self.summarize(tmp_path, spans_for("x", 0.1)[:1])
+        assert summary["statuses"] == {"success": 1}
+        assert summary["llm"]["calls"] == 0
+        assert summary["compile"]["calls"] == 0
+        assert summary["exec"] == {
+            "runs": 0, "failed": 0, "steps": 0, "launches": 0,
+            "launches_by_path": {}, "atomics": 0, "barrier_waits": 0,
+        }
+
+    def test_work_is_summed_from_exec_profiles(self, tmp_path):
+        spans = spans_for("x", 0.1)
+        spans[4]["attrs"] = {"ok": True, "profile": {
+            "steps": 50, "kernel_launches": 2, "atomics": 7,
+            "barrier_waits": 12, "flat_launches": 1, "barrier_launches": 1,
+            "slow_launches": 0, "omp_launches": 0,
+        }}
+        ex = self.summarize(tmp_path, spans, spans)["exec"]
+        assert ex["steps"] == 100
+        assert ex["launches"] == 4
+        assert ex["atomics"] == 14
+        assert ex["barrier_waits"] == 24
+        # Zero-launch paths are left out.
+        assert ex["launches_by_path"] == {"flat": 2, "barrier": 2}
+
+    def test_exec_span_without_a_profile_counts_the_run_only(self, tmp_path):
+        spans = spans_for("x", 0.1)
+        spans[4]["attrs"] = {"ok": True}
+        ex = self.summarize(tmp_path, spans)["exec"]
+        assert (ex["runs"], ex["steps"], ex["launches"]) == (1, 0, 0)
 
 
 class TestCriticalPath:
@@ -214,6 +267,10 @@ class TestRendering:
     def test_summary_text_mentions_every_section(self, trace_file):
         text = render_trace_summary(summarize_traces([trace_file]))
         assert "2 trace(s)" in text
+        assert "Statuses: output-mismatch=1, success=1" in text
+        assert "Executions: 2 (0 failed)" in text
+        assert "launches by path: flat=4" in text
+        assert "atomics: 0 · barrier waits: 0" in text
         assert "Per-stage latency" in text
         assert "LLM calls: 2" in text
         assert "cache rate" in text

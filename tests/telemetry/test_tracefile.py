@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracefile import (
     TRACE_FORMAT_VERSION,
     TraceWriter,
@@ -23,6 +22,10 @@ def scenario(n):
     return {"model": "gpt4", "direction": "omp2cuda", "app": f"app{n}"}
 
 
+def record_kinds(path):
+    return [r["record"] for r in iter_trace_records(path)]
+
+
 class TestTracePath:
     def test_session_to_sidecar(self):
         assert trace_path_for("sessions/run.jsonl") == Path(
@@ -36,18 +39,16 @@ class TestTracePath:
 
 
 class TestTraceWriter:
-    def test_header_traces_and_metrics_delta(self, tmp_path):
+    def test_header_and_trace_records_only(self, tmp_path):
         path = tmp_path / "run.trace.jsonl"
         with TraceWriter(path) as writer:
-            _metrics.REGISTRY.counter("test.tracefile").inc(3)
             assert writer.write_trace(scenario(0), SPANS) == 0
             assert writer.write_trace(scenario(1), SPANS) == 1
         data = load_trace_file(path)
         assert data["header"]["format"] == TRACE_FORMAT_VERSION
         assert [t["trace_id"] for t in data["traces"]] == [0, 1]
         assert data["traces"][0]["scenario"]["app"] == "app0"
-        # Only what happened while the writer was open lands in its delta.
-        assert data["metrics"]["counters"]["test.tracefile"] == 3.0
+        assert record_kinds(path) == ["header", "trace", "trace"]
 
     def test_lines_are_compact_sorted_json(self, tmp_path):
         path = tmp_path / "run.trace.jsonl"
@@ -80,8 +81,7 @@ class TestTraceWriter:
         writer = TraceWriter(tmp_path / "t.trace.jsonl")
         writer.close()
         writer.close()
-        records = list(iter_trace_records(tmp_path / "t.trace.jsonl"))
-        assert [r["record"] for r in records] == ["header", "metrics"]
+        assert record_kinds(tmp_path / "t.trace.jsonl") == ["header"]
 
 
 class TestTolerantReader:
@@ -101,14 +101,30 @@ class TestTolerantReader:
     def test_missing_file_yields_nothing(self, tmp_path):
         assert list(iter_trace_records(tmp_path / "absent.trace.jsonl")) == []
 
+    def test_legacy_trailing_metrics_record_is_skipped(self, tmp_path):
+        # Older writers closed every file with a metrics-snapshot record.
+        path = tmp_path / "old.trace.jsonl"
+        with TraceWriter(path) as writer:
+            writer.write_trace(scenario(0), SPANS)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"record": "metrics", "snapshot": {
+                "counters": {"pipeline.runs{status=success}": 1.0},
+                "gauges": {}, "histograms": {},
+            }}) + "\n")
+        data = load_trace_file(path)
+        assert set(data) == {"header", "traces"}
+        assert [t["trace_id"] for t in data["traces"]] == [0]
+        merged = tmp_path / "merged.trace.jsonl"
+        assert merge_trace_files([path], merged) == 1
+        assert record_kinds(merged) == ["header", "trace"]
+
 
 class TestMerge:
-    def test_merge_remaps_ids_and_fuses_metric_deltas(self, tmp_path):
+    def test_merge_remaps_ids(self, tmp_path):
         shards = []
         for i in range(2):
             shard = tmp_path / f"v.shard-{i}-of-2.trace.jsonl"
             with TraceWriter(shard) as writer:
-                _metrics.REGISTRY.counter("test.merge").inc()
                 writer.write_trace(scenario(i * 2), SPANS)
                 writer.write_trace(scenario(i * 2 + 1), SPANS)
             shards.append(shard)
@@ -119,7 +135,7 @@ class TestMerge:
         assert [t["scenario"]["app"] for t in data["traces"]] == [
             "app0", "app1", "app2", "app3"
         ]
-        assert data["metrics"]["counters"]["test.merge"] == 2.0
+        assert record_kinds(out) == ["header"] + ["trace"] * 4
 
     def test_merge_of_no_shards_writes_an_empty_canonical_file(self, tmp_path):
         out = tmp_path / "empty.trace.jsonl"

@@ -428,17 +428,6 @@ class TestCacheCli:
         stat = json.loads(capsys.readouterr().out)
         assert stat["entries"] == 2
 
-    def test_warm_namespaces_legacy_root_entries(self, capsys, tmp_path):
-        # A legacy campaign cache tree keeps results at the root; warming
-        # it into a shared store must land them in the results namespace.
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        (legacy / "abc.json").write_text(json.dumps({"v": 1}))
-        assert main(["cache", "warm", f"sqlite:{tmp_path / 's.db'}",
-                     "--from", f"dir:{legacy}"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["namespaces"] == {"results": 1}
-
     def test_gc_reports_and_quarantines(self, capsys, tmp_path):
         tree = tmp_path / "tree"
         tree.mkdir()
@@ -563,28 +552,26 @@ class TestCampaignTelemetryCli:
         path.write_text(json.dumps(spec))
         return str(path)
 
-    def test_traced_campaign_report_with_telemetry(self, capsys, tmp_path):
+    def test_traced_campaign_trace_summarize(self, capsys, tmp_path):
         spec = self._spec_file(tmp_path)
         root = str(tmp_path / "campaigns")
         assert main(["campaign", "run", "--spec", spec, "--dir", root,
                      "--trace"]) == 0
         capsys.readouterr()
-        assert main(["campaign", "report", "tele-mini", "--dir", root,
-                     "--with-telemetry"]) == 0
+        assert main(["trace", "summarize", f"{root}/tele-mini"]) == 0
         out = capsys.readouterr().out
-        assert "Telemetry (manifest metrics snapshot)" in out
-        assert "pipeline.runs{status=" in out
-        assert "Per-stage latency" in out  # the sidecar summary rode along
+        assert "1 trace(s)" in out
+        assert "Statuses: " in out
+        assert "Per-stage latency" in out
 
-    def test_untraced_campaign_report_with_telemetry_hints(self, capsys,
-                                                           tmp_path):
+    def test_untraced_campaign_trace_summarize_hints(self, capsys,
+                                                     tmp_path):
         spec = self._spec_file(tmp_path)
         root = str(tmp_path / "campaigns")
         assert main(["campaign", "run", "--spec", spec, "--dir", root]) == 0
         capsys.readouterr()
-        assert main(["campaign", "report", "tele-mini", "--dir", root,
-                     "--with-telemetry"]) == 0
-        assert "re-run the campaign with --trace" in capsys.readouterr().out
+        assert main(["trace", "summarize", f"{root}/tele-mini"]) == 2
+        assert "--trace" in capsys.readouterr().err
 
 
 class TestPerfCli:
@@ -763,8 +750,7 @@ class TestCampaignPerfReport:
         assert main(["campaign", "run", "--spec", spec, "--dir", root,
                      "--trace"]) == 0
         capsys.readouterr()
-        assert main(["campaign", "report", "perf-mini", "--dir", root,
-                     "--with-telemetry"]) == 0
+        assert main(["trace", "summarize", f"{root}/perf-mini"]) == 0
         out = capsys.readouterr().out
         table = out.split("Per-stage latency (wall):\n", 1)[1]
         header, *rows = table.split("\n\n", 1)[0].splitlines()
