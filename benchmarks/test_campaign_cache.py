@@ -69,10 +69,10 @@ def test_campaign_cache_replay(benchmark, tmp_path):
     # and replay into a fresh directory through it — the path a second
     # host takes after downloading a sharded campaign's store artifact.
     store = open_store(f"sqlite:{tmp_path / 'store.db'}")
-    tree = open_store(f"dir:{cold.directory / 'cache'}")
-    for key in tree.keys(namespace=RESULTS_NAMESPACE):
+    own = open_store(cold.directory / "cache.db")
+    for key in own.keys(namespace=RESULTS_NAMESPACE):
         store.put(
-            key, tree.get(key, namespace=RESULTS_NAMESPACE),
+            key, own.get(key, namespace=RESULTS_NAMESPACE),
             namespace=RESULTS_NAMESPACE,
         )
     shared_runner, shared, shared_s = _timed_run(

@@ -37,7 +37,7 @@ from repro.experiments.campaign import (
     merge_manifests,
 )
 from repro.experiments.parallel import ParallelExperimentRunner
-from repro.experiments.store import CacheStore, open_store
+from repro.experiments.store import SqliteCacheStore, open_store
 from repro.experiments.runner import ExperimentRunner, Scenario, ScenarioResult
 from repro.experiments.session import RunSession
 from repro.hecbench import AppSpec, Suite, all_apps, get_app
@@ -139,13 +139,14 @@ def evaluate(
     )
 
 
-def open_cache_store(store: Union[str, Path, CacheStore]) -> CacheStore:
-    """Open a pluggable cache store from a URI, path, or open store.
+def open_cache_store(
+    store: Union[str, Path, SqliteCacheStore],
+) -> SqliteCacheStore:
+    """Open a cache store from a URI, path, or open store.
 
-    Accepts ``dir:<path>`` (a directory tree with advisory file locks),
-    ``sqlite:<path>`` (a single sqlite file), a bare path (treated as a
-    directory tree), or an already-open
-    :class:`~repro.experiments.store.CacheStore` (returned unchanged).
+    Accepts ``sqlite:<path>`` or a bare path (both name one sqlite file),
+    or an already-open :class:`~repro.experiments.store.SqliteCacheStore`
+    (returned unchanged).
     """
     return open_store(store)
 
@@ -157,19 +158,19 @@ def build_campaign(
     backend: str = "thread",
     executor: Optional[Executor] = None,
     log: Optional[Callable[[str], None]] = None,
-    cache_store: Union[str, Path, CacheStore, None] = None,
+    cache_store: Union[str, Path, SqliteCacheStore, None] = None,
     shard: Union[str, tuple, None] = None,
     trace: bool = False,
 ) -> CampaignRunner:
     """Prepare a campaign runner (``spec`` may be a preset name).
 
-    ``cache_store`` routes scenario results and persisted compilations
-    through a shared pluggable store (URI, path, or open store) instead
-    of the per-campaign cache tree; ``shard`` (``"i/N"`` or ``(i, N)``)
-    makes the runner execute only its slice of the variant×scenario
-    cells and write a partial ``manifest.shard-i-of-N.json`` that
-    :func:`merge_campaign` later fuses.  ``trace=True`` writes a
-    ``.trace.jsonl`` sidecar next to every cell session.
+    ``cache_store`` routes scenario results through a shared store
+    (``sqlite:`` URI, path, or open store) instead of the campaign's own
+    ``cache.db``; ``shard`` (``"i/N"`` or ``(i, N)``) makes the runner
+    execute only its slice of the variant×scenario cells and write a
+    partial ``manifest.shard-i-of-N.json`` that :func:`merge_campaign`
+    later fuses.  ``trace=True`` writes a ``.trace.jsonl`` sidecar next
+    to every cell session.
     """
     resolved = get_preset(spec) if isinstance(spec, str) else spec
     return CampaignRunner(
@@ -186,7 +187,7 @@ def run_campaign(
     executor: Optional[Executor] = None,
     log: Optional[Callable[[str], None]] = None,
     progress: Optional[Callable[[ScenarioResult], None]] = None,
-    cache_store: Union[str, Path, CacheStore, None] = None,
+    cache_store: Union[str, Path, SqliteCacheStore, None] = None,
     shard: Union[str, tuple, None] = None,
     trace: bool = False,
 ) -> CampaignResult:

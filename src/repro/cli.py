@@ -10,8 +10,8 @@ deliverables:
 * ``campaign``  — declarative ablation sweeps (run / merge / report /
   list); ``run --shard i/N`` executes one slice of a distributed
   campaign and ``merge`` fuses the slices;
-* ``cache``     — inspect / warm / garbage-collect pluggable cache
-  stores (``dir:<path>`` or ``sqlite:<path>`` URIs);
+* ``cache``     — inspect / warm / garbage-collect sqlite cache stores
+  (``sqlite:<path>`` URIs or bare paths);
 * ``trace``     — summarize / show / critical-path ``.trace.jsonl``
   telemetry sidecars written by ``evaluate --trace`` and
   ``campaign run --trace``;
@@ -672,10 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"override the spec's application suite "
                          f"({suite_help})")
     cr.add_argument("--cache-store", default=None, metavar="URI",
-                    help="shared pluggable cache store (dir:<path> or "
-                         "sqlite:<path>; a bare path means dir:) for "
-                         "scenario results and persisted compilations; "
-                         "default: the campaign's own cache/ tree")
+                    help="shared cache store for scenario results "
+                         "(sqlite:<path> or a bare path to a sqlite file); "
+                         "default: the campaign's own cache.db")
     cr.add_argument("--shard", default=None, metavar="i/N",
                     help="run only this slice of the variant x scenario "
                          "cells (e.g. 0/2) and write a partial "
@@ -716,11 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ca = sub.add_parser(
         "cache",
-        help="inspect / warm / garbage-collect pluggable cache stores",
+        help="inspect / warm / garbage-collect sqlite cache stores",
     )
     casub = ca.add_subparsers(dest="cache_command", required=True)
-    store_help = ("cache store: dir:<path>, sqlite:<path>, or a bare "
-                  "directory path")
+    store_help = "cache store: sqlite:<path> or a bare sqlite file path"
 
     cs = casub.add_parser("stat", help="print a store's entry counts, "
                                        "sizes and corrupt-entry count")
@@ -730,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     cw = casub.add_parser(
         "warm",
         help="copy every readable entry from another store, namespaces "
-             "unchanged (e.g. seed a shared sqlite store from a "
-             "campaign's cache/ tree)",
+             "unchanged (e.g. seed a shared store from a campaign's "
+             "cache.db)",
     )
     cw.add_argument("store", help=f"destination {store_help}")
     cw.add_argument("--from", dest="source", required=True, metavar="URI",

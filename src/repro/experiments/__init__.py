@@ -7,9 +7,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.store import (
-    CacheStore,
     CacheStoreError,
-    DirectoryCacheStore,
     SqliteCacheStore,
     open_store,
     parse_store_uri,
@@ -52,13 +50,11 @@ from repro.experiments.stats import (
 __all__ = [
     "BACKENDS",
     "MAX_JOBS",
-    "CacheStore",
     "CacheStoreError",
     "CampaignError",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",
-    "DirectoryCacheStore",
     "ExperimentRunner",
     "ParallelExperimentRunner",
     "ResultCache",

@@ -19,13 +19,11 @@ before a scenario is scheduled and written as each scenario completes.
 Entries whose stored identity does not match their digest (tampering,
 partial writes, format drift) are treated as misses and overwritten.
 
-Storage is pluggable (:mod:`repro.experiments.store`): entries live in
-the ``results`` namespace of any
-:class:`~repro.experiments.store.CacheStore` — a campaign's own directory
-tree (``<campaign>/cache/results/<digest>.json``) or, e.g., a sqlite file
-shared by every host of a sharded campaign.  Corrupt entries are counted
-by the store (``corrupt_reads``), logged with the offending path, and
-quarantined by ``repro cache gc``.
+Entries live in the ``results`` namespace of a
+:class:`~repro.experiments.store.SqliteCacheStore` — a campaign's own
+``<campaign>/cache.db`` or a store file shared by every host of a sharded
+campaign.  Corrupt entries are counted by the store (``corrupt_reads``),
+logged with the offending row, and quarantined by ``repro cache gc``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,11 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.experiments.runner import Scenario, ScenarioResult
-from repro.experiments.store import CacheStore, RESULTS_NAMESPACE, open_store
+from repro.experiments.store import (
+    RESULTS_NAMESPACE,
+    SqliteCacheStore,
+    open_store,
+)
 
 #: Bumped when the on-disk entry shape changes incompatibly, or when the
 #: results an identical cell identity would produce change (version 2:
@@ -66,18 +68,18 @@ def cache_key(
 class ResultCache:
     """Store-backed, content-addressed cache of :class:`ScenarioResult`s.
 
-    ``store`` is a URI, a path (a directory store) or an open
-    :class:`~repro.experiments.store.CacheStore`, resolved by
+    ``store`` is a ``sqlite:`` URI, a path (a sqlite file) or an open
+    :class:`~repro.experiments.store.SqliteCacheStore`, resolved by
     :func:`~repro.experiments.store.open_store`.  Entries live in the
-    store's ``results`` namespace, so persisted compile entries can share
-    the store.  Thread-safe; ``hits`` / ``misses`` / ``stores`` expose the
-    traffic — the campaign replay tests assert on them — and
-    ``corrupt_reads`` counts undecodable entries the backend encountered.
+    store's ``results`` namespace.  Thread-safe; ``hits`` / ``misses`` /
+    ``stores`` expose the traffic — the campaign replay tests assert on
+    them — and ``corrupt_reads`` counts undecodable entries the store
+    encountered.
     """
 
     namespace = RESULTS_NAMESPACE
 
-    def __init__(self, store: Union[str, Path, CacheStore]) -> None:
+    def __init__(self, store: Union[str, Path, SqliteCacheStore]) -> None:
         self.store = open_store(store)
 
     # ------------------------------------------------------------------

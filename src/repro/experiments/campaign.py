@@ -16,7 +16,7 @@ On disk a campaign is a directory::
 
     <root>/<campaign-name>/
         manifest.json            # spec + per-cell status (rewritten per cell)
-        cache/results/           # shared ResultCache entries
+        cache.db                 # shared ResultCache entries (sqlite)
         sessions/<variant>-seed<seed>.jsonl   # one RunSession per cell
 
 Both levels of resume compose: killing a campaign midway loses at most the
@@ -40,21 +40,20 @@ import copy
 import json
 import os
 import re
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.experiments.cache import ResultCache
-from repro.experiments.store import CacheStore, open_store
+from repro.experiments.store import SqliteCacheStore
 from repro.metrics.runtime import speedup_distribution
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, ScenarioResult
 from repro.experiments.session import RunSession
 from repro.pipeline import BaselinePreparer, PipelineConfig
 from repro.telemetry import merge_trace_files, trace_path_for
-from repro.toolchain import Executor, PersistentCompileCache, compile_cache_scope
+from repro.toolchain import Executor
 
 #: Bumped when the manifest shape changes incompatibly.
 MANIFEST_FORMAT_VERSION = 1
@@ -396,7 +395,7 @@ class CampaignRunner:
         executor: Optional[Executor] = None,
         log: Optional[Callable[[str], None]] = None,
         backend: str = "thread",
-        cache_store: Union[str, Path, CacheStore, None] = None,
+        cache_store: Union[str, Path, SqliteCacheStore, None] = None,
         shard: Union[str, Tuple[int, int], None] = None,
         trace: bool = False,
     ) -> None:
@@ -413,18 +412,12 @@ class CampaignRunner:
         #: campaign; its manifest and sessions get shard-suffixed names
         #: and ``merge_manifests`` fuses them into the canonical artifacts.
         self.shard = parse_shard_spec(shard)
-        #: Shared pluggable store (``dir:<path>`` / ``sqlite:<path>`` URI,
-        #: path, or an open CacheStore).  When given, scenario results go
-        #: through it and compilations are persisted under ``compile``;
-        #: when absent, results go to the campaign's own ``cache/`` tree.
-        self.cache_store: Optional[CacheStore] = (
-            open_store(cache_store) if cache_store is not None else None
-        )
-        # ``is not None``, not ``or``: an empty store is falsy (its
-        # ``__len__`` counts entries) and must still receive the results.
+        #: Scenario results go through a shared store when one is given
+        #: (``sqlite:<path>`` URI, path, or an open SqliteCacheStore),
+        #: else through the campaign's own ``cache.db``.
         self.cache = ResultCache(
-            self.cache_store if self.cache_store is not None
-            else self.directory / "cache"
+            cache_store if cache_store is not None
+            else self.directory / "cache.db"
         )
         self.sessions_dir = self.directory / "sessions"
         self.sessions_dir.mkdir(parents=True, exist_ok=True)
@@ -559,21 +552,7 @@ class CampaignRunner:
         return self._grid_size if indexes is None else len(indexes)
 
     def run(self, progress: Optional[Callable] = None) -> CampaignResult:
-        """Execute every cell, persisting sessions + manifest as it goes.
-
-        With a shared ``cache_store``, compilations inside the run are
-        also persisted to it (the ``compile`` namespace) through a
-        process-wide :func:`~repro.toolchain.compile_cache_scope`.
-        """
-        scope = (
-            compile_cache_scope(PersistentCompileCache(self.cache_store))
-            if self.cache_store is not None
-            else nullcontext()
-        )
-        with scope:
-            return self._run_cells(progress)
-
-    def _run_cells(self, progress: Optional[Callable]) -> CampaignResult:
+        """Execute every cell, persisting sessions + manifest as it goes."""
         runs: List[CellRun] = []
         cells = self.spec.cells()
         self._write_manifest(runs, cells)

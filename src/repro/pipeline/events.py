@@ -124,9 +124,9 @@ class LlmCallFinished(PipelineEvent):
 class CompileFinished(PipelineEvent):
     """One compiler invocation returned.
 
-    ``cached`` reports whether the compile memo (in memory or its
-    persistent store) served the result, so the front end did not run;
-    the driver records that per thread (see
+    ``cached`` reports whether the in-memory compile memo served the
+    result, so the front end did not run; the driver records that per
+    thread (see
     :func:`~repro.toolchain.compiler.last_compile_cached`).
     """
 

@@ -12,9 +12,7 @@ from repro.toolchain.compiler import (
     CompileCache,
     CompileResult,
     CompilerDriver,
-    PersistentCompileCache,
     clear_compile_cache,
-    compile_cache_scope,
     compile_cache_stats,
     compiler_for,
     CUDA_COMPILER,
@@ -26,9 +24,7 @@ __all__ = [
     "CompileCache",
     "CompileResult",
     "CompilerDriver",
-    "PersistentCompileCache",
     "clear_compile_cache",
-    "compile_cache_scope",
     "compile_cache_stats",
     "compiler_for",
     "CUDA_COMPILER",

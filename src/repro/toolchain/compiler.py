@@ -18,15 +18,11 @@ read-only by every consumer.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
-import pickle
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.minilang import analyze, parse
 from repro.minilang.ast import Program
@@ -120,73 +116,6 @@ class CompileCache:
             return len(self._entries)
 
 
-#: On-disk format version for persisted compile entries; bumped when the
-#: pickled :class:`CompileResult` graph changes incompatibly.
-PERSISTED_COMPILE_VERSION = 1
-
-
-class PersistentCompileCache(CompileCache):
-    """The in-memory LRU backed by a pluggable cross-run store.
-
-    Front-end results are pickled (AST and diagnostics included) into a
-    :class:`~repro.experiments.store.CacheStore` under the ``compile``
-    namespace, keyed by the SHA-256 of the (source digest, dialect,
-    filename) triple.  A memory miss consults the store before running
-    the front end, so a second campaign — or another host sharing the
-    store — replays compilations instead of re-front-ending them.
-    ``store_hits`` counts replays served from the backend; undecodable
-    or unpicklable entries fall through to a real compile (and the store
-    counts them corrupt).
-    """
-
-    def __init__(self, store: Any, maxsize: int = 512) -> None:
-        super().__init__(maxsize=maxsize)
-        from repro.experiments.store import COMPILE_NAMESPACE, open_store
-
-        self.store = open_store(store)
-        self.namespace = COMPILE_NAMESPACE
-        self.store_hits = 0
-
-    @staticmethod
-    def store_key(key: Tuple[str, str, str]) -> str:
-        return hashlib.sha256(
-            json.dumps(list(key)).encode("utf-8")
-        ).hexdigest()
-
-    def get(self, key: Tuple[str, str, str]) -> Optional[CompileResult]:
-        cached = super().get(key)
-        if cached is not None:
-            return cached
-        entry = self.store.get(self.store_key(key), namespace=self.namespace)
-        if entry is None or entry.get("version") != PERSISTED_COMPILE_VERSION:
-            return None
-        try:
-            result = pickle.loads(base64.b64decode(entry["pickle"]))
-        except Exception:
-            return None
-        if not isinstance(result, CompileResult):
-            return None
-        super().put(key, result)
-        with self._lock:
-            self.store_hits += 1
-        return result
-
-    def put(self, key: Tuple[str, str, str], result: CompileResult) -> None:
-        super().put(key, result)
-        entry = {
-            "version": PERSISTED_COMPILE_VERSION,
-            "key": list(key),
-            "pickle": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-        }
-        self.store.put(self.store_key(key), entry, namespace=self.namespace)
-
-    def stats(self) -> Dict[str, float]:
-        base = super().stats()
-        with self._lock:
-            base["store_hits"] = self.store_hits
-        return base
-
-
 #: Process-wide front-end memo shared by every driver (one per worker
 #: process under the process execution backend).
 _COMPILE_CACHE = CompileCache()
@@ -205,9 +134,9 @@ _LAST_COMPILE = threading.local()
 def last_compile_cached() -> bool:
     """Whether this thread's latest compile was served by the memo.
 
-    True when the in-memory memo or its persistent store returned the
-    entry, so the front end did not run.  Per thread, so concurrent grid
-    workers sharing the memo cannot see each other's hits.
+    True when the in-memory memo returned the entry, so the front end
+    did not run.  Per thread, so concurrent grid workers sharing the memo
+    cannot see each other's hits.
     """
     return getattr(_LAST_COMPILE, "cached", False)
 
@@ -215,25 +144,6 @@ def last_compile_cached() -> bool:
 def clear_compile_cache() -> None:
     """Drop every memoized front-end result and reset the counters."""
     _COMPILE_CACHE.clear()
-
-
-@contextmanager
-def compile_cache_scope(cache: CompileCache) -> Iterator[CompileCache]:
-    """Temporarily swap the process-wide compile memo for ``cache``.
-
-    Campaign runs configured with a shared ``--cache-store`` wrap their
-    execution in this scope with a :class:`PersistentCompileCache`, so
-    every front-end invocation inside the scope reads/writes the shared
-    store; the previous (usually purely in-memory) memo is restored on
-    exit, keeping tests and unrelated runs isolated.
-    """
-    global _COMPILE_CACHE
-    previous = _COMPILE_CACHE
-    _COMPILE_CACHE = cache
-    try:
-        yield cache
-    finally:
-        _COMPILE_CACHE = previous
 
 
 @dataclass(frozen=True)

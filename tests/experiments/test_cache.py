@@ -4,6 +4,8 @@ corruption tolerance, and integration with the parallel runner."""
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
 
 from repro.experiments import ParallelExperimentRunner, ResultCache, cache_key
 from repro.experiments.runner import Scenario
@@ -19,6 +21,15 @@ def _run_one(cache, config=None, **kw):
     results = runner.run(models=["gpt4"], directions=[OMP2CUDA],
                          apps=["layout"])
     return runner, results
+
+
+def _rewrite_entry(cache, digest, body):
+    """Overwrite one stored result's raw text, behind the cache API."""
+    with closing(sqlite3.connect(cache.store.path)) as conn, conn:
+        conn.execute(
+            "UPDATE entries SET entry=? WHERE namespace='results' AND key=?",
+            (body, digest),
+        )
 
 
 class TestFingerprint:
@@ -70,7 +81,7 @@ class TestResultCache:
         assert replayed.metrics == results[0].metrics
 
     def test_key_covers_all_identity_dimensions(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         _run_one(cache)
         other_fp = PipelineConfig(include_knowledge=False).fingerprint()
         # Same scenario under any other identity dimension is a miss.
@@ -84,12 +95,11 @@ class TestResultCache:
         assert cache.hits == 0 and cache.misses == 5
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         _run_one(cache)
         digest = cache_key(SCENARIO, "paper", 2024, FP)
-        path = tmp_path / "results" / f"{digest}.json"
 
-        path.write_text("{not json")
+        _rewrite_entry(cache, digest, "{not json")
         assert cache.get(SCENARIO, "paper", 2024, FP) is None
 
         # Valid JSON whose stored key does not match its digest (tampering /
@@ -97,23 +107,22 @@ class TestResultCache:
         from repro.experiments.cache import CACHE_FORMAT_VERSION
 
         entry = {"version": CACHE_FORMAT_VERSION, "key": "0" * 64, "result": {}}
-        path.write_text(json.dumps(entry))
+        _rewrite_entry(cache, digest, json.dumps(entry))
         assert cache.get(SCENARIO, "paper", 2024, FP) is None
 
     def test_unknown_format_version_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         _run_one(cache)
         digest = cache_key(SCENARIO, "paper", 2024, FP)
-        path = tmp_path / "results" / f"{digest}.json"
-        entry = json.loads(path.read_text())
+        entry = cache.store.get(digest, namespace="results")
         entry["version"] = 999
-        path.write_text(json.dumps(entry))
+        _rewrite_entry(cache, digest, json.dumps(entry))
         assert cache.get(SCENARIO, "paper", 2024, FP) is None
 
 
 class TestRunnerIntegration:
     def test_second_run_replays_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         first, a = _run_one(cache)
         assert first.pipeline_runs == 1
 
@@ -126,7 +135,7 @@ class TestRunnerIntegration:
         ]
 
     def test_config_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         _run_one(cache)
         ablated, _ = _run_one(
             cache, config=PipelineConfig(include_knowledge=False)
@@ -135,7 +144,7 @@ class TestRunnerIntegration:
         assert len(cache) == 2
 
     def test_profile_and_seed_invalidate(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path / "cache.db")
         _run_one(cache)
         stochastic, _ = _run_one(cache, profile="stochastic", seed=7)
         assert stochastic.pipeline_runs == 1

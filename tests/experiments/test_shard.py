@@ -1,11 +1,10 @@
 """Distributed campaign sharding: spec parsing, deterministic
 partitioning, shard + merge ≡ unsharded, merge refusals, and
-cross-backend cache-store replay."""
+copied cache-store replay."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -263,45 +262,46 @@ class TestShardMerge:
 
 
 class TestSharedStoreReplay:
-    def test_cross_backend_replay_is_identical(self, tmp_path):
-        # Fill a directory store, copy its entries into a sqlite store,
-        # then replay the campaign from each backend: zero executions and
-        # byte-identical sessions either way.
-        dir_uri = f"dir:{tmp_path / 'tree'}"
-        sqlite_uri = f"sqlite:{tmp_path / 'store.db'}"
+    def test_copied_store_replay_is_identical(self, tmp_path):
+        # Fill a store, copy its entries into a second one (a store
+        # shipped to another host), then replay the campaign from each:
+        # zero executions and byte-identical sessions either way.
+        first_uri = f"sqlite:{tmp_path / 'first.db'}"
+        copy_uri = f"sqlite:{tmp_path / 'copy.db'}"
         first = CampaignRunner(
-            _spec(), root=tmp_path / "a", cache_store=dir_uri
+            _spec(), root=tmp_path / "a", cache_store=first_uri
         ).run()
         assert first.total_pipeline_runs == 4
 
-        source, dest = open_store(dir_uri), open_store(sqlite_uri)
+        source, dest = open_store(first_uri), open_store(copy_uri)
         for ns in source.stat()["namespaces"]:
             for key in source.keys(namespace=ns):
                 dest.put(key, source.get(key, namespace=ns), namespace=ns)
 
-        from_dir = CampaignRunner(
-            _spec(), root=tmp_path / "b", cache_store=dir_uri
+        from_first = CampaignRunner(
+            _spec(), root=tmp_path / "b", cache_store=first_uri
         ).run()
-        from_sqlite = CampaignRunner(
-            _spec(), root=tmp_path / "c", cache_store=sqlite_uri
+        from_copy = CampaignRunner(
+            _spec(), root=tmp_path / "c", cache_store=copy_uri
         ).run()
-        assert from_dir.total_pipeline_runs == 0
-        assert from_sqlite.total_pipeline_runs == 0
+        assert from_first.total_pipeline_runs == 0
+        assert from_copy.total_pipeline_runs == 0
         for cell in first.runs:
             name = f"sessions/{cell.variant.name}-seed{cell.seed}.jsonl"
             assert (tmp_path / "b" / "mini" / name).read_bytes() == (
                 tmp_path / "c" / "mini" / name
             ).read_bytes() == (tmp_path / "a" / "mini" / name).read_bytes()
 
-    def test_shared_store_replays_compilations(self, tmp_path):
-        from repro.experiments.store import COMPILE_NAMESPACE
-
+    def test_stores_hold_only_results(self, tmp_path):
+        # A shared store and a campaign's own cache.db hold the four
+        # scenario results and nothing else (no compiler entries).
         uri = f"sqlite:{tmp_path / 'store.db'}"
         CampaignRunner(_spec(), root=tmp_path / "a", cache_store=uri).run()
-        store = open_store(uri)
-        persisted = store.stat()["namespaces"]
-        assert persisted.get(COMPILE_NAMESPACE, 0) > 0
-        assert persisted.get("results", 0) == 4
+        assert open_store(uri).stat()["namespaces"] == {"results": 4}
+        own = CampaignRunner(_spec(), root=tmp_path / "b").run()
+        assert open_store(own.directory / "cache.db").stat()[
+            "namespaces"
+        ] == {"results": 4}
 
 
 class TestTracedShardMerge:

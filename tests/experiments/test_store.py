@@ -1,61 +1,58 @@
-"""Pluggable cache stores: URI parsing, backend behaviour, corruption
-accounting + quarantine, and cross-process writer safety."""
+"""The sqlite cache store: URI parsing, store behaviour, corruption
+accounting + quarantine, connection hygiene, and cross-process writer
+safety."""
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
 import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
 from repro.experiments.store import (
     CacheStoreError,
-    DirectoryCacheStore,
     SqliteCacheStore,
     open_store,
     parse_store_uri,
 )
 
 
-@pytest.fixture(params=["dir", "sqlite"])
+@pytest.fixture(params=["sqlite"])
 def store(request, tmp_path):
-    if request.param == "dir":
-        return DirectoryCacheStore(tmp_path / "tree")
     return SqliteCacheStore(tmp_path / "cache.db")
 
 
 def _corrupt_one(store, namespace, key):
     """Replace an entry's body with undecodable bytes, behind the API."""
-    if isinstance(store, DirectoryCacheStore):
-        store._path(namespace, key).write_text("{not json", encoding="utf-8")
-    else:
-        with sqlite3.connect(store.path) as conn:
-            conn.execute(
-                "UPDATE entries SET entry=? WHERE namespace=? AND key=?",
-                ("{not json", namespace, key),
-            )
+    with closing(sqlite3.connect(store.path)) as conn, conn:
+        conn.execute(
+            "UPDATE entries SET entry=? WHERE namespace=? AND key=?",
+            ("{not json", namespace, key),
+        )
 
 
 class TestUriParsing:
     def test_explicit_schemes(self):
-        assert parse_store_uri("dir:/a/b") == ("dir", "/a/b")
         assert parse_store_uri("sqlite:/a/b.db") == ("sqlite", "/a/b.db")
 
-    def test_bare_path_means_dir(self):
-        assert parse_store_uri("some/relative/tree") == (
-            "dir", "some/relative/tree",
+    def test_bare_path_means_sqlite(self):
+        assert parse_store_uri("some/relative/cache.db") == (
+            "sqlite", "some/relative/cache.db",
         )
 
     def test_single_char_prefix_is_a_path_not_a_scheme(self):
         # Windows drive letters must not be mistaken for URI schemes.
-        assert parse_store_uri("C:/caches/tree") == ("dir", "C:/caches/tree")
+        assert parse_store_uri("C:/caches/tree") == (
+            "sqlite", "C:/caches/tree",
+        )
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(CacheStoreError):
-            parse_store_uri("redis:localhost")
+        for uri in ("redis:localhost", "dir:/a/b"):
+            with pytest.raises(CacheStoreError, match="unknown cache-store"):
+                parse_store_uri(uri)
 
     def test_empty_uri_and_empty_path_rejected(self):
         with pytest.raises(CacheStoreError):
@@ -64,13 +61,12 @@ class TestUriParsing:
             parse_store_uri("sqlite:")
 
     def test_open_store_resolves_backends_and_passes_through(self, tmp_path):
-        d = open_store(f"dir:{tmp_path / 'd'}")
         s = open_store(f"sqlite:{tmp_path / 's.db'}")
         bare = open_store(str(tmp_path / "bare"))
-        assert isinstance(d, DirectoryCacheStore)
-        assert isinstance(s, SqliteCacheStore)
-        assert isinstance(bare, DirectoryCacheStore)
-        assert open_store(d) is d
+        assert isinstance(s, SqliteCacheStore) and s.path == tmp_path / "s.db"
+        assert isinstance(bare, SqliteCacheStore)
+        assert bare.path == tmp_path / "bare" and bare.path.is_file()
+        assert open_store(s) is s
 
 
 class TestStoreBasics:
@@ -108,7 +104,6 @@ class TestStoreBasics:
         assert stat["namespaces"][""] == 1
         assert stat["namespaces"]["results"] == 1
         assert stat["bytes"] > 0
-        assert len(store) == 2
 
     def test_describe_is_a_reopenable_uri(self, store):
         store.put("k", {"v": 1})
@@ -151,18 +146,36 @@ class TestCorruption:
         assert store.get("bad", namespace="results") is None
         assert store.stat()["corrupt"] == 0
         # The body survives as evidence.
-        if isinstance(store, DirectoryCacheStore):
-            quarantined = list(
-                (store.root / store.QUARANTINE_DIR).iterdir()
-            )
-            assert len(quarantined) == 1
-            assert quarantined[0].read_text() == "{not json"
-        else:
-            with sqlite3.connect(store.path) as conn:
-                rows = conn.execute(
-                    "SELECT namespace, key, entry FROM quarantine"
-                ).fetchall()
-            assert rows == [("results", "bad", "{not json")]
+        with closing(sqlite3.connect(store.path)) as conn:
+            rows = conn.execute(
+                "SELECT namespace, key, entry FROM quarantine"
+            ).fetchall()
+        assert rows == [("results", "bad", "{not json")]
+
+
+def test_every_operation_closes_its_connection(tmp_path, monkeypatch):
+    # A connection left to the garbage collector is an unclosed-database
+    # ResourceWarning on Python 3.13+; every operation closes its own.
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr("repro.experiments.store.sqlite3.connect",
+                        recording_connect)
+    store = SqliteCacheStore(tmp_path / "cache.db")
+    store.put("k", {"v": 1}, namespace="results")
+    assert store.get("k", namespace="results") == {"v": 1}
+    assert store.keys(namespace="results") == ["k"]
+    assert store.stat()["entries"] == 1
+    assert store.gc().kept == 1
+    assert len(opened) == 6  # schema + the five operations
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
 
 
 # ----------------------------------------------------------------------
@@ -183,10 +196,9 @@ def _hammer(uri: str, worker_id: int, rounds: int) -> None:
         )
 
 
-@pytest.mark.parametrize("scheme", ["dir", "sqlite"])
+@pytest.mark.parametrize("scheme", ["sqlite"])
 def test_concurrent_same_key_writers_never_corrupt(scheme, tmp_path):
-    location = tmp_path / ("tree" if scheme == "dir" else "cache.db")
-    uri = f"{scheme}:{location}"
+    uri = f"{scheme}:{tmp_path / 'cache.db'}"
     open_store(uri)  # create up front so every worker sees a valid store
     ctx = multiprocessing.get_context("fork")
     workers = [
@@ -216,22 +228,22 @@ def test_result_cache_counts_and_quarantines_corrupt_entries(tmp_path, caplog):
     from repro.experiments.runner import Scenario
     from repro.pipeline import PipelineConfig
 
-    cache = ResultCache(tmp_path)
+    cache = ResultCache(tmp_path / "cache.db")
     scenario = Scenario("gpt4", "omp2cuda", "layout")
     fp = PipelineConfig().fingerprint()
     ParallelExperimentRunner(cache=cache).run(
         models=["gpt4"], directions=["omp2cuda"], apps=["layout"]
     )
     digest = cache_key(scenario, "paper", 2024, fp)
-    path = tmp_path / "results" / f"{digest}.json"
-    path.write_text("{not json", encoding="utf-8")
+    _corrupt_one(cache.store, "results", digest)
 
     with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
         assert cache.get(scenario, "paper", 2024, fp) is None
     assert cache.corrupt_reads == 1
     assert cache.stats()["corrupt"] == 1
-    assert any(str(path) in r.getMessage() for r in caplog.records)
+    where = f"{tmp_path / 'cache.db'}:results/{digest}"
+    assert any(where in r.getMessage() for r in caplog.records)
 
     report = cache.store.gc()
-    assert report.quarantined == 1
-    assert not path.exists()
+    assert report.quarantined_ids == [f"results/{digest}"]
+    assert cache.store.keys(namespace="results") == []

@@ -391,12 +391,7 @@ class TestCompileFinishedCached:
         from repro.pipeline.results import LassiResult
         from repro.pipeline.stages.base import PipelineContext
         from repro.pipeline.stages.loops import CompileCorrectLoop
-        from repro.toolchain import (
-            CUDA_COMPILER,
-            CompileCache,
-            CompilerDriver,
-            compile_cache_scope,
-        )
+        from repro.toolchain import CUDA_COMPILER, CompileCache, CompilerDriver
 
         warm_src = "int main() { return 0; }\n"
         miss_src = "int main() { return 1; }\n"
@@ -412,6 +407,9 @@ class TestCompileFinishedCached:
             return front_end(self, source_text, fname)
 
         monkeypatch.setattr(CompilerDriver, "_front_end", gated_front_end)
+        monkeypatch.setattr(
+            "repro.toolchain.compiler._COMPILE_CACHE", CompileCache()
+        )
         events = EventBus()
         finished = []
         events.subscribe(
@@ -425,15 +423,14 @@ class TestCompileFinishedCached:
                                target_dialect="cuda", model="m"),
         )
         loop = CompileCorrectLoop(CUDA_COMPILER, None, PipelineConfig())
-        with compile_cache_scope(CompileCache()):
-            CUDA_COMPILER.compile(warm_src)
-            worker = threading.Thread(target=loop.run, args=(ctx,))
-            worker.start()
-            try:
-                assert entered.wait(timeout=30)
-                CUDA_COMPILER.compile(warm_src)  # a hit, mid-miss
-            finally:
-                release.set()
-                worker.join(timeout=30)
+        CUDA_COMPILER.compile(warm_src)
+        worker = threading.Thread(target=loop.run, args=(ctx,))
+        worker.start()
+        try:
+            assert entered.wait(timeout=30)
+            CUDA_COMPILER.compile(warm_src)  # a hit, mid-miss
+        finally:
+            release.set()
+            worker.join(timeout=30)
         assert not worker.is_alive()
         assert [(e.ok, e.cached) for e in finished] == [(True, False)]

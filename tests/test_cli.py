@@ -396,6 +396,10 @@ class TestShardAndMergeCli:
                      "--dir", str(tmp_path / "x"),
                      "--cache-store", "redis:nope"]) == 2
         assert "unknown cache-store scheme" in capsys.readouterr().err
+        assert main(["campaign", "run", "--spec", spec,
+                     "--dir", str(tmp_path / "x"),
+                     "--cache-store", f"sqlite:{spec}"]) == 2
+        assert "file is not a database" in capsys.readouterr().err
 
 
 class TestCacheCli:
@@ -417,29 +421,35 @@ class TestCacheCli:
         assert stat["corrupt"] == 0
         assert stat["namespaces"] == {"compile": 1, "results": 1}
 
-    def test_warm_copies_between_backends(self, capsys, tmp_path):
+    def test_warm_copies_between_stores(self, capsys, tmp_path):
         uri = self._filled_store(tmp_path)
-        dest = f"dir:{tmp_path / 'tree'}"
+        dest = str(tmp_path / "copy.db")  # a bare path is a sqlite file
         assert main(["cache", "warm", dest, "--from", uri]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["copied"] == 2
         assert report["namespaces"] == {"compile": 1, "results": 1}
+        assert report["to"] == f"sqlite:{dest}"
         assert main(["cache", "stat", dest]) == 0
         stat = json.loads(capsys.readouterr().out)
-        assert stat["entries"] == 2
+        assert stat["namespaces"] == {"compile": 1, "results": 1}
 
     def test_gc_reports_and_quarantines(self, capsys, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "good.json").write_text(json.dumps({"v": 1}))
-        (tree / "bad.json").write_text("{not json")
-        assert main(["cache", "gc", f"dir:{tree}"]) == 0
+        import sqlite3
+        from contextlib import closing
+
+        uri = self._filled_store(tmp_path)
+        with closing(sqlite3.connect(tmp_path / "store.db")) as conn, conn:
+            conn.execute("UPDATE entries SET entry='{not json' WHERE key='k2'")
+        assert main(["cache", "gc", uri]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["scanned"] == 2
         assert report["kept"] == 1
         assert report["quarantined"] == 1
-        assert report["quarantined_ids"]
-        assert not (tree / "bad.json").exists()
+        assert report["quarantined_ids"] == ["compile/k2"]
+        assert main(["cache", "stat", uri]) == 0
+        stat = json.loads(capsys.readouterr().out)
+        assert stat["namespaces"] == {"results": 1}
+        assert stat["corrupt"] == 0
 
     def test_gc_max_age_prunes(self, capsys, tmp_path):
         uri = self._filled_store(tmp_path)
@@ -450,9 +460,18 @@ class TestCacheCli:
         report = json.loads(capsys.readouterr().out)
         assert report["pruned"] == 2
 
-    def test_bad_store_uri_exits_2(self, capsys):
-        assert main(["cache", "stat", "redis:nope"]) == 2
-        assert "unknown cache-store scheme" in capsys.readouterr().err
+    def test_bad_store_uri_exits_2(self, capsys, tmp_path):
+        not_a_db = tmp_path / "entries.json"
+        not_a_db.write_text(json.dumps({"v": 1}))
+        for uri, why in [
+            ("redis:nope", "unknown cache-store scheme"),
+            (f"dir:{tmp_path}", "unknown cache-store scheme"),
+            (f"sqlite:{not_a_db}", f"{not_a_db}: file is not a database"),
+        ]:
+            assert main(["cache", "stat", uri]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert why in err
 
 
 class TestTraceCli:
