@@ -6,9 +6,9 @@ Two deliverables, emitted as ``BENCH_perf_profile.json``:
   on (the default: every execution condensed into a
   :class:`~repro.telemetry.profile.RuntimeProfile` riding the
   ``ExecutionFinished`` event and the result's ``profile`` block) versus
-  the same grid with both collection seams stubbed out, best-of-N on
-  each side.  Must stay under :data:`MAX_PROFILE_OVERHEAD` — profiling
-  is bookkeeping, not science.
+  the same grid with both collection seams stubbed out: the median
+  ratio over interleaved pairs of the two legs.  Must stay under
+  :data:`MAX_PROFILE_OVERHEAD` — profiling is bookkeeping, not science.
 * **the profiles block** — deterministic baseline profiles of the
   grid's applications (the same snapshot ``repro perf profile``
   builds).  The CI perf-gate job diffs this block against the committed
@@ -31,8 +31,6 @@ from repro.pipeline.stages import finalize, loops
 
 #: Ceiling on profiled-vs-stubbed grid wall time.
 MAX_PROFILE_OVERHEAD = 0.05
-#: Trials per leg; the minimum of each side is compared.
-TRIALS = 3
 #: The measured grid: 1 model x 1 direction x 4 apps = 4 scenarios.
 GRID = dict(
     models=["gpt4"],
@@ -52,31 +50,38 @@ def _timed_grid(baselines) -> float:
     return elapsed
 
 
+def _disabled_grid(baselines) -> float:
+    # Both collection seams are module-level precisely so this bench can
+    # stub them and measure the difference.
+    with pytest.MonkeyPatch.context() as stubs:
+        stubs.setattr(
+            loops, "_execution_profile_payload", lambda execution: None
+        )
+        stubs.setattr(
+            finalize, "score_profiles", lambda reference, generated: None
+        )
+        return _timed_grid(baselines)
+
+
 @pytest.mark.bench
-def test_profile_collection_overhead_stays_under_budget(monkeypatch):
+def test_profile_collection_overhead_stays_under_budget(paired_overhead):
     baselines = BaselinePreparer()
     # Warm the shared baselines and the process-wide compile cache so
     # both timed legs pay identical toolchain costs.
     _timed_grid(baselines)
 
-    profiled = min(_timed_grid(baselines) for _ in range(TRIALS))
     sample = ParallelExperimentRunner(jobs=1, baselines=baselines).run(
         models=["gpt4"], directions=["omp2cuda"], apps=["layout"]
     )[0].result
     assert sample.profile is not None, "profiled leg produced no profile"
 
-    # The disabled leg: both collection seams are module-level precisely
-    # so this bench can stub them and measure the difference.
-    monkeypatch.setattr(
-        loops, "_execution_profile_payload", lambda execution: None
+    measured = paired_overhead(
+        lambda: _disabled_grid(baselines),
+        lambda: _timed_grid(baselines),
+        MAX_PROFILE_OVERHEAD,
     )
-    monkeypatch.setattr(
-        finalize, "score_profiles", lambda reference, generated: None
-    )
-    disabled = min(_timed_grid(baselines) for _ in range(TRIALS))
-    monkeypatch.undo()
-
-    overhead = max(0.0, profiled / disabled - 1.0)
+    overhead = max(0.0, measured.fraction)
+    profiled, disabled = measured.variant_seconds, measured.base_seconds
 
     # The snapshot the perf-gate diffs against the committed baseline.
     snapshot = api.profile_baselines(apps=GRID["apps"])
@@ -89,7 +94,7 @@ def test_profile_collection_overhead_stays_under_budget(monkeypatch):
             {
                 "bench": "perf_profile",
                 "scenarios": len(GRID["apps"]),
-                "trials": TRIALS,
+                "pairs": measured.pairs,
                 "profiled_seconds": round(profiled, 4),
                 "disabled_seconds": round(disabled, 4),
                 "overhead_fraction": round(overhead, 5),

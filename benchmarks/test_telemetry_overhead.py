@@ -10,9 +10,9 @@ artifact; the bench-backends job gates on the overhead fraction):
 * **span serialization rate** — span dicts → compact JSONL, the
   per-trace cost of the ``.trace.jsonl`` sidecar writer;
 * **overhead fraction** — wall time of a traced grid (spans, flight
-  ring, sidecar writes) over an untraced one, best-of-N trials on both
-  sides so scheduler noise cancels.  Must stay under
-  :data:`MAX_TELEMETRY_OVERHEAD`.
+  ring, sidecar writes) over an untraced one: the median ratio over
+  interleaved pairs of the two legs, so host speed drift cancels.  Must
+  stay under :data:`MAX_TELEMETRY_OVERHEAD`.
 
 Both grid legs share one warmed :class:`BaselinePreparer` and the
 process-wide compile cache, so they pay identical toolchain costs and
@@ -21,6 +21,7 @@ the difference isolates the telemetry machinery.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from pathlib import Path
@@ -44,8 +45,6 @@ from repro.telemetry.tracefile import _dumps
 
 #: Ceiling on traced-vs-untraced grid wall time (the bookkeeping budget).
 MAX_TELEMETRY_OVERHEAD = 0.05
-#: Trials per leg; the minimum of each side is compared.
-TRIALS = 3
 #: The measured grid: 1 model x 1 direction x 4 apps = 4 scenarios.
 GRID = dict(
     models=["gpt4"],
@@ -115,19 +114,21 @@ def _timed_grid(baselines, trace: bool, session_path=None) -> float:
 
 
 @pytest.mark.bench
-def test_telemetry_overhead_stays_under_budget(tmp_path):
+def test_telemetry_overhead_stays_under_budget(tmp_path, paired_overhead):
     baselines = BaselinePreparer()
     # Warm the shared baselines and the process-wide compile cache so
     # both timed legs pay identical toolchain costs.
     _timed_grid(baselines, trace=False)
 
-    plain = min(_timed_grid(baselines, trace=False) for _ in range(TRIALS))
-    traced = min(
-        _timed_grid(baselines, trace=True,
-                    session_path=tmp_path / f"t{i}.jsonl")
-        for i in range(TRIALS)
+    sessions = (tmp_path / f"t{i}.jsonl" for i in itertools.count())
+    measured = paired_overhead(
+        lambda: _timed_grid(baselines, trace=False),
+        lambda: _timed_grid(baselines, trace=True,
+                            session_path=next(sessions)),
+        MAX_TELEMETRY_OVERHEAD,
     )
-    overhead = max(0.0, traced / plain - 1.0)
+    overhead = max(0.0, measured.fraction)
+    plain, traced = measured.base_seconds, measured.variant_seconds
 
     # Spans from one real traced run feed the serialization figure.
     tracer_runner = ParallelExperimentRunner(
@@ -146,7 +147,7 @@ def test_telemetry_overhead_stays_under_budget(tmp_path):
             {
                 "bench": "telemetry_overhead",
                 "scenarios": len(GRID["apps"]),
-                "trials": TRIALS,
+                "pairs": measured.pairs,
                 "untraced_seconds": round(plain, 4),
                 "traced_seconds": round(traced, 4),
                 "overhead_fraction": round(overhead, 5),
