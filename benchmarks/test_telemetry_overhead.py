@@ -15,8 +15,10 @@ artifact; the bench-backends job gates on the overhead fraction):
   stay under :data:`MAX_TELEMETRY_OVERHEAD`.
 
 Both grid legs share one warmed :class:`BaselinePreparer` and the
-process-wide compile cache, so they pay identical toolchain costs and
-the difference isolates the telemetry machinery.
+process-wide compile cache, and each records a fresh :class:`RunSession`
+(a science artifact, written traced or not), so they pay identical
+toolchain and session costs and the difference isolates the telemetry
+machinery.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ def test_telemetry_overhead_stays_under_budget(tmp_path, paired_overhead):
 
     sessions = (tmp_path / f"t{i}.jsonl" for i in itertools.count())
     measured = paired_overhead(
-        lambda: _timed_grid(baselines, trace=False),
+        lambda: _timed_grid(baselines, trace=False,
+                            session_path=next(sessions)),
         lambda: _timed_grid(baselines, trace=True,
                             session_path=next(sessions)),
         MAX_TELEMETRY_OVERHEAD,

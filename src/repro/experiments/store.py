@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sqlite3
 import threading
 import time
@@ -266,19 +267,26 @@ class SqliteCacheStore:
 
 
 # ----------------------------------------------------------------------
+#: An RFC 3986 scheme token of two or more characters.  A one-letter
+#: prefix is a Windows drive (``C:/...``), and a prefix with any other
+#: character in it (``stores/a:b.db``, ``./a:b.db``) is a path.
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]+")
+
+
 def parse_store_uri(uri: str) -> Tuple[str, str]:
     """Split a cache-store URI into ``(scheme, location)``.
 
     ``sqlite:<path>`` is explicit and a bare path names a sqlite file too.
-    Windows-style drive letters are not mistaken for schemes (single-letter
-    prefixes pass through).
+    Text before the first ``:`` is a scheme only when it matches
+    :data:`_SCHEME`; anything else is a path.
     """
     scheme, sep, rest = uri.partition(":")
-    if sep and len(scheme) > 1:
+    if sep and _SCHEME.fullmatch(scheme):
         if scheme != "sqlite":
             raise CacheStoreError(
                 f"unknown cache-store scheme {scheme!r} in {uri!r}; "
-                f"expected sqlite:<path> or a bare path"
+                f"expected sqlite:<path> or a bare path (write ./{uri} "
+                f"for a file whose name contains a colon)"
             )
         if not rest:
             raise CacheStoreError(f"cache-store URI {uri!r} has no path")
@@ -291,7 +299,12 @@ def parse_store_uri(uri: str) -> Tuple[str, str]:
 def open_store(
     store: Union[str, Path, SqliteCacheStore],
 ) -> SqliteCacheStore:
-    """Resolve a URI / path / already-open store into a store."""
+    """Resolve a URI / path / already-open store into a store.
+
+    A :class:`~pathlib.Path` is always a path, never parsed as a URI.
+    """
     if isinstance(store, SqliteCacheStore):
         return store
+    if isinstance(store, Path):
+        return SqliteCacheStore(store)
     return SqliteCacheStore(parse_store_uri(str(store))[1])

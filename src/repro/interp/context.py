@@ -31,8 +31,7 @@ class ExecContext:
 
     __slots__ = (
         "memory", "profile", "counters", "stdout_parts", "stdout_bytes",
-        "space", "geom", "rand_state", "steps_left", "limits", "runner",
-        "exit_code",
+        "space", "geom", "rand_state", "steps_left", "limits", "exit_code",
     )
 
     def __init__(self, limits: Optional[Limits] = None) -> None:
@@ -47,7 +46,6 @@ class ExecContext:
         self.rand_state = 1  # glibc-style LCG seed, srand(1) default
         self.limits = limits or Limits()
         self.steps_left = self.limits.max_steps
-        self.runner = None  # back-reference set by ProgramRunner
         self.exit_code = 0
 
     # -- stdout ---------------------------------------------------------

@@ -77,7 +77,6 @@ class ProgramRunner:
         self.program = program
         self.dialect = dialect
         self.ctx = ExecContext(limits)
-        self.ctx.runner = self
         self.program_functions: Dict[str, ast.FuncDef] = {}
         for fn in program.functions:
             prev = self.program_functions.get(fn.name)
@@ -135,6 +134,16 @@ class ProgramRunner:
 
         self._compiled[name] = call
         return call
+
+    def release(self) -> None:
+        """Drop the compiled closures once this runner will run no more.
+
+        The closures capture the runner, so until they are dropped the
+        runner and its guest buffers form a reference cycle that only the
+        cyclic collector frees.
+        """
+        self._compiled.clear()
+        self._compilers.clear()
 
     # ------------------------------------------------------------------
     # Program entry
@@ -884,7 +893,9 @@ class ProgramRunner:
         innermost_body = fc.compile_stmt(levels[-1][4])
         ctx = self.ctx
 
-        def run_nest(env, depth=0):
+        # The recursion comes in as ``nest`` rather than through the
+        # closure's own name, which would be a reference cycle.
+        def run_nest(env, depth, nest):
             var, start_c, cond_fn, bound_c, _body, delta_c = levels[depth]
             i = start_c(env)
             bound = bound_c(env)
@@ -896,7 +907,7 @@ class ProgramRunner:
                     if ctx.steps_left < 0:
                         ctx.consume_steps(0)
                     env[var] = i
-                    count += run_nest(env, depth + 1)
+                    count += nest(env, depth + 1, nest)
                     i += delta
             else:
                 while cond_fn(i, bound):
@@ -916,7 +927,7 @@ class ProgramRunner:
             return count
 
         def run(env):
-            return run_nest(env, 0)
+            return run_nest(env, 0, run_nest)
         return run
 
     def _sole_inner_for(self, body: ast.Stmt) -> Optional[ast.For]:

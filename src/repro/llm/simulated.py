@@ -96,7 +96,11 @@ class SimulatedLLM(LLMClient):
 
             base = _replace(base, **dict(tweaks))
         self.options: TranspileOptions = plan.options_for(base)
-        self._last_source: Optional[str] = None
+        #: The conversation's translation before planned faults.  It is a
+        #: pure function of the source, :attr:`options` and the dialects,
+        #: so it is made once per translation prompt and every correction
+        #: round applies its planned fault to the same text.
+        self._translation: Optional[str] = None
 
     # ------------------------------------------------------------------
     # LLMClient protocol
@@ -158,33 +162,31 @@ class SimulatedLLM(LLMClient):
 
     def _handle_translation(self, prompt: str) -> str:
         source = self._extract_translation_source(prompt)
-        self._last_source = source
-        return self._emit_generation(source)
+        try:
+            self._translation = Transpiler(self.options).translate(
+                source, self.source_dialect, self.target_dialect
+            )
+        except TranspileError:
+            # Outside the competence envelope: emit the source unchanged;
+            # it will not compile, which is the honest failure mode of a
+            # weak model.
+            self._translation = source
+        return self._emit_generation(self._translation)
 
     def _handle_correction(self, prompt: str) -> str:
         code, error = self._extract_correction_parts(prompt)
         if self._repair_lands(error):
             self.state += 1
-        source = self._last_source
-        if source is None:
+        if self._translation is None:
             # Conversation started mid-stream (correction without a prior
             # translation): best effort — re-emit the quoted code.
             return f"```\n{code}\n```"
-        return self._emit_generation(source)
+        return self._emit_generation(self._translation)
 
     # ------------------------------------------------------------------
     # Generation machinery
     # ------------------------------------------------------------------
-    def _emit_generation(self, source: str) -> str:
-        try:
-            translated = Transpiler(self.options).translate(
-                source, self.source_dialect, self.target_dialect
-            )
-        except TranspileError:
-            # Outside the competence envelope: emit the source with dialect
-            # markers crudely swapped — it will not compile, which is the
-            # honest failure mode of a weak model.
-            translated = source
+    def _emit_generation(self, translated: str) -> str:
         code = self._apply_faults(translated)
         fence_lang = "cuda" if self.target_dialect is Dialect.CUDA else "cpp"
         chatter = _CHATTER[self.key]

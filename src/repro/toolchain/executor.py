@@ -61,7 +61,10 @@ class Executor:
     ) -> ExecutionResult:
         """Execute ``program`` with ``args``; never raises for guest faults."""
         runner = ProgramRunner(program, dialect, limits=self.limits)
-        outcome = runner.run(list(args or []))
+        try:
+            outcome = runner.run(list(args or []))
+        finally:
+            runner.release()
 
         stderr = ""
         ok = outcome.error is None and outcome.exit_code == 0

@@ -9,6 +9,7 @@ import multiprocessing
 import sqlite3
 import time
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -39,9 +40,9 @@ class TestUriParsing:
         assert parse_store_uri("sqlite:/a/b.db") == ("sqlite", "/a/b.db")
 
     def test_bare_path_means_sqlite(self):
-        assert parse_store_uri("some/relative/cache.db") == (
-            "sqlite", "some/relative/cache.db",
-        )
+        # A colon inside a path does not make its prefix a scheme.
+        for path in ("some/relative/cache.db", "stores/a:b.db", "./a:b.db"):
+            assert parse_store_uri(path) == ("sqlite", path)
 
     def test_single_char_prefix_is_a_path_not_a_scheme(self):
         # Windows drive letters must not be mistaken for URI schemes.
@@ -51,8 +52,10 @@ class TestUriParsing:
 
     def test_unknown_scheme_rejected(self):
         for uri in ("redis:localhost", "dir:/a/b"):
-            with pytest.raises(CacheStoreError, match="unknown cache-store"):
+            with pytest.raises(CacheStoreError,
+                               match="unknown cache-store") as err:
                 parse_store_uri(uri)
+            assert f"write ./{uri}" in str(err.value)
 
     def test_empty_uri_and_empty_path_rejected(self):
         with pytest.raises(CacheStoreError):
@@ -67,6 +70,15 @@ class TestUriParsing:
         assert isinstance(bare, SqliteCacheStore)
         assert bare.path == tmp_path / "bare" and bare.path.is_file()
         assert open_store(s) is s
+
+    def test_a_path_is_never_parsed_as_a_uri(self, tmp_path, monkeypatch):
+        from repro.experiments.cache import ResultCache
+
+        # A campaign directory named by a timestamp holds its cache.db.
+        path = tmp_path / "2026-10-18T05:00" / "cache.db"
+        assert ResultCache(path).store.path == path and path.is_file()
+        monkeypatch.chdir(tmp_path)
+        assert open_store(Path("redis:x.db")).path == Path("redis:x.db")
 
 
 class TestStoreBasics:

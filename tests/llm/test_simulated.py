@@ -139,6 +139,40 @@ class TestSimulatedLLM:
         # any single pair, so just check the objects are well-formed)
         assert c.plan.outcome in ("ok", "na-compile", "na-runtime", "na-output")
 
+    def test_correction_rounds_reuse_the_conversations_translation(
+        self, monkeypatch
+    ):
+        # 34 correction rounds re-fault one translation: the transpiler
+        # runs for the translation prompt only.
+        from repro.experiments.runner import ExperimentRunner, Scenario
+        from repro.llm.transpiler import Transpiler
+
+        calls = []
+        translate = Transpiler.translate
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1:])
+            return translate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Transpiler, "translate", counted)
+        outcome = ExperimentRunner(profile="paper").run_scenario(
+            Scenario("codestral", "cuda2omp", "pathfinder")
+        )
+        assert outcome.result.self_corrections == 34
+        assert calls == [(Dialect.CUDA, Dialect.OMP)]
+
+    def test_each_translation_prompt_translates_its_own_source(self):
+        llm = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA,
+                           plan=CellPlan())
+        builder = PromptBuilder(Dialect.OMP, Dialect.CUDA)
+        for app_name in ("layout", "pathfinder"):
+            source = get_app(app_name).source(Dialect.OMP)
+            bundle = builder.build(llm, source)
+            response = llm.chat([ChatMessage("user", bundle.full_user_prompt)])
+            _, _, alone = build_and_translate(app_name=app_name,
+                                              plan=CellPlan())
+            assert extract_code_block(response.text) == alone
+
     def test_paper_plan_coverage(self):
         # all 80 cells planned
         from repro.llm.profiles import all_paper_plans

@@ -403,10 +403,10 @@ class TestShardAndMergeCli:
 
 
 class TestCacheCli:
-    def _filled_store(self, tmp_path):
+    def _filled_store(self, tmp_path, name="store.db"):
         from repro.experiments import open_store
 
-        uri = f"sqlite:{tmp_path / 'store.db'}"
+        uri = f"sqlite:{tmp_path / name}"
         store = open_store(uri)
         store.put("k1", {"v": 1}, namespace="results")
         store.put("k2", {"v": 2}, namespace="compile")
@@ -414,12 +414,15 @@ class TestCacheCli:
 
     def test_stat_prints_json_shape(self, capsys, tmp_path):
         uri = self._filled_store(tmp_path)
-        assert main(["cache", "stat", uri]) == 0
-        stat = json.loads(capsys.readouterr().out)
-        assert stat["backend"] == "sqlite"
-        assert stat["entries"] == 2
-        assert stat["corrupt"] == 0
-        assert stat["namespaces"] == {"compile": 1, "results": 1}
+        # A bare path names a sqlite file, a colon in it included.
+        colon = self._filled_store(tmp_path, "stores/a:b.db")
+        for store in (uri, colon.partition(":")[2]):
+            assert main(["cache", "stat", store]) == 0
+            stat = json.loads(capsys.readouterr().out)
+            assert stat["backend"] == "sqlite"
+            assert stat["entries"] == 2
+            assert stat["corrupt"] == 0
+            assert stat["namespaces"] == {"compile": 1, "results": 1}
 
     def test_warm_copies_between_stores(self, capsys, tmp_path):
         uri = self._filled_store(tmp_path)

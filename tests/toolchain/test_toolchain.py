@@ -111,3 +111,45 @@ class TestExecutor:
         t1 = ex.run(result.program, Dialect.OMP).runtime_seconds
         t2 = ex.run(result.program, Dialect.OMP).runtime_seconds
         assert t1 == t2
+
+    def test_finished_runs_are_freed_without_the_cyclic_collector(
+        self, monkeypatch
+    ):
+        # Every Table IV baseline, in both dialects: once ``run`` returns,
+        # reference counting alone must free its ProgramRunner (and with
+        # it the run's guest buffers).
+        import gc
+        import weakref
+
+        from repro.hecbench import all_apps
+        from repro.toolchain import executor as executor_module
+
+        runners = []
+        make_runner = executor_module.ProgramRunner
+
+        def recording(*args, **kwargs):
+            runner = make_runner(*args, **kwargs)
+            runners.append(weakref.ref(runner))
+            return runner
+
+        monkeypatch.setattr(executor_module, "ProgramRunner", recording)
+        programs = []
+        for spec in all_apps():
+            for dialect in (Dialect.CUDA, Dialect.OMP):
+                compiled = compiler_for(dialect).compile(spec.source(dialect))
+                assert compiled.ok
+                programs.append((f"{spec.name}/{dialect.value}", spec,
+                                 dialect, compiled.program))
+        alive = []
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for name, spec, dialect, program in programs:
+                assert Executor().run(program, dialect, args=spec.args).ok
+                if runners[-1]() is not None:
+                    alive.append(name)
+        finally:
+            if collecting:
+                gc.enable()
+        assert len(runners) == 20
+        assert alive == []
