@@ -1,26 +1,23 @@
-"""Wall-clock speedup of the parallel grid backends over the serial baseline.
+"""Wall-clock speedup of the worker-process grid over the serial one.
 
 The real §V workload is bounded by LLM round-trips (network latency to a
-hosted model or inference time on local hardware), which a worker pool
-overlaps.  The :class:`SimulatedLLM` responds instantly, so to measure what
+hosted model or inference time on local hardware), which worker processes
+overlap.  The :class:`SimulatedLLM` responds instantly, so to measure what
 parallelism buys we re-introduce a fixed per-scenario latency modelling the
 round-trip — sized like a short hosted-model completion, large enough to
 dominate the pure-Python compute.
 
-Three legs run over the same 8-scenario grid with fresh runners:
+Two legs run over the same 8-scenario grid with fresh runners:
 
-* ``serial``  — ``jobs=1`` (the baseline);
-* ``thread``  — ``jobs=4, backend="thread"`` — overlaps the modelled
-  latency but leaves the pipeline compute GIL-serialized;
-* ``process`` — ``jobs=4, backend="process"`` — overlaps the latency *and*
-  spreads the compute across worker processes (on a multi-core box; on a
-  single core it degenerates to the thread backend's profile).
+* ``serial``  — ``jobs=1``: the scenarios run in the caller's thread (the
+  baseline);
+* ``process`` — ``jobs=4``: worker processes overlap the latency *and*
+  spread the compute across cores (on a single core only the latency
+  overlaps).
 
 Emits ``BENCH_parallel_throughput.json`` (picked up as a CI artifact) with
-all three timings, both speedups, and the process-wide compile-cache
-counters.  CI additionally fails the bench job if the process backend is
-slower than the thread backend at ``jobs=4`` (see ``.github/workflows``),
-a comparison that is only meaningful on the multi-core runners.
+both timings, the speedup, the stage-graph overhead figure and the
+process-wide compile-cache counters.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Dict
 import pytest
 
 from repro.api import build_pipeline
-from repro.experiments import ParallelExperimentRunner
+from repro.experiments import ExperimentRunner
 from repro.hecbench import get_app
 from repro.llm.profiles import CellPlan
 from repro.llm.simulated import SimulatedLLM
@@ -43,7 +40,7 @@ from repro.toolchain import compile_cache_stats
 
 #: Modelled LLM round-trip per scenario (seconds).
 SCENARIO_LATENCY = 1.5
-#: Worker count for both parallel legs.
+#: Worker count for the process leg.
 JOBS = 4
 #: The measured grid: 2 models x 1 direction x 4 cheap apps = 8 scenarios.
 GRID = dict(
@@ -51,9 +48,6 @@ GRID = dict(
     directions=["omp2cuda"],
     apps=["layout", "pathfinder", "matrix-rotate", "bsearch"],
 )
-#: Floor for the thread leg: latency overlap alone must beat serial even on
-#: a loaded single-core runner.
-MIN_THREAD_SPEEDUP = 1.5
 #: Floor for the process leg (the headline number; typically >3x).
 MIN_PROCESS_SPEEDUP = 2.0
 #: Ceiling on the stage-graph engine's own bookkeeping (event publication,
@@ -109,11 +103,11 @@ def _stage_graph_profile():
     return breakdown, (wall - sum(totals.values())) / wall
 
 
-class _LatencyModelRunner(ParallelExperimentRunner):
+class _LatencyModelRunner(ExperimentRunner):
     """Grid runner with a fixed LLM round-trip latency per scenario.
 
-    Module-level on purpose: the process backend ships this class to its
-    workers, so the latency model applies inside them too.
+    Module-level on purpose: worker processes rebuild the runner from its
+    class, so the latency model applies inside them too.
     """
 
     def run_scenario(self, scenario, app=None):
@@ -121,8 +115,8 @@ class _LatencyModelRunner(ParallelExperimentRunner):
         return super().run_scenario(scenario, app)
 
 
-def _timed_grid(jobs: int, backend: str = "thread"):
-    runner = _LatencyModelRunner(jobs=jobs, backend=backend)
+def _timed_grid(jobs: int):
+    runner = _LatencyModelRunner(jobs=jobs)
     start = time.perf_counter()
     results = runner.run(**GRID)
     elapsed = time.perf_counter() - start
@@ -132,20 +126,16 @@ def _timed_grid(jobs: int, backend: str = "thread"):
 @pytest.mark.bench
 def test_parallel_grid_beats_serial():
     serial_results, serial_s = _timed_grid(jobs=1)
-    thread_results, thread_s = _timed_grid(jobs=JOBS, backend="thread")
-    process_results, process_s = _timed_grid(jobs=JOBS, backend="process")
+    process_results, process_s = _timed_grid(jobs=JOBS)
 
-    # Parallelism must not change the science: same cells, same statuses,
-    # on either backend.
-    for results in (thread_results, process_results):
-        assert [r.scenario for r in results] == [
-            r.scenario for r in serial_results
-        ]
-        assert [r.result.status for r in results] == [
-            r.result.status for r in serial_results
-        ]
+    # Parallelism must not change the science: same cells, same statuses.
+    assert [r.scenario for r in process_results] == [
+        r.scenario for r in serial_results
+    ]
+    assert [r.result.status for r in process_results] == [
+        r.result.status for r in serial_results
+    ]
 
-    thread_speedup = serial_s / thread_s
     process_speedup = serial_s / process_s
 
     # Per-stage latency attribution (generation vs. correction vs.
@@ -160,11 +150,9 @@ def test_parallel_grid_beats_serial():
                 "scenario_latency_s": SCENARIO_LATENCY,
                 "jobs": JOBS,
                 "serial_seconds": round(serial_s, 4),
-                "thread_seconds": round(thread_s, 4),
                 "process_seconds": round(process_s, 4),
-                "thread_speedup": round(thread_speedup, 3),
                 "process_speedup": round(process_speedup, 3),
-                # Headline number: the process backend at jobs=4.
+                # Headline number: worker processes at jobs=4.
                 "speedup": round(process_speedup, 3),
                 "stage_breakdown": stage_breakdown,
                 "stage_graph_overhead_fraction": round(overhead_fraction, 5),
@@ -179,10 +167,6 @@ def test_parallel_grid_beats_serial():
     assert overhead_fraction < MAX_STAGE_GRAPH_OVERHEAD, (
         f"stage-graph machinery costs {overhead_fraction:.1%} of "
         f"per-scenario wall time (budget {MAX_STAGE_GRAPH_OVERHEAD:.0%})"
-    )
-    assert thread_speedup > MIN_THREAD_SPEEDUP, (
-        f"thread grid ({thread_s:.2f}s with jobs={JOBS}) should beat serial "
-        f"({serial_s:.2f}s); measured speedup {thread_speedup:.2f}x"
     )
     assert process_speedup > MIN_PROCESS_SPEEDUP, (
         f"process grid ({process_s:.2f}s with jobs={JOBS}) should beat "

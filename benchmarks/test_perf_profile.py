@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.experiments import ParallelExperimentRunner
+from repro.experiments import ExperimentRunner
 from repro.pipeline import BaselinePreparer
 from repro.pipeline.stages import finalize, loops
 
@@ -42,7 +42,7 @@ BENCH_ARTIFACT = Path("BENCH_perf_profile.json")
 
 
 def _timed_grid(baselines) -> float:
-    runner = ParallelExperimentRunner(jobs=1, baselines=baselines)
+    runner = ExperimentRunner(jobs=1, baselines=baselines)
     start = time.perf_counter()
     results = runner.run(**GRID)
     elapsed = time.perf_counter() - start
@@ -70,7 +70,7 @@ def test_profile_collection_overhead_stays_under_budget(paired_overhead):
     # both timed legs pay identical toolchain costs.
     _timed_grid(baselines)
 
-    sample = ParallelExperimentRunner(jobs=1, baselines=baselines).run(
+    sample = ExperimentRunner(jobs=1, baselines=baselines).run(
         models=["gpt4"], directions=["omp2cuda"], apps=["layout"]
     )[0].result
     assert sample.profile is not None, "profiled leg produced no profile"

@@ -1,7 +1,7 @@
 """Cost of the telemetry layer: the 5% bookkeeping budget, measured.
 
 Three figures, emitted as ``BENCH_telemetry_overhead.json`` (a CI
-artifact; the bench-backends job gates on the overhead fraction):
+artifact; the bench-throughput job gates on the overhead fraction):
 
 * **events/sec through the bus** — a representative event mix published
   to an :class:`EventBus` with the production subscriber set attached
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ParallelExperimentRunner, RunSession
+from repro.experiments import ExperimentRunner, RunSession
 from repro.pipeline import (
     BaselinePreparer,
     CompileFinished,
@@ -105,7 +105,7 @@ def _span_serialization_rate(spans) -> float:
 
 def _timed_grid(baselines, trace: bool, session_path=None) -> float:
     session = RunSession(session_path) if session_path is not None else None
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         jobs=1, baselines=baselines, session=session, trace=trace
     )
     start = time.perf_counter()
@@ -134,7 +134,7 @@ def test_telemetry_overhead_stays_under_budget(tmp_path, paired_overhead):
     plain, traced = measured.base_seconds, measured.variant_seconds
 
     # Spans from one real traced run feed the serialization figure.
-    tracer_runner = ParallelExperimentRunner(
+    tracer_runner = ExperimentRunner(
         jobs=1, baselines=baselines, trace=True
     )
     sample = tracer_runner.run(

@@ -20,7 +20,7 @@ import tempfile
 from repro.experiments import (
     CampaignRunner,
     CampaignSpec,
-    ParallelExperimentRunner,
+    ExperimentRunner,
     Variant,
     headline_summary,
     render_campaign_report,
@@ -44,7 +44,7 @@ def main() -> int:
 
     # 3. Evaluate the LASSI grid over the generated suite (one direction,
     #    two models, to keep the example quick).
-    runner = ParallelExperimentRunner(jobs=4, suite=SUITE)
+    runner = ExperimentRunner(jobs=4, suite=SUITE)
     results = runner.run(models=["gpt4", "codestral"],
                          directions=["omp2cuda"])
     print(f"\nevaluated {len(results)} scenarios over {SUITE}:\n")

@@ -12,7 +12,7 @@ Quick start (the stable :mod:`repro.api` facade)::
     from repro import api
 
     result = api.translate("layout", model="gpt4", direction="omp2cuda")
-    results = api.evaluate(models=["gpt4"], jobs=4, backend="process")
+    results = api.evaluate(models=["gpt4"], jobs=4)
 
 or at the pipeline level::
 

@@ -19,7 +19,7 @@ Example::
     from repro.pipeline.events import StageFinished
 
     result = api.translate("layout", model="gpt4", direction="omp2cuda")
-    results = api.evaluate(models=["gpt4"], jobs=4, backend="process")
+    results = api.evaluate(models=["gpt4"], jobs=4)
     campaign = api.run_campaign("knowledge-ablation")
 """
 
@@ -36,7 +36,6 @@ from repro.experiments.campaign import (
     get_preset,
     merge_manifests,
 )
-from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.store import SqliteCacheStore, open_store
 from repro.experiments.runner import ExperimentRunner, Scenario, ScenarioResult
 from repro.experiments.session import RunSession
@@ -106,7 +105,6 @@ def evaluate(
     config: Optional[PipelineConfig] = None,
     suite: Union[str, Suite, None] = None,
     jobs: Union[int, str] = 1,
-    backend: str = "thread",
     session: Optional[RunSession] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[ScenarioResult], None]] = None,
@@ -114,21 +112,20 @@ def evaluate(
 ) -> List[ScenarioResult]:
     """Run the evaluation grid (every argument optional, None = full axis).
 
-    A thin veneer over
-    :class:`~repro.experiments.parallel.ParallelExperimentRunner` — both
-    backends rebuild the stage-graph pipeline per scenario, sessions
+    A thin veneer over :class:`~repro.experiments.runner.ExperimentRunner`:
+    ``jobs=1`` runs the scenarios in the calling thread, more runs them on
+    worker processes (``0``/``"auto"``: one per core); sessions
     persist/resume completed scenarios, and the cache replays identical
     cells.  ``trace=True`` records telemetry spans for every executed
     scenario and, when a session is given, writes them to a
     ``.trace.jsonl`` sidecar next to the session log (the session JSONL
     itself stays byte-deterministic).
     """
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         config=config,
         profile=profile,
         seed=seed,
         jobs=jobs,
-        backend=backend,
         session=session,
         cache=cache,
         suite=suite,
@@ -155,7 +152,6 @@ def build_campaign(
     spec: Union[str, CampaignSpec],
     root: Union[str, Path] = "campaigns",
     jobs: Union[int, str] = 1,
-    backend: str = "thread",
     executor: Optional[Executor] = None,
     log: Optional[Callable[[str], None]] = None,
     cache_store: Union[str, Path, SqliteCacheStore, None] = None,
@@ -174,7 +170,7 @@ def build_campaign(
     """
     resolved = get_preset(spec) if isinstance(spec, str) else spec
     return CampaignRunner(
-        resolved, root=root, jobs=jobs, backend=backend, executor=executor,
+        resolved, root=root, jobs=jobs, executor=executor,
         log=log, cache_store=cache_store, shard=shard, trace=trace,
     )
 
@@ -183,7 +179,6 @@ def run_campaign(
     spec: Union[str, CampaignSpec],
     root: Union[str, Path] = "campaigns",
     jobs: Union[int, str] = 1,
-    backend: str = "thread",
     executor: Optional[Executor] = None,
     log: Optional[Callable[[str], None]] = None,
     progress: Optional[Callable[[ScenarioResult], None]] = None,
@@ -201,7 +196,7 @@ def run_campaign(
     knobs.
     """
     return build_campaign(
-        spec, root=root, jobs=jobs, backend=backend, executor=executor,
+        spec, root=root, jobs=jobs, executor=executor,
         log=log, cache_store=cache_store, shard=shard, trace=trace,
     ).run(progress=progress)
 

@@ -64,6 +64,7 @@ from repro.experiments import (
     render_table4,
     render_table5,
     render_translation_tables,
+    resolve_jobs,
 )
 from repro.experiments.campaign import MANIFEST_NAME, PRESETS
 from repro.hecbench import DEFAULT_SUITE, get_app, resolve_suite, suite_names
@@ -191,7 +192,7 @@ def _cmd_evaluate(args) -> int:
             apps=apps,
             directions=[args.direction] if args.direction else None,
             profile=args.profile, seed=args.seed, jobs=args.jobs,
-            backend=args.backend, session=session, suite=suite,
+            session=session, suite=suite,
             progress=progress if args.verbose else None,
             trace=args.trace,
         )
@@ -218,7 +219,7 @@ def _cmd_table(args) -> int:
         direction = OMP2CUDA if args.number == 6 else CUDA2OMP
         results = api.evaluate(
             directions=[direction], profile=args.profile, seed=args.seed,
-            jobs=args.jobs, backend=args.backend,
+            jobs=args.jobs,
         )
         print(render_translation_tables(results)[direction])
         return 0
@@ -248,7 +249,7 @@ def _cmd_campaign_run(args) -> int:
         if args.suite:
             spec = dataclasses.replace(spec, suite=args.suite)
         runner = api.build_campaign(
-            spec, root=args.dir, jobs=args.jobs, backend=args.backend,
+            spec, root=args.dir, jobs=args.jobs,
             log=lambda msg: logger.info("  %s", msg),
             cache_store=args.cache_store, shard=args.shard,
             trace=args.trace,
@@ -563,30 +564,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _jobs_arg(text: str):
-    """``--jobs`` spelling: a positive count, ``0``, or ``auto`` (= cores)."""
-    if text.strip().lower() == "auto":
-        return "auto"
+def _jobs_arg(text: str) -> int:
+    """``--jobs`` spelling, checked by :func:`resolve_jobs`."""
     try:
-        value = int(text)
+        jobs = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a worker count or 'auto', got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+        jobs = text.strip().lower()
+    try:
+        return resolve_jobs(jobs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_worker_args(p: argparse.ArgumentParser, what: str) -> None:
     p.add_argument("--jobs", "-j", type=_jobs_arg, default=1, metavar="N",
-                   help=f"workers for {what}: a count, or 0/'auto' for one "
-                        f"per CPU core (default: 1)")
-    p.add_argument("--backend", choices=["thread", "process"],
-                   default="thread",
-                   help="worker pool kind: 'thread' (shared baselines, best "
-                        "for latency-bound runs) or 'process' (scales "
-                        "CPU-bound simulation across cores)")
+                   help=f"workers for {what}: 1 runs in this process, more "
+                        f"run on worker processes; 0/'auto' means one per "
+                        f"CPU core (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

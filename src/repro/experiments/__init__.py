@@ -1,9 +1,11 @@
 """Experiment harness: the 80-scenario evaluation, campaigns and reports."""
 
 from repro.experiments.runner import (
+    MAX_JOBS,
     ExperimentRunner,
     Scenario,
     ScenarioResult,
+    resolve_jobs,
 )
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.store import (
@@ -11,12 +13,6 @@ from repro.experiments.store import (
     SqliteCacheStore,
     open_store,
     parse_store_uri,
-)
-from repro.experiments.parallel import (
-    BACKENDS,
-    MAX_JOBS,
-    ParallelExperimentRunner,
-    resolve_jobs,
 )
 from repro.experiments.session import RunSession, SessionError
 from repro.experiments.campaign import (
@@ -48,7 +44,6 @@ from repro.experiments.stats import (
 )
 
 __all__ = [
-    "BACKENDS",
     "MAX_JOBS",
     "CacheStoreError",
     "CampaignError",
@@ -56,7 +51,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "ExperimentRunner",
-    "ParallelExperimentRunner",
     "ResultCache",
     "RunSession",
     "SessionError",

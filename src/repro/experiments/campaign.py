@@ -5,9 +5,10 @@ and a list of :class:`Variant`\\ s; each variant overrides
 :class:`~repro.pipeline.PipelineConfig` fields (the ablation switches),
 picks a profile, and lists one seed per stochastic replicate.  Running a
 campaign expands every (variant, seed) cell into one
-:class:`~repro.experiments.parallel.ParallelExperimentRunner` grid, all
-sharing a single :class:`~repro.pipeline.BaselinePreparer` (each HeCBench
-baseline builds once campaign-wide) and a single content-addressed
+:class:`~repro.experiments.runner.ExperimentRunner` grid, all sharing a
+single :class:`~repro.pipeline.BaselinePreparer` (at ``jobs=1`` each
+HeCBench baseline builds once campaign-wide; worker processes build their
+own) and a single content-addressed
 :class:`~repro.experiments.cache.ResultCache` (identical cells — same
 scenario, profile, seed and config fingerprint — execute once and are
 replayed everywhere else, including on re-runs of the campaign).
@@ -48,7 +49,6 @@ from repro.errors import ReproError
 from repro.experiments.cache import ResultCache
 from repro.experiments.store import SqliteCacheStore
 from repro.metrics.runtime import speedup_distribution
-from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, ScenarioResult
 from repro.experiments.session import RunSession
 from repro.pipeline import BaselinePreparer, PipelineConfig
@@ -394,7 +394,6 @@ class CampaignRunner:
         jobs: Union[int, str] = 1,
         executor: Optional[Executor] = None,
         log: Optional[Callable[[str], None]] = None,
-        backend: str = "thread",
         cache_store: Union[str, Path, SqliteCacheStore, None] = None,
         shard: Union[str, Tuple[int, int], None] = None,
         trace: bool = False,
@@ -402,7 +401,6 @@ class CampaignRunner:
         self.spec = spec
         self.directory = Path(root) / spec.name
         self.jobs = jobs
-        self.backend = backend
         #: Telemetry switch: each cell runner traces its pipelines and
         #: every cell session gets a ``.trace.jsonl`` sidecar.
         self.trace = trace
@@ -563,7 +561,7 @@ class CampaignRunner:
                 resume=True,
             )
             already = len(session)
-            runner = ParallelExperimentRunner(
+            runner = ExperimentRunner(
                 config=config,
                 profile=cell.variant.profile,
                 seed=cell.seed,
@@ -573,7 +571,6 @@ class CampaignRunner:
                 cache=self.cache,
                 baselines=self.baselines,
                 suite=self.suite,
-                backend=self.backend,
                 trace=self.trace,
             )
             results = runner.run(

@@ -6,13 +6,28 @@ cell plan for (model, direction, app) — or a seeded stochastic plan when
 are shared through one :class:`BaselinePreparer`, mirroring §IV: each
 HeCBench test case is compiled and executed once with fixed arguments and
 reused across all models.
+
+Every scenario is an independent, CPU-bound pipeline run.
+:meth:`ExperimentRunner.run` executes the pending ones in the caller's
+thread, in enumeration order and sharing the runner's
+:class:`BaselinePreparer`, when one worker would do (``jobs=1``, or one
+pending scenario).  Otherwise a :class:`ProcessPoolExecutor` runs them:
+its workers rebuild the runner from a picklable spec (``type(self)``,
+``PipelineConfig``, profile, seed, suite) and ship
+:meth:`ScenarioResult.to_dict` payloads back, so the runner class must be
+importable, and a script under the spawn start method needs an
+``if __name__ == "__main__":`` guard.  Either way the results keep
+enumeration order, and each passes through one finish step: trace
+sidecar, cache, session, progress.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.hecbench import AppSpec, Suite, resolve_suite
 from repro.llm.profiles import CUDA2OMP, OMP2CUDA, CellPlan, paper_plan
@@ -22,9 +37,46 @@ from repro.metrics.aggregate import ScenarioMetrics
 from repro.minilang.source import Dialect
 from repro.pipeline import BaselinePreparer, PipelineConfig, build_pipeline
 from repro.pipeline.results import LassiResult
-from repro.telemetry import SpanTracer, get_flight_recorder
+from repro.telemetry import (
+    SpanTracer,
+    TraceWriter,
+    get_flight_recorder,
+    get_logger,
+    install_sigterm_handler,
+    trace_path_for,
+)
 from repro.toolchain import Executor
 from repro.utils.rng import derive_seed
+
+if TYPE_CHECKING:  # both modules import this one
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.session import RunSession
+
+logger = get_logger("experiments.runner")
+
+#: Upper bound on worker processes.  Latency-bound runs (a hosted LLM's
+#: round-trips) gain from modest oversubscription; past a few per core
+#: only start-up cost and scheduler noise grow.
+MAX_JOBS = max(8, 4 * (os.cpu_count() or 1))
+
+
+def resolve_jobs(jobs: Union[int, str]) -> int:
+    """Normalize a jobs spelling: ``"auto"`` / ``0`` mean one per core.
+
+    Returns a positive int; raises :class:`ValueError` for anything else
+    (negative counts, unknown strings).
+    """
+    if isinstance(jobs, bool):
+        # bool is an int subclass: False would otherwise match `jobs == 0`.
+        raise ValueError(f"jobs must be a positive int, 0 or 'auto', got {jobs!r}")
+    if jobs == "auto" or jobs == 0:
+        return os.cpu_count() or 1
+    if not isinstance(jobs, int):
+        raise ValueError(f"jobs must be a positive int, 0 or 'auto', got {jobs!r}")
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0 means auto), got {jobs}")
+    return jobs
+
 
 DIRECTIONS: Dict[str, Tuple[Dialect, Dialect]] = {
     OMP2CUDA: (Dialect.OMP, Dialect.CUDA),
@@ -87,7 +139,13 @@ class ScenarioResult:
 
 
 class ExperimentRunner:
-    """Runs the paper's evaluation grid (or any subset of it)."""
+    """Runs the paper's evaluation grid (or any subset of it).
+
+    ``jobs`` is the worker count for :meth:`run` (``0`` or ``"auto"``:
+    one per core); ``session`` receives every result as it completes and
+    supplies the ones a resumed grid already recorded; ``cache`` replays
+    identical cells and stores new ones.
+    """
 
     def __init__(
         self,
@@ -98,6 +156,9 @@ class ExperimentRunner:
         baselines: Optional[BaselinePreparer] = None,
         suite: Union[str, Suite, None] = None,
         trace: bool = False,
+        jobs: Union[int, str] = 1,
+        session: Optional["RunSession"] = None,
+        cache: Optional["ResultCache"] = None,
     ) -> None:
         if profile not in ("paper", "stochastic"):
             raise ValueError(f"unknown profile {profile!r}")
@@ -119,6 +180,9 @@ class ExperimentRunner:
         #: recorder ride the pipeline's event bus) and its spans land on
         #: ``result.spans``.  Off by default — the bookkeeping budget.
         self.trace = trace
+        self.jobs = min(resolve_jobs(jobs), MAX_JOBS)
+        self.session = session
+        self.cache = cache
 
     @property
     def config_fingerprint(self) -> str:
@@ -217,12 +281,160 @@ class ExperimentRunner:
         models: Optional[Iterable[str]] = None,
         directions: Optional[Iterable[str]] = None,
         apps: Optional[Iterable[str]] = None,
-        progress: Optional[callable] = None,
+        progress: Optional[Callable[[ScenarioResult], None]] = None,
+        session: Optional["RunSession"] = None,
+        scenario_indexes: Optional[List[int]] = None,
     ) -> List[ScenarioResult]:
-        out: List[ScenarioResult] = []
-        for scenario in self.scenarios(models, directions, apps):
-            res = self.run_scenario(scenario)
-            out.append(res)
+        """Run the grid; results in scenario-enumeration order.
+
+        ``scenario_indexes`` selects positions within the enumeration (a
+        campaign shard); ``session`` overrides the runner's own.
+        """
+        session = session or self.session
+        fingerprint = self.config_fingerprint
+        if session is not None:
+            session.bind(self.profile, self.seed, fingerprint)
+
+        scenarios = self.scenarios(models, directions, apps)
+        if scenario_indexes is not None:
+            scenarios = [scenarios[i] for i in scenario_indexes]
+        results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
+
+        pending: List[int] = []
+        for i, scenario in enumerate(scenarios):
+            recorded = session.get(scenario) if session is not None else None
+            if recorded is not None:
+                results[i] = recorded
+                continue
+            if self.cache is not None:
+                replayed = self.cache.get(
+                    scenario, self.profile, self.seed, fingerprint
+                )
+                if replayed is not None:
+                    results[i] = replayed
+                    if session is not None:
+                        session.record(replayed)
+                    continue
+            pending.append(i)
+
+        trace_writer: Optional[TraceWriter] = None
+        if self.trace and session is not None:
+            # The timing sidecar rides next to the session log; the
+            # session JSONL itself stays byte-deterministic.
+            trace_writer = TraceWriter(
+                trace_path_for(session.path), resume=session.resume
+            )
+
+        def finish(i: int, res: ScenarioResult) -> None:
+            results[i] = res
+            if trace_writer is not None and res.result.spans:
+                trace_writer.write_trace(
+                    {
+                        "model": res.scenario.model_key,
+                        "direction": res.scenario.direction,
+                        "app": res.scenario.app_name,
+                    },
+                    res.result.spans,
+                )
+            if self.cache is not None:
+                self.cache.put(res, self.profile, self.seed, fingerprint)
+            if session is not None:
+                session.record(res)
             if progress is not None:
                 progress(res)
-        return out
+
+        try:
+            self._run_pending(scenarios, pending, finish)
+        finally:
+            if trace_writer is not None:
+                trace_writer.close()
+        return results
+
+    def _run_pending(
+        self,
+        scenarios: List[Scenario],
+        pending: List[int],
+        finish: Callable[[int, ScenarioResult], None],
+    ) -> None:
+        """Execute ``scenarios[i]`` for each pending ``i``, finishing each.
+
+        One worker runs them here, in order; more run them on worker
+        processes and finish them in completion order.
+        """
+        workers = min(self.jobs, len(pending))
+        if workers <= 1:
+            if pending:
+                logger.debug(
+                    "running %d scenario(s) in the caller's thread (jobs=%d)",
+                    len(pending), self.jobs,
+                )
+            for i in pending:
+                finish(i, self.run_scenario(scenarios[i]))
+            return
+        logger.debug(
+            "running %d scenario(s) on %d worker processes (jobs=%d)",
+            len(pending), workers, self.jobs,
+        )
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_process_worker,
+            initargs=(
+                type(self), self.config, self.profile, self.seed,
+                self.suite, self.trace,
+            ),
+        ) as pool:
+            futures = {
+                pool.submit(_run_scenario_in_worker, scenarios[i].to_dict()): i
+                for i in pending
+            }
+            try:
+                for future in as_completed(futures):
+                    # Worker exceptions surface here.
+                    res = ScenarioResult.from_dict(future.result())
+                    # The pipeline ran in the worker, so the worker's
+                    # counter incremented, not ours; keep campaign
+                    # accounting (executed vs replayed) correct here.
+                    with self._counter_lock:
+                        self.pipeline_runs += 1
+                    finish(futures[future], res)
+            except BaseException:
+                # Don't let queued scenarios burn a full grid's wall-clock
+                # during shutdown; in-flight ones finish and are lost.
+                for f in futures:
+                    f.cancel()
+                raise
+
+
+# ----------------------------------------------------------------------
+# Worker-process plumbing.  The initializer rebuilds the runner once per
+# process, then the worker serves scenario dicts; results travel back as
+# plain dicts so nothing non-picklable crosses the pipe.
+
+_WORKER_RUNNER: Optional[ExperimentRunner] = None
+
+
+def _init_process_worker(
+    runner_class: type,
+    config: PipelineConfig,
+    profile: str,
+    seed: int,
+    suite: Suite,
+    trace: bool = False,
+) -> None:
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = runner_class(
+        config=config, profile=profile, seed=seed, suite=suite, trace=trace
+    )
+    if trace:
+        # A reaped worker (SIGTERM from a shard manager) dumps its flight
+        # ring before dying, so the shard is debuggable from artifacts.
+        install_sigterm_handler()
+
+
+def _run_scenario_in_worker(scenario_dict: Dict[str, str]) -> dict:
+    assert _WORKER_RUNNER is not None, "worker initializer did not run"
+    result = _WORKER_RUNNER.run_scenario(Scenario.from_dict(scenario_dict))
+    # Spans and the profile block ride along so the parent's results carry
+    # the same telemetry as in-thread ones (sessions and the cache still
+    # serialize without them — byte-determinism).
+    return result.to_dict(include_timings=True)

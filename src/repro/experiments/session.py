@@ -162,8 +162,8 @@ class RunSession:
         """Persist one completed scenario (thread-safe, flushed on return).
 
         Serialized without per-stage wall-time telemetry: session files
-        are deterministic functions of the grid identity (the backend
-        byte-identity tests pin this), and wall-clock noise would break
+        are deterministic functions of the grid identity (the golden
+        session digest pins this), and wall-clock noise would break
         that.  Timing telemetry lives on the in-memory results and in
         campaign manifests instead.
         """

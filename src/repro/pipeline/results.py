@@ -96,7 +96,7 @@ class LassiResult:
     #: Serialized telemetry spans from a :class:`~repro.telemetry.spans.
     #: SpanTracer`, when the run was traced — the only per-stage wall-time
     #: record (excluded from equality and default serialization; this is
-    #: how process-backend workers ship their spans to the parent).
+    #: how worker processes ship their spans to the parent).
     spans: List[Dict[str, Any]] = field(default_factory=list, compare=False)
     #: Deterministic runtime-profile block from :class:`~repro.pipeline.
     #: stages.finalize.ComputeMetrics`: the generated and reference

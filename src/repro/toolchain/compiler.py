@@ -116,8 +116,8 @@ class CompileCache:
             return len(self._entries)
 
 
-#: Process-wide front-end memo shared by every driver (one per worker
-#: process under the process execution backend).
+#: Process-wide front-end memo shared by every driver (each grid worker
+#: process holds its own).
 _COMPILE_CACHE = CompileCache()
 
 

@@ -7,7 +7,7 @@ import json
 from repro import api
 from repro.experiments import (
     CampaignSpec,
-    ParallelExperimentRunner,
+    ExperimentRunner,
     RunSession,
     Variant,
 )
@@ -50,7 +50,7 @@ class TestTranslate:
 class TestEvaluate:
     def test_matches_runner(self):
         facade = api.evaluate(**SMALL)
-        runner = ParallelExperimentRunner(jobs=1).run(**SMALL)
+        runner = ExperimentRunner(jobs=1).run(**SMALL)
         assert [r.to_dict() for r in facade] == [r.to_dict() for r in runner]
 
     def test_session_resume_through_facade(self, tmp_path):
@@ -65,7 +65,9 @@ class TestEvaluate:
         assert [r.scenario.app_name for r in results] == ["layout", "bsearch"]
 
     def test_backend_and_jobs_spellings(self):
-        results = api.evaluate(jobs="auto", backend="process", **SMALL)
+        # "auto" is one worker per core: worker processes on a multi-core
+        # host, the caller's thread on a single core.
+        results = api.evaluate(jobs="auto", **SMALL)
         assert [r.result.status for r in results] == [
             r.result.status for r in api.evaluate(**SMALL)
         ]

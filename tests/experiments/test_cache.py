@@ -7,7 +7,7 @@ import json
 import sqlite3
 from contextlib import closing
 
-from repro.experiments import ParallelExperimentRunner, ResultCache, cache_key
+from repro.experiments import ExperimentRunner, ResultCache, cache_key
 from repro.experiments.runner import Scenario
 from repro.llm.profiles import OMP2CUDA
 from repro.pipeline import PipelineConfig
@@ -17,7 +17,7 @@ FP = PipelineConfig().fingerprint()
 
 
 def _run_one(cache, config=None, **kw):
-    runner = ParallelExperimentRunner(config=config, cache=cache, **kw)
+    runner = ExperimentRunner(config=config, cache=cache, **kw)
     results = runner.run(models=["gpt4"], directions=[OMP2CUDA],
                          apps=["layout"])
     return runner, results

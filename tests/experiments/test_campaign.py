@@ -469,12 +469,11 @@ class TestLoadAndReport:
 
 class TestCampaignBackends:
     def test_process_backend_campaign_matches_thread(self, tmp_path):
+        # jobs=1 runs every cell in the caller's thread, jobs=2 on workers.
         spec = _spec()
-        thread_run = CampaignRunner(
-            spec, root=tmp_path / "thread", jobs=2
-        ).run()
+        thread_run = CampaignRunner(spec, root=tmp_path / "thread").run()
         process_run = CampaignRunner(
-            spec, root=tmp_path / "process", jobs=2, backend="process"
+            spec, root=tmp_path / "process", jobs=2
         ).run()
         assert [
             [r.to_dict() for r in cell.results] for cell in process_run.runs
@@ -484,11 +483,7 @@ class TestCampaignBackends:
 
     def test_process_backend_rerun_replays_from_artifacts(self, tmp_path):
         spec = _spec()
-        first = CampaignRunner(
-            spec, root=tmp_path, jobs=2, backend="process"
-        ).run()
+        first = CampaignRunner(spec, root=tmp_path, jobs=2).run()
         assert first.total_pipeline_runs == 4
-        rerun = CampaignRunner(
-            spec, root=tmp_path, jobs=2, backend="process"
-        ).run()
+        rerun = CampaignRunner(spec, root=tmp_path, jobs=2).run()
         assert rerun.total_pipeline_runs == 0

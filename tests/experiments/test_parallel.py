@@ -1,12 +1,12 @@
-"""Parallel runner, run sessions, and resume semantics.
+"""Grid runner jobs, run sessions, and resume semantics.
 
 The load-bearing properties:
 
-* the parallel runner is *observationally identical* to the serial one —
-  same ordering, statuses and metrics for ``jobs=1``, ``jobs=4`` and a
-  resumed session;
-* concurrent workers share baselines: each (app, dialect) is compiled
-  exactly once no matter how many scenarios race for it;
+* worker processes are *observationally identical* to the caller's
+  thread — same ordering, statuses and metrics for ``jobs=1``, ``jobs=4``
+  and a resumed session;
+* at ``jobs=1`` scenarios share the runner's baselines: each (app,
+  dialect) is compiled exactly once however many scenarios use it;
 * resuming a session re-executes only unrecorded scenarios (asserted via
   baseline compile counts).
 """
@@ -19,7 +19,6 @@ import pytest
 
 from repro.experiments import (
     ExperimentRunner,
-    ParallelExperimentRunner,
     RunSession,
     SessionError,
 )
@@ -42,21 +41,21 @@ def serial_results():
 
 class TestDeterminism:
     def test_jobs1_matches_serial(self, serial_results):
-        got = ParallelExperimentRunner(jobs=1).run(**SLICE)
+        got = ExperimentRunner(jobs=1).run(**SLICE)
         assert _signature(got) == _signature(serial_results)
 
     def test_jobs4_matches_serial(self, serial_results):
-        got = ParallelExperimentRunner(jobs=4).run(**SLICE)
+        got = ExperimentRunner(jobs=4).run(**SLICE)
         assert _signature(got) == _signature(serial_results)
 
     def test_resumed_session_matches_serial(self, serial_results, tmp_path):
         path = tmp_path / "grid.jsonl"
         # First leg records half the grid (one model), then "dies".
-        ParallelExperimentRunner(jobs=2, session=RunSession(path)).run(
+        ExperimentRunner(jobs=2, session=RunSession(path)).run(
             models=["gpt4"], apps=SLICE["apps"]
         )
         # Second leg resumes and completes the full slice.
-        resumed = ParallelExperimentRunner(
+        resumed = ExperimentRunner(
             jobs=2, session=RunSession(path, resume=True)
         ).run(**SLICE)
         assert _signature(resumed) == _signature(serial_results)
@@ -64,27 +63,27 @@ class TestDeterminism:
     def test_stochastic_profile_deterministic_across_jobs(self):
         kw = dict(models=["codestral", "deepseek"], directions=[OMP2CUDA],
                   apps=["layout", "entropy"])
-        a = ParallelExperimentRunner(profile="stochastic", seed=7, jobs=1).run(**kw)
-        b = ParallelExperimentRunner(profile="stochastic", seed=7, jobs=4).run(**kw)
+        a = ExperimentRunner(profile="stochastic", seed=7, jobs=1).run(**kw)
+        b = ExperimentRunner(profile="stochastic", seed=7, jobs=4).run(**kw)
         assert _signature(a) == _signature(b)
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ParallelExperimentRunner(jobs=-1)
+            ExperimentRunner(jobs=-1)
         with pytest.raises(ValueError):
-            ParallelExperimentRunner(jobs="many")
+            ExperimentRunner(jobs="many")
 
     def test_auto_jobs_resolve_to_cpu_count(self):
         import os
 
         cores = os.cpu_count() or 1
-        assert ParallelExperimentRunner(jobs="auto").jobs == cores
-        assert ParallelExperimentRunner(jobs=0).jobs == cores
+        assert ExperimentRunner(jobs="auto").jobs == cores
+        assert ExperimentRunner(jobs=0).jobs == cores
 
     def test_worker_failure_cancels_queued_scenarios(self):
         executed = []
 
-        class FailingRunner(ParallelExperimentRunner):
+        class FailingRunner(ExperimentRunner):
             def run_scenario(self, scenario, app=None):
                 executed.append(scenario.app_name)
                 if scenario.app_name == "layout":
@@ -95,22 +94,14 @@ class TestDeterminism:
         with pytest.raises(RuntimeError):
             runner.run(models=["gpt4"], directions=[OMP2CUDA],
                        apps=["layout", "entropy", "bsearch", "jacobi"])
-        # The single worker hit the failure first; the queued scenarios were
-        # cancelled instead of burning the rest of the grid's wall-clock.
+        # At jobs=1 the failure ends the grid: the scenarios after it never
+        # run instead of burning the rest of the grid's wall-clock.
         assert executed == ["layout"]
 
 
 class TestBaselineSharing:
-    def test_each_baseline_compiled_once_under_concurrency(self):
-        # 4 models race for the same app in one direction: 8 prepare() calls
-        # (source + reference per scenario) but only 2 distinct baselines.
-        runner = ParallelExperimentRunner(jobs=8)
-        runner.run(apps=["jacobi"], directions=[OMP2CUDA])
-        assert runner.baselines.compile_count == 2
-        assert runner.baselines.hit_count == 6
-
     def test_full_slice_compiles_per_app_dialect(self):
-        runner = ParallelExperimentRunner(jobs=4)
+        runner = ExperimentRunner(jobs=1)
         runner.run(**SLICE)
         # 2 apps x 2 dialects, regardless of 8 scenarios touching them.
         assert runner.baselines.compile_count == 4
@@ -119,7 +110,7 @@ class TestBaselineSharing:
 class TestRunSession:
     def test_records_are_valid_jsonl(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        ParallelExperimentRunner(jobs=2, session=RunSession(path)).run(
+        ExperimentRunner(jobs=2, session=RunSession(path)).run(
             models=["gpt4"], directions=[OMP2CUDA], apps=["layout", "entropy"]
         )
         lines = [json.loads(ln) for ln in path.read_text().splitlines()]
@@ -134,12 +125,12 @@ class TestRunSession:
     def test_resume_skips_recorded_scenarios(self, tmp_path):
         path = tmp_path / "s.jsonl"
         kw = dict(models=["gpt4"], directions=[OMP2CUDA])
-        first = ParallelExperimentRunner(jobs=2, session=RunSession(path))
+        first = ExperimentRunner(jobs=1, session=RunSession(path))
         first.run(apps=["jacobi"], **kw)
         assert first.baselines.compile_count == 2  # jacobi omp + cuda
 
-        second = ParallelExperimentRunner(
-            jobs=2, session=RunSession(path, resume=True)
+        second = ExperimentRunner(
+            jobs=1, session=RunSession(path, resume=True)
         )
         results = second.run(apps=["jacobi", "layout"], **kw)
         # jacobi came from the session: only layout's baselines were built,
@@ -150,7 +141,7 @@ class TestRunSession:
 
     def test_resume_tolerates_truncated_tail(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        runner = ParallelExperimentRunner(jobs=1, session=RunSession(path))
+        runner = ExperimentRunner(jobs=1, session=RunSession(path))
         runner.run(models=["gpt4"], directions=[OMP2CUDA],
                    apps=["layout", "entropy"])
         # Simulate a hard kill mid-append: chop the last line in half.
@@ -160,18 +151,18 @@ class TestRunSession:
         session = RunSession(path, resume=True)
         assert session.dropped_lines == 1
         assert len(session) == 1  # the intact record survived
-        resumed = ParallelExperimentRunner(jobs=2, session=session)
+        resumed = ExperimentRunner(jobs=2, session=session)
         results = resumed.run(models=["gpt4"], directions=[OMP2CUDA],
                               apps=["layout", "entropy"])
         assert len(results) == 2
 
     def test_resume_refuses_mismatched_profile_or_seed(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        ParallelExperimentRunner(
+        ExperimentRunner(
             jobs=1, profile="stochastic", seed=3, session=RunSession(path)
         ).run(models=["gpt4"], directions=[OMP2CUDA], apps=["layout"])
 
-        clash = ParallelExperimentRunner(
+        clash = ExperimentRunner(
             jobs=1, profile="stochastic", seed=4,
             session=RunSession(path, resume=True),
         )
@@ -181,7 +172,7 @@ class TestRunSession:
     def test_resume_into_missing_directory(self, tmp_path):
         # First --resume invocation before any run exists must not crash.
         path = tmp_path / "nested" / "dir" / "s.jsonl"
-        runner = ParallelExperimentRunner(
+        runner = ExperimentRunner(
             jobs=1, session=RunSession(path, resume=True)
         )
         results = runner.run(models=["gpt4"], directions=[OMP2CUDA],
@@ -190,7 +181,7 @@ class TestRunSession:
 
     def test_load_drops_structurally_broken_records(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        runner = ParallelExperimentRunner(jobs=1, session=RunSession(path))
+        runner = ExperimentRunner(jobs=1, session=RunSession(path))
         runner.run(models=["gpt4"], directions=[OMP2CUDA], apps=["layout"])
         with path.open("a") as handle:
             handle.write("123\n")  # valid JSON, not a record
@@ -201,7 +192,7 @@ class TestRunSession:
 
     def test_resume_refuses_records_without_header(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        runner = ParallelExperimentRunner(jobs=1, session=RunSession(path))
+        runner = ExperimentRunner(jobs=1, session=RunSession(path))
         runner.run(models=["gpt4"], directions=[OMP2CUDA], apps=["layout"])
         # Corrupt the header line: the remaining records have no provenance.
         lines = path.read_text().splitlines()
@@ -226,7 +217,7 @@ class TestRunSession:
 
     def test_contains_and_get(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        runner = ParallelExperimentRunner(jobs=1, session=RunSession(path))
+        runner = ExperimentRunner(jobs=1, session=RunSession(path))
         runner.run(models=["gpt4"], directions=[OMP2CUDA], apps=["layout"])
         session = RunSession(path, resume=True)
         hit = Scenario("gpt4", OMP2CUDA, "layout")

@@ -7,7 +7,8 @@ consumer:
 * **golden session bytes** — a jobs=1 session JSONL is byte-identical to
   one recorded by the pre-redesign pipeline (the digest below was
   captured from the monolithic pipeline immediately before the rewrite);
-* **both backends carry traced stage spans** in-memory without perturbing
+* **both execution paths carry traced stage spans** (the caller's thread
+  at ``jobs=1``, worker processes above it) in-memory without perturbing
   sessions or the cache;
 * **the cache replays** stage-graph results exactly.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.experiments import (
-    ParallelExperimentRunner,
+    ExperimentRunner,
     ResultCache,
     RunSession,
 )
@@ -42,7 +43,7 @@ SMALL = dict(models=["gpt4"], directions=[OMP2CUDA], apps=["layout", "bsearch"])
 class TestPreRedesignByteIdentity:
     def test_jobs1_session_matches_pre_redesign_pipeline(self, tmp_path):
         path = tmp_path / "golden.jsonl"
-        runner = ParallelExperimentRunner(jobs=1, session=RunSession(path))
+        runner = ExperimentRunner(jobs=1, session=RunSession(path))
         runner.run(**GOLDEN_SLICE)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GOLDEN_SESSION_SHA256, (
@@ -53,7 +54,7 @@ class TestPreRedesignByteIdentity:
 
     def test_tracing_does_not_perturb_the_golden_session_bytes(self, tmp_path):
         path = tmp_path / "traced.jsonl"
-        runner = ParallelExperimentRunner(
+        runner = ExperimentRunner(
             jobs=1, session=RunSession(path), trace=True
         )
         runner.run(**GOLDEN_SLICE)
@@ -83,18 +84,15 @@ def stage_walls(result):
 
 class TestTimingTelemetryTransport:
     def test_thread_backend_results_carry_stage_seconds(self):
-        results = ParallelExperimentRunner(
-            jobs=2, backend="thread", trace=True
-        ).run(**SMALL)
+        # jobs=1: the scenarios run in the caller's thread.
+        results = ExperimentRunner(jobs=1, trace=True).run(**SMALL)
         for sr in results:
             walls = stage_walls(sr.result)
             assert "generate" in walls, "thread result lost its stage spans"
             assert all(wall >= 0 for wall in walls.values())
 
     def test_process_backend_results_carry_stage_seconds(self):
-        results = ParallelExperimentRunner(
-            jobs=2, backend="process", trace=True
-        ).run(**SMALL)
+        results = ExperimentRunner(jobs=2, trace=True).run(**SMALL)
         for sr in results:
             walls = stage_walls(sr.result)
             assert "generate" in walls, "worker stage spans not shipped"
@@ -103,10 +101,10 @@ class TestTimingTelemetryTransport:
     def test_sessions_stay_timing_free_on_both_backends(self, tmp_path):
         import json
 
-        for backend in ("thread", "process"):
-            path = tmp_path / f"{backend}.jsonl"
-            ParallelExperimentRunner(
-                jobs=1, backend=backend, session=RunSession(path), trace=True
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            ExperimentRunner(
+                jobs=jobs, session=RunSession(path), trace=True
             ).run(**SMALL)
             for line in path.read_text(encoding="utf-8").splitlines():
                 record = json.loads(line)
@@ -117,7 +115,7 @@ class TestTimingTelemetryTransport:
     def test_traced_results_round_trip_byte_deterministically(self):
         import json
 
-        results = ParallelExperimentRunner(jobs=1, trace=True).run(**SMALL)
+        results = ExperimentRunner(jobs=1, trace=True).run(**SMALL)
         for sr in results:
             assert sr.result.spans, "traced run produced no spans"
             payload = sr.to_dict(include_timings=True)
@@ -140,8 +138,8 @@ class TestTimingTelemetryTransport:
         )
 
         path = tmp_path / "proc.jsonl"
-        runner = ParallelExperimentRunner(
-            jobs=2, backend="process", session=RunSession(path), trace=True
+        runner = ExperimentRunner(
+            jobs=2, session=RunSession(path), trace=True
         )
         results = runner.run(**SMALL)
         for sr in results:
@@ -156,16 +154,16 @@ class TestTimingTelemetryTransport:
         assert sum(statuses.values()) == len(results)
 
     def test_untraced_runs_carry_no_spans(self):
-        results = ParallelExperimentRunner(jobs=1).run(**SMALL)
+        results = ExperimentRunner(jobs=1).run(**SMALL)
         for sr in results:
             assert sr.result.spans == []
             assert "spans" not in sr.to_dict(include_timings=True)
 
     def test_cache_replays_without_timings_but_identical_results(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        warm = ParallelExperimentRunner(jobs=1, cache=cache, trace=True)
+        warm = ExperimentRunner(jobs=1, cache=cache, trace=True)
         originals = warm.run(**SMALL)
-        replay_runner = ParallelExperimentRunner(jobs=1, cache=cache, trace=True)
+        replay_runner = ExperimentRunner(jobs=1, cache=cache, trace=True)
         replayed = replay_runner.run(**SMALL)
         assert replay_runner.pipeline_runs == 0
         for original, replay in zip(originals, replayed):

@@ -235,7 +235,7 @@ def test_result_cache_counts_and_quarantines_corrupt_entries(tmp_path, caplog):
     """The ResultCache bugfix: corrupt JSON is no longer silently swallowed —
     it shows up in ``corrupt_reads``/``stats()``, logs the offending path,
     and ``gc`` moves it into quarantine."""
-    from repro.experiments import ParallelExperimentRunner, ResultCache
+    from repro.experiments import ExperimentRunner, ResultCache
     from repro.experiments.cache import cache_key
     from repro.experiments.runner import Scenario
     from repro.pipeline import PipelineConfig
@@ -243,7 +243,7 @@ def test_result_cache_counts_and_quarantines_corrupt_entries(tmp_path, caplog):
     cache = ResultCache(tmp_path / "cache.db")
     scenario = Scenario("gpt4", "omp2cuda", "layout")
     fp = PipelineConfig().fingerprint()
-    ParallelExperimentRunner(cache=cache).run(
+    ExperimentRunner(cache=cache).run(
         models=["gpt4"], directions=["omp2cuda"], apps=["layout"]
     )
     digest = cache_key(scenario, "paper", 2024, fp)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import BaselineError
@@ -49,6 +53,30 @@ class TestBaselineStage:
         b1 = preparer.prepare(app.omp_source, Dialect.OMP, app.args)
         b2 = preparer.prepare(app.omp_source, Dialect.OMP, app.args)
         assert b1 is b2
+
+    def test_concurrent_first_requests_build_once(self):
+        # Threads racing for one uncached baseline wait on its per-key
+        # lock for the first build instead of repeating it.
+        preparer = BaselinePreparer()
+        app = get_app("layout")
+        build = preparer._build
+
+        def slow_build(*args):
+            time.sleep(0.05)  # keep the other threads waiting on the lock
+            return build(*args)
+
+        preparer._build = slow_build
+        start = threading.Barrier(4, timeout=30)
+
+        def prepare(_):
+            start.wait()
+            return preparer.prepare(app.omp_source, Dialect.OMP, app.args)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            baselines = list(pool.map(prepare, range(4), timeout=60))
+        assert preparer.compile_count == 1
+        assert preparer.hit_count == 3
+        assert all(b is baselines[0] for b in baselines)
 
 
 class TestHappyPath:

@@ -15,7 +15,7 @@ class TestGetLogger:
         assert get_logger().name == "repro"
 
     def test_children_propagate_to_the_namespace_root(self):
-        assert get_logger("experiments.parallel").parent.name in (
+        assert get_logger("experiments.runner").parent.name in (
             "repro.experiments", "repro"
         )
 

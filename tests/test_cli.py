@@ -99,11 +99,12 @@ class TestEvaluateParallel:
         assert parallel_out == serial_out
 
     def test_evaluate_process_backend_matches_serial_output(self, capsys):
+        # Two scenarios, so --jobs 2 starts two worker processes.
         argv = ["evaluate", "--models", "wizardcoder", "--apps", "entropy",
-                "--direction", "cuda2omp"]
+                "layout", "--direction", "cuda2omp"]
         assert main(argv) == 0
         serial_out = capsys.readouterr().out
-        assert main(argv + ["--jobs", "2", "--backend", "process"]) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         process_out = capsys.readouterr().out
         assert process_out == serial_out
 
@@ -220,7 +221,7 @@ class TestTableForwardsProfileAndSeed:
                 return []
 
         monkeypatch.setattr(
-            repro.api, "ParallelExperimentRunner", RecordingRunner
+            repro.api, "ExperimentRunner", RecordingRunner
         )
         assert main(["table", "6", "--profile", "stochastic", "--seed", "7",
                      "--jobs", "3"]) == 0
@@ -243,7 +244,7 @@ class TestTableForwardsProfileAndSeed:
                 return []
 
         monkeypatch.setattr(
-            repro.api, "ParallelExperimentRunner", RecordingRunner
+            repro.api, "ExperimentRunner", RecordingRunner
         )
         assert main(["table", "7"]) == 0
         assert captured == {"profile": "paper", "seed": 2024, "jobs": 1}
@@ -543,12 +544,12 @@ class TestLogLevelCli:
     def test_log_level_debug_surfaces_backend_chatter(self, capsys):
         assert main(["--log-level", "debug", "evaluate", "--models", "gpt4",
                      "--apps", "layout", "--direction", "omp2cuda"]) == 0
-        assert "backend (jobs=1)" in capsys.readouterr().err
+        assert "in the caller's thread (jobs=1)" in capsys.readouterr().err
 
     def test_default_level_hides_debug_chatter(self, capsys):
         assert main(["evaluate", "--models", "gpt4", "--apps", "layout",
                      "--direction", "omp2cuda"]) == 0
-        assert "backend (jobs=" not in capsys.readouterr().err
+        assert "(jobs=" not in capsys.readouterr().err
 
     def test_log_level_error_silences_progress(self, capsys):
         assert main(["--log-level", "error", "evaluate", "--models", "gpt4",
