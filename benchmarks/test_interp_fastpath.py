@@ -1,8 +1,9 @@
 """Per-launch latency of the interpreter's flat-schedule fast path.
 
-Barrier-free, atomics-free kernels run through a flattened single-pass
-schedule (bulk step charge, hoisted env copy, memoized geometry tuples);
-kernels with ``__syncthreads`` go through the generator-based interleaver.
+Barrier-free, atomics-free kernels take the flat path (one step charge
+per launch, the thread loop inside the kernel's generated launcher);
+kernels with ``__syncthreads`` are generated as generator functions that
+the executor interleaves at each barrier.
 This microbench launches the *same arithmetic* both ways — once as a plain
 kernel, once with a (semantically idle) trailing barrier — and reports the
 per-launch latency of each, plus the compile cache's hit rate over repeated
@@ -65,8 +66,8 @@ def _kernel_source(with_barrier: bool) -> str:
 def _per_launch_seconds(source_text: str) -> float:
     program, diags = parse(SourceFile("bench.cu", source_text, Dialect.CUDA))
     assert not diags.has_errors, diags.render()
-    # One warm-up launch on the SAME runner compiles the kernel body to
-    # closures (they are cached per ProgramRunner), so the measured run is
+    # One warm-up run on the SAME runner generates and compiles the
+    # program's code and binds it to the runner, so the measured run is
     # pure launch+execute.  The runner's profile accumulates across runs,
     # hence the +1 in the event-count assertion.
     runner = ProgramRunner(program, Dialect.CUDA)

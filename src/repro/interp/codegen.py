@@ -1,0 +1,1498 @@
+"""Guest code generation: each program becomes Python source, built once.
+
+The emitter writes one Python function per guest function, one launcher
+per kernel (its thread loop included) and inlines every OpenMP region
+into the function that holds it, then builds the module with
+``compile()``.  Guest locals are Python locals, so executing a statement
+costs the bytecodes it needs rather than one Python call per AST node.
+
+The generated code is a factory, ``bind(runner)``: the module is compiled
+once per program and dialect (:meth:`ProgramCode.of` keeps it on the
+program), and each run binds fresh functions to its own runner, so no
+run's state outlives it.
+
+Guest cost is counted exactly as the deterministic cost model defines
+it.  Op, load, store and atomic counts accumulate in Python locals and
+reach the ambient :class:`~repro.gpu.stats.OpCounters` when a function or
+region ends.  Where a fault leaves the counters observable (host code and
+serial ``target`` regions) pending static op counts are settled before
+every operation that can fault; where a fault discards them (kernels,
+device functions, ``target`` loops and host ``parallel`` regions) ops are
+charged once per straight-line block.
+
+Static types (:mod:`repro.interp.analysis`) specialise arithmetic:
+``+``/``-`` skip the pointer tests when both operands are known to be
+arithmetic, and index conversions and integer truncations are dropped
+where a value is provably a Python ``int``.  A program that can move a
+pointer into an arithmetic slot (pointer casts, ``void*`` flows, mixed
+``memcpy``) gets the generic forms throughout.
+
+Kernels containing ``__syncthreads()`` come out as generator functions
+that yield :data:`BARRIER`, so the executor can interleave a block's
+threads at barrier granularity.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import re
+from typing import Dict, List, Optional, Set, Tuple
+
+from repro.errors import GuestRuntimeError, InterpreterError
+from repro.gpu.stats import HostParallelEvent, KernelEvent, OpCounters, TransferEvent
+from repro.interp.analysis import OMP_CONSTANT, ProgramFacts, strip_cast
+from repro.interp.memory import ElemRef, MemoryManager, Pointer, ScalarRef
+from repro.interp.regions import Frame, RegionEmitter
+from repro.interp.values import (
+    COMBINE,
+    REDUCTION_IDENTITY,
+    c_div,
+    c_mod,
+    compound_update,
+    int_cast,
+    pointer_add,
+    pointer_step,
+    pointer_sub,
+    reduce_host,
+    reduce_target,
+)
+from repro.minilang import ast
+from repro.minilang import types as ty
+from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS
+from repro.minilang.source import Dialect
+
+BARRIER = "__barrier__"
+
+_SEGFAULT = "Segmentation fault (core dumped)"
+
+_GEOM_INDEX = {"threadIdx": 0, "blockIdx": 1, "blockDim": 2, "gridDim": 3}
+_GEOM_LOCAL = {"threadIdx": "tid", "blockIdx": "bid", "blockDim": "block",
+               "gridDim": "grid"}
+
+_ATOMIC_UPDATE = {
+    "atomicAdd": "{old} + {v}",
+    "atomicSub": "{old} - {v}",
+    "atomicMax": "max({old}, {v})",
+    "atomicMin": "min({old}, {v})",
+    "atomicExch": "{v}",
+}
+
+#: A line's assignments to guest locals (``v_x = ...``, ``v_x += ...``).
+_ASSIGNS = re.compile(r"(v_\w+)\s*(?:[-+*/%&|^]|<<|>>|//)?=(?!=)")
+
+#: A plain read of a guest variable (evaluating it alone does nothing).
+_READ = re.compile(r"[EG]\['\w+'\]")
+
+#: Temps, literals and module constants: values no later code can change.
+_STABLE = re.compile(r"_t\d+|None|[KTMR]\d+|\(?-?\d[\w.+-]*\)?|'[^'\\]*'|\"[^\"\\]*\"")
+
+
+class GuestExit(Exception):
+    """Raised by the ``exit()`` builtin to unwind the guest program."""
+
+    def __init__(self, code: int) -> None:
+        super().__init__(f"exit({code})")
+        self.code = code
+
+
+# ---------------------------------------------------------------------------
+# Run-time names of the generated code
+# ---------------------------------------------------------------------------
+
+class _ThreadReturn(Exception):
+    """A kernel thread returned from inside a loop (ends that thread)."""
+
+
+class _NestExit(Exception):
+    """A ``target`` loop body returned from inside a nested loop."""
+
+
+class _RegionExit(Exception):
+    """A jump out of a host ``parallel`` region: ``kind`` and ``value``."""
+
+    def __init__(self, kind: str, value=None) -> None:
+        super().__init__(kind)
+        self.kind = kind
+        self.value = value
+
+
+_RUNTIME = {
+    "Pointer": Pointer, "ElemRef": ElemRef, "ScalarRef": ScalarRef,
+    "OpCounters": OpCounters, "KernelEvent": KernelEvent,
+    "TransferEvent": TransferEvent, "HostParallelEvent": HostParallelEvent,
+    "GuestRuntimeError": GuestRuntimeError, "InterpreterError": InterpreterError,
+    "GuestExit": GuestExit, "chk": MemoryManager.check_access,
+    "c_div": c_div, "c_mod": c_mod, "nan": math.nan,
+    "SEGV": _SEGFAULT, "BARRIER": BARRIER,
+    "_add": pointer_add, "_sub": pointer_sub, "_step": pointer_step,
+    "_update": compound_update, "_COMBINE": COMBINE, "_cast_int": int_cast,
+    "_IDENTITY": REDUCTION_IDENTITY, "_reduce_target": reduce_target,
+    "_reduce_host": reduce_host, "_ThreadReturn": _ThreadReturn,
+    "_NestExit": _NestExit, "_RegionExit": _RegionExit,
+}
+
+
+# ---------------------------------------------------------------------------
+# Emission
+# ---------------------------------------------------------------------------
+
+class _Unsupported(Exception):
+    """A construct the interpreter cannot run (raised when it is called)."""
+
+
+class _Module:
+    """Collects constants shared by every function of one program."""
+
+    def __init__(self, prog: ProgramFacts) -> None:
+        self.prog = prog
+        self.consts: Dict[str, object] = {}
+        self._const_names: Dict[Tuple[str, object], str] = {}
+        #: builtin name -> runner attribute bound in ``bind``
+        self.bound: Dict[str, str] = {}
+
+    def const(self, value, tag: str = "K") -> str:
+        key = (tag, value)
+        name = self._const_names.get(key)
+        if name is None:
+            name = f"{tag}{len(self._const_names)}"
+            self._const_names[key] = name
+            self.consts[name] = value
+        return name
+
+    def bind(self, local: str, attr: str) -> str:
+        self.bound[local] = attr
+        return local
+
+
+class _Emitter(RegionEmitter):
+    """Writes the body of one generated Python function."""
+
+    def __init__(self, mod: _Module, fname: str, fn: ast.FuncDef, *,
+                 exact: bool, space: str, geom_local: bool = False,
+                 gen: bool = False, indent: int = 2) -> None:
+        self.mod = mod
+        self.prog = mod.prog
+        self.fname = fname
+        self.fn = fn
+        self.types = self.prog.local_types.get(fname, {})
+        self.addr = (self.prog.address_taken(fname) & set(self.types)
+                     if fname in self.prog.functions else set())
+        self.lines: List[str] = []
+        self.ind = indent
+        self.ntemp = 0
+        self.nacc = 0
+        self.pending = 0
+        self.acc = ""
+        self.exact = exact
+        #: host | device | omp | dyn (``SP``/``DEV`` read at function entry)
+        self.space = space
+        self.geom_local = geom_local
+        self.gen = gen
+        self.frames: List[Frame] = []
+        self.touched: Set[str] = set()
+        #: the code reads ``SP``/``DEV`` (the run-time address space)
+        self.dynamic = False
+        #: locals already checked non-NULL in the current straight-line code
+        self.nonnull: Set[str] = set()
+        self.last_access: Tuple[str, str] = ("", "")
+
+    # -- low level -----------------------------------------------------------
+    def emit(self, line: str) -> None:
+        if self.nonnull and "v_" in line:
+            self.nonnull.difference_update(_ASSIGNS.findall(line))
+        self.lines.append("    " * self.ind + line)
+
+    def tmp(self) -> str:
+        self.ntemp += 1
+        return f"_t{self.ntemp}"
+
+    def count(self, kind: str, amount: str) -> None:
+        name = f"{kind}{self.acc}"
+        self.touched.add(name)
+        self.emit(f"{name} += {amount}")
+
+    def flush(self) -> None:
+        if self.pending:
+            self.count("o", str(self.pending))
+            self.pending = 0
+
+    def fault(self) -> None:
+        """An operation that can fault follows: settle counts if exact."""
+        if self.exact:
+            self.flush()
+
+    @contextlib.contextmanager
+    def capture(self, reset: bool = False, deeper: int = 0):
+        saved_lines, saved_pending = self.lines, self.pending
+        self.lines = buf = []
+        self.ind += deeper
+        if reset:
+            self.pending = 0
+        box = {"lines": buf, "pending": 0}
+        try:
+            yield box
+        finally:
+            box["pending"] = self.pending
+            self.lines = saved_lines
+            self.ind -= deeper
+            if reset:
+                # Conditionally run code proves nothing afterwards.
+                self.pending = saved_pending
+                self.nonnull.clear()
+
+    def block(self, header: str, body) -> None:
+        """``header:`` then ``body()`` one level deeper (settled at its end)."""
+        self.emit(header)
+        self.ind += 1
+        self.nonnull.clear()
+        n = len(self.lines)
+        body()
+        self.flush()
+        if len(self.lines) == n:
+            self.emit("pass")
+        self.ind -= 1
+        self.nonnull.clear()
+
+    def steps(self) -> None:
+        self.emit("ctx.steps_left -= 1")
+        self.emit("if ctx.steps_left < 0: ctx.consume_steps(0)")
+
+    def raise_segv(self, detail: str) -> None:
+        self.emit(f"raise GuestRuntimeError(SEGV, detail={detail!r})")
+
+    @staticmethod
+    def stable(s: str) -> bool:
+        """Unaffected by code that runs after it is produced."""
+        return _STABLE.fullmatch(s) is not None
+
+    def spill(self, s: str) -> str:
+        if self.stable(s):
+            return s
+        t = self.tmp()
+        self.emit(f"{t} = {s}")
+        return t
+
+    def ordered(self, exprs: List[ast.Expr]) -> List[str]:
+        """Emit ``exprs`` left to right, spilling earlier values into temps
+        whenever a later one has to run statements first."""
+        out: List[str] = []
+        for e in exprs:
+            with self.capture() as cap:
+                s = self.expr(e)
+            if cap["lines"]:
+                out = [self.spill(x) for x in out]
+                self.lines.extend(cap["lines"])
+            out.append(s)
+        return out
+
+    # -- static facts --------------------------------------------------------
+    def etype(self, e: ast.Expr) -> Optional[ty.Type]:
+        return self.prog.etype(e, self.types)
+
+    def arith(self, e: ast.Expr) -> bool:
+        t = self.etype(e)
+        return self.prog.typed and t is not None and t.is_numeric
+
+    def is_ptr(self, e: ast.Expr) -> bool:
+        t = self.etype(e)
+        return self.prog.typed and t is not None and t.is_pointer
+
+    def is_int(self, e: ast.Expr) -> bool:
+        return self.prog.is_int(e, self.fname, self.types)
+
+    def is_float(self, e: ast.Expr) -> bool:
+        return self.prog.is_float(e, self.fname, self.types)
+
+    def local(self, name: str) -> Optional[str]:
+        """Python lvalue of a guest variable (None: an unknown name)."""
+        if name in self.types:
+            return f"E[{name!r}]" if name in self.addr else f"v_{name}"
+        if name in self.prog.global_types:
+            return f"G[{name!r}]"
+        return None
+
+    def space_expr(self) -> str:
+        if self.space == "dyn":
+            self.dynamic = True
+            return "SP"
+        return "'host'" if self.space == "host" else "'device'"
+
+    # ==================================================================
+    # Expressions
+    # ==================================================================
+    def expr(self, e: ast.Expr) -> str:
+        if isinstance(e, ast.IntLit):
+            return repr(e.value) if e.value >= 0 else f"({e.value!r})"
+        if isinstance(e, ast.FloatLit):
+            if math.isfinite(e.value) and e.value >= 0:
+                return repr(e.value)
+            return self.mod.const(e.value)
+        if isinstance(e, ast.StrLit):
+            return repr(e.value)
+        if isinstance(e, ast.CharLit):
+            return repr(ord(e.value) if e.value else 0)
+        if isinstance(e, ast.BoolLit):
+            return "1" if e.value else "0"
+        if isinstance(e, ast.NullLit):
+            return "None"
+        if isinstance(e, ast.SizeOf):
+            return repr(e.type.size)
+        if isinstance(e, ast.Ident):
+            return self.ident(e)
+        if isinstance(e, ast.Member):
+            if isinstance(e.obj, ast.Ident) and e.obj.name in GEOMETRY_BUILTINS:
+                return self.geom(e.obj.name, e.field_name)
+            raise _Unsupported("member access on non-geometry object")
+        if isinstance(e, ast.Index):
+            return self.load(e.base, e.index)
+        if isinstance(e, ast.Unary):
+            return self.unary(e)
+        if isinstance(e, ast.Postfix):
+            return self.rmw(e.operand, 1 if e.op == "++" else -1, want="old")
+        if isinstance(e, ast.Binary):
+            return self.binary(e)
+        if isinstance(e, ast.Assign):
+            return self.assign(e, want=True)
+        if isinstance(e, ast.Ternary):
+            return self.ternary(e)
+        if isinstance(e, ast.Call):
+            return self.call(e)
+        if isinstance(e, ast.Launch):
+            return self.launch(e)
+        if isinstance(e, ast.Cast):
+            return self.cast(e)
+        raise _Unsupported(f"cannot compile expression {type(e).__name__}")
+
+    def truth(self, e: ast.Expr) -> str:
+        """``e`` where only its truth value matters (conditions)."""
+        if isinstance(e, ast.Binary) and e.op in ("<", ">", "<=", ">=", "==", "!="):
+            self.pending += 1
+            a, b = self.ordered([e.left, e.right])
+            return f"{a} {e.op} {b}"
+        if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
+            return self.logical(e, as_truth=True)
+        if isinstance(e, ast.Unary) and e.op == "!":
+            return f"not ({self.truth(e.operand)})"
+        return self.expr(e)
+
+    def ident(self, e: ast.Ident) -> str:
+        name = e.name
+        lv = self.local(name)
+        if lv is not None:
+            return lv
+        if name in CONSTANTS:
+            v = CONSTANTS[name][0]
+            return repr(v) if v >= 0 else f"({v!r})"
+        if name in GEOMETRY_BUILTINS:
+            return self.geom(name, "x")
+        self.fault()
+        self.raise_segv(f"use of unbound identifier '{name}'")
+        return "None"
+
+    def geom(self, name: str, field: str) -> str:
+        if field == "x":
+            if self.geom_local:
+                return _GEOM_LOCAL[name]
+            return f"ctx.geom[{_GEOM_INDEX[name]}]"
+        return "1" if name in ("blockDim", "gridDim") else "0"
+
+    # -- memory ----------------------------------------------------------------
+    def pointer(self, base: ast.Expr, detail: str) -> str:
+        """Evaluate a pointer operand and fault on NULL."""
+        p = self.expr(base)
+        if not (p.startswith("v_") or self.stable(p)):
+            p = self.spill(p)
+        if p in self.nonnull:
+            return p
+        self.fault()
+        self.emit(f"if {p} is None: raise GuestRuntimeError(SEGV, detail={detail!r})")
+        self.nonnull.add(p)
+        return p
+
+    def index(self, p: str, index: ast.Expr) -> Tuple[str, str]:
+        with self.capture() as cap:
+            i = self.expr(index)
+        if cap["lines"] and not self.stable(p):
+            t = self.tmp()
+            self.emit(f"{t} = {p}")
+            p = t
+        self.lines.extend(cap["lines"])
+        if not self.is_int(index):
+            i = f"int({i})"
+        return p, i
+
+    def access(self, base: ast.Expr, index: ast.Expr) -> Tuple[str, str]:
+        """Checked element access: (buffer temp, element index temp)."""
+        p = self.pointer(base, "NULL pointer dereference")
+        p, i = self.index(p, index)
+        self.fault()
+        b, k = self.tmp(), self.tmp()
+        self.emit(f"{b} = {p}.buf")
+        self.emit(f"{k} = {p}.off + {i}")
+        if self.space == "omp":
+            self.emit(
+                f"if {b}.space == 'host' and {b}.shadow is not None and not {b}.freed "
+                f"and 0 <= {k} < {b}.shadow.length: {b} = {b}.shadow"
+            )
+            self.emit(f"else: {b} = chk({b}, {k}, True)")
+        else:
+            self.dynamic |= self.space == "dyn"
+            sp, dev = {
+                "host": ("'host'", "False"), "device": ("'device'", "True"),
+            }.get(self.space, ("SP", "DEV"))
+            self.emit(
+                f"if {b}.space != {sp} or {b}.freed or {k} < 0 or {k} >= {b}.length: "
+                f"{b} = chk({b}, {k}, {dev})"
+            )
+        return b, k
+
+    def load(self, base: ast.Expr, index: ast.Expr) -> str:
+        b, k = self.access(base, index)
+        self.last_access = (b, k)
+        r = self.tmp()
+        self.emit(f"{r} = {b}.cells[{k}]")
+        self.count("lb", f"{b}.elem_bytes")
+        self.pending += 1
+        return r
+
+    def put(self, b: str, k: str, v: str, value: ast.Expr) -> None:
+        self.count("sb", f"{b}.elem_bytes")
+        if self.is_float(value):
+            conv = f"{v} if {b}.is_float else int({v})"
+        elif self.is_int(value):
+            conv = f"float({v}) if {b}.is_float else {v}"
+        else:
+            conv = f"float({v}) if {b}.is_float else int({v})"
+        self.emit(f"{b}.cells[{k}] = {conv}")
+
+    def store(self, target: ast.Index, v: str, value: ast.Expr) -> None:
+        """``target = v`` where ``v`` was already evaluated."""
+        with self.capture() as cap:
+            b, k = self.access(target.base, target.index)
+        if cap["lines"] and not self.stable(v):
+            v = self.spill(v)
+        self.lines.extend(cap["lines"])
+        self.put(b, k, v, value)
+
+    @staticmethod
+    def deref(target: ast.Expr) -> ast.Expr:
+        if isinstance(target, ast.Unary) and target.op == "*":
+            return ast.Index(base=target.operand, index=ast.IntLit(0, "0"))
+        return target
+
+    def pure(self, e: ast.Expr) -> bool:
+        """No side effects and no faults: re-evaluating it changes nothing."""
+        return not any(
+            isinstance(x, (ast.Assign, ast.Call, ast.Launch, ast.Postfix, ast.Index))
+            or (isinstance(x, ast.Unary) and x.op in ("++", "--", "*"))
+            or (isinstance(x, ast.Binary) and x.op in ("/", "%"))
+            or (isinstance(x, ast.Ident) and self.local(x.name) is None
+                and x.name not in CONSTANTS and x.name not in GEOMETRY_BUILTINS)
+            for x in ast.walk_exprs(e)
+        )
+
+    def reaccess(self, target: ast.Index, b: str, k: str) -> Tuple[str, str]:
+        """The store half of a read-modify-write evaluates base and index
+        again; when both are pure only their op counts repeat and the
+        checked buffer is reused."""
+        if self.pure(target.base) and self.pure(target.index):
+            pending = self.pending
+            with self.capture() as cap:
+                self.expr(target.base)
+                self.expr(target.index)
+            if not cap["lines"]:
+                return b, k
+            self.pending = pending  # the code above is discarded
+        return self.access(target.base, target.index)
+
+    def elem_ref(self, operand: ast.Index) -> str:
+        p = self.pointer(operand.base, "NULL pointer dereference in '&expr[i]'")
+        p, i = self.index(p, operand.index)
+        return f"ElemRef({p}.offset_by({i}))"
+
+    # -- operators ---------------------------------------------------------
+    def unary(self, e: ast.Unary) -> str:
+        op = e.op
+        if op == "&":
+            return self.address_of(e.operand)
+        if op == "*":
+            return self.load(e.operand, ast.IntLit(0, "0"))
+        if op in ("++", "--"):
+            return self.rmw(e.operand, 1 if op == "++" else -1, want="new")
+        if op == "-":
+            self.pending += 1
+            return f"(-{self.expr(e.operand)})"
+        if op == "!":
+            return f"(0 if {self.truth(e.operand)} else 1)"
+        if op == "~":
+            self.pending += 1
+            x = self.expr(e.operand)
+            return f"(~{x})" if self.is_int(e.operand) else f"(~int({x}))"
+        raise _Unsupported(f"cannot compile unary op {op}")
+
+    def address_of(self, operand: ast.Expr) -> str:
+        if isinstance(operand, ast.Ident):
+            name = operand.name
+            if name in self.types:
+                return f"ScalarRef(E, {name!r})"
+            return f"ScalarRef(G, {name!r})"
+        if isinstance(operand, ast.Index):
+            return self.elem_ref(operand)
+        if isinstance(operand, ast.Unary) and operand.op == "*":
+            return f"ElemRef({self.expr(operand.operand)})"
+        raise _Unsupported("unsupported operand of '&'")
+
+    def logical(self, e: ast.Binary, as_truth: bool = False) -> str:
+        left = self.truth(e.left)
+        with self.capture(reset=True, deeper=1) as cap:
+            right = self.truth(e.right)
+        word = "and" if e.op == "&&" else "or"
+        if not cap["lines"] and not cap["pending"]:
+            inner = f"({left}) {word} ({right})"
+            return f"({inner})" if as_truth else f"(1 if {inner} else 0)"
+        t = self.tmp()
+        self.emit(f"{t} = {'1' if e.op == '||' else '0'}")
+        self.flush()
+        self.emit(f"if {left}:" if e.op == "&&" else f"if not ({left}):")
+        self.lines.extend(cap["lines"])
+        self.ind += 1
+        if cap["pending"]:
+            self.count("o", str(cap["pending"]))
+        self.emit(f"{t} = 1 if {right} else 0")
+        self.ind -= 1
+        return t
+
+    def binary(self, e: ast.Binary) -> str:
+        op = e.op
+        if op in ("&&", "||"):
+            return self.logical(e)
+        self.pending += 1
+        # Long operands go to temps: Python caps how deeply parentheses nest.
+        a, b = [x if len(x) < 400 else self.spill(x)
+                for x in self.ordered([e.left, e.right])]
+        if op in ("==", "!=", "<", ">", "<=", ">="):
+            return f"(1 if {a} {op} {b} else 0)"
+        typed = self.arith(e.left) and self.arith(e.right)
+        if op == "+":
+            if typed:
+                return f"({a} + {b})"
+            if self.is_ptr(e.left) and self.arith(e.right):
+                return f"{a}.offset_by({b})"
+            if self.arith(e.left) and self.is_ptr(e.right):
+                return f"{b}.offset_by({a})"
+            return f"_add({a}, {b})"
+        if op == "-":
+            if typed:
+                return f"({a} - {b})"
+            if self.is_ptr(e.left) and self.arith(e.right):
+                return f"{a}.offset_by(-int({b}))"
+            return f"_sub({a}, {b})"
+        if op == "*":
+            return f"({a} * {b})"
+        if op in ("/", "%"):
+            return self.divide(e, a, b)
+        if op in ("&", "|", "^", "<<", ">>"):
+            if not self.is_int(e.left):
+                a = f"int({a})"
+            if not self.is_int(e.right):
+                b = f"int({b})"
+            return f"({a} {op} {b})"
+        raise _Unsupported(f"cannot compile binary op {op}")
+
+    def divide(self, e: ast.Binary, a: str, b: str) -> str:
+        fn, pyop = ("c_div", "//") if e.op == "/" else ("c_mod", "%")
+        if self.is_int(e.left) and self.is_int(e.right):
+            a, b = self.spill_atom(a), self.spill_atom(b)
+            fast = f"{a} {pyop} {b} if {a} >= 0 and {b} > 0 else {fn}({a}, {b})"
+        elif e.op == "/" and (self.is_float(e.left) or self.is_float(e.right)) and (
+            self.arith(e.left) and self.arith(e.right)
+        ):
+            # A float operand: IEEE division, c_div only for a zero divisor.
+            a, b = self.spill_atom(a), self.spill_atom(b)
+            return f"({a} / {b} if {b} else c_div({a}, {b}))"
+        else:
+            fast = f"{fn}({a}, {b})"
+        # An integer division can fault (by zero): settle counts first.
+        self.fault()
+        t = self.tmp()
+        self.emit(f"{t} = {fast}")
+        return t
+
+    def spill_atom(self, s: str) -> str:
+        """A name (or literal) that can be read twice."""
+        if s.isidentifier() or self.stable(s):
+            return s
+        t = self.tmp()
+        self.emit(f"{t} = {s}")
+        return t
+
+    def ternary(self, e: ast.Ternary) -> str:
+        c = self.truth(e.cond)
+        with self.capture(reset=True, deeper=1) as then_cap:
+            a = self.expr(e.then)
+        with self.capture(reset=True, deeper=1) as other_cap:
+            b = self.expr(e.other)
+        if not (then_cap["lines"] or then_cap["pending"] or other_cap["lines"]
+                or other_cap["pending"]):
+            return f"({a} if {c} else {b})"
+        t = self.tmp()
+        self.flush()
+        self.emit(f"if {c}:")
+        for cap, v in ((then_cap, a), (other_cap, b)):
+            self.lines.extend(cap["lines"])
+            self.ind += 1
+            if cap["pending"]:
+                self.count("o", str(cap["pending"]))
+            self.emit(f"{t} = {v}")
+            self.ind -= 1
+            if cap is then_cap:
+                self.emit("else:")
+        return t
+
+    # -- assignment ----------------------------------------------------------
+    def value_for(self, target_type: Optional[ty.Type], value: ast.Expr) -> str:
+        alloc = self.alloc(value, target_type)
+        return alloc if alloc is not None else self.expr(value)
+
+    def alloc(self, value: ast.Expr, target_type: Optional[ty.Type]) -> Optional[str]:
+        """``(T*)malloc(n)`` / ``malloc(n)`` / ``calloc(n, s)``."""
+        inner, cast_type = value, None
+        if isinstance(inner, ast.Cast):
+            cast_type, inner = inner.type, inner.operand
+        if not isinstance(inner, ast.Call) or inner.callee not in ("malloc", "calloc"):
+            return None
+        elem = None
+        if cast_type is not None and cast_type.is_pointer:
+            elem = cast_type.pointee()
+        elif target_type is not None and target_type.is_pointer:
+            elem = target_type.pointee()
+        if elem is None or elem.is_pointer:
+            elem = ty.CHAR
+        if inner.callee == "malloc":
+            (n,) = self.ordered(inner.args[:1])
+            nbytes = f"int({n})"
+        else:
+            n, s = self.ordered(inner.args[:2])
+            nbytes = f"int({n}) * int({s})"
+        self.fault()
+        t = self.tmp()
+        self.emit(f"{t} = mem.alloc({nbytes}, {self.mod.const(elem, 'T')}, 'host')")
+        return t
+
+    def truncate(self, v: str, value: ast.Expr, integer: bool) -> str:
+        """Integer targets drop a float's fraction (other values pass)."""
+        if not integer or self.is_int(value):
+            return v
+        if self.is_float(value):
+            return f"int({v})"
+        if not (v.startswith("_t") and v[2:].isdigit()):
+            t = self.tmp()
+            self.emit(f"{t} = {v}")
+            v = t
+        self.emit(f"if {v}.__class__ is float: {v} = int({v})")
+        return v
+
+    def assign(self, e: ast.Assign, want: bool) -> str:
+        op, target = e.op, e.target
+        if isinstance(target, ast.Ident):
+            name = target.name
+            t = self.types.get(name)
+            if t is None and name in self.prog.global_types:
+                t = self.prog.global_types[name]
+            lv = self.local(name) or f"v_{name}"
+            integer = t is not None and t.is_integer
+            if op == "=":
+                v = self.value_for(t, e.value)
+                v = self.truncate(v, e.value, integer)
+                if want and not self.stable(v):
+                    v = self.spill(v)
+                self.emit(f"{lv} = {v}")
+                return v
+            return self.update_ident(e, lv, t, integer, want)
+        target = self.deref(target)
+        if isinstance(target, ast.Index):
+            if op == "=":
+                v = self.value_for(self._static_type(target), e.value)
+                self.store(target, v, e.value)
+                return v
+            self.pending += 1
+            old = self.load(target.base, target.index)
+            b, k = self.last_access
+            v = self.expr(e.value)
+            new = self.combine(op[:-1], old, v, e.value, target, typed=self.arith(target))
+            new = self.spill(new) if not self.stable(new) else new
+            b2, k2 = self.reaccess(target, b, k)
+            self.put(b2, k2, new, ast.Binary(op=op[:-1], left=target, right=e.value))
+            return new
+        raise _Unsupported(f"unsupported assignment target {type(target).__name__}")
+
+    def combine(self, op: str, old: str, v: str, value: ast.Expr,
+                target: ast.Expr, typed: bool) -> str:
+        """``old op v`` as a compound assignment computes it."""
+        if typed and self.arith(value) and op in ("+", "-", "*"):
+            return f"({old} {op} {v})"
+        if op in ("/", "%"):
+            return self.divide(ast.Binary(op=op, left=target, right=value), old, v)
+        if op in ("<<", ">>", "&", "|", "^"):
+            a = old if (typed and self.is_int(target)) else f"int({old})"
+            b = v if self.is_int(value) else f"int({v})"
+            return f"({a} {op} {b})"
+        return f"_COMBINE[{op!r}]({old}, {v})"
+
+    def update_ident(self, e: ast.Assign, lv: str, t, integer: bool, want: bool) -> str:
+        self.pending += 1
+        base_op = e.op[:-1]
+        # The old value is read before the right-hand side runs.
+        with self.capture() as cap:
+            v = self.expr(e.value)
+        old = lv
+        if cap["lines"]:
+            old = self.tmp()
+            self.emit(f"{old} = {lv}")
+            self.lines.extend(cap["lines"])
+        if self.prog.typed and t is not None and t.is_numeric:
+            new = self.combine(base_op, old, v, e.value, e.target, typed=True)
+        elif self.prog.typed and t is not None and t.is_pointer:
+            new = (f"{old}.offset_by(int({v}))" if base_op == "+"
+                   else f"{old}.offset_by(-int({v}))")
+        else:
+            v = self.spill_atom(v) if not self.stable(v) else v
+            new = f"_update({base_op!r}, {old}, {v})"
+        if integer and not (
+            base_op in ("<<", ">>", "&", "|", "^")
+            or (self.is_int(e.target) and self.is_int(e.value))
+        ):
+            t2 = self.tmp()
+            self.emit(f"{t2} = {new}")
+            self.emit(f"if {t2}.__class__ is float: {t2} = int({t2})")
+            new = t2
+        if want:
+            if not self.stable(new):
+                new = self.spill(new)
+            self.emit(f"{lv} = {new}")
+            return new
+        self.emit(f"{lv} = {new}")
+        return lv
+
+    def rmw(self, target: ast.Expr, delta: int, want: str) -> str:
+        """``++``/``--``; ``want`` is old | new | none."""
+        if isinstance(target, ast.Ident):
+            name = target.name
+            t = self.types.get(name)
+            if t is None and name in self.prog.global_types:
+                t = self.prog.global_types[name]
+            lv = self.local(name) or f"v_{name}"
+            self.pending += 1
+            sign = "+" if delta > 0 else "-"
+            if self.prog.typed and t is not None and t.is_numeric:
+                if want == "none":
+                    self.emit(f"{lv} {sign}= 1")
+                    return "None"
+                if want == "old":
+                    o = self.tmp()
+                    self.emit(f"{o} = {lv}")
+                    self.emit(f"{lv} = {o} {sign} 1")
+                    return o
+                self.emit(f"{lv} {sign}= 1")
+                return self.spill(lv)
+            o = self.tmp()
+            self.emit(f"{o} = {lv}")
+            if self.prog.typed and t is not None and t.is_pointer:
+                self.emit(f"{lv} = {o}.offset_by({delta})")
+            else:
+                self.emit(f"{lv} = _step({o}, {delta})")
+            return o if want == "old" else self.spill(lv)
+        target = self.deref(target)
+        if isinstance(target, ast.Index):
+            self.pending += 1
+            old = self.load(target.base, target.index)
+            b, k = self.last_access
+            new = self.tmp()
+            self.emit(f"{new} = {old} {'+' if delta > 0 else '-'} 1")
+            b2, k2 = self.reaccess(target, b, k)
+            self.put(b2, k2, new, ast.Binary(op="+", left=target, right=ast.IntLit(1, "1")))
+            return old if want == "old" else new
+        raise _Unsupported("unsupported increment/decrement target")
+
+    # -- calls -----------------------------------------------------------------
+    def call(self, e: ast.Call) -> str:
+        name = e.callee
+        fn = self.prog.functions.get(name)
+        if fn is not None:
+            return self.user_call(e, fn)
+        b = BUILTINS.get(name)
+        if b is None:
+            self.fault()
+            self.raise_segv(f"call to unknown function '{name}'")
+            return "None"
+        if b.py is not None and len(e.args) in (1, 2):
+            return self.math_call(e, b)
+        return self.builtin(e)
+
+    def user_call(self, e: ast.Call, fn: ast.FuncDef) -> str:
+        self.fault()
+        self.steps()
+        params = fn.params
+        args = self.ordered(e.args[:len(params)])
+        out = []
+        for p, a, ae in zip(params, args, e.args):
+            if p.type.is_integer and not self.is_int(ae):
+                if self.is_float(ae):
+                    a = f"int({a})"
+                else:
+                    a = self.spill_atom(a)
+                    a = f"({a} if {a}.__class__ is not float else int({a}))"
+            out.append(a)
+        self.fault()
+        t = self.tmp()
+        callee = f"f_{e.callee}"
+        if fn.is_kernel and self.prog.contains(e.callee, ast.SyncThreads):
+            callee = "_barrier_call"
+        self.emit(f"{t} = {callee}({', '.join(out)})")
+        return t
+
+    def math_call(self, e: ast.Call, b) -> str:
+        name = e.callee
+        count = 4 if b.min_args == 1 and name not in ("abs", "fabsf", "fabs") else 1
+        self.pending += count
+        fn = {"abs": "abs", "fabs": "abs", "fabsf": "abs", "min": "min",
+              "max": "max", "fmin": "min", "fmax": "max", "fminf": "min",
+              "fmaxf": "max"}.get(name) or self.mod.const(b.py, "M")
+        # A ValueError/OverflowError raised while evaluating the call, its
+        # arguments included, makes the result NaN.
+        t = self.tmp()
+        self.flush()
+        self.emit("try:")
+        self.ind += 1
+        args = self.ordered(e.args)
+        self.flush()  # the arguments' ops count even when the call raises
+        self.emit(f"{t} = {fn}({', '.join(args)})")
+        self.ind -= 1
+        self.emit("except (ValueError, OverflowError):")
+        self.emit(f"    {t} = nan")
+        self.nonnull.clear()
+        return t
+
+    def builtin(self, e: ast.Call) -> str:
+        name = e.callee
+        first = e.args[0] if e.args else None
+        if name.startswith("atomic") and isinstance(first, ast.Unary) and (
+            first.op == "&" and isinstance(first.operand, ast.Index)
+        ) and (name in _ATOMIC_UPDATE or name == "atomicCAS"):
+            return self.atomic_elem(e, first.operand)
+        args = self.ordered(e.args)
+        if name in OMP_CONSTANT:
+            for a in args:
+                if not self.stable(a) and not a.isidentifier():
+                    self.emit(a)
+            return OMP_CONSTANT[name]
+        if name in ("cudaDeviceSynchronize", "cudaGetLastError", "cudaGetErrorString"):
+            for a in args:
+                if not self.stable(a) and not a.isidentifier():
+                    self.emit(a)
+            return "'no error'" if name == "cudaGetErrorString" else "0"
+        if name.startswith("atomic"):
+            return self.atomic(name, args)
+        self.fault()
+        if name == "exit":
+            self.emit(f"raise GuestExit(int({args[0]}))")
+            return "None"
+        if name == "assert":
+            self.emit(
+                f"if not {args[0]}: raise GuestRuntimeError("
+                f"'Assertion failed\\nAborted (core dumped)', detail='assert() failed')"
+            )
+            return "None"
+        if name in ("rand", "srand"):
+            call = "ctx.c_rand()" if name == "rand" else f"ctx.c_srand(int({args[0]}))"
+        elif name == "cudaMalloc":
+            hint = self.cuda_malloc_hint(e)
+            extra = [self.mod.const(hint, "T") if hint is not None else "None"]
+            call = f"{self.mod.bind('B_cudaMalloc', '_cuda_malloc')}({', '.join(args + extra)})"
+        else:
+            attr = {
+                "printf": "_printf", "fprintf": "_fprintf", "malloc": "_malloc",
+                "calloc": "_calloc", "free": "_free", "memset": "_memset",
+                "memcpy": "_memcpy", "atoi": "_atoi", "atof": "_atof",
+                "cudaFree": "_cuda_free", "cudaMemcpy": "_cuda_memcpy",
+                "cudaMemset": "_cuda_memset",
+            }.get(name)
+            if attr is None:
+                self.emit(f"raise InterpreterError({f'builtin {name!r} not implemented'!r})")
+                return "None"
+            call = f"{self.mod.bind('B_' + name, attr)}({', '.join(args)})"
+        t = self.tmp()
+        self.emit(f"{t} = {call}")
+        return t
+
+    def cuda_malloc_hint(self, e: ast.Call) -> Optional[ty.Type]:
+        arg = strip_cast(e.args[0]) if e.args else None
+        if isinstance(arg, ast.Unary) and arg.op == "&":
+            t = self._static_type(arg.operand)
+            if t is not None and t.is_pointer:
+                return t.pointee()
+        return None
+
+    def _static_type(self, e: ast.Expr) -> Optional[ty.Type]:
+        if isinstance(e, ast.Index):
+            base = self._static_type(e.base)
+            return base.pointee() if base is not None and base.is_pointer else None
+        if isinstance(e, ast.Ident):
+            return self.types.get(e.name) or self.prog.global_types.get(e.name)
+        if isinstance(e, ast.Cast):
+            return e.type
+        if isinstance(e, ast.Unary) and e.op == "*":
+            base = self._static_type(e.operand)
+            return base.pointee() if base is not None and base.is_pointer else None
+        if isinstance(e, ast.Unary) and e.op == "&":
+            base = self._static_type(e.operand)
+            return base.pointer_to() if base is not None else None
+        return None
+
+    def atomic(self, name: str, args: List[str]) -> str:
+        ref = self.spill_atom(args[0]) if args else "None"
+        value = args[1] if len(args) > 1 else "0"
+        if name not in _ATOMIC_UPDATE and name != "atomicCAS":
+            self.emit(f"raise InterpreterError({f'atomic {name!r} not implemented'!r})")
+            return "None"
+        fn = self.mod.bind("B_atomic", "_atomic_cell")
+        old, cell = self.tmp(), self.tmp()
+        self.emit(f"{cell} = {fn}({ref}, {name!r})")
+        self.emit(f"{old} = {cell}[0]")
+        self.count("at", "1")
+        self.count("sb", "4")
+        if name == "atomicCAS":
+            cmp_, val = args[1], args[2]
+            self.emit(f"if {old} == {cmp_}: {cell}[1]({val})")
+        else:
+            new = _ATOMIC_UPDATE[name].format(old=old, v=value)
+            self.emit(f"{cell}[1]({new})")
+        return old
+
+    def atomic_elem(self, e: ast.Call, target: ast.Index) -> str:
+        """``atomicOp(&a[i], ...)`` on the element directly (no ElemRef)."""
+        p = self.pointer(target.base, "NULL pointer dereference in '&expr[i]'")
+        p, i = self.index(p, target.index)
+        b, k = self.tmp(), self.tmp()
+        self.emit(f"{b} = {p}.buf")
+        self.emit(f"{k} = {p}.off + {i}")
+        args = self.ordered(e.args[1:])
+        self.fault()
+        if self.space == "dyn":
+            self.dynamic = True
+            sp, dev = "SP", "DEV"
+        else:
+            sp, dev = "'device'", "True"
+        self.emit(
+            f"if {b}.space != {sp} or {b}.freed or {k} < 0 or {k} >= {b}.length: "
+            f"{b} = chk({b}, {k}, {dev})"
+        )
+        old = self.tmp()
+        self.emit(f"{old} = {b}.cells[{k}]")
+        self.count("at", "1")
+        self.count("sb", "4")
+        if e.callee == "atomicCAS":
+            new = args[1]
+            self.emit(f"if {old} == {args[0]}: "
+                      f"{b}.cells[{k}] = float({new}) if {b}.is_float else int({new})")
+        else:
+            new = _ATOMIC_UPDATE[e.callee].format(old=old, v=args[0] if args else "0")
+            self.emit(f"{b}.cells[{k}] = float({new}) if {b}.is_float else int({new})")
+        return old
+
+    def launch(self, e: ast.Launch) -> str:
+        grid, block, *args = self.ordered([e.grid, e.block] + list(e.args))
+        self.fault()
+        self.emit(f"launch({e.kernel!r}, int({grid}), int({block}), [{', '.join(args)}])")
+        return "None"
+
+    def cast(self, e: ast.Cast) -> str:
+        alloc = self.alloc(e, None)
+        if alloc is not None:
+            return alloc
+        x = self.expr(e.operand)
+        t = e.type
+        if t.is_pointer:
+            return x
+        if t.is_integer:
+            if self.is_int(e.operand):
+                return x
+            if self.arith(e.operand):
+                return f"int({x})"
+            return f"_cast_int({x})"
+        if t.is_real:
+            return f"float({x})"
+        return x
+
+    # ==================================================================
+    # Statements
+    # ==================================================================
+    def stmt(self, s: ast.Stmt) -> None:
+        if isinstance(s, ast.Block):
+            for x in s.stmts:
+                self.stmt(x)
+        elif isinstance(s, ast.VarDecl):
+            self.vardecl(s)
+        elif isinstance(s, ast.ExprStmt):
+            self.expr_stmt(s.expr)
+        elif isinstance(s, ast.If):
+            self.if_stmt(s)
+        elif isinstance(s, ast.For):
+            self.for_stmt(s)
+        elif isinstance(s, ast.While):
+            self.while_stmt(s)
+        elif isinstance(s, ast.DoWhile):
+            self.do_while(s)
+        elif isinstance(s, ast.Return):
+            self.return_stmt(s)
+        elif isinstance(s, ast.Break):
+            self.jump("break")
+        elif isinstance(s, ast.Continue):
+            self.jump("continue")
+        elif isinstance(s, ast.Pragma):
+            self.pragma(s)
+        elif isinstance(s, ast.SyncThreads):
+            if self.gen:
+                self.flush()
+                self.emit("yield BARRIER")
+            else:
+                self.fault()
+                self.emit(
+                    "raise GuestRuntimeError('CUDA error: unspecified launch failure', "
+                    "detail='__syncthreads() outside a kernel body')"
+                )
+        else:
+            raise _Unsupported(f"cannot compile statement {type(s).__name__}")
+
+    def expr_stmt(self, e: ast.Expr) -> None:
+        if isinstance(e, ast.Assign):
+            self.assign(e, want=False)
+            return
+        if isinstance(e, (ast.Postfix, ast.Unary)) and e.op in ("++", "--"):
+            self.rmw(e.operand, 1 if e.op == "++" else -1, want="none")
+            return
+        s = self.expr(e)
+        if not (self.stable(s) or s.isidentifier() or _READ.fullmatch(s)):
+            self.emit(s)
+
+    def vardecl(self, s: ast.VarDecl) -> None:
+        if s.shared:
+            return
+        lv = self.local(s.name) or f"v_{s.name}"
+        if s.array_size is not None:
+            n = self.expr(s.array_size)
+            self.fault()
+            elem = self.mod.const(s.type, "T")
+            self.emit(
+                f"{lv} = mem.alloc(int({n}) * {max(1, s.type.size)}, {elem}, "
+                f"{self.space_expr()}, {s.name!r})"
+            )
+            return
+        if s.init is not None:
+            v = self.value_for(s.type, s.init)
+            v = self.truncate(v, s.init, s.type.is_integer)
+            self.emit(f"{lv} = {v}")
+            return
+        self.emit(f"{lv} = {'0.0' if s.type.is_real else ('None' if s.type.is_pointer else '0')}")
+
+    def if_stmt(self, s: ast.If) -> None:
+        c = self.truth(s.cond)
+        self.flush()
+        self.block(f"if {c}:", lambda: self.stmt(s.then))
+        if s.other is not None:
+            self.block("else:", lambda: self.stmt(s.other))
+
+    def loop(self, cont, body) -> None:
+        """A ``while True`` loop whose body is emitted by ``body()``."""
+        self.flush()
+        self.frames.append(Frame("loop", cont))
+        self.block("while True:", body)
+        self.frames.pop()
+
+    def exit_unless(self, cond: Optional[ast.Expr]) -> None:
+        if cond is None:
+            return
+        c = self.truth(cond)
+        self.flush()
+        self.emit(f"if not ({c}): break")
+
+    def for_stmt(self, s: ast.For) -> None:
+        if s.init is not None:
+            self.stmt(s.init)
+
+        def step():
+            if s.step is not None:
+                self.expr_stmt(s.step)
+
+        def cont():
+            step()
+            self.flush()
+            self.emit("continue")
+
+        def body():
+            self.exit_unless(s.cond)
+            self.steps()
+            self.stmt(s.body)
+            step()
+
+        self.loop(cont, body)
+
+    def while_stmt(self, s: ast.While) -> None:
+        def cont():
+            self.flush()
+            self.emit("continue")
+
+        def body():
+            self.exit_unless(s.cond)
+            self.steps()
+            self.stmt(s.body)
+
+        self.loop(cont, body)
+
+    def do_while(self, s: ast.DoWhile) -> None:
+        def cont():
+            self.exit_unless(s.cond)
+            self.emit("continue")
+
+        def body():
+            self.steps()
+            self.stmt(s.body)
+            self.exit_unless(s.cond)
+
+        self.loop(cont, body)
+
+    # -- jumps -------------------------------------------------------------------
+    def target_frame(self) -> Tuple[Frame, bool]:
+        """The frame a return lands in, and whether loops lie between."""
+        looped = False
+        for f in reversed(self.frames):
+            if f.kind == "loop":
+                looped = True
+            elif f.kind != "try":
+                return f, looped
+        raise AssertionError("no function frame")  # pragma: no cover
+
+    def return_stmt(self, s: ast.Return) -> None:
+        v = "None"
+        if s.value is not None:
+            v = self.expr(s.value)
+            v = self.truncate(v, s.value, self.fn.return_type.is_integer)
+        self.do_return(v)
+
+    def do_return(self, v: str) -> None:
+        frame, looped = self.target_frame()
+        self.flush()
+        if frame.kind in ("func", "gen"):
+            self.emit("return" if frame.kind == "gen" else f"return {v}")
+        elif frame.kind == "thread":
+            if looped:
+                frame.exits.add("return")
+                self.emit("raise _ThreadReturn()")
+            else:
+                self.emit("continue")
+        elif frame.kind == "nest":
+            if looped:
+                frame.exits.add("return")
+                self.emit("raise _NestExit()")
+            else:
+                self.emit("break")
+        else:  # region
+            frame.exits.add("return")
+            self.emit(f"raise _RegionExit('return', {v})")
+
+    def jump(self, kind: str) -> None:
+        self.flush()
+        for f in reversed(self.frames):
+            if f.kind == "try":
+                continue
+            if f.kind == "loop" or (f.kind == "nest" and f.cont is not None):
+                if kind == "break":
+                    self.emit("break")
+                else:
+                    f.cont()
+                return
+            if f.kind == "region":
+                f.exits.add(kind)
+                self.emit(f"raise _RegionExit({kind!r})")
+                return
+            # Thread, generic nest and function tops end like a return.
+            self.do_return(self.default_value())
+            return
+
+    def default_value(self) -> str:
+        rt = self.fn.return_type
+        return "0.0" if rt.is_real else ("None" if rt.is_pointer else "0")
+
+    def catching(self, frame: Frame, exc: str, body, on_exit: str = "pass") -> None:
+        """Emit ``body``; wrap it in ``try/except exc`` if it raised one."""
+        start = len(self.lines)
+        self.ind += 1
+        self.nonnull.clear()
+        body()
+        self.flush()
+        self.nonnull.clear()
+        self.ind -= 1
+        inner = self.lines[start:]
+        del self.lines[start:]
+        if "return" in frame.exits:
+            self.emit("try:")
+            self.lines.extend(inner if inner else ["    " * (self.ind + 1) + "pass"])
+            self.emit(f"except {exc}:")
+            self.emit(f"    {on_exit}")
+        else:
+            self.lines.extend(line[4:] for line in inner)
+
+
+def _param_names(fn: ast.FuncDef) -> List[str]:
+    """Python parameter names; unnamed or repeated guest params get dummies
+    (a later guest param of the same name wins, as in a dict)."""
+    names = []
+    for i, p in enumerate(fn.params):
+        later = [q.name for q in fn.params[i + 1:]]
+        if not p.name or p.name in later:
+            names.append(f"_p{i}")
+        else:
+            names.append(p.name)
+    return names
+
+
+class ProgramCode:
+    """One program's generated interpreter code, compiled once.
+
+    ``bind(runner)`` returns ``(functions, kernels, shared_sizes,
+    init_globals)``, functions that run against that runner.  Kernel facts
+    the executor needs (dispatch path, shared declarations) are plain
+    attributes.
+    """
+
+    def __init__(self, program: ast.Program, dialect: Dialect) -> None:
+        prog = ProgramFacts(program, dialect)
+        self.functions = prog.functions
+        #: kernel name -> "flat" | "barrier" | "slow"
+        self.paths: Dict[str, str] = {}
+        #: barrier kernel name -> its ``__shared__`` declarations
+        self.shared: Dict[str, List[ast.VarDecl]] = {}
+        mod = _Module(prog)
+        parts: List[str] = []
+        names: List[str] = []
+        kernels: List[str] = []
+        called = {
+            e.callee for exprs in prog.exprs.values()
+            for e in exprs if isinstance(e, ast.Call)
+        }
+        for name, fn in prog.functions.items():
+            if fn.is_kernel:
+                barrier = prog.contains(name, ast.SyncThreads)
+                atomics = any(
+                    isinstance(e, ast.Call) and e.callee.startswith("atomic")
+                    for e in prog.exprs[name]
+                )
+                path = "barrier" if barrier else ("slow" if atomics else "flat")
+                self.paths[name] = path
+                if barrier:
+                    self.shared[name] = [
+                        s for s in prog.stmts[name]
+                        if isinstance(s, ast.VarDecl) and s.shared
+                    ]
+                parts.append(self._kernel(mod, name, fn, path))
+                kernels.append(name)
+                if name not in called or barrier:
+                    continue
+            parts.append(self._function(mod, name, fn))
+            names.append(name)
+        parts.append(self._globals(mod, prog))
+        head = ["def bind(R):", "    ctx = R.ctx", "    G = R.global_env",
+                "    mem = ctx.memory", "    launch = R.launch",
+                "    ev = ctx.profile.events.append"]
+        head += [f"    {local} = R.{attr}" for local, attr in sorted(mod.bound.items())]
+        head.append(
+            "    def _barrier_call(*args): raise InterpreterError("
+            "'kernel with barriers must go through launch()')"
+        )
+        tail = [
+            "    return ({" + ", ".join(f"{n!r}: f_{n}" for n in names) + "}, {"
+            + ", ".join(f"{k!r}: k_{k}" for k in kernels) + "}, {"
+            + ", ".join(f"{k!r}: s_{k}" for k in self.shared) + "}, init_globals)"
+        ]
+        source = "\n".join(head + parts + tail) + "\n"
+        namespace = dict(_RUNTIME)
+        namespace.update(mod.consts)
+        exec(compile(source, "<guest program>", "exec"), namespace)
+        self.bind = namespace["bind"]
+
+    @classmethod
+    def of(cls, program: ast.Program, dialect: Dialect) -> "ProgramCode":
+        """The program's code for ``dialect``, generated on first use."""
+        code = program.generated.get(dialect)
+        if code is None:
+            code = program.generated[dialect] = cls(program, dialect)
+        return code
+
+    # -- functions ---------------------------------------------------------------
+    @staticmethod
+    def _stub(header: str, err: Exception, gen: bool = False) -> str:
+        lines = [f"    {header}",
+                 f"        raise InterpreterError({str(err)!r})"]
+        if gen:
+            lines.append("        yield")
+        return "\n".join(lines)
+
+    def _function(self, mod: _Module, name: str, fn: ast.FuncDef) -> str:
+        params = _param_names(fn)
+        header = f"def f_{name}({', '.join('v_' + p for p in params)}):"
+        device = fn.qualifier == "__device__"
+        em = _Emitter(mod, name, fn, exact=not device, space="dyn")
+        try:
+            em.frames.append(Frame("func"))
+            em.stmt(fn.body)
+            em.flush()
+            em.emit(f"return {em.default_value()}")
+        except _Unsupported as exc:
+            return self._stub(header, exc)
+        prologue = ["C = ctx.counters"]
+        if em.dynamic:
+            prologue += ["SP = ctx.space", "DEV = SP == 'device'"]
+        prologue += self._env(em, fn, params)
+        return self._wrap(header, prologue, em, "C")
+
+    def _env(self, em: _Emitter, fn: ast.FuncDef, params: List[str]) -> List[str]:
+        if not em.addr:
+            return []
+        out = ["E = {}"]
+        for p, py in zip(fn.params, params):
+            if p.name in em.addr and py == p.name:
+                out.append(f"E[{p.name!r}] = v_{py}")
+        return out
+
+    @staticmethod
+    def _wrap(header: str, prologue: List[str], em: _Emitter, counters: str,
+              indent: int = 2) -> str:
+        pad = "    " * indent
+        lines = ["    " + header] + [pad + line for line in prologue]
+        settle = [f"{counters}.{attr} += {k}"
+                  for k, attr in (("o", "ops"), ("lb", "load_bytes"),
+                                  ("sb", "store_bytes"), ("at", "atomics"))
+                  if k in em.touched]
+        if not settle:
+            return "\n".join(lines + em.lines)
+        lines.append(pad + "o = lb = sb = at = 0")
+        lines.append(pad + "try:")
+        lines += ["    " + line for line in em.lines]
+        lines.append(pad + "finally:")
+        lines += [pad + "    " + line for line in settle]
+        return "\n".join(lines)
+
+    def _kernel(self, mod: _Module, name: str, fn: ast.FuncDef, path: str) -> str:
+        params = _param_names(fn)
+        pvars = ", ".join("v_" + p for p in params)
+        unpack = f"{pvars}{',' if len(params) == 1 else ''} = args" if params else ""
+        if path == "barrier":
+            header = f"def k_{name}(tid, bid, block, grid, args, shared):"
+            em = _Emitter(mod, name, fn, exact=False, space="device",
+                          geom_local=True, gen=True)
+            try:
+                em.frames.append(Frame("gen"))
+                em.stmt(fn.body)
+                em.flush()
+            except _Unsupported as exc:
+                return self._stub(header, exc, gen=True)
+            prologue = ["C = ctx.counters"]
+            if unpack:
+                prologue.append(unpack)
+            prologue += self._env(em, fn, params)
+            for i, decl in enumerate(self.shared[name]):
+                prologue.append(f"{em.local(decl.name) or 'v_' + decl.name} = shared[{i}]")
+            body = self._wrap(header, prologue, em, "C")
+            sizes = self._shared_sizes(mod, name, fn)
+            return body + "\n" + sizes
+        header = f"def k_{name}(grid, block, args, C):"
+        em = _Emitter(mod, name, fn, exact=False, space="device", geom_local=True,
+                      indent=4)
+        frame = Frame("thread")
+        exprs = mod.prog.exprs[name]
+        assigned = {
+            e.target.name for e in exprs
+            if isinstance(e, ast.Assign) and isinstance(e.target, ast.Ident)
+        } | {
+            e.operand.name for e in exprs
+            if isinstance(e, (ast.Unary, ast.Postfix)) and e.op in ("++", "--")
+            and isinstance(e.operand, ast.Ident)
+        } | em.addr
+        rebind = unpack and any(p.name in assigned for p in fn.params)
+        try:
+            em.frames.append(Frame("func"))
+            em.frames.append(frame)
+            if path == "slow" or any(
+                isinstance(e, ast.Call) and e.callee in mod.prog.functions
+                for e in exprs
+            ):
+                em.emit("ctx.geom = (tid, bid, block, grid)")
+            if path == "slow":
+                em.steps()
+            if rebind:
+                em.emit(unpack)
+            for line in self._env(em, fn, params):
+                em.emit(line)
+            em.catching(frame, "_ThreadReturn", lambda: em.stmt(fn.body))
+            em.flush()
+        except _Unsupported as exc:
+            return self._stub(header, exc)
+        lines = ["    " + header, "        o = lb = sb = at = 0"]
+        if unpack and not rebind:
+            lines.append("        " + unpack)
+        lines.append("        for bid in range(grid):")
+        lines.append("            for tid in range(block):")
+        lines += em.lines or ["                pass"]
+        for k, attr in (("o", "ops"), ("lb", "load_bytes"), ("sb", "store_bytes"),
+                        ("at", "atomics")):
+            if k in em.touched:
+                lines.append(f"        C.{attr} += {k}")
+        return "\n".join(lines)
+
+    def _shared_sizes(self, mod: _Module, name: str, fn: ast.FuncDef) -> str:
+        header = f"def s_{name}():"
+        em = _Emitter(mod, name, fn, exact=False, space="device")
+        em.frames.append(Frame("func"))
+        try:
+            sizes = []
+            for decl in self.shared[name]:
+                if decl.array_size is None:
+                    sizes.append("1")
+                else:
+                    sizes.append(f"int({em.spill(em.expr(decl.array_size))})")
+            em.flush()
+            em.emit(f"return [{', '.join(sizes)}]")
+        except _Unsupported as exc:
+            return self._stub(header, exc)
+        return self._wrap(header, ["C = ctx.counters"], em, "C")
+
+    def _globals(self, mod: _Module, prog: ProgramFacts) -> str:
+        header = "def init_globals():"
+        fake = ast.FuncDef(ty.VOID, "<globals>", [], ast.Block())
+        em = _Emitter(mod, "", fake, exact=True, space="host")
+        em.types = {}
+        em.frames.append(Frame("func"))
+        try:
+            for decl in prog.global_decls:
+                key = f"G[{decl.name!r}]"
+                if decl.array_size is not None:
+                    n = em.expr(decl.array_size)
+                    em.fault()
+                    em.emit(
+                        f"{key} = mem.alloc(int({n}) * {max(1, decl.type.size)}, "
+                        f"{mod.const(decl.type, 'T')}, 'host', {decl.name!r})"
+                    )
+                elif decl.init is not None:
+                    v = em.expr(decl.init)
+                    v = em.truncate(v, decl.init, decl.type.is_integer)
+                    em.emit(f"{key} = {v}")
+                else:
+                    default = "0.0" if decl.type.is_real else (
+                        "None" if decl.type.is_pointer else "0")
+                    em.emit(f"{key} = {default}")
+            em.flush()
+        except _Unsupported as exc:
+            return self._stub(header, exc)
+        return self._wrap(header, ["C = ctx.counters"], em, "C")
+

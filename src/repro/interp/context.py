@@ -1,4 +1,4 @@
-"""Execution context shared by compiled closures and the executor."""
+"""Execution context shared by generated guest code and the executor."""
 
 from __future__ import annotations
 

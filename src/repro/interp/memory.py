@@ -200,7 +200,7 @@ class MemoryManager:
             self.device_bytes -= buf.nbytes
 
     # ------------------------------------------------------------------
-    # Access checking (hot path — called from compiled closures)
+    # Access checking (the generated code inlines the in-bounds fast path)
     # ------------------------------------------------------------------
     @staticmethod
     def check_access(buf: Buffer, index: int, device: bool) -> Buffer:

@@ -7,6 +7,7 @@ import re
 from typing import List
 
 from repro.errors import GuestRuntimeError
+from repro.interp.memory import Pointer
 
 
 def c_div(a, b):
@@ -37,6 +38,91 @@ def c_mod(a, b):
                                 detail="integer modulo by zero")
     r = abs(a) % abs(b)
     return r if a >= 0 else -r
+
+
+# -- pointer-aware and compound arithmetic (the generated code's untyped forms)
+
+def pointer_add(a, b):
+    """``a + b`` where either side may be a pointer."""
+    if isinstance(a, Pointer):
+        return a.offset_by(int(b))
+    if isinstance(b, Pointer):
+        return b.offset_by(int(a))
+    return a + b
+
+
+def pointer_sub(a, b):
+    """``a - b`` where ``a`` may be a pointer (pointer - pointer is a count)."""
+    if isinstance(a, Pointer):
+        if isinstance(b, Pointer):
+            return a.off - b.off
+        return a.offset_by(-int(b))
+    return a - b
+
+
+def pointer_step(old, delta):
+    """``++``/``--`` on a variable that may hold a pointer."""
+    if isinstance(old, Pointer):
+        return old.offset_by(delta)
+    return old + delta
+
+
+def _bitop(fn):
+    return lambda a, b: fn(int(a), int(b))
+
+
+#: Compound-assignment combiners (``old op= v`` without pointer handling).
+COMBINE = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "/": c_div, "%": c_mod,
+    "<<": _bitop(lambda a, b: a << b), ">>": _bitop(lambda a, b: a >> b),
+    "&": _bitop(lambda a, b: a & b), "|": _bitop(lambda a, b: a | b),
+    "^": _bitop(lambda a, b: a ^ b),
+}
+
+
+def compound_update(op, old, v):
+    """``old op= v`` for a variable that may hold a pointer."""
+    if isinstance(old, Pointer):
+        return old.offset_by(int(v) if op == "+" else -int(v))
+    return COMBINE[op](old, v)
+
+
+def int_cast(v):
+    """``(int)v``: pointers and strings pass through unchanged."""
+    return int(v) if not isinstance(v, (Pointer, str)) else v
+
+
+# -- OpenMP reductions
+
+REDUCTION_IDENTITY = {"+": 0, "-": 0, "*": 1, "max": -math.inf, "min": math.inf,
+                      "&&": 1, "||": 0}
+
+_REDUCE = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a + b,
+    "*": lambda a, b: a * b,
+    "max": max, "min": min,
+    "&&": lambda a, b: 1 if (a and b) else 0,
+    "||": lambda a, b: 1 if (a or b) else 0,
+}
+
+
+def reduce_target(op, saved, acc):
+    """Fold a ``target`` loop's reduction result into the saved value."""
+    combine = _REDUCE[op]
+    base = saved if saved is not None else (0 if op in ("+", "-") else acc)
+    combined = combine(base, acc)
+    if isinstance(saved, int) and not isinstance(saved, bool) and (
+        not isinstance(combined, int)
+    ) and combined not in (math.inf, -math.inf):
+        combined = type(saved)(combined) if isinstance(combined, float) and combined.is_integer() else combined
+    return combined
+
+
+def reduce_host(op, saved, acc):
+    """Fold a host ``parallel`` region's reduction result."""
+    return _REDUCE[op](saved if saved is not None else 0, acc)
 
 
 def truthy(v) -> bool:
@@ -91,8 +177,6 @@ def c_printf(fmt: str, args: List) -> str:
                 iv = int(value)
                 out.append(("%" + body + conv) % (iv & 0xFFFFFFFF if iv < 0 else iv))
             elif conv == "s":
-                from repro.interp.memory import Pointer
-
                 if isinstance(value, Pointer):
                     value = value.read_string()
                 out.append(("%" + body + "s") % (value,))

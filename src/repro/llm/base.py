@@ -10,7 +10,7 @@ backend is a one-line change in the pipeline configuration.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 
@@ -20,6 +20,9 @@ class ChatMessage:
 
     role: str
     content: str
+    #: ``count_tokens(content)`` when the sender already counted it (the
+    #: prompt builder does, to budget the context window).
+    tokens: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.role not in ("system", "user", "assistant"):

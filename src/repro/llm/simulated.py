@@ -108,7 +108,10 @@ class SimulatedLLM(LLMClient):
     def chat(self, messages: List[ChatMessage]) -> GenerationResult:
         self.calls += 1
         prompt = messages[-1].content if messages else ""
-        prompt_tokens = sum(count_tokens(m.content) for m in messages)
+        prompt_tokens = sum(
+            m.tokens if m.tokens is not None else count_tokens(m.content)
+            for m in messages
+        )
 
         if _CORRECTION_MARKER in prompt:
             text = self._handle_correction(prompt)

@@ -8,7 +8,7 @@ fed back into LASSI's correction prompt has to look like compiler output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.minilang.source import Span, UNKNOWN_SPAN
 from repro.minilang.types import Type
@@ -351,6 +351,11 @@ class Program(Node):
     functions: List[FuncDef] = field(default_factory=list)
     globals: List[GlobalVar] = field(default_factory=list)
     span: Span = UNKNOWN_SPAN
+    #: Interpreter code generated for this program, per dialect (see
+    #: ``repro.interp.codegen.ProgramCode.of``); not part of its identity.
+    generated: Dict[object, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def function(self, name: str) -> Optional[FuncDef]:
         for fn in self.functions:

@@ -12,7 +12,7 @@ lower-bound window in Table V is Wizard Coder's 16,384 tokens).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import ContextWindowExceeded
 from repro.llm.base import ChatMessage, LLMClient
@@ -138,13 +138,23 @@ class PromptBuilder:
         """Messages for one self-correction round (Table III)."""
         system = self.system_prompt()
         prompt = dictionary.correction_prompt(kind, code, command, error)
-        self._check_budget(llm, system, prompt)
-        return [ChatMessage("system", system), ChatMessage("user", prompt)]
+        system_tokens, prompt_tokens = self._budget(llm, system, prompt)
+        # The counts travel with the messages, so the model need not
+        # count the same text again.
+        return [
+            ChatMessage("system", system, system_tokens),
+            ChatMessage("user", prompt, prompt_tokens),
+        ]
 
     # ------------------------------------------------------------------
     def _check_budget(self, llm: LLMClient, system: str, prompt: str) -> int:
-        tokens = count_tokens(system) + count_tokens(prompt)
+        return sum(self._budget(llm, system, prompt))
+
+    def _budget(self, llm: LLMClient, system: str, prompt: str) -> Tuple[int, int]:
+        """Token counts of (system, prompt); raises past the context budget."""
+        counts = (count_tokens(system), count_tokens(prompt))
+        tokens = sum(counts)
         limit = llm.context_length - self.reserve_completion_tokens
         if tokens > limit:
             raise ContextWindowExceeded(llm.name, tokens, llm.context_length)
-        return tokens
+        return counts

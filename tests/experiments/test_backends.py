@@ -34,7 +34,6 @@ from repro.hecbench import Suite, get_app
 from repro.llm.profiles import OMP2CUDA
 from repro.pipeline import PipelineConfig
 from repro.telemetry import load_trace_file, trace_path_for
-from repro.telemetry import recorder as flight
 from repro.telemetry.recorder import FLIGHT_DIR_ENV
 
 #: Small but representative slice: 2 models x 2 apps x 1 direction.
@@ -206,8 +205,6 @@ class TestWorkerCrashDump:
         suite = Suite("crash", (broken, layout))
         flights = tmp_path / "flights"
         monkeypatch.setenv(FLIGHT_DIR_ENV, str(flights))
-        # Workers build their own recorder, which reads the variable.
-        monkeypatch.setattr(flight, "_RECORDER", None)
 
         runner = ExperimentRunner(jobs=2, suite=suite, trace=True)
         with pytest.raises(BaselineError):

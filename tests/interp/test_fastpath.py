@@ -1,11 +1,12 @@
 """Flat-schedule launch fast path: equivalence with the generic path.
 
-Barrier-free, atomics-free kernels run through a flattened single-pass
-schedule (bulk step charge, hoisted env copy, memoized geometry tuples).
-These tests pin that the fast path is behaviourally identical to the
-generic nested loops — same results, same profile events, same step
-accounting, same limit faults — and that gating (barriers, atomics) sends
-the right kernels down the right path.
+Barrier-free, atomics-free kernels run on the flat path: the whole
+launch's step budget is charged up front and the generated thread loop
+runs every thread.  These tests pin that the fast path is behaviourally
+identical to the generic (slow) path, which charges each thread as it
+starts — same results, same profile events, same step accounting, same
+limit faults — and that gating (barriers, atomics) sends the right
+kernels down the right path, as ``profile.launch_paths()`` reports it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ VECADD = (
 )
 
 
+#: VECADD with an atomic in a branch no thread takes: the kernel runs on
+#: the generic (slow) path, with the same arithmetic as the fast path.
+VECADD_GENERIC = VECADD.replace(
+    "if (i < n) { c[i] = a[i] + b[i]; }",
+    "if (i < n) { c[i] = a[i] + b[i]; } else { atomicAdd(&c[0], 0.0f); }",
+)
+
+
 def _runner(text: str, limits=None) -> ProgramRunner:
     program, diags = parse(SourceFile("t.cu", text, Dialect.CUDA))
     assert not diags.has_errors, diags.render()
@@ -51,22 +60,20 @@ class TestFlatScheduleEquivalence:
         runner = _runner(VECADD)
         out = runner.run()
         assert out.ok, out.error
-        fc = runner._compiler_for("add")
-        assert not fc.barrier_mode and not fc.has_atomics
-        # Repeated same-shape launches reuse one memoized schedule.
-        assert list(runner._geom_cache) == [(2, 32)]
+        # Both same-shape launches take the flat path.
+        assert out.profile.launch_paths() == {"flat": 2}
 
     def test_results_match_generic_path(self):
         fast = _runner(VECADD)
         fast_out = fast.run()
 
-        generic = _runner(VECADD)
-        # Force the generic nested loops by pretending the kernel has
-        # atomics; everything observable must come out identical.
-        generic._compiler_for("add").has_atomics = True
+        # The never-taken atomic sends the kernel down the generic path;
+        # everything observable must come out identical.
+        generic = _runner(VECADD_GENERIC)
         generic_out = generic.run()
 
-        assert not generic._geom_cache
+        assert fast_out.profile.launch_paths() == {"flat": 2}
+        assert generic_out.profile.launch_paths() == {"slow": 2}
         assert fast_out.stdout == generic_out.stdout == "0.0 189.0\n"
         assert fast_out.exit_code == generic_out.exit_code == 0
         assert fast_out.steps_used == generic_out.steps_used
@@ -100,8 +107,7 @@ class TestFlatScheduleEquivalence:
         runner = _runner(src)
         out = runner.run()
         assert out.ok and out.stdout == "50\n"
-        assert runner._compiler_for("count").has_atomics
-        assert not runner._geom_cache
+        assert out.profile.launch_paths() == {"slow": 1}
 
     def test_barrier_kernel_unaffected(self):
         src = (
@@ -126,6 +132,7 @@ class TestFlatScheduleEquivalence:
         out = run_source(src, Dialect.CUDA)
         assert out.ok, out.error
         assert out.stdout == "4 3 2 1\n"
+        assert out.profile.launch_paths() == {"barrier": 1}
 
     def test_step_budget_still_enforced_on_fast_path(self):
         out = run_source(VECADD, Dialect.CUDA, limits=Limits(max_steps=50))
@@ -144,4 +151,7 @@ class TestFlatScheduleEquivalence:
         runner = _runner(src)
         out = runner.run()
         assert out.ok
-        assert not runner._geom_cache  # 131072 threads > memo bound
+        # 131072 threads on the flat path, charged as one launch.
+        assert out.profile.launch_paths() == {"flat": 1}
+        assert out.profile.kernel_events[0].total_threads == 131072
+        assert out.steps_used == 131072

@@ -138,6 +138,18 @@ class TestControlFlow:
         )
         assert out.stdout == "610\n"
 
+    def test_unbounded_recursion_is_a_stack_overflow_segfault(self):
+        # How deep the guest gets before the fault depends on the host's
+        # frames per guest call, so only the fault itself is pinned.
+        out = run_source(
+            "int down(int n) { return down(n + 1) + 1; }\n"
+            'int main() { printf("start\\n"); return down(0); }'
+        )
+        assert out.exit_code == 139
+        assert out.error == "Segmentation fault (core dumped)"
+        assert out.error_detail == "stack overflow (unbounded recursion)"
+        assert out.stdout == "start\n"
+
     def test_early_return_value(self):
         out = run_source(
             "int f(int x) { if (x > 0) { return 1; } return -1; }\n"

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.pipeline.events import StageFinished, StageStarted
+from repro.telemetry import recorder as recorder_module
 from repro.telemetry.recorder import (
     FLIGHT_DIR_ENV,
     FlightRecorder,
@@ -128,7 +129,10 @@ class TestGlobals:
     def test_get_flight_recorder_is_a_stable_singleton(self):
         assert get_flight_recorder() is get_flight_recorder()
 
-    def test_configure_rebuilds_the_singleton(self, tmp_path):
+    def test_configure_rebuilds_the_singleton(self, tmp_path, monkeypatch):
+        # Restore the process-wide recorder afterwards: one left pointing at
+        # this test's directory would catch later tests' dumps.
+        monkeypatch.setattr(recorder_module, "_RECORDER", recorder_module._RECORDER)
         recorder = configure_flight_recorder(tmp_path, capacity=7)
         assert get_flight_recorder() is recorder
         assert recorder.capacity == 7 and recorder.directory == tmp_path
