@@ -66,11 +66,3 @@ class LLMClient(abc.ABC):
     @abc.abstractmethod
     def chat(self, messages: List[ChatMessage]) -> GenerationResult:
         """Generate a reply to the conversation."""
-
-    def generate(self, prompt: str, system_prompt: Optional[str] = None) -> GenerationResult:
-        """Single-turn convenience wrapper over :meth:`chat`."""
-        messages: List[ChatMessage] = []
-        if system_prompt:
-            messages.append(ChatMessage("system", system_prompt))
-        messages.append(ChatMessage("user", prompt))
-        return self.chat(messages)

@@ -24,7 +24,6 @@ similarity and runtime-Ratio metrics across models.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -90,10 +89,6 @@ class TranspileOptions:
     hoist_decls: bool = False
     #: Code formatting.
     codegen: CodegenStyle = field(default_factory=CodegenStyle)
-
-
-def _deep(node):
-    return copy.deepcopy(node)
 
 
 def _int_lit(v: int) -> ast.IntLit:
@@ -212,7 +207,7 @@ class _Omp2Cuda:
     def run(self) -> ast.Program:
         out = ast.Program()
         for gv in self.src.globals:
-            out.globals.append(_deep(gv))
+            out.globals.append(ast.clone(gv))
         for fn in self.src.functions:
             new_fn = self._transform_function(fn)
             out.functions.append(new_fn)
@@ -238,7 +233,7 @@ class _Omp2Cuda:
                     rec = records.get(mc.name)
                     if rec is None:
                         rec = _ArrayRecord(
-                            name=mc.name, elem=t.pointee(), length=_deep(mc.length)
+                            name=mc.name, elem=t.pointee(), length=ast.clone(mc.length)
                         )
                         records[mc.name] = rec
                     if mc.kind in ("to", "tofrom"):
@@ -246,7 +241,7 @@ class _Omp2Cuda:
                     if mc.kind in ("from", "tofrom"):
                         rec.frm = True
         if not has_device:
-            return _deep(fn)
+            return ast.clone(fn)
         # Arrays touched inside device loops without explicit maps (data
         # region case covers them; keep union of kinds from access analysis).
         for stmt in ast.walk_stmts(body):
@@ -278,13 +273,13 @@ class _Omp2Cuda:
             if first <= i <= last:
                 new_body.stmts.extend(self._transform_stmt(stmt))
             else:
-                new_body.stmts.append(_deep(stmt))
+                new_body.stmts.append(ast.clone(stmt))
             if i == last:
                 new_body.stmts.extend(self._staging_epilogue())
         return ast.FuncDef(
             return_type=fn.return_type,
             name=fn.name,
-            params=[_deep(p) for p in fn.params],
+            params=[ast.clone(p) for p in fn.params],
             body=new_body,
             qualifier=None,
         )
@@ -310,7 +305,7 @@ class _Omp2Cuda:
             dname = self.rename[rec.name]
             decl = ast.VarDecl(type=rec.elem.pointer_to(), name=dname)
             out.append(decl)
-            size = _mul(_deep(rec.length), _sizeof(rec.elem))
+            size = _mul(ast.clone(rec.length), _sizeof(rec.elem))
             out.append(_expr_stmt(_call(
                 "cudaMalloc",
                 ast.Unary(op="&", operand=_ident(dname)),
@@ -321,7 +316,7 @@ class _Omp2Cuda:
                     "cudaMemcpy",
                     _ident(dname),
                     _ident(rec.name),
-                    _mul(_deep(rec.length), _sizeof(rec.elem)),
+                    _mul(ast.clone(rec.length), _sizeof(rec.elem)),
                     _ident("cudaMemcpyHostToDevice"),
                 )))
         return out
@@ -335,7 +330,7 @@ class _Omp2Cuda:
                     "cudaMemcpy",
                     _ident(rec.name),
                     _ident(dname),
-                    _mul(_deep(rec.length), _sizeof(rec.elem)),
+                    _mul(ast.clone(rec.length), _sizeof(rec.elem)),
                     _ident("cudaMemcpyDeviceToHost"),
                 )))
         out.append(_expr_stmt(_call("cudaDeviceSynchronize")))
@@ -361,14 +356,14 @@ class _Omp2Cuda:
                     f"unsupported target construct '{pragma.directive}'"
                 )
             # Host pragma: drop the pragma, keep the statement.
-            return [_deep(stmt.body)] if stmt.body is not None else []
+            return [ast.clone(stmt.body)] if stmt.body is not None else []
         if isinstance(stmt, ast.Block):
             blk = ast.Block()
             for s in stmt.stmts:
                 blk.stmts.extend(self._transform_stmt(s))
             return [blk]
         if isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
-            new = _deep(stmt)
+            new = ast.clone(stmt)
             body_stmts = self._transform_stmt(new.body)
             new.body = body_stmts[0] if len(body_stmts) == 1 else ast.Block(
                 stmts=body_stmts
@@ -382,12 +377,12 @@ class _Omp2Cuda:
                 substitute(new.step, self.rename)
             return [new]
         if isinstance(stmt, ast.If):
-            new = _deep(stmt)
+            new = ast.clone(stmt)
             substitute(new, self.rename)
             return [new]
         # Plain host statement inside the device phase: pointer swaps and
         # friends must act on the device pointers.
-        new = _deep(stmt)
+        new = ast.clone(stmt)
         substitute(new, self.rename)
         return [new]
 
@@ -406,7 +401,7 @@ class _Omp2Cuda:
                 raise TranspileError("inner collapsed loop is not canonical")
             canon.inner = inner
 
-        body = _deep(canon.inner.body if canon.inner else canon.body)
+        body = ast.clone(canon.inner.body if canon.inner else canon.body)
 
         # Reduction handling: rewrite `s += e;` into atomicAdd on a buffer.
         reduction_names: List[str] = []
@@ -474,31 +469,31 @@ class _Omp2Cuda:
         if canon.inner is None:
             start_is_zero = isinstance(canon.start, ast.IntLit) and canon.start.value == 0
             if not start_is_zero:
-                idx_expr = ast.Binary(op="+", left=idx_expr, right=_deep(canon.start))
+                idx_expr = ast.Binary(op="+", left=idx_expr, right=ast.clone(canon.start))
             kbody.stmts.append(ast.VarDecl(type=ty.INT, name=lv, init=idx_expr))
-            guard = ast.Binary(op="<", left=_ident(lv), right=_deep(canon.bound))
+            guard = ast.Binary(op="<", left=_ident(lv), right=ast.clone(canon.bound))
             mapping = {canon.var: lv}
             substitute(body, mapping)
             sub_body = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
             kbody.stmts.append(ast.If(cond=guard, then=sub_body))
             total_expr: ast.Expr = (
-                _deep(canon.bound)
+                ast.clone(canon.bound)
                 if start_is_zero
-                else ast.Binary(op="-", left=_deep(canon.bound), right=_deep(canon.start))
+                else ast.Binary(op="-", left=ast.clone(canon.bound), right=ast.clone(canon.start))
             )
         else:
             kbody.stmts.append(ast.VarDecl(type=ty.INT, name=lv, init=idx_expr))
-            n2 = _deep(canon.inner.bound)
+            n2 = ast.clone(canon.inner.bound)
             kbody.stmts.append(ast.VarDecl(
                 type=ty.INT, name=canon.var,
-                init=ast.Binary(op="/", left=_ident(lv), right=_deep(n2)),
+                init=ast.Binary(op="/", left=_ident(lv), right=ast.clone(n2)),
             ))
             kbody.stmts.append(ast.VarDecl(
                 type=ty.INT, name=canon.inner.var,
-                init=ast.Binary(op="%", left=_ident(lv), right=_deep(n2)),
+                init=ast.Binary(op="%", left=_ident(lv), right=ast.clone(n2)),
             ))
-            total_expr = _mul(_deep(canon.bound), _deep(canon.inner.bound))
-            guard = ast.Binary(op="<", left=_ident(lv), right=_deep(total_expr))
+            total_expr = _mul(ast.clone(canon.bound), ast.clone(canon.inner.bound))
+            guard = ast.Binary(op="<", left=_ident(lv), right=ast.clone(total_expr))
             sub_body = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
             kbody.stmts.append(ast.If(cond=guard, then=sub_body))
 
@@ -514,7 +509,7 @@ class _Omp2Cuda:
         grid = ast.Binary(
             op="/",
             left=ast.Binary(
-                op="+", left=_deep(total_expr),
+                op="+", left=ast.clone(total_expr),
                 right=_int_lit(self.opt.block_size - 1),
             ),
             right=_int_lit(self.opt.block_size),
@@ -630,8 +625,8 @@ class _Omp2Cuda:
                     fn = "atomicAdd" if upd.expr.op == "+=" else "atomicSub"
                     block.stmts[i] = _expr_stmt(_call(
                         fn,
-                        ast.Unary(op="&", operand=_deep(upd.expr.target)),
-                        _deep(upd.expr.value),
+                        ast.Unary(op="&", operand=ast.clone(upd.expr.target)),
+                        ast.clone(upd.expr.value),
                     ))
                 elif isinstance(s, ast.Block):
                     rewrite_block(s)
@@ -684,12 +679,12 @@ class _DeviceBuf:
         e = self.bytes_expr
         if isinstance(e, ast.Binary) and e.op == "*":
             if isinstance(e.right, ast.SizeOf):
-                return _deep(e.left)
+                return ast.clone(e.left)
             if isinstance(e.left, ast.SizeOf):
-                return _deep(e.right)
+                return ast.clone(e.right)
         if isinstance(e, ast.SizeOf):
             return _int_lit(1)
-        return ast.Binary(op="/", left=_deep(e), right=_sizeof(self.elem))
+        return ast.Binary(op="/", left=ast.clone(e), right=_sizeof(self.elem))
 
     @property
     def map_kind(self) -> str:
@@ -716,11 +711,11 @@ class _Cuda2Omp:
     def run(self) -> ast.Program:
         out = ast.Program()
         for gv in self.src.globals:
-            out.globals.append(_deep(gv))
+            out.globals.append(ast.clone(gv))
         for fn in self.src.functions:
             if fn.is_kernel or fn.is_device:
                 if fn.is_device:
-                    plain = _deep(fn)
+                    plain = ast.clone(fn)
                     plain.qualifier = None
                     out.functions.append(plain)
                 continue
@@ -734,7 +729,7 @@ class _Cuda2Omp:
         self.bufs: Dict[str, _DeviceBuf] = {}
         self._collect_buffers(body)
         if not self.bufs:
-            return _deep(fn)
+            return ast.clone(fn)
         self._fix_aliases(body)
         self._analyze_kernel_accesses(body)
         self._detect_reduction_buffers(body)
@@ -757,7 +752,7 @@ class _Cuda2Omp:
         new_body = ast.Block(stmts=new_stmts)
         return ast.FuncDef(
             return_type=fn.return_type, name=fn.name,
-            params=[_deep(p) for p in fn.params], body=new_body, qualifier=None,
+            params=[ast.clone(p) for p in fn.params], body=new_body, qualifier=None,
         )
 
     # -- phase A -----------------------------------------------------------
@@ -780,7 +775,7 @@ class _Cuda2Omp:
                             f"cudaMalloc target '{dname}' has no pointer type"
                         )
                     self.bufs[dname] = _DeviceBuf(
-                        dname=dname, elem=t.pointee(), bytes_expr=_deep(e.args[1])
+                        dname=dname, elem=t.pointee(), bytes_expr=ast.clone(e.args[1])
                     )
         for stmt in ast.walk_stmts(body):
             if not isinstance(stmt, ast.ExprStmt):
@@ -1009,7 +1004,7 @@ class _Cuda2Omp:
         if isinstance(stmt, ast.VarDecl):
             if stmt.name in self.bufs:
                 return []  # device pointer declarations disappear
-            new = _deep(stmt)
+            new = ast.clone(stmt)
             if in_device_phase:
                 substitute(new, self.rename)
             if any(b.reduction_scalar is not None for b in self.bufs.values()):
@@ -1039,7 +1034,7 @@ class _Cuda2Omp:
                 and self._is_invariant_repeat(stmt, new_body_stmts)
             ):
                 return new_body_stmts
-            new = _deep(stmt)
+            new = ast.clone(stmt)
             new.body = ast.Block(stmts=new_body_stmts)
             if in_device_phase:
                 if isinstance(new, ast.For):
@@ -1053,11 +1048,11 @@ class _Cuda2Omp:
                     substitute(new.cond, self.rename)
             return [new]
         if isinstance(stmt, ast.If):
-            new = _deep(stmt)
+            new = ast.clone(stmt)
             if in_device_phase:
                 substitute(new, self.rename)
             return [new]
-        new = _deep(stmt)
+        new = ast.clone(stmt)
         if in_device_phase:
             substitute(new, self.rename)
         return [new]
@@ -1130,7 +1125,7 @@ class _Cuda2Omp:
                             type=buf.elem.pointer_to(), name=buf.synth_name,
                             init=ast.Cast(
                                 type=buf.elem.pointer_to(),
-                                operand=_call("malloc", _deep(buf.bytes_expr)),
+                                operand=_call("malloc", ast.clone(buf.bytes_expr)),
                             ),
                         )]
                 return []
@@ -1147,7 +1142,7 @@ class _Cuda2Omp:
                 return []
         if isinstance(e, ast.Launch):
             return self._transform_launch(e)
-        new = _deep(stmt)
+        new = ast.clone(stmt)
         if in_device_phase:
             substitute(new, self.rename)
         # h_res[0] -> scalar rename for reduction mirrors.
@@ -1207,7 +1202,7 @@ class _Cuda2Omp:
                     return []
                 if buf is not None:
                     return [_expr_stmt(_call(
-                        "memcpy", _ident(buf.host_name), _deep(src), _deep(nbytes)
+                        "memcpy", _ident(buf.host_name), ast.clone(src), ast.clone(nbytes)
                     ))]
             if kname == "cudaMemcpyDeviceToHost" and isinstance(src, ast.Ident):
                 buf = self.bufs.get(src.name)
@@ -1217,7 +1212,7 @@ class _Cuda2Omp:
                     if isinstance(dst, ast.Ident) and dst.name == buf.host_name:
                         return []
                     return [_expr_stmt(_call(
-                        "memcpy", _deep(dst), _ident(buf.host_name), _deep(nbytes)
+                        "memcpy", ast.clone(dst), _ident(buf.host_name), ast.clone(nbytes)
                     ))]
             return []
         # Literal style: copies become memcpy between host arrays (the map
@@ -1230,7 +1225,7 @@ class _Cuda2Omp:
                 end.name in red_scalars or end.name in self.red_host_mirrors
             ):
                 return []
-        new_args = [_deep(dst), _deep(src), _deep(nbytes)]
+        new_args = [ast.clone(dst), ast.clone(src), ast.clone(nbytes)]
         for a in new_args:
             substitute(a, self.rename)
         if kname in ("cudaMemcpyHostToDevice", "cudaMemcpyDeviceToHost"):
@@ -1246,7 +1241,7 @@ class _Cuda2Omp:
     def _transform_memset(self, e: ast.Call) -> List[ast.Stmt]:
         ptr, value, nbytes = e.args
         if not isinstance(ptr, ast.Ident) or ptr.name not in self.bufs:
-            new = _deep(e)
+            new = ast.clone(e)
             substitute(new, self.rename)
             return [_expr_stmt(new)]
         buf = self.bufs[ptr.name]
@@ -1302,19 +1297,19 @@ class _Cuda2Omp:
                 # Literal argument: bind via a fresh const-ish local.
                 mapping[param.name] = param.name
                 pre_stmts.append(ast.VarDecl(
-                    type=param.type, name=param.name, init=_deep(arg)
+                    type=param.type, name=param.name, init=ast.clone(arg)
                 ))
             else:
                 # Expression argument: bind to a local of the param name.
                 mapping[param.name] = param.name
-                bound_expr = _deep(arg)
+                bound_expr = ast.clone(arg)
                 substitute(bound_expr, self.rename)
                 pre_stmts.append(ast.VarDecl(
                     type=param.type, name=param.name, init=bound_expr
                 ))
 
-        new_body = _deep(body)
-        new_bound = _deep(bound)
+        new_body = ast.clone(body)
+        new_bound = ast.clone(bound)
         substitute(new_body, mapping)
         substitute(new_bound, mapping)
 
@@ -1395,7 +1390,7 @@ class _Cuda2Omp:
         local = "local_" + hist_name
 
         # Body with atomicAdd(&hist[E], V) -> local[E] += V.
-        inner_body = _deep(wrapper)
+        inner_body = ast.clone(wrapper)
 
         def rewrite(block: ast.Block) -> None:
             for i, s in enumerate(block.stmts):
@@ -1406,8 +1401,8 @@ class _Cuda2Omp:
                     op = "+=" if s.expr.callee == "atomicAdd" else "-="
                     block.stmts[i] = _expr_stmt(ast.Assign(
                         op=op,
-                        target=ast.Index(base=_ident(local), index=_deep(tgt.index)),
-                        value=_deep(s.expr.args[1]),
+                        target=ast.Index(base=_ident(local), index=ast.clone(tgt.index)),
+                        value=ast.clone(s.expr.args[1]),
                     ))
                 elif isinstance(s, ast.Block):
                     rewrite(s)
@@ -1429,8 +1424,8 @@ class _Cuda2Omp:
             )
 
         chunk_body = ast.Block(stmts=[
-            ast.VarDecl(type=ty.INT, name=local, array_size=_deep(nbins)),
-            counting_loop("v", _deep(nbins), [
+            ast.VarDecl(type=ty.INT, name=local, array_size=ast.clone(nbins)),
+            counting_loop("v", ast.clone(nbins), [
                 _expr_stmt(ast.Assign(
                     op="=", target=ast.Index(base=_ident(local), index=_ident("v")),
                     value=_int_lit(0),
@@ -1446,11 +1441,11 @@ class _Cuda2Omp:
                     ),
                 ),
                 ast.If(
-                    cond=ast.Binary(op="<", left=_ident(idx_var), right=_deep(bound)),
+                    cond=ast.Binary(op="<", left=_ident(idx_var), right=ast.clone(bound)),
                     then=inner_body,
                 ),
             ]),
-            counting_loop("v", _deep(nbins), [
+            counting_loop("v", ast.clone(nbins), [
                 ast.If(
                     cond=ast.Binary(
                         op=">",
@@ -1475,7 +1470,7 @@ class _Cuda2Omp:
 
         nchunks = ast.Binary(
             op="/",
-            left=ast.Binary(op="+", left=_deep(bound), right=_int_lit(chunk - 1)),
+            left=ast.Binary(op="+", left=ast.clone(bound), right=_int_lit(chunk - 1)),
             right=_int_lit(chunk),
         )
         pragma = ast.OmpPragma(directive="target teams distribute parallel for")
@@ -1583,7 +1578,7 @@ class _Cuda2Omp:
                         new_stmts.append(ast.Pragma(
                             pragma=pragma,
                             body=_expr_stmt(ast.Assign(
-                                op=op, target=_deep(tgt.operand), value=val
+                                op=op, target=ast.clone(tgt.operand), value=val
                             )),
                         ))
                         continue

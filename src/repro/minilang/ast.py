@@ -458,3 +458,36 @@ def walk_exprs(node) -> "list":
         for s in walk_stmts(node):
             visit_stmt(s)
     return out
+
+
+#: Immutable values an AST holds; a clone shares them.
+_SHARED = frozenset({Span, Type, str, int, float, bool, type(None)})
+#: Mutable records an AST is built from; a clone copies them.
+_RECORDS = (Node, MapClause, ReductionClause)
+
+
+def clone(value):
+    """A copy of the AST ``value`` that shares no mutable object with it.
+
+    Nodes and the clause records (:class:`MapClause`,
+    :class:`ReductionClause`) are copied field by field, lists and dicts
+    element by element, and the frozen leaves (spans, types, strings,
+    numbers, booleans and ``None``) are shared.  Any other type raises
+    :class:`TypeError`, so a mutable field type added later fails loudly
+    instead of being aliased between the copies.
+    """
+    cls = type(value)
+    if cls in _SHARED:
+        return value
+    if isinstance(value, _RECORDS):
+        copy = object.__new__(cls)
+        copy.__dict__ = {
+            name: v if type(v) in _SHARED else clone(v)
+            for name, v in value.__dict__.items()
+        }
+        return copy
+    if cls is list:
+        return [clone(v) for v in value]
+    if cls is dict:
+        return {k: clone(v) for k, v in value.items()}
+    raise TypeError(f"cannot clone a {cls.__name__} held in an AST")

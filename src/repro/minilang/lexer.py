@@ -1,9 +1,20 @@
 """Lexer for the mini-language.
 
-Produces a flat token stream.  ``#pragma`` lines are captured as single
-``PRAGMA`` tokens (their clause text is parsed later by
-:mod:`repro.minilang.pragma`); ``#include`` lines are tolerated and skipped so
-LLM-style output that carries includes still lexes.
+Produces a flat token stream in one pass over the text.  Each step is one
+match of a compiled master pattern for the dialect: it skips whitespace and
+terminated comments, then takes an identifier or keyword, a number, or the
+longest punctuation (``<<<``/``>>>`` only when ``cuda_launch_syntax`` is
+set).  Line and column come from positions: the newlines in each skipped
+span are counted, never walked one character at a time.  What the pattern
+leaves (directives, string and char literals, an unterminated ``/*``, an
+invalid character, the end of input) is a small position-based branch of
+the same loop.
+
+``#pragma`` lines are captured as single ``PRAGMA`` tokens (their clause
+text is parsed later by :mod:`repro.minilang.pragma`); ``#include`` and the
+other conditional/definition directives are tolerated and skipped so
+LLM-style output that carries them still lexes.  Errors become diagnostics,
+never exceptions: LLM output is untrusted input to the compiler.
 """
 
 from __future__ import annotations
@@ -40,27 +51,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest-first multi-character punctuation. ``<<<``/``>>>`` are lexed as
-# single tokens only when the CUDA dialect is active — in plain C they would
-# be shift-assign sequences, and none of our programs use nested templates.
-_PUNCT3 = ["<<<", ">>>", "<<=", ">>=", "..."]
-_PUNCT2 = [
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "++", "--", "->",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "::",
-]
-_PUNCT1 = list("+-*/%<>=!&|^~?:;,.(){}[]#")
-
-_NUMBER_RE = re.compile(
-    r"""
-      0[xX][0-9a-fA-F]+[uUlL]*
-    | (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?
-    | \d+[eE][+-]?\d+[fF]?
-    | \d+[uUlLfF]*
-    """,
-    re.VERBOSE,
-)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -78,6 +68,69 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.span})"
 
 
+# Longest-first punctuation.  ``<<<``/``>>>`` are lexed as single tokens
+# only when the CUDA dialect is active — in plain C they would be
+# shift-assign sequences, and none of our programs use nested templates.
+# ``#`` is absent: it always starts a directive.
+_PUNCTUATION = [
+    "<<=", ">>=", "...",
+    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "++", "--", "->",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "::",
+    *"+-*/%<>=!&|^~?:;,.(){}[]",
+]
+
+# Numbers start with an ASCII digit (or a point and one), as in C.
+_NUMBER = (
+    r"0[xX][0-9a-fA-F]+[uUlL]*"
+    r"|(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fFlL]?"
+    r"|[0-9]+[eE][+-]?[0-9]+[fF]?"
+    r"|[0-9]+[uUlLfF]*"
+)
+
+# Whitespace and terminated comments.  An unterminated ``/*`` is left for
+# the open-comment group below.
+_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*"
+
+# Groups of the master pattern.  Its last alternative is empty, so a match
+# never fails and never backtracks into the trivia: when no group took part,
+# the match ends where a directive, a literal, an invalid character or the
+# end of input starts.
+_NUMBER_GROUP, _WORD_GROUP, _OPEN_COMMENT_GROUP, _PUNCT_GROUP = 1, 2, 3, 4
+
+
+def _master_pattern(punctuation: List[str]) -> "re.Pattern[str]":
+    return re.compile(
+        _TRIVIA
+        + f"(?:({_NUMBER})|([A-Za-z_][A-Za-z_0-9]*)|(/\\*)"
+        + f"|({'|'.join(map(re.escape, punctuation))})|)"
+    )
+
+
+_C_PATTERN = _master_pattern(_PUNCTUATION)
+_CUDA_PATTERN = _master_pattern(["<<<", ">>>"] + _PUNCTUATION)
+
+# A directive runs to the end of its logical line: backslash-newline
+# continues it.
+_DIRECTIVE = re.compile(r"[^\\\n]*(?:\\\n?[^\\\n]*)*")
+# A string body up to its closing quote, a newline, a backslash that ends
+# the text, or the end of input.
+_STRING = re.compile(r'"[^"\\\n]*(?:\\(?s:.)[^"\\\n]*)*')
+
+_SKIPPED_DIRECTIVES = (
+    "#include", "#define", "#ifdef", "#ifndef", "#endif", "#if", "#else",
+)
+
+_FLOAT_MARKS = frozenset(".eEfF")
+
+
+def _number_kind(text: str) -> TokenKind:
+    """Hex literals are integers; a decimal literal with a point, an
+    exponent or an ``f`` suffix is a float."""
+    if text[:2] in ("0x", "0X") or _FLOAT_MARKS.isdisjoint(text):
+        return TokenKind.INT_LIT
+    return TokenKind.FLOAT_LIT
+
+
 class Lexer:
     """Single-pass lexer.  Errors become diagnostics, never exceptions."""
 
@@ -86,177 +139,91 @@ class Lexer:
         self.text = text
         self.diagnostics = diagnostics if diagnostics is not None else DiagnosticBag()
         self.cuda_launch_syntax = cuda_launch_syntax
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # -- low-level helpers -------------------------------------------------
-    def _span(self) -> Span:
-        return Span(self.line, self.col)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        p = self.pos + offset
-        return self.text[p] if p < len(self.text) else ""
-
-    def _match(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
-
-    # -- token producers ---------------------------------------------------
     def tokens(self) -> List[Token]:
+        text = self.text
+        n = len(text)
+        rfind = text.rfind
+        error = self.diagnostics.error
+        match = (_CUDA_PATTERN if self.cuda_launch_syntax else _C_PATTERN).match
+        keyword, ident, punct = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT
         out: List[Token] = []
+        append = out.append
+        pos = 0  # where the next match starts
+        seen = 0  # newlines before this index are counted in ``line``
+        line = 1
+        bol = 0  # index of the first character of ``line``
         while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        span = self._span()
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", span)
-        ch = self._peek()
-
-        if ch == "#":
-            return self._lex_directive(span)
-
-        if ch == '"':
-            return self._lex_string(span)
-
-        if ch == "'":
-            return self._lex_char(span)
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            m = _NUMBER_RE.match(self.text, self.pos)
-            assert m is not None
-            text = m.group(0)
-            self._advance(len(text))
-            is_float = (
-                "." in text
-                or (
-                    not text.lower().startswith("0x")
-                    and ("e" in text.lower() or text.rstrip("uUlL").endswith(("f", "F")))
-                )
-            )
-            kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-            return Token(kind, text, span)
-
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m:
-            text = m.group(0)
-            self._advance(len(text))
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            return Token(kind, text, span)
-
-        if self.cuda_launch_syntax:
-            for p in ("<<<", ">>>"):
-                if self._match(p):
-                    self._advance(3)
-                    return Token(TokenKind.PUNCT, p, span)
-        for p in _PUNCT3:
-            if p in ("<<<", ">>>"):
-                continue
-            if self._match(p):
-                self._advance(3)
-                return Token(TokenKind.PUNCT, p, span)
-        for p in _PUNCT2:
-            if self._match(p):
-                self._advance(2)
-                return Token(TokenKind.PUNCT, p, span)
-        if ch in _PUNCT1:
-            self._advance(1)
-            return Token(TokenKind.PUNCT, ch, span)
-
-        self.diagnostics.error(
-            "invalid-character",
-            f"invalid character {ch!r} in source",
-            span,
-        )
-        self._advance(1)
-        return self.next_token()
-
-    # -- pieces ------------------------------------------------------------
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance(1)
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._span()
-                self._advance(2)
-                while self.pos < len(self.text) and not self._match("*/"):
-                    self._advance(1)
-                if self.pos >= len(self.text):
-                    self.diagnostics.error(
-                        "unterminated-comment", "unterminated /* comment", start
-                    )
-                else:
-                    self._advance(2)
+            m = match(text, pos)
+            group = m.lastindex
+            if group:
+                start, end = m.span(group)
             else:
-                return
-
-    def _lex_directive(self, span: Span) -> Token:
-        # Capture the full logical line (with backslash continuations).
-        start = self.pos
-        while self.pos < len(self.text):
-            if self._peek() == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                continue
-            if self._peek() == "\n":
-                break
-            self._advance(1)
-        text = self.text[start:self.pos].replace("\\\n", " ").strip()
-        if text.startswith("#pragma"):
-            return Token(TokenKind.PRAGMA, text, span)
-        if text.startswith(("#include", "#define", "#ifdef", "#ifndef", "#endif", "#if", "#else")):
-            # Tolerated and skipped: LLM output routinely carries includes.
-            return self.next_token()
-        self.diagnostics.error(
-            "unknown-directive", f"unknown preprocessor directive: {text.split()[0] if text.split() else '#'}", span
-        )
-        return self.next_token()
-
-    def _lex_string(self, span: Span) -> Token:
-        start = self.pos
-        self._advance(1)
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch == "\\":
-                self._advance(2)
-                continue
-            if ch == '"':
-                self._advance(1)
-                return Token(TokenKind.STRING_LIT, self.text[start:self.pos], span)
-            if ch == "\n":
-                break
-            self._advance(1)
-        self.diagnostics.error("unterminated-string", "unterminated string literal", span)
-        return Token(TokenKind.STRING_LIT, self.text[start:self.pos] + '"', span)
-
-    def _lex_char(self, span: Span) -> Token:
-        start = self.pos
-        self._advance(1)
-        if self._peek() == "\\":
-            self._advance(2)
-        elif self.pos < len(self.text):
-            self._advance(1)
-        if self._peek() == "'":
-            self._advance(1)
-            return Token(TokenKind.CHAR_LIT, self.text[start:self.pos], span)
-        self.diagnostics.error("unterminated-char", "unterminated character literal", span)
-        return Token(TokenKind.CHAR_LIT, self.text[start:self.pos] + "'", span)
+                start = end = m.end()
+            nl = rfind("\n", seen, start)
+            if nl >= 0:
+                line += text.count("\n", seen, nl) + 1
+                bol = nl + 1
+            seen = start
+            span = Span(line, start - bol + 1)
+            if group == _WORD_GROUP:
+                word = text[start:end]
+                append(Token(keyword if word in KEYWORDS else ident, word, span))
+                pos = end
+            elif group == _PUNCT_GROUP:
+                append(Token(punct, text[start:end], span))
+                pos = end
+            elif group == _NUMBER_GROUP:
+                number = text[start:end]
+                append(Token(_number_kind(number), number, span))
+                pos = end
+            elif group == _OPEN_COMMENT_GROUP:
+                error("unterminated-comment", "unterminated /* comment", span)
+                pos = n
+            elif start >= n:
+                # ``pos`` passes the end only when a literal's backslash was
+                # the last character: the escape took the end of input as
+                # its character, so EOF sits one column further on.
+                append(Token(TokenKind.EOF, "", Span(line, max(pos, n) - bol + 1)))
+                return out
+            elif text[start] == "#":
+                pos = _DIRECTIVE.match(text, start).end()
+                directive = text[start:pos].replace("\\\n", " ").strip()
+                if directive.startswith("#pragma"):
+                    append(Token(TokenKind.PRAGMA, directive, span))
+                elif not directive.startswith(_SKIPPED_DIRECTIVES):
+                    error(
+                        "unknown-directive",
+                        f"unknown preprocessor directive: {directive.split()[0]}",
+                        span,
+                    )
+            elif text[start] == '"':
+                pos = _STRING.match(text, start).end()
+                if pos < n and text[pos] == '"':
+                    pos += 1
+                    append(Token(TokenKind.STRING_LIT, text[start:pos], span))
+                else:
+                    if pos < n and text[pos] == "\\":
+                        pos = n + 1
+                    error("unterminated-string", "unterminated string literal", span)
+                    append(Token(TokenKind.STRING_LIT, text[start:pos] + '"', span))
+            elif text[start] == "'":
+                pos = start + 1
+                if pos < n:
+                    pos += 2 if text[pos] == "\\" else 1
+                if pos < n and text[pos] == "'":
+                    pos += 1
+                    append(Token(TokenKind.CHAR_LIT, text[start:pos], span))
+                else:
+                    error("unterminated-char", "unterminated character literal", span)
+                    append(Token(TokenKind.CHAR_LIT, text[start:pos] + "'", span))
+            else:
+                error(
+                    "invalid-character",
+                    f"invalid character {text[start]!r} in source",
+                    span,
+                )
+                pos = start + 1
 
 
 def lex(text: str, cuda_launch_syntax: bool = False) -> List[Token]:

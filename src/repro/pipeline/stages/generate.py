@@ -68,10 +68,7 @@ class Generate:
     def run(self, ctx: PipelineContext) -> StageOutcome:
         bundle = ctx.bundle
         assert bundle is not None, "Generate requires ContextPrep's bundle"
-        response = timed_chat(ctx, self.llm, self.name, "generate", [
-            ChatMessage("system", bundle.system),
-            ChatMessage("user", bundle.full_user_prompt),
-        ])
+        response = timed_chat(ctx, self.llm, self.name, "generate", bundle.messages)
         ctx.code = extract_target_code(response.text, self.target_dialect)
         return StageOutcome.proceed()
 

@@ -12,7 +12,7 @@ lower-bound window in Table V is Wizard Coder's 16,384 tokens).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import ContextWindowExceeded
 from repro.llm.base import ChatMessage, LLMClient
@@ -26,13 +26,25 @@ from repro.utils.tokens import count_tokens
 class PromptBundle:
     """Everything assembled for one translation request."""
 
-    system: str
     knowledge: str
     knowledge_summary: str
     code_description: str
     translation_request: str
-    full_user_prompt: str
-    prompt_tokens: int
+    #: The generation chat: system prompt and full user prompt, each
+    #: carrying the token count the context budget was checked with.
+    messages: List[ChatMessage]
+
+    @property
+    def system(self) -> str:
+        return self.messages[0].content
+
+    @property
+    def full_user_prompt(self) -> str:
+        return self.messages[1].content
+
+    @property
+    def prompt_tokens(self) -> int:
+        return sum(m.tokens for m in self.messages)
 
 
 KNOWLEDGE_SUMMARY_REQUEST = (
@@ -92,13 +104,13 @@ class PromptBuilder:
 
         knowledge_summary = ""
         if self.include_knowledge:
-            summary_prompt = self.knowledge_summary_prompt()
-            self._check_budget(llm, system, summary_prompt)
-            knowledge_summary = llm.generate(summary_prompt, system).text
+            knowledge_summary = llm.chat(
+                self._messages(llm, system, self.knowledge_summary_prompt())
+            ).text
 
-        description_prompt = self.code_description_prompt(source_code)
-        self._check_budget(llm, system, description_prompt)
-        code_description = llm.generate(description_prompt, system).text
+        code_description = llm.chat(
+            self._messages(llm, system, self.code_description_prompt(source_code))
+        ).text
 
         translation_request = dictionary.THINK_PREFIX.format(
             description=code_description,
@@ -115,16 +127,12 @@ class PromptBuilder:
         if knowledge_summary:
             parts.append(f"Summary of the reference material:\n{knowledge_summary}")
         parts.append(translation_request)
-        full_user_prompt = "\n\n".join(parts)
-        prompt_tokens = self._check_budget(llm, system, full_user_prompt)
         return PromptBundle(
-            system=system,
             knowledge=knowledge,
             knowledge_summary=knowledge_summary,
             code_description=code_description,
             translation_request=translation_request,
-            full_user_prompt=full_user_prompt,
-            prompt_tokens=prompt_tokens,
+            messages=self._messages(llm, system, "\n\n".join(parts)),
         )
 
     def correction_messages(
@@ -136,25 +144,27 @@ class PromptBuilder:
         error: str,
     ) -> List[ChatMessage]:
         """Messages for one self-correction round (Table III)."""
-        system = self.system_prompt()
-        prompt = dictionary.correction_prompt(kind, code, command, error)
-        system_tokens, prompt_tokens = self._budget(llm, system, prompt)
-        # The counts travel with the messages, so the model need not
-        # count the same text again.
+        return self._messages(
+            llm,
+            self.system_prompt(),
+            dictionary.correction_prompt(kind, code, command, error),
+        )
+
+    # ------------------------------------------------------------------
+    def _messages(
+        self, llm: LLMClient, system: str, prompt: str
+    ) -> List[ChatMessage]:
+        """The system and user messages of one chat, budgeted.
+
+        Raises :class:`ContextWindowExceeded` when the two do not fit the
+        model's window less the completion reserve.  The counts travel on
+        the messages, so the model need not count the same text again.
+        """
+        system_tokens, prompt_tokens = count_tokens(system), count_tokens(prompt)
+        tokens = system_tokens + prompt_tokens
+        if tokens > llm.context_length - self.reserve_completion_tokens:
+            raise ContextWindowExceeded(llm.name, tokens, llm.context_length)
         return [
             ChatMessage("system", system, system_tokens),
             ChatMessage("user", prompt, prompt_tokens),
         ]
-
-    # ------------------------------------------------------------------
-    def _check_budget(self, llm: LLMClient, system: str, prompt: str) -> int:
-        return sum(self._budget(llm, system, prompt))
-
-    def _budget(self, llm: LLMClient, system: str, prompt: str) -> Tuple[int, int]:
-        """Token counts of (system, prompt); raises past the context budget."""
-        counts = (count_tokens(system), count_tokens(prompt))
-        tokens = sum(counts)
-        limit = llm.context_length - self.reserve_completion_tokens
-        if tokens > limit:
-            raise ContextWindowExceeded(llm.name, tokens, llm.context_length)
-        return counts

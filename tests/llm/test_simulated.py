@@ -64,7 +64,7 @@ class TestSimulatedLLM:
         llm = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA,
                            plan=CellPlan())
         assert llm.context_length == 32768
-        out = llm.generate("hello")
+        out = llm.chat([ChatMessage("user", "hello")])
         assert out.model == "GPT-4"
 
     def test_clean_plan_emits_compilable_translation(self):
@@ -78,11 +78,14 @@ class TestSimulatedLLM:
     def test_self_prompting_responses_distinct(self):
         llm = SimulatedLLM("codestral", Dialect.CUDA, Dialect.OMP,
                            plan=CellPlan())
-        summary = llm.generate("Summarize the following OpenMP reference...")
-        describe = llm.generate(
+        summary = llm.chat([ChatMessage(
+            "user", "Summarize the following OpenMP reference..."
+        )])
+        describe = llm.chat([ChatMessage(
+            "user",
             "Describe succinctly what the following CUDA program computes:"
-            "\n\n__global__ void k() {}"
-        )
+            "\n\n__global__ void k() {}",
+        )])
         assert summary.text != describe.text
         assert "CUDA" in describe.text
 
@@ -160,6 +163,34 @@ class TestSimulatedLLM:
         )
         assert outcome.result.self_corrections == 34
         assert calls == [(Dialect.CUDA, Dialect.OMP)]
+
+    def test_chat_counts_only_its_completions(self, monkeypatch):
+        # The prompt builder budgets every message of every chat and sends
+        # the counts along, so over a whole scenario the model counts
+        # nothing but its own replies.
+        from repro.experiments.runner import ExperimentRunner, Scenario
+        from repro.llm import simulated
+
+        counted, replies = [], []
+        count_tokens = simulated.count_tokens
+        chat = SimulatedLLM.chat
+
+        def counting(text):
+            counted.append(text)
+            return count_tokens(text)
+
+        def recording(self, messages):
+            response = chat(self, messages)
+            replies.append(response.text)
+            return response
+
+        monkeypatch.setattr(simulated, "count_tokens", counting)
+        monkeypatch.setattr(SimulatedLLM, "chat", recording)
+        outcome = ExperimentRunner(profile="paper").run_scenario(
+            Scenario("gpt4", "omp2cuda", "layout")
+        )
+        assert len(replies) == 3 + outcome.result.self_corrections
+        assert counted == replies
 
     def test_each_translation_prompt_translates_its_own_source(self):
         llm = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA,

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
 from repro.minilang.diagnostics import DiagnosticBag
 from repro.minilang.lexer import Lexer, TokenKind
+from repro.minilang.source import Dialect
+from repro.toolchain import compiler_for
 
 
 def lex_all(src: str, cuda: bool = False):
@@ -98,3 +102,61 @@ class TestDirectives:
     def test_unknown_directive_diagnosed(self):
         _, bag = lex_all("#warning hello\nint x;")
         assert any(d.code == "unknown-directive" for d in bag.errors)
+
+
+class TestUntrustedInput:
+    """LLM output reaches the compiler unchecked: whatever the text,
+    ``compile`` returns a failed result with diagnostics, never raises."""
+
+    @staticmethod
+    def error_codes(text):
+        result = compiler_for(Dialect.OMP).compile(text)
+        assert not result.ok
+        return [d.code for d in result.diagnostics.errors]
+
+    def test_non_ascii_digits_are_invalid_characters(self):
+        # Numbers start with an ASCII digit, as in C: not with a
+        # superscript two, an Arabic-Indic three or a fullwidth three.
+        for digit in ("\u00b2", "\u0663", "\uff13"):
+            codes = self.error_codes(f"int main() {{ int x = {digit}; return 0; }}")
+            assert codes[0] == "invalid-character"
+
+    def test_many_skipped_directives(self):
+        assert self.error_codes("#include <stdio.h>\n" * 1200) == ["no-main"]
+
+    def test_many_invalid_characters(self):
+        codes = self.error_codes("@" * 1200)
+        assert codes.count("invalid-character") == 1200
+
+
+_C_LIKE = st.sampled_from(list(
+    "ab_Z09 \t\r\n#\"'\\/*.<>=+-;:{}()[]@$`exfuL\x0c\u00e9\u00b2\u0663"
+))
+_SNIPPETS = st.sampled_from([
+    "/*", "*/", "//", "\\\n", "#pragma omp parallel for", "#include <x>",
+    "<<<", ">>>", "...", "0x1F", "1e5f", ".5", "'\\", '"\\', "\r\n", "int",
+])
+_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=_C_LIKE),
+    st.lists(st.one_of(_SNIPPETS, st.text(alphabet=_C_LIKE, max_size=3))).map("".join),
+)
+_LOCATED = {
+    TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.INT_LIT,
+    TokenKind.FLOAT_LIT, TokenKind.PUNCT,
+}
+
+
+class TestArbitraryText:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXT, cuda=st.booleans())
+    def test_tokens_sit_where_the_source_has_them(self, text, cuda):
+        toks, _ = lex_all(text, cuda)
+        assert toks[-1].kind is TokenKind.EOF
+        assert [t.kind for t in toks].count(TokenKind.EOF) == 1
+        lines = text.split("\n")
+        for tok in toks:
+            if tok.kind in _LOCATED:
+                line = lines[tok.span.line - 1]
+                col = tok.span.col - 1
+                assert line[col:col + len(tok.text)] == tok.text
