@@ -930,6 +930,17 @@ def load_campaign(directory: Union[str, Path]) -> CampaignResult:
         )
     spec = CampaignSpec.from_dict(manifest["spec"])
     variants = {v.name: v for v in spec.variants}
+    # At jobs > 1 a session holds its scenario lines in completion order;
+    # each cell loads in the grid's enumeration order, as run() returns it.
+    try:
+        grid = ExperimentRunner(suite=spec.suite).scenarios(
+            spec.models, spec.directions, spec.apps
+        )
+    except ReproError as exc:
+        raise CampaignError(
+            f"campaign manifest {path} names an unusable grid: {exc}"
+        ) from exc
+    position = {scenario.key: i for i, scenario in enumerate(grid)}
     runs: List[CellRun] = []
     for entry in manifest.get("cells", []):
         variant = variants.get(entry["variant"])
@@ -941,7 +952,10 @@ def load_campaign(directory: Union[str, Path]) -> CampaignResult:
         session_path = directory / entry["session"]
         results: List[ScenarioResult] = []
         if session_path.exists():
-            results = list(RunSession(session_path, resume=True))
+            results = sorted(
+                RunSession(session_path, resume=True),
+                key=lambda r: position.get(r.scenario.key, len(position)),
+            )
         expected = entry.get("expected_scenarios")
         if expected is None:
             # Manifest predates the field: trust the completed flag so a

@@ -39,7 +39,7 @@ import math
 import re
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import GuestRuntimeError, InterpreterError
+from repro.errors import GuestRuntimeError, InterpreterError, ResourceLimitExceeded
 from repro.gpu.stats import HostParallelEvent, KernelEvent, OpCounters, TransferEvent
 from repro.interp.analysis import OMP_CONSTANT, ProgramFacts, strip_cast
 from repro.interp.memory import ElemRef, MemoryManager, Pointer, ScalarRef
@@ -435,7 +435,10 @@ class _Emitter(RegionEmitter):
                 f"if {b}.space == 'host' and {b}.shadow is not None and not {b}.freed "
                 f"and 0 <= {k} < {b}.shadow.length: {b} = {b}.shadow"
             )
-            self.emit(f"else: {b} = chk({b}, {k}, True)")
+            self.emit(
+                f"elif {b}.space != 'device' or {b}.freed or {k} < 0 or {k} >= {b}.length: "
+                f"{b} = chk({b}, {k}, True)"
+            )
         else:
             self.dynamic |= self.space == "dyn"
             sp, dev = {
@@ -1257,6 +1260,9 @@ def _param_names(fn: ast.FuncDef) -> List[str]:
     return names
 
 
+_NESTS_TOO_DEEPLY = "interpreter limit exceeded: program nests too deeply"
+
+
 class ProgramCode:
     """One program's generated interpreter code, compiled once.
 
@@ -1323,10 +1329,23 @@ class ProgramCode:
 
     @classmethod
     def of(cls, program: ast.Program, dialect: Dialect) -> "ProgramCode":
-        """The program's code for ``dialect``, generated on first use."""
+        """The program's code for ``dialect``, generated on first use.
+
+        A program nested past what the generated Python can express (20
+        nested loops, 100 levels of indentation) or the generator can walk
+        fails the run with an interpreter-limit error, not an exception.
+        """
         code = program.generated.get(dialect)
         if code is None:
-            code = program.generated[dialect] = cls(program, dialect)
+            try:
+                code = cls(program, dialect)
+            except SyntaxError as exc:
+                raise ResourceLimitExceeded(_NESTS_TOO_DEEPLY, detail=exc.msg) from None
+            except RecursionError:
+                raise ResourceLimitExceeded(
+                    _NESTS_TOO_DEEPLY, detail="code generator recursion limit"
+                ) from None
+            program.generated[dialect] = code
         return code
 
     # -- functions ---------------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.llm.registry import get_model
 from repro.llm.transpiler import TranspileError, Transpiler, TranspileOptions
 from repro.minilang.source import Dialect
 from repro.utils.rng import RngStream
-from repro.utils.tokens import count_tokens
+from repro.utils.tokens import count_joined, count_tokens
 
 _SUMMARY_MARKER = "Summarize the following"
 _DESCRIBE_MARKER = "Describe succinctly what the following"
@@ -113,24 +113,27 @@ class SimulatedLLM(LLMClient):
             for m in messages
         )
 
+        # Each handler returns its reply as parts, so the reply is counted
+        # from them: the code a generation quotes is counted once, and the
+        # next correction prompt, which quotes it back, finds it counted.
         if _CORRECTION_MARKER in prompt:
-            text = self._handle_correction(prompt)
+            parts = self._handle_correction(prompt)
         elif _TRANSLATE_MARKER in prompt:
-            text = self._handle_translation(prompt)
+            parts = self._handle_translation(prompt)
         elif _SUMMARY_MARKER in prompt:
-            text = self._handle_summary(prompt)
+            parts = [self._handle_summary(prompt)]
         elif _DESCRIBE_MARKER in prompt:
-            text = self._handle_description(prompt)
+            parts = [self._handle_description(prompt)]
         else:
-            text = (
+            parts = [
                 "I can help translate parallel code between CUDA and "
                 "OpenMP. Please provide the source program."
-            )
+            ]
         return GenerationResult(
-            text=text,
+            text="".join(parts),
             model=self.name,
             prompt_tokens=prompt_tokens,
-            completion_tokens=count_tokens(text),
+            completion_tokens=count_joined(parts),
         )
 
     # ------------------------------------------------------------------
@@ -163,7 +166,7 @@ class SimulatedLLM(LLMClient):
             f"lines for verification."
         )
 
-    def _handle_translation(self, prompt: str) -> str:
+    def _handle_translation(self, prompt: str) -> List[str]:
         source = self._extract_translation_source(prompt)
         try:
             self._translation = Transpiler(self.options).translate(
@@ -176,24 +179,24 @@ class SimulatedLLM(LLMClient):
             self._translation = source
         return self._emit_generation(self._translation)
 
-    def _handle_correction(self, prompt: str) -> str:
+    def _handle_correction(self, prompt: str) -> List[str]:
         code, error = self._extract_correction_parts(prompt)
         if self._repair_lands(error):
             self.state += 1
         if self._translation is None:
             # Conversation started mid-stream (correction without a prior
             # translation): best effort — re-emit the quoted code.
-            return f"```\n{code}\n```"
+            return ["```\n", code, "\n```"]
         return self._emit_generation(self._translation)
 
     # ------------------------------------------------------------------
     # Generation machinery
     # ------------------------------------------------------------------
-    def _emit_generation(self, translated: str) -> str:
+    def _emit_generation(self, translated: str) -> List[str]:
+        """The reply's parts: chatter and opening fence, code, closing fence."""
         code = self._apply_faults(translated)
         fence_lang = "cuda" if self.target_dialect is Dialect.CUDA else "cpp"
-        chatter = _CHATTER[self.key]
-        return f"{chatter}\n```{fence_lang}\n{code}```\n"
+        return [f"{_CHATTER[self.key]}\n```{fence_lang}\n", code, "```\n"]
 
     def _apply_faults(self, code: str) -> str:
         plan = self.plan

@@ -39,12 +39,33 @@ _BIN_PREC = {
 }
 
 
+#: The deepest nesting the parser accepts, as clang's ``-fbracket-depth``
+#: does.  One level is a parenthesized group, cast, call argument list,
+#: kernel launch, subscript or braced block; a statement body without
+#: braces; or an operator over an operand (unary, binary, assignment,
+#: conditional).
+#: The parser recurses at most 7 Python frames per level (a
+#: parenthesized group) and semantic analysis, the transpiler and the
+#: interpreter's code generator at most 7, so input at the limit stays
+#: well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _ParseBailout(Exception):
     """Internal: unwound to the nearest recovery point."""
 
 
+class _NestingLimit(Exception):
+    """Internal: :data:`MAX_NESTING` was exceeded; parsing stops."""
+
+
 class Parser:
-    def __init__(self, source: SourceFile, diagnostics: Optional[DiagnosticBag] = None) -> None:
+    def __init__(
+        self,
+        source: SourceFile,
+        diagnostics: Optional[DiagnosticBag] = None,
+        depth: int = 0,
+    ) -> None:
         self.source = source
         self.diagnostics = diagnostics if diagnostics is not None else DiagnosticBag()
         lexer = Lexer(
@@ -54,6 +75,8 @@ class Parser:
         )
         self.tokens: List[Token] = lexer.tokens()
         self.pos = 0
+        #: Current nesting level (see :data:`MAX_NESTING`).
+        self.depth = depth
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -102,6 +125,19 @@ class Parser:
             tok.span,
         )
         raise _ParseBailout()
+
+    def _nest(self) -> None:
+        """Enter one nesting level; past :data:`MAX_NESTING` parsing stops
+        with clang's fatal error.  The caller leaves the level with
+        ``self.depth -= 1``; a bailout restores it at its recovery point."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.diagnostics.error(
+                "bracket-depth",
+                f"bracket nesting level exceeded maximum of {MAX_NESTING}",
+                self._peek().span,
+            )
+            raise _NestingLimit()
 
     @staticmethod
     def _describe(tok: Token) -> str:
@@ -173,7 +209,10 @@ class Parser:
             try:
                 self._parse_topdecl(program)
             except _ParseBailout:
+                self.depth = 0
                 self._sync_to(";", "}")
+            except _NestingLimit:
+                break
         return program
 
     def _parse_topdecl(self, program: ast.Program) -> None:
@@ -256,6 +295,8 @@ class Parser:
     # ------------------------------------------------------------------
     def _parse_block(self) -> ast.Block:
         open_tok = self._expect_punct("{", "to begin block")
+        self._nest()
+        depth = self.depth
         block = ast.Block()
         block.span = open_tok.span
         while not self._at_punct("}"):
@@ -267,11 +308,23 @@ class Parser:
             try:
                 block.stmts.append(self._parse_stmt())
             except _ParseBailout:
+                self.depth = depth
                 self._sync_to(";", "}")
                 if self.tokens[self.pos - 1].is_punct("}"):
+                    self.depth -= 1
                     return block
         self._advance()
+        self.depth -= 1
         return block
+
+    def _parse_body(self) -> ast.Stmt:
+        """A statement's body: a block, or a statement one level deeper."""
+        if self._at_punct("{"):
+            return self._parse_block()
+        self._nest()
+        body = self._parse_stmt()
+        self.depth -= 1
+        return body
 
     def _parse_stmt(self) -> ast.Stmt:
         tok = self._peek()
@@ -345,11 +398,11 @@ class Parser:
         self._expect_punct("(", "after 'if'")
         cond = self._parse_expr()
         self._expect_punct(")", "to close if condition")
-        then = self._parse_stmt()
+        then = self._parse_body()
         other: Optional[ast.Stmt] = None
         if self._at_keyword("else"):
             self._advance()
-            other = self._parse_stmt()
+            other = self._parse_body()
         return ast.If(cond=cond, then=then, other=other).with_span(span)
 
     def _parse_for(self) -> ast.Stmt:
@@ -385,7 +438,7 @@ class Parser:
         if not self._at_punct(")"):
             step = self._parse_expr()
         self._expect_punct(")", "to close for-loop header")
-        body = self._parse_stmt()
+        body = self._parse_body()
         return ast.For(init=init, cond=cond, step=step, body=body).with_span(span)
 
     def _parse_while(self) -> ast.Stmt:
@@ -393,12 +446,12 @@ class Parser:
         self._expect_punct("(", "after 'while'")
         cond = self._parse_expr()
         self._expect_punct(")", "to close while condition")
-        body = self._parse_stmt()
+        body = self._parse_body()
         return ast.While(cond=cond, body=body).with_span(span)
 
     def _parse_do_while(self) -> ast.Stmt:
         span = self._advance().span
-        body = self._parse_stmt()
+        body = self._parse_body()
         if not self._at_keyword("while"):
             self.diagnostics.error(
                 "expected-token", "expected 'while' after do-statement body", self._peek().span
@@ -416,18 +469,18 @@ class Parser:
     # ------------------------------------------------------------------
     def _parse_pragma_stmt(self) -> ast.Stmt:
         tok = self._advance()
-        pragma = parse_omp_pragma(tok.text, tok.span, self.diagnostics)
+        pragma = parse_omp_pragma(tok.text, tok.span, self.diagnostics, self.depth)
         if pragma is None:
             # Unknown pragma: warn and parse the next statement plainly,
             # matching "warning: ignoring #pragma" behaviour.
             self.diagnostics.warning(
                 "unknown-pragma", f"ignoring unrecognized pragma: {tok.text}", tok.span
             )
-            return self._parse_stmt()
+            return self._parse_body()
         node = ast.Pragma(pragma=pragma)
         node.span = tok.span
         if pragma.directive in ("target data", "target"):
-            node.body = self._parse_stmt()
+            node.body = self._parse_body()
         elif pragma.is_loop:
             nxt = self._peek()
             if not nxt.is_keyword("for"):
@@ -437,25 +490,14 @@ class Parser:
                     nxt.span,
                 )
                 raise _ParseBailout()
-            node.body = self._parse_stmt()
+            node.body = self._parse_body()
         elif pragma.directive in ("atomic", "critical"):
-            node.body = self._parse_stmt()
+            node.body = self._parse_body()
         elif pragma.directive == "barrier":
             node.body = None
         else:
-            node.body = self._parse_stmt()
+            node.body = self._parse_body()
         return node
-
-    def _parse_expr_from_text(self, text: str, span: Span) -> Optional[ast.Expr]:
-        sub_source = SourceFile(self.source.name, text, self.source.dialect)
-        sub = Parser(sub_source, self.diagnostics)
-        try:
-            return sub._parse_expr()
-        except _ParseBailout:
-            self.diagnostics.error(
-                "pragma-bad-expr", f"could not parse expression '{text}' in pragma clause", span
-            )
-            return None
 
     # ------------------------------------------------------------------
     # Expressions (precedence climbing)
@@ -468,7 +510,9 @@ class Parser:
         tok = self._peek()
         if tok.kind is TokenKind.PUNCT and tok.text in _ASSIGN_OPS:
             self._advance()
+            self._nest()
             value = self._parse_assignment()
+            self.depth -= 1
             return ast.Assign(op=tok.text, target=left, value=value).with_span(tok.span)
         return left
 
@@ -476,30 +520,39 @@ class Parser:
         cond = self._parse_binary(1)
         if self._at_punct("?"):
             span = self._advance().span
+            self._nest()
             then = self._parse_assignment()
             self._expect_punct(":", "in conditional expression")
             other = self._parse_assignment()
+            self.depth -= 1
             return ast.Ternary(cond=cond, then=then, other=other).with_span(span)
         return cond
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
+        # Each operator folded into ``left`` nests it one level deeper.
+        depth = self.depth
         left = self._parse_unary()
         while True:
             tok = self._peek()
             if tok.kind is not TokenKind.PUNCT:
-                return left
+                break
             prec = _BIN_PREC.get(tok.text)
             if prec is None or prec < min_prec:
-                return left
+                break
             self._advance()
+            self._nest()
             right = self._parse_binary(prec + 1)
             left = ast.Binary(op=tok.text, left=left, right=right).with_span(tok.span)
+        self.depth = depth
+        return left
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
         if tok.kind is TokenKind.PUNCT and tok.text in ("-", "+", "!", "~", "*", "&", "++", "--"):
             self._advance()
+            self._nest()
             operand = self._parse_unary()
+            self.depth -= 1
             if tok.text == "+":
                 return operand
             return ast.Unary(op=tok.text, operand=operand).with_span(tok.span)
@@ -515,7 +568,9 @@ class Parser:
             self._advance()
             cast_type, _ = self._parse_type()
             self._expect_punct(")", "to close cast")
+            self._nest()
             operand = self._parse_unary()
+            self.depth -= 1
             return ast.Cast(type=cast_type, operand=operand).with_span(tok.span)
         return self._parse_postfix()
 
@@ -525,8 +580,10 @@ class Parser:
             tok = self._peek()
             if tok.is_punct("["):
                 self._advance()
+                self._nest()
                 index = self._parse_expr()
                 self._expect_punct("]", "to close subscript")
+                self.depth -= 1
                 expr = ast.Index(base=expr, index=index).with_span(tok.span)
             elif tok.is_punct("."):
                 self._advance()
@@ -588,6 +645,7 @@ class Parser:
                 return self._parse_launch(name, span)
             if self._at_punct("("):
                 self._advance()
+                self._nest()
                 args: List[ast.Expr] = []
                 if not self._at_punct(")"):
                     while True:
@@ -595,13 +653,16 @@ class Parser:
                         if not self._accept_punct(","):
                             break
                 self._expect_punct(")", "to close call argument list")
+                self.depth -= 1
                 return ast.Call(callee=name, args=args).with_span(span)
             return ast.Ident(name=name).with_span(span)
 
         if tok.is_punct("("):
             self._advance()
+            self._nest()
             inner = self._parse_expr()
             self._expect_punct(")", "to close parenthesized expression")
+            self.depth -= 1
             return inner
 
         self.diagnostics.error(
@@ -613,6 +674,7 @@ class Parser:
 
     def _parse_launch(self, kernel: str, span: Span) -> ast.Expr:
         self._expect_punct("<<<", "to begin kernel launch configuration")
+        self._nest()
         grid = self._parse_expr()
         self._expect_punct(",", "between grid and block dimensions")
         block = self._parse_expr()
@@ -625,6 +687,7 @@ class Parser:
                 if not self._accept_punct(","):
                     break
         self._expect_punct(")", "to close kernel arguments")
+        self.depth -= 1
         return ast.Launch(kernel=kernel, grid=grid, block=block, args=args).with_span(span)
 
 
@@ -651,8 +714,13 @@ _DIRECTIVES = [
 ]
 
 
-def parse_omp_pragma(text: str, span: Span, diagnostics: DiagnosticBag) -> Optional[ast.OmpPragma]:
-    """Parse a ``#pragma`` line.  Returns None for non-OpenMP pragmas."""
+def parse_omp_pragma(
+    text: str, span: Span, diagnostics: DiagnosticBag, depth: int = 0
+) -> Optional[ast.OmpPragma]:
+    """Parse a ``#pragma`` line.  Returns None for non-OpenMP pragmas.
+
+    Clause expressions are parsed at nesting level ``depth``, the level of
+    the statement the pragma heads."""
     body = text[len("#pragma"):].strip()
     if not body.startswith("omp"):
         return None
@@ -680,7 +748,7 @@ def parse_omp_pragma(text: str, span: Span, diagnostics: DiagnosticBag) -> Optio
     pragma = ast.OmpPragma(directive=directive, raw_text=text, span=span)
 
     for clause_name, clause_body in _split_clauses(body, span, diagnostics):
-        _apply_clause(pragma, clause_name, clause_body, span, diagnostics)
+        _apply_clause(pragma, clause_name, clause_body, span, diagnostics, depth)
     return pragma
 
 
@@ -726,8 +794,10 @@ def _split_clauses(body: str, span: Span, diagnostics: DiagnosticBag):
             yield name, None
 
 
-def _parse_clause_expr(text: str, span: Span, diagnostics: DiagnosticBag) -> Optional[ast.Expr]:
-    sub = Parser(SourceFile("<pragma>", text, Dialect.C), diagnostics)
+def _parse_clause_expr(
+    text: str, span: Span, diagnostics: DiagnosticBag, depth: int
+) -> Optional[ast.Expr]:
+    sub = Parser(SourceFile("<pragma>", text, Dialect.C), diagnostics, depth)
     try:
         return sub._parse_expr()
     except _ParseBailout:
@@ -743,6 +813,7 @@ def _apply_clause(
     body: Optional[str],
     span: Span,
     diagnostics: DiagnosticBag,
+    depth: int,
 ) -> None:
     if name == "map":
         if body is None:
@@ -759,7 +830,7 @@ def _apply_clause(
             item = item.strip()
             if not item:
                 continue
-            mc = _parse_map_item(kind, item, span, diagnostics)
+            mc = _parse_map_item(kind, item, span, diagnostics, depth)
             if mc is not None:
                 pragma.maps.append(mc)
     elif name == "reduction":
@@ -779,11 +850,11 @@ def _apply_clause(
             op=op, names=[n.strip() for n in names.split(",") if n.strip()]
         )
     elif name == "num_threads":
-        pragma.num_threads = _parse_clause_expr(body or "", span, diagnostics)
+        pragma.num_threads = _parse_clause_expr(body or "", span, diagnostics, depth)
     elif name == "thread_limit":
-        pragma.thread_limit = _parse_clause_expr(body or "", span, diagnostics)
+        pragma.thread_limit = _parse_clause_expr(body or "", span, diagnostics, depth)
     elif name == "num_teams":
-        pragma.num_teams = _parse_clause_expr(body or "", span, diagnostics)
+        pragma.num_teams = _parse_clause_expr(body or "", span, diagnostics, depth)
     elif name == "collapse":
         try:
             pragma.collapse = int((body or "").strip())
@@ -800,7 +871,7 @@ def _apply_clause(
             return
         pragma.schedule = parts[0]
         if len(parts) > 1 and parts[1]:
-            pragma.schedule_chunk = _parse_clause_expr(parts[1], span, diagnostics)
+            pragma.schedule_chunk = _parse_clause_expr(parts[1], span, diagnostics, depth)
     elif name == "private":
         pragma.private.extend(n.strip() for n in (body or "").split(",") if n.strip())
     elif name == "firstprivate":
@@ -835,7 +906,7 @@ def _split_top_commas(text: str) -> List[str]:
 
 
 def _parse_map_item(
-    kind: str, item: str, span: Span, diagnostics: DiagnosticBag
+    kind: str, item: str, span: Span, diagnostics: DiagnosticBag, depth: int
 ) -> Optional[ast.MapClause]:
     """Parse ``name`` or ``name[lo:len]``."""
     if "[" not in item:
@@ -849,8 +920,11 @@ def _parse_map_item(
         return None
     section = rest[:-1]
     lo_text, _, len_text = section.partition(":")
-    lower = _parse_clause_expr(lo_text.strip() or "0", span, diagnostics)
-    length = _parse_clause_expr(len_text.strip(), span, diagnostics) if len_text.strip() else None
+    lower = _parse_clause_expr(lo_text.strip() or "0", span, diagnostics, depth)
+    length = (
+        _parse_clause_expr(len_text.strip(), span, diagnostics, depth)
+        if len_text.strip() else None
+    )
     return ast.MapClause(kind=kind, name=name, lower=lower, length=length)
 
 

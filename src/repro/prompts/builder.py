@@ -18,8 +18,9 @@ from repro.errors import ContextWindowExceeded
 from repro.llm.base import ChatMessage, LLMClient
 from repro.minilang.source import Dialect
 from repro.prompts import dictionary
+from repro.prompts.dictionary import template_parts
 from repro.prompts.knowledge import knowledge_document
-from repro.utils.tokens import count_tokens
+from repro.utils.tokens import count_joined, count_tokens
 
 
 @dataclass
@@ -58,6 +59,11 @@ CODE_DESCRIPTION_REQUEST = (
     "how it is parallelized:\n\n{code}"
 )
 
+#: The optional sections ahead of the translation request in the full
+#: prompt: the knowledge document, then the model's summary of it.
+KNOWLEDGE_SECTION = "Reference material for {language}:\n{knowledge}\n\n"
+SUMMARY_SECTION = "Summary of the reference material:\n{summary}\n\n"
+
 
 class PromptBuilder:
     """Assembles LASSI prompts for one translation direction."""
@@ -81,16 +87,6 @@ class PromptBuilder:
     def knowledge(self) -> str:
         return knowledge_document(self.target) if self.include_knowledge else ""
 
-    def knowledge_summary_prompt(self) -> str:
-        return KNOWLEDGE_SUMMARY_REQUEST.format(
-            language=self.target.display_name, knowledge=self.knowledge()
-        )
-
-    def code_description_prompt(self, source_code: str) -> str:
-        return CODE_DESCRIPTION_REQUEST.format(
-            language=self.source.display_name, code=source_code
-        )
-
     # ------------------------------------------------------------------
     def build(
         self,
@@ -101,18 +97,22 @@ class PromptBuilder:
         full translation prompt, enforcing the context budget."""
         system = self.system_prompt()
         knowledge = self.knowledge()
+        language = self.target.display_name
 
         knowledge_summary = ""
         if self.include_knowledge:
-            knowledge_summary = llm.chat(
-                self._messages(llm, system, self.knowledge_summary_prompt())
-            ).text
+            knowledge_summary = llm.chat(self._messages(llm, system, template_parts(
+                KNOWLEDGE_SUMMARY_REQUEST, language=language, knowledge=knowledge
+            ))).text
 
-        code_description = llm.chat(
-            self._messages(llm, system, self.code_description_prompt(source_code))
-        ).text
+        code_description = llm.chat(self._messages(llm, system, template_parts(
+            CODE_DESCRIPTION_REQUEST,
+            language=self.source.display_name,
+            code=source_code,
+        ))).text
 
-        translation_request = dictionary.THINK_PREFIX.format(
+        request = template_parts(
+            dictionary.THINK_PREFIX,
             description=code_description,
             translation_prompt=dictionary.translation_prompt(
                 self.source, self.target
@@ -121,18 +121,17 @@ class PromptBuilder:
         )
         parts: List[str] = []
         if knowledge:
-            parts.append(
-                f"Reference material for {self.target.display_name}:\n{knowledge}"
+            parts += template_parts(
+                KNOWLEDGE_SECTION, language=language, knowledge=knowledge
             )
         if knowledge_summary:
-            parts.append(f"Summary of the reference material:\n{knowledge_summary}")
-        parts.append(translation_request)
+            parts += template_parts(SUMMARY_SECTION, summary=knowledge_summary)
         return PromptBundle(
             knowledge=knowledge,
             knowledge_summary=knowledge_summary,
             code_description=code_description,
-            translation_request=translation_request,
-            messages=self._messages(llm, system, "\n\n".join(parts)),
+            translation_request="".join(request),
+            messages=self._messages(llm, system, parts + request),
         )
 
     def correction_messages(
@@ -147,24 +146,25 @@ class PromptBuilder:
         return self._messages(
             llm,
             self.system_prompt(),
-            dictionary.correction_prompt(kind, code, command, error),
+            dictionary.correction_parts(kind, code, command, error),
         )
 
     # ------------------------------------------------------------------
     def _messages(
-        self, llm: LLMClient, system: str, prompt: str
+        self, llm: LLMClient, system: str, parts: List[str]
     ) -> List[ChatMessage]:
-        """The system and user messages of one chat, budgeted.
+        """The system message and the user message joined from ``parts``,
+        budgeted.
 
         Raises :class:`ContextWindowExceeded` when the two do not fit the
         model's window less the completion reserve.  The counts travel on
         the messages, so the model need not count the same text again.
         """
-        system_tokens, prompt_tokens = count_tokens(system), count_tokens(prompt)
+        system_tokens, prompt_tokens = count_tokens(system), count_joined(parts)
         tokens = system_tokens + prompt_tokens
         if tokens > llm.context_length - self.reserve_completion_tokens:
             raise ContextWindowExceeded(llm.name, tokens, llm.context_length)
         return [
             ChatMessage("system", system, system_tokens),
-            ChatMessage("user", prompt, prompt_tokens),
+            ChatMessage("user", "".join(parts), prompt_tokens),
         ]

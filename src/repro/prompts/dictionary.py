@@ -9,7 +9,8 @@ pipeline process").
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import string
+from typing import Dict, List, Tuple
 
 from repro.minilang.source import Dialect
 
@@ -112,9 +113,30 @@ def translation_prompt(source: Dialect, target: Dialect) -> str:
     return TRANSLATION_PROMPTS[_direction(source, target)]
 
 
-def correction_prompt(kind: str, code: str, command: str, error: str) -> str:
-    """Table III correction prompt; ``kind`` in {compile, execute}."""
+_FORMATTER = string.Formatter()
+
+
+def template_parts(template: str, **fields: str) -> List[str]:
+    """``template.format(**fields)`` as a list of parts: the template's
+    literal fragments between its ``{name}`` fields, and the fields'
+    values, in order.  A prompt is counted from its parts, so the
+    constant fragments are scanned once, not once per prompt."""
+    parts = []
+    for literal, name, _spec, _conversion in _FORMATTER.parse(template):
+        parts.append(literal)
+        if name is not None:
+            parts.append(fields[name])
+    return parts
+
+
+def correction_parts(kind: str, code: str, command: str, error: str) -> List[str]:
+    """Table III correction prompt as parts; ``kind`` in {compile, execute}."""
     template = CORRECTION_PROMPTS.get(kind)
     if template is None:
         raise KeyError(f"unknown correction kind {kind!r}")
-    return template.format(code=code, command=command, error=error)
+    return template_parts(template, code=code, command=command, error=error)
+
+
+def correction_prompt(kind: str, code: str, command: str, error: str) -> str:
+    """Table III correction prompt; ``kind`` in {compile, execute}."""
+    return "".join(correction_parts(kind, code, command, error))

@@ -11,8 +11,9 @@ Two distinct tokenizations are needed:
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import List
+from typing import Iterable, List
 
 # Word pieces, numbers, and single punctuation marks; an empirically
 # reasonable stand-in for BPE token counts on English + code (≈1.3x words).
@@ -42,9 +43,44 @@ def tokenize_text(text: str) -> List[str]:
     return _TEXT_TOKEN_RE.findall(text)
 
 
+@functools.lru_cache(maxsize=64)
 def count_tokens(text: str) -> int:
-    """Approximate LLM token count of ``text``."""
+    """Approximate LLM token count of ``text``.
+
+    Memoized: a conversation re-sends the same texts (the knowledge
+    document, the system prompt, the code it just received), so each is
+    scanned once while it stays among the 64 most recently counted.
+    """
     return len(tokenize_text(text))
+
+
+def _ascii_class(char: str) -> str:
+    if char.isascii():
+        if char.isalpha():
+            return "a"
+        if char.isdigit():
+            return "0"
+    return ""
+
+
+def count_joined(parts: Iterable[str]) -> int:
+    """``count_tokens("".join(parts))``, summed from the parts' counts.
+
+    Under ``tokenize_text`` only a run of ASCII letters or of ASCII digits
+    can span a join, so a boundary where both sides are letters, or both
+    digits, merges two tokens into one; every other boundary splits
+    nothing.
+    """
+    total = 0
+    last = ""
+    for part in parts:
+        if not part:
+            continue
+        total += count_tokens(part)
+        if last and _ascii_class(part[0]) == last:
+            total -= 1
+        last = _ascii_class(part[-1])
+    return total
 
 
 def tokenize_code(code: str) -> List[str]:

@@ -386,6 +386,20 @@ class TestLoadAndReport:
                 r.scenario for r in b.results
             }
 
+    def test_load_campaign_orders_each_cell_by_the_grid(self, tmp_path):
+        # Sessions written at jobs > 1 hold scenario lines in completion
+        # order; loading must not depend on it.
+        ran = CampaignRunner(_spec(), root=tmp_path).run()
+        session = tmp_path / "mini" / "sessions" / "baseline-seed2024.jsonl"
+        header, *lines = session.read_text().splitlines()
+        assert len(lines) == 2
+        session.write_text("\n".join([header, *reversed(lines)]) + "\n")
+        loaded = load_campaign(tmp_path / "mini")
+        for a, b in zip(loaded.runs, ran.runs):
+            assert [r.scenario for r in a.results] == [
+                r.scenario for r in b.results
+            ]
+
     def test_load_missing_or_broken_manifest(self, tmp_path):
         with pytest.raises(CampaignError):
             load_campaign(tmp_path / "nope")

@@ -167,17 +167,21 @@ class TestSimulatedLLM:
     def test_chat_counts_only_its_completions(self, monkeypatch):
         # The prompt builder budgets every message of every chat and sends
         # the counts along, so over a whole scenario the model counts
-        # nothing but its own replies.
+        # nothing but its own replies, each from the parts it joins.
         from repro.experiments.runner import ExperimentRunner, Scenario
         from repro.llm import simulated
 
-        counted, replies = [], []
-        count_tokens = simulated.count_tokens
+        counted, joined, replies = [], [], []
+        count_tokens, count_joined = simulated.count_tokens, simulated.count_joined
         chat = SimulatedLLM.chat
 
         def counting(text):
             counted.append(text)
             return count_tokens(text)
+
+        def counting_parts(parts):
+            joined.append("".join(parts))
+            return count_joined(parts)
 
         def recording(self, messages):
             response = chat(self, messages)
@@ -185,12 +189,14 @@ class TestSimulatedLLM:
             return response
 
         monkeypatch.setattr(simulated, "count_tokens", counting)
+        monkeypatch.setattr(simulated, "count_joined", counting_parts)
         monkeypatch.setattr(SimulatedLLM, "chat", recording)
         outcome = ExperimentRunner(profile="paper").run_scenario(
             Scenario("gpt4", "omp2cuda", "layout")
         )
         assert len(replies) == 3 + outcome.result.self_corrections
-        assert counted == replies
+        assert counted == []
+        assert joined == replies
 
     def test_each_translation_prompt_translates_its_own_source(self):
         llm = SimulatedLLM("gpt4", Dialect.OMP, Dialect.CUDA,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
 
 from repro.errors import ContextWindowExceeded
@@ -14,8 +16,28 @@ from repro.prompts import (
     system_prompt,
     translation_prompt,
 )
-from repro.prompts.dictionary import CORRECTION_PROMPTS, SYSTEM_PROMPTS
+from repro.prompts.builder import (
+    CODE_DESCRIPTION_REQUEST,
+    KNOWLEDGE_SECTION,
+    KNOWLEDGE_SUMMARY_REQUEST,
+    SUMMARY_SECTION,
+)
+from repro.prompts.dictionary import (
+    CORRECTION_PROMPTS,
+    SYSTEM_PROMPTS,
+    THINK_PREFIX,
+    template_parts,
+)
 from repro.utils.tokens import count_tokens
+
+#: Every template a prompt is assembled from.
+TEMPLATES = list(CORRECTION_PROMPTS.values()) + [
+    THINK_PREFIX,
+    KNOWLEDGE_SUMMARY_REQUEST,
+    CODE_DESCRIPTION_REQUEST,
+    KNOWLEDGE_SECTION,
+    SUMMARY_SECTION,
+]
 
 
 class TestDictionary:
@@ -45,6 +67,18 @@ class TestDictionary:
         execute_p = correction_prompt("execute", "CODE", "nvcc x", "ERR")
         assert "executed after a successful compile" in execute_p
         assert set(CORRECTION_PROMPTS) == {"compile", "execute"}
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_template_parts_join_to_the_formatted_template(self, template):
+        names = [
+            name for _, name, _, _ in string.Formatter().parse(template)
+            if name is not None
+        ]
+        assert names
+        # Field values with braces and runs that touch the literals.
+        values = {name: f"x{{{name}}}1\n{name}" for name in names}
+        parts = template_parts(template, **values)
+        assert "".join(parts) == template.format(**values)
 
     def test_unknown_direction_or_kind(self):
         with pytest.raises(KeyError):
@@ -103,6 +137,9 @@ class TestPromptBuilder:
         assert "Think carefully before developing" in bundle.translation_request
         assert "int main() { return 0; }" in bundle.full_user_prompt
         assert bundle.prompt_tokens > 0
+        assert [m.tokens for m in bundle.messages] == [
+            count_tokens(m.content) for m in bundle.messages
+        ]
         # two self-prompting calls happened (summary + description)
         assert len(llm.prompts) == 2
 
@@ -125,4 +162,7 @@ class TestPromptBuilder:
         builder = PromptBuilder(Dialect.CUDA, Dialect.OMP)
         msgs = builder.correction_messages(llm, "compile", "CODE", "clang++", "boom")
         assert msgs[0].role == "system"
-        assert "boom" in msgs[1].content
+        assert msgs[1].content == correction_prompt(
+            "compile", "CODE", "clang++", "boom"
+        )
+        assert [m.tokens for m in msgs] == [count_tokens(m.content) for m in msgs]

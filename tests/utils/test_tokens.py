@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import string
+
 from hypothesis import given, strategies as st
 
-from repro.utils.tokens import count_tokens, tokenize_code, tokenize_text
+from repro.utils.tokens import (
+    count_joined,
+    count_tokens,
+    tokenize_code,
+    tokenize_text,
+)
+
+#: ASCII letters, digits, punctuation and whitespace, and three non-ASCII
+#: characters that are a letter, a decimal digit and a digit elsewhere.
+_JOIN_ALPHABET = (
+    string.ascii_letters + string.digits + string.punctuation
+    + string.whitespace + "é٣²"
+)
 
 
 class TestTokenizeText:
@@ -20,6 +34,24 @@ class TestTokenizeText:
     @given(st.text(max_size=200))
     def test_no_whitespace_tokens(self, text):
         assert all(not t.isspace() for t in tokenize_text(text))
+
+
+class TestCountJoined:
+    def test_runs_merge_across_a_join(self):
+        assert count_joined(["int", "main"]) == 1
+        assert count_joined(["12", "34"]) == 1
+        assert count_joined(["ab", "", "cd"]) == 1
+
+    def test_other_boundaries_split_nothing(self):
+        assert count_joined(["a", "1"]) == 2
+        assert count_joined(["a", " b"]) == 2
+        assert count_joined(["é", "a"]) == 2
+        assert count_joined(["٣", "4"]) == 2
+        assert count_joined([]) == 0
+
+    @given(st.lists(st.text(alphabet=_JOIN_ALPHABET, max_size=8), max_size=8))
+    def test_equals_the_count_of_the_join(self, parts):
+        assert count_joined(parts) == count_tokens("".join(parts))
 
 
 class TestTokenizeCode:
