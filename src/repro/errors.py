@@ -15,26 +15,6 @@ class ReproError(Exception):
     """Base class for all library errors."""
 
 
-class ConfigError(ReproError):
-    """Invalid configuration value or combination."""
-
-
-class MiniLangError(ReproError):
-    """Base for mini-language front-end errors (internal misuse)."""
-
-
-class LexerError(MiniLangError):
-    """Unrecoverable lexing failure (reported as a diagnostic normally)."""
-
-
-class ParseError(MiniLangError):
-    """Unrecoverable parse failure (reported as a diagnostic normally)."""
-
-
-class SemanticError(MiniLangError):
-    """Semantic analysis failure (reported as a diagnostic normally)."""
-
-
 class InterpreterError(ReproError):
     """Internal interpreter invariant violation (not a guest-program fault)."""
 

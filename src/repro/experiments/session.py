@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.experiments.runner import Scenario, ScenarioResult
@@ -192,11 +192,3 @@ class RunSession:
 
     def __iter__(self) -> Iterator[ScenarioResult]:
         return iter(self._results.values())
-
-    @property
-    def completed_keys(self) -> List[ScenarioKey]:
-        return list(self._results.keys())
-
-    @property
-    def meta(self) -> Optional[dict]:
-        return self._meta

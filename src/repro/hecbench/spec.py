@@ -42,10 +42,3 @@ class AppSpec:
         return SourceFile(
             f"{self.name}{dialect.file_extension}", self.source(dialect), dialect
         )
-
-    def paper_runtime(self, dialect: Dialect) -> Optional[float]:
-        if dialect is Dialect.CUDA:
-            return self.paper_runtime_cuda
-        if dialect is Dialect.OMP:
-            return self.paper_runtime_omp
-        return None

@@ -1,11 +1,11 @@
 """Static facts about a guest program, for the code generator.
 
-The generator specialises what it can prove: :func:`collect_local_types`
-gives each function's flattened name -> type map, :class:`ProgramFacts`
-types expressions, decides whether a pointer could reach an arithmetic
-slot (the guard on typed code), and finds the locals that always hold a
-Python ``int`` or ``float``.  The canonical-loop helpers read OpenMP loop
-nests the way the ``target`` loop schedule executes them.
+Expression types come from semantic analysis (:func:`expr_type` reads what
+:mod:`repro.minilang.semantics` left on each node).  On top of them
+:class:`ProgramFacts` decides whether a pointer could reach an arithmetic
+slot (the guard on typed code) and finds the locals that always hold a
+Python ``int`` or ``float``.  The loop-nest helpers read OpenMP loop nests
+the way the ``target`` loop schedule executes them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.minilang import ast
 from repro.minilang import types as ty
-from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS, return_type
+from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS
+from repro.minilang.semantics import (
+    canonical,
+    collect_local_types,
+    expr_type,
+    sole_inner_for,
+)
 from repro.minilang.source import Dialect
 
 #: Math builtins whose result is not always a Python float.
@@ -29,27 +35,6 @@ OMP_CONSTANT = {
     "omp_set_num_threads": "None",
     "omp_get_num_devices": "1",
 }
-
-
-def collect_local_types(fn: ast.FuncDef) -> Dict[str, ty.Type]:
-    """Static name -> type map for a function (params + all declarations).
-
-    Scopes are flattened; the semantic analyzer has already validated scoping,
-    and redeclaration with a *different* type across sibling scopes is outside
-    the supported subset.
-    """
-    out: Dict[str, ty.Type] = {}
-    for p in fn.params:
-        if p.name:
-            out[p.name] = p.type
-    for s in ast.walk_stmts(fn.body):
-        if isinstance(s, ast.VarDecl):
-            t = s.type.pointer_to() if s.array_size is not None else s.type
-            out[s.name] = t
-        elif isinstance(s, ast.For) and isinstance(s.init, ast.VarDecl):
-            d = s.init
-            out[d.name] = d.type.pointer_to() if d.array_size is not None else d.type
-    return out
 
 
 def strip_cast(e: ast.Expr) -> ast.Expr:
@@ -86,7 +71,8 @@ class ProgramFacts:
             name: list(ast.walk_stmts(fn.body)) for name, fn in self.functions.items()
         }
         self.exprs = {
-            name: ast.walk_exprs(fn.body) for name, fn in self.functions.items()
+            name: ast.walk_exprs(fn.body, clauses=dialect is not Dialect.CUDA)
+            for name, fn in self.functions.items()
         }
         self.typed = self._typed()
         self.int_clean: Dict[str, Set[str]] = {}
@@ -94,111 +80,29 @@ class ProgramFacts:
         if self.typed:
             self._clean_sets()
 
-    # -- static typing ----------------------------------------------------
-    def etype(self, e: ast.Expr, types: Dict[str, ty.Type]) -> Optional[ty.Type]:
-        """Best-effort static type of ``e`` (None when unknown)."""
-        if isinstance(e, ast.IntLit):
-            return ty.INT
-        if isinstance(e, ast.FloatLit):
-            return ty.DOUBLE
-        if isinstance(e, ast.CharLit):
-            return ty.CHAR
-        if isinstance(e, ast.BoolLit):
-            return ty.BOOL
-        if isinstance(e, ast.StrLit):
-            return ty.Type(ty.Kind.CHAR, 1)
-        if isinstance(e, ast.NullLit):
-            return ty.Type(ty.Kind.VOID, 1)
-        if isinstance(e, ast.Ident):
-            t = types.get(e.name)
-            if t is None:
-                t = self.global_types.get(e.name)
-            if t is None and e.name in CONSTANTS:
-                t = ty.DOUBLE if isinstance(CONSTANTS[e.name][0], float) else ty.INT
-            if t is None and e.name in GEOMETRY_BUILTINS:
-                t = ty.INT
-            return t
-        if isinstance(e, ast.Member):
-            return ty.INT
-        if isinstance(e, (ast.Unary, ast.Postfix)):
-            t = self.etype(e.operand, types)
-            if e.op == "!":
-                return ty.INT
-            if e.op == "*":
-                return t.pointee() if t is not None and t.is_pointer else None
-            if e.op == "&":
-                return t.pointer_to() if t is not None else None
-            return t
-        if isinstance(e, ast.Binary):
-            if e.op in ("&&", "||", "==", "!=", "<", ">", "<=", ">="):
-                return ty.INT
-            a, b = self.etype(e.left, types), self.etype(e.right, types)
-            if a is None or b is None:
-                return None
-            if e.op in ("+", "-") and (a.is_pointer or b.is_pointer):
-                if a.is_pointer and b.is_pointer:
-                    return ty.LONG if e.op == "-" else None
-                return a if a.is_pointer else b
-            if a.is_numeric and b.is_numeric:
-                return ty.unify_arith(a, b)
-            return None
-        if isinstance(e, ast.Assign):
-            return self.etype(e.target, types)
-        if isinstance(e, ast.Ternary):
-            a, b = self.etype(e.then, types), self.etype(e.other, types)
-            if a is None or b is None:
-                return None
-            if a == b:
-                return a
-            if a.is_numeric and b.is_numeric:
-                return ty.unify_arith(a, b)
-            return None
-        if isinstance(e, ast.Call):
-            fn = self.functions.get(e.callee)
-            if fn is not None:
-                return fn.return_type
-            b = BUILTINS.get(e.callee)
-            if b is None:
-                return None
-            arg_types = [self.etype(a, types) for a in e.args]
-            if b.return_rule in ("arg0", "real-arg") and (
-                not arg_types or arg_types[0] is None
-            ):
-                return None
-            return return_type(b, arg_types)
-        if isinstance(e, ast.Index):
-            t = self.etype(e.base, types)
-            return t.pointee() if t is not None and t.is_pointer else None
-        if isinstance(e, ast.Cast):
-            return e.type
-        if isinstance(e, ast.SizeOf):
-            return ty.SIZE_T
-        return None
-
     # -- the typed-specialisation guard -------------------------------------
     def _typed(self) -> bool:
         """False when a pointer could reach an arithmetic slot, or a typed
         pointer a buffer of another element kind."""
         for name, fn in self.functions.items():
-            types = self.local_types[name]
             for e in self.exprs[name]:
-                if not self._expr_is_typed(e, types):
+                if not self._expr_is_typed(e):
                     return False
             for s in self.stmts[name]:
                 if isinstance(s, ast.VarDecl) and s.init is not None and (
                     s.array_size is None
-                ) and self._void_flow(s.type, s.init, types, idiom=True):
+                ) and self._void_flow(s.type, s.init, idiom=True):
                     return False
                 if isinstance(s, ast.Return) and s.value is not None and (
-                    self._void_flow(fn.return_type, s.value, types)
+                    self._void_flow(fn.return_type, s.value)
                 ):
                     return False
         for decl in self.global_decls:
-            if decl.init is not None and self._void_flow(decl.type, decl.init, {}):
+            if decl.init is not None and self._void_flow(decl.type, decl.init):
                 return False
         return True
 
-    def _void_flow(self, target: Optional[ty.Type], value: ast.Expr, types,
+    def _void_flow(self, target: Optional[ty.Type], value: ast.Expr,
                    idiom: bool = False) -> bool:
         """A ``void*`` value flowing into a typed pointer slot.
 
@@ -212,29 +116,28 @@ class ProgramFacts:
             is_alloc_call(value) and (idiom or isinstance(value, ast.Cast))
         ):
             return False
-        t = self.etype(value, types)
+        t = expr_type(value)
         return t is None or (t.is_pointer and t.kind is ty.Kind.VOID)
 
-    def _expr_is_typed(self, e: ast.Expr, types) -> bool:
+    def _expr_is_typed(self, e: ast.Expr) -> bool:
         if isinstance(e, ast.Cast):
-            src = self.etype(e.operand, types)
+            src = expr_type(e.operand)
             if e.type.is_pointer:
                 if is_alloc_call(e.operand) or e.type.kind is ty.Kind.VOID:
                     return True
                 return src is not None and src == e.type
             return src is not None and src.is_numeric
         if isinstance(e, ast.Assign):
-            return not self._void_flow(self.etype(e.target, types), e.value, types,
-                                       idiom=True)
+            return not self._void_flow(expr_type(e.target), e.value, idiom=True)
         if isinstance(e, (ast.Call, ast.Launch)):
             name = e.callee if isinstance(e, ast.Call) else e.kernel
             fn = self.functions.get(name)
             if fn is not None:
                 return not any(
-                    self._void_flow(p.type, a, types) for p, a in zip(fn.params, e.args)
+                    self._void_flow(p.type, a) for p, a in zip(fn.params, e.args)
                 )
             if name in ("memcpy", "cudaMemcpy") and len(e.args) >= 2:
-                a, b = (self.etype(x, types) for x in e.args[:2])
+                a, b = (expr_type(x) for x in e.args[:2])
                 return (
                     a is not None and b is not None and a.pointers == b.pointers == 1
                     and a.kind is not ty.Kind.VOID and b.kind is not ty.Kind.VOID
@@ -244,7 +147,7 @@ class ProgramFacts:
                 ref = strip_cast(e.args[0])
                 if not (isinstance(ref, ast.Unary) and ref.op == "&"):
                     return False
-                t = self.etype(ref.operand, types)
+                t = expr_type(ref.operand)
                 return t is not None and t.is_pointer
         return True
 
@@ -310,9 +213,8 @@ class ProgramFacts:
                     if e.op == "=":
                         ok = self.is_float(e.value, name, types)
                     elif e.op in ("+=", "-=", "*=", "/="):
-                        ok = self.etype(e.value, types) is not None and (
-                            self.etype(e.value, types).is_numeric
-                        )
+                        t = expr_type(e.value)
+                        ok = t is not None and t.is_numeric
                     else:
                         ok = False
                     if not ok:
@@ -369,7 +271,7 @@ class ProgramFacts:
             if e.op in ("++", "--"):
                 return self.is_int(e.operand, fname, types)
             if e.op == "*":
-                t = self.etype(e, types)
+                t = expr_type(e)
                 return t is not None and t.is_integer
             return False
         if isinstance(e, ast.Postfix):
@@ -379,7 +281,7 @@ class ProgramFacts:
                 return self.is_int(e.left, fname, types) and self.is_int(e.right, fname, types)
             return False
         if isinstance(e, ast.Assign):
-            t = self.etype(e.target, types)
+            t = expr_type(e.target)
             if isinstance(e.target, ast.Ident):
                 return t is not None and t.is_integer
             return e.op == "=" and self.is_int(e.value, fname, types)
@@ -395,7 +297,7 @@ class ProgramFacts:
                 e.callee in OMP_CONSTANT and e.callee != "omp_set_num_threads"
             )
         if isinstance(e, ast.Index):
-            t = self.etype(e, types)
+            t = expr_type(e)
             return t is not None and t.is_integer
         if isinstance(e, ast.Cast):
             return e.type.is_integer
@@ -414,12 +316,12 @@ class ProgramFacts:
         if isinstance(e, ast.Cast):
             return e.type.is_real
         if isinstance(e, ast.Index) or (isinstance(e, ast.Unary) and e.op == "*"):
-            t = self.etype(e, types)
+            t = expr_type(e)
             return t is not None and t.is_real
         if isinstance(e, ast.Unary) and e.op == "-":
             return self.is_float(e.operand, fname, types)
         if isinstance(e, ast.Binary) and e.op in ("+", "-", "*", "/"):
-            a, b = self.etype(e.left, types), self.etype(e.right, types)
+            a, b = expr_type(e.left), expr_type(e.right)
             if a is None or b is None or not (a.is_numeric and b.is_numeric):
                 return False
             return self.is_float(e.left, fname, types) or self.is_float(e.right, fname, types)
@@ -440,64 +342,6 @@ def reduction_names(stmts: List[ast.Stmt]) -> Set[str]:
         if isinstance(s, ast.Pragma) and s.pragma.reduction is not None:
             out.update(s.pragma.reduction.names)
     return out
-
-
-def sole_inner_for(body: ast.Stmt) -> Optional[ast.For]:
-    if isinstance(body, ast.For):
-        return body
-    if isinstance(body, ast.Block) and len(body.stmts) == 1 and isinstance(
-        body.stmts[0], ast.For
-    ):
-        return body.stmts[0]
-    return None
-
-
-def canonical(loop: ast.For):
-    """(var, start, cmp, bound, delta) of a canonical loop, or None.
-
-    ``delta`` is ``(sign, expr)``: ``expr`` None means a unit step.
-    """
-    init = loop.init
-    if isinstance(init, ast.VarDecl) and init.init is not None:
-        var, start = init.name, init.init
-    elif (
-        isinstance(init, ast.ExprStmt)
-        and isinstance(init.expr, ast.Assign)
-        and init.expr.op == "="
-        and isinstance(init.expr.target, ast.Ident)
-    ):
-        var, start = init.expr.target.name, init.expr.value
-    else:
-        return None
-    cond = loop.cond
-    if not (
-        isinstance(cond, ast.Binary)
-        and cond.op in ("<", "<=", ">", ">=")
-        and isinstance(cond.left, ast.Ident)
-        and cond.left.name == var
-    ):
-        return None
-    step = loop.step
-    delta = None
-    if isinstance(step, (ast.Postfix, ast.Unary)) and step.op in ("++", "--"):
-        if isinstance(step.operand, ast.Ident) and step.operand.name == var:
-            delta = (1 if step.op == "++" else -1, None)
-    elif isinstance(step, ast.Assign) and isinstance(step.target, ast.Ident) and (
-        step.target.name == var
-    ):
-        if step.op == "+=":
-            delta = (1, step.value)
-        elif step.op == "-=":
-            delta = (-1, step.value)
-        elif step.op == "=" and isinstance(step.value, ast.Binary) and (
-            step.value.op in ("+", "-")
-            and isinstance(step.value.left, ast.Ident)
-            and step.value.left.name == var
-        ):
-            delta = (1 if step.value.op == "+" else -1, step.value.right)
-    if delta is None:
-        return None
-    return (var, start, cond.op, cond.right, delta)
 
 
 def nest_levels(loop: ast.For, collapse: int) -> List[Tuple]:

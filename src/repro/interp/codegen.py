@@ -20,7 +20,9 @@ every operation that can fault; where a fault discards them (kernels,
 device functions, ``target`` loops and host ``parallel`` regions) ops are
 charged once per straight-line block.
 
-Static types (:mod:`repro.interp.analysis`) specialise arithmetic:
+Static types specialise arithmetic.  They are the types semantic
+analysis left on each expression (:func:`repro.minilang.semantics.expr_type`),
+with the static facts of :mod:`repro.interp.analysis` on top:
 ``+``/``-`` skip the pointer tests when both operands are known to be
 arithmetic, and index conversions and integer truncations are dropped
 where a value is provably a Python ``int``.  A program that can move a
@@ -60,6 +62,7 @@ from repro.interp.values import (
 from repro.minilang import ast
 from repro.minilang import types as ty
 from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS
+from repro.minilang.semantics import analyze, expr_type
 from repro.minilang.source import Dialect
 
 BARRIER = "__barrier__"
@@ -86,6 +89,16 @@ _READ = re.compile(r"[EG]\['\w+'\]")
 
 #: Temps, literals and module constants: values no later code can change.
 _STABLE = re.compile(r"_t\d+|None|[KTMR]\d+|\(?-?\d[\w.+-]*\)?|'[^'\\]*'|\"[^\"\\]*\"")
+
+
+def _typed(e: ast.Expr, t: Optional[ty.Type]) -> ast.Expr:
+    """A node the emitter makes up, typed the way analysis would type it."""
+    e.static_type = t
+    return e
+
+
+_ZERO = _typed(ast.IntLit(0, "0"), ty.INT)
+_ONE = _typed(ast.IntLit(1, "1"), ty.INT)
 
 
 class GuestExit(Exception):
@@ -287,15 +300,12 @@ class _Emitter(RegionEmitter):
         return out
 
     # -- static facts --------------------------------------------------------
-    def etype(self, e: ast.Expr) -> Optional[ty.Type]:
-        return self.prog.etype(e, self.types)
-
     def arith(self, e: ast.Expr) -> bool:
-        t = self.etype(e)
+        t = expr_type(e)
         return self.prog.typed and t is not None and t.is_numeric
 
     def is_ptr(self, e: ast.Expr) -> bool:
-        t = self.etype(e)
+        t = expr_type(e)
         return self.prog.typed and t is not None and t.is_pointer
 
     def is_int(self, e: ast.Expr) -> bool:
@@ -480,8 +490,10 @@ class _Emitter(RegionEmitter):
 
     @staticmethod
     def deref(target: ast.Expr) -> ast.Expr:
+        """``*p`` as ``p[0]``, typed as the ``*p`` it stands for."""
         if isinstance(target, ast.Unary) and target.op == "*":
-            return ast.Index(base=target.operand, index=ast.IntLit(0, "0"))
+            return _typed(ast.Index(base=target.operand, index=_ZERO),
+                          expr_type(target))
         return target
 
     def pure(self, e: ast.Expr) -> bool:
@@ -520,7 +532,7 @@ class _Emitter(RegionEmitter):
         if op == "&":
             return self.address_of(e.operand)
         if op == "*":
-            return self.load(e.operand, ast.IntLit(0, "0"))
+            return self.load(e.operand, _ZERO)
         if op in ("++", "--"):
             return self.rmw(e.operand, 1 if op == "++" else -1, want="new")
         if op == "-":
@@ -716,7 +728,7 @@ class _Emitter(RegionEmitter):
         target = self.deref(target)
         if isinstance(target, ast.Index):
             if op == "=":
-                v = self.value_for(self._static_type(target), e.value)
+                v = self.value_for(expr_type(target), e.value)
                 self.store(target, v, e.value)
                 return v
             self.pending += 1
@@ -814,7 +826,7 @@ class _Emitter(RegionEmitter):
             new = self.tmp()
             self.emit(f"{new} = {old} {'+' if delta > 0 else '-'} 1")
             b2, k2 = self.reaccess(target, b, k)
-            self.put(b2, k2, new, ast.Binary(op="+", left=target, right=ast.IntLit(1, "1")))
+            self.put(b2, k2, new, ast.Binary(op="+", left=target, right=_ONE))
             return old if want == "old" else new
         raise _Unsupported("unsupported increment/decrement target")
 
@@ -932,25 +944,9 @@ class _Emitter(RegionEmitter):
     def cuda_malloc_hint(self, e: ast.Call) -> Optional[ty.Type]:
         arg = strip_cast(e.args[0]) if e.args else None
         if isinstance(arg, ast.Unary) and arg.op == "&":
-            t = self._static_type(arg.operand)
+            t = expr_type(arg.operand)
             if t is not None and t.is_pointer:
                 return t.pointee()
-        return None
-
-    def _static_type(self, e: ast.Expr) -> Optional[ty.Type]:
-        if isinstance(e, ast.Index):
-            base = self._static_type(e.base)
-            return base.pointee() if base is not None and base.is_pointer else None
-        if isinstance(e, ast.Ident):
-            return self.types.get(e.name) or self.prog.global_types.get(e.name)
-        if isinstance(e, ast.Cast):
-            return e.type
-        if isinstance(e, ast.Unary) and e.op == "*":
-            base = self._static_type(e.operand)
-            return base.pointee() if base is not None and base.is_pointer else None
-        if isinstance(e, ast.Unary) and e.op == "&":
-            base = self._static_type(e.operand)
-            return base.pointer_to() if base is not None else None
         return None
 
     def atomic(self, name: str, args: List[str]) -> str:
@@ -1331,12 +1327,16 @@ class ProgramCode:
     def of(cls, program: ast.Program, dialect: Dialect) -> "ProgramCode":
         """The program's code for ``dialect``, generated on first use.
 
-        A program nested past what the generated Python can express (20
+        The code reads the types semantic analysis left on the program; a
+        program not analysed for ``dialect`` is analysed here first.  A
+        program nested past what the generated Python can express (20
         nested loops, 100 levels of indentation) or the generator can walk
         fails the run with an interpreter-limit error, not an exception.
         """
         code = program.generated.get(dialect)
         if code is None:
+            if program.analyzed_for is not dialect:
+                analyze(program, dialect)
             try:
                 code = cls(program, dialect)
             except SyntaxError as exc:

@@ -281,6 +281,3 @@ class MemoryManager:
             buf.cells[:] = shadow.cells
             transferred = buf.nbytes
         return transferred
-
-    def live_bytes(self) -> int:
-        return self.host_bytes + self.device_bytes

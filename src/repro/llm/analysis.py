@@ -167,6 +167,8 @@ def substitute(node, mapping: Dict[str, str]):
         elif isinstance(expr, ast.Launch) and expr.kernel in mapping:
             expr.kernel = mapping[expr.kernel]
     if isinstance(node, ast.Stmt):
+        # Clause expressions and ``for`` initialisers were renamed above:
+        # ``walk_exprs`` and ``walk_stmts`` visit them.
         for stmt in ast.walk_stmts(node):
             if isinstance(stmt, ast.VarDecl) and stmt.name in mapping:
                 stmt.name = mapping[stmt.name]
@@ -174,19 +176,9 @@ def substitute(node, mapping: Dict[str, str]):
                 for mc in stmt.pragma.maps:
                     if mc.name in mapping:
                         mc.name = mapping[mc.name]
-                    for bound in (mc.lower, mc.length):
-                        if bound is not None:
-                            substitute(bound, mapping)
                 red = stmt.pragma.reduction
                 if red is not None:
                     red.names = [mapping.get(n, n) for n in red.names]
-                for clause in (stmt.pragma.num_threads, stmt.pragma.thread_limit,
-                               stmt.pragma.num_teams, stmt.pragma.schedule_chunk):
-                    if clause is not None:
-                        substitute(clause, mapping)
-            elif isinstance(stmt, ast.For) and isinstance(stmt.init, ast.VarDecl):
-                if stmt.init.name in mapping:
-                    stmt.init.name = mapping[stmt.init.name]
     return node
 
 

@@ -39,6 +39,7 @@ from repro.minilang import types as ty
 from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS
 from repro.minilang.codegen import CodegenStyle, generate
 from repro.minilang.parser import parse
+from repro.minilang.semantics import canonical, collect_local_types, sole_inner_for
 from repro.minilang.source import Dialect, SourceFile
 
 
@@ -115,18 +116,6 @@ def _expr_stmt(e: ast.Expr) -> ast.ExprStmt:
     return ast.ExprStmt(expr=e)
 
 
-def _var_types(fn: ast.FuncDef) -> Dict[str, ty.Type]:
-    out: Dict[str, ty.Type] = {}
-    for p in fn.params:
-        if p.name:
-            out[p.name] = p.type
-    for s in ast.walk_stmts(fn.body):
-        if isinstance(s, ast.VarDecl):
-            t = s.type.pointer_to() if s.array_size is not None else s.type
-            out[s.name] = t
-    return out
-
-
 def _parse_source(text: str, dialect: Dialect) -> ast.Program:
     program, diags = parse(SourceFile("input", text, dialect))
     if diags.has_errors:
@@ -136,46 +125,22 @@ def _parse_source(text: str, dialect: Dialect) -> ast.Program:
     return program
 
 
-@dataclass
-class _CanonicalLoop:
-    var: str
-    start: ast.Expr
-    bound: ast.Expr
-    body: ast.Stmt
-    inner: Optional["_CanonicalLoop"] = None
+def _unit_loop(loop: ast.For) -> Optional[Tuple[str, ast.Expr, ast.Expr]]:
+    """(var, start, bound) of ``for (int v = start; v < bound; v++)``.
 
-
-def _canonical(loop: ast.For) -> Optional[_CanonicalLoop]:
-    """Match ``for (int v = start; v < bound; v++)``."""
-    init = loop.init
-    if not (isinstance(init, ast.VarDecl) and init.init is not None):
+    The step may also be ``++v`` or ``v += 1``; every other canonical form
+    (another bound test or step, an assignment initialiser) is refused.
+    """
+    parts = canonical(loop)
+    if parts is None or not isinstance(loop.init, ast.VarDecl):
         return None
-    var = init.name
-    cond = loop.cond
-    if not (
-        isinstance(cond, ast.Binary)
-        and cond.op == "<"
-        and isinstance(cond.left, ast.Ident)
-        and cond.left.name == var
-    ):
-        return None
-    step = loop.step
-    unit = (
-        isinstance(step, (ast.Postfix, ast.Unary))
-        and step.op == "++"
-        and isinstance(step.operand, ast.Ident)
-        and step.operand.name == var
-    ) or (
-        isinstance(step, ast.Assign)
-        and step.op == "+="
-        and isinstance(step.target, ast.Ident)
-        and step.target.name == var
-        and isinstance(step.value, ast.IntLit)
-        and step.value.value == 1
+    var, start, cmp, bound, (sign, step) = parts
+    unit = step is None or (
+        loop.step.op == "+=" and isinstance(step, ast.IntLit) and step.value == 1
     )
-    if not unit:
+    if cmp != "<" or sign != 1 or not unit:
         return None
-    return _CanonicalLoop(var=var, start=init.init, bound=cond.right, body=loop.body)
+    return var, start, bound
 
 
 # =====================================================================
@@ -190,10 +155,6 @@ class _ArrayRecord:
     length: Optional[ast.Expr]
     to: bool = False
     frm: bool = False
-
-    @property
-    def device_needed(self) -> bool:
-        return True
 
 
 class _Omp2Cuda:
@@ -217,7 +178,7 @@ class _Omp2Cuda:
 
     # ------------------------------------------------------------------
     def _transform_function(self, fn: ast.FuncDef) -> ast.FuncDef:
-        self.var_types = _var_types(fn)
+        self.var_types = collect_local_types(fn)
         body = fn.body
 
         # Phase A: find device arrays (from map clauses anywhere within).
@@ -388,20 +349,21 @@ class _Omp2Cuda:
 
     # ------------------------------------------------------------------
     def _emit_launch(self, pragma: ast.OmpPragma, loop: ast.For) -> List[ast.Stmt]:
-        canon = _canonical(loop)
-        if canon is None:
+        outer = _unit_loop(loop)
+        if outer is None:
             raise TranspileError("loop after target directive is not canonical")
+        var, start, bound = outer
         inner = None
+        body = loop.body
         if pragma.collapse >= 2:
-            inner_for = self._sole_for(canon.body)
+            inner_for = sole_inner_for(loop.body)
             if inner_for is None:
                 raise TranspileError("collapse(2) without a perfect nest")
-            inner = _canonical(inner_for)
+            inner = _unit_loop(inner_for)
             if inner is None:
                 raise TranspileError("inner collapsed loop is not canonical")
-            canon.inner = inner
-
-        body = ast.clone(canon.inner.body if canon.inner else canon.body)
+            body = inner_for.body
+        body = ast.clone(body)
 
         # Reduction handling: rewrite `s += e;` into atomicAdd on a buffer.
         reduction_names: List[str] = []
@@ -421,12 +383,11 @@ class _Omp2Cuda:
 
         # Parameters: free identifiers minus locals/builtins/loop vars.
         free = collect_identifiers(body)
-        for e in ([canon.bound, canon.start] + (
-            [canon.inner.bound, canon.inner.start] if canon.inner else []
-        )):
-            free |= collect_identifiers(e)
+        levels = [outer] + ([inner] if inner else [])
+        for _, level_start, level_bound in levels:
+            free |= collect_identifiers(level_start) | collect_identifiers(level_bound)
         local = declared_names(body)
-        loop_vars = {canon.var} | ({canon.inner.var} if canon.inner else set())
+        loop_vars = {level_var for level_var, _, _ in levels}
         params: List[str] = []
         for name in sorted(free):
             if name in local or name in loop_vars:
@@ -466,33 +427,34 @@ class _Omp2Cuda:
             ),
             right=ast.Member(obj=_ident("threadIdx"), field_name="x"),
         )
-        if canon.inner is None:
-            start_is_zero = isinstance(canon.start, ast.IntLit) and canon.start.value == 0
+        if inner is None:
+            start_is_zero = isinstance(start, ast.IntLit) and start.value == 0
             if not start_is_zero:
-                idx_expr = ast.Binary(op="+", left=idx_expr, right=ast.clone(canon.start))
+                idx_expr = ast.Binary(op="+", left=idx_expr, right=ast.clone(start))
             kbody.stmts.append(ast.VarDecl(type=ty.INT, name=lv, init=idx_expr))
-            guard = ast.Binary(op="<", left=_ident(lv), right=ast.clone(canon.bound))
-            mapping = {canon.var: lv}
+            guard = ast.Binary(op="<", left=_ident(lv), right=ast.clone(bound))
+            mapping = {var: lv}
             substitute(body, mapping)
             sub_body = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
             kbody.stmts.append(ast.If(cond=guard, then=sub_body))
             total_expr: ast.Expr = (
-                ast.clone(canon.bound)
+                ast.clone(bound)
                 if start_is_zero
-                else ast.Binary(op="-", left=ast.clone(canon.bound), right=ast.clone(canon.start))
+                else ast.Binary(op="-", left=ast.clone(bound), right=ast.clone(start))
             )
         else:
+            inner_var, _, inner_bound = inner
             kbody.stmts.append(ast.VarDecl(type=ty.INT, name=lv, init=idx_expr))
-            n2 = ast.clone(canon.inner.bound)
+            n2 = ast.clone(inner_bound)
             kbody.stmts.append(ast.VarDecl(
-                type=ty.INT, name=canon.var,
+                type=ty.INT, name=var,
                 init=ast.Binary(op="/", left=_ident(lv), right=ast.clone(n2)),
             ))
             kbody.stmts.append(ast.VarDecl(
-                type=ty.INT, name=canon.inner.var,
+                type=ty.INT, name=inner_var,
                 init=ast.Binary(op="%", left=_ident(lv), right=ast.clone(n2)),
             ))
-            total_expr = _mul(ast.clone(canon.bound), ast.clone(canon.inner.bound))
+            total_expr = _mul(ast.clone(bound), ast.clone(inner_bound))
             guard = ast.Binary(op="<", left=_ident(lv), right=ast.clone(total_expr))
             sub_body = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
             kbody.stmts.append(ast.If(cond=guard, then=sub_body))
@@ -551,15 +513,6 @@ class _Omp2Cuda:
             out.append(_expr_stmt(_call("cudaFree", _ident(dbuf))))
             out.append(_expr_stmt(_call("free", _ident(hbuf))))
         return out
-
-    def _sole_for(self, body: ast.Stmt) -> Optional[ast.For]:
-        if isinstance(body, ast.For):
-            return body
-        if isinstance(body, ast.Block) and len(body.stmts) == 1 and isinstance(
-            body.stmts[0], ast.For
-        ):
-            return body.stmts[0]
-        return None
 
     def _rewrite_reduction_body(self, body: ast.Stmt, names: List[str]) -> ast.Stmt:
         """Turn ``s += e;`` into ``atomicAdd(&s_sum[0], e);``."""
@@ -724,7 +677,7 @@ class _Cuda2Omp:
 
     # ------------------------------------------------------------------
     def _transform_function(self, fn: ast.FuncDef) -> ast.FuncDef:
-        self.var_types = _var_types(fn)
+        self.var_types = collect_local_types(fn)
         body = fn.body
         self.bufs: Dict[str, _DeviceBuf] = {}
         self._collect_buffers(body)
@@ -1078,10 +1031,10 @@ class _Cuda2Omp:
 
     def _is_invariant_repeat(self, loop: ast.For, body_stmts: List[ast.Stmt]) -> bool:
         """True when re-executing the body is idempotent w.r.t. outputs."""
-        canon = _canonical(loop)
+        canon = _unit_loop(loop)
         if canon is None:
             return False
-        var = canon.var
+        var = canon[0]
         for s in body_stmts:
             names = collect_identifiers(s)
             if var in names:
@@ -1663,8 +1616,6 @@ class Transpiler:
         """Build a consistent variable-renaming map over the whole program."""
         names: Set[str] = set()
         for fn in program.functions:
-            if fn.name == "main":
-                pass
             for p in fn.params:
                 if p.name:
                     names.add(p.name)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.minilang.source import Span, UNKNOWN_SPAN
+from repro.minilang.source import Dialect, Span, UNKNOWN_SPAN
 from repro.minilang.types import Type
 
 
@@ -28,6 +28,10 @@ class Node:
 @dataclass
 class Expr(Node):
     span: Span = field(default=UNKNOWN_SPAN, init=False)
+    #: The type semantic analysis gave this expression (None where it
+    #: reported an error); read through ``semantics.expr_type``.  Unset
+    #: until the program is analysed, and not part of the node's identity.
+    static_type: Optional[Type] = field(init=False, repr=False, compare=False)
 
     def with_span(self, span: Span) -> "Expr":
         self.span = span
@@ -351,6 +355,11 @@ class Program(Node):
     functions: List[FuncDef] = field(default_factory=list)
     globals: List[GlobalVar] = field(default_factory=list)
     span: Span = UNKNOWN_SPAN
+    #: The dialect whose semantic analysis typed this program's expressions
+    #: (see ``Expr.static_type``); not part of its identity.
+    analyzed_for: Optional[Dialect] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: Interpreter code generated for this program, per dialect (see
     #: ``repro.interp.codegen.ProgramCode.of``); not part of its identity.
     generated: Dict[object, object] = field(
@@ -389,8 +398,13 @@ def walk_stmts(stmt: Stmt):
             yield from walk_stmts(stmt.body)
 
 
-def walk_exprs(node) -> "list":
-    """Collect every expression reachable from a statement or expression."""
+def walk_exprs(node, clauses: bool = True) -> "list":
+    """Collect every expression reachable from a statement or expression.
+
+    ``clauses`` False leaves out the clause expressions of ``#pragma omp``
+    statements (CUDA compilers ignore the pragma: they neither analyse nor
+    run its clauses).
+    """
     out: List[Expr] = []
 
     def visit_expr(e: Optional[Expr]) -> None:
@@ -442,7 +456,7 @@ def walk_exprs(node) -> "list":
             visit_expr(s.cond)
         elif isinstance(s, Return):
             visit_expr(s.value)
-        elif isinstance(s, Pragma):
+        elif isinstance(s, Pragma) and clauses:
             p = s.pragma
             for mc in p.maps:
                 visit_expr(mc.lower)
@@ -461,7 +475,7 @@ def walk_exprs(node) -> "list":
 
 
 #: Immutable values an AST holds; a clone shares them.
-_SHARED = frozenset({Span, Type, str, int, float, bool, type(None)})
+_SHARED = frozenset({Span, Type, Dialect, str, int, float, bool, type(None)})
 #: Mutable records an AST is built from; a clone copies them.
 _RECORDS = (Node, MapClause, ReductionClause)
 
@@ -471,8 +485,8 @@ def clone(value):
 
     Nodes and the clause records (:class:`MapClause`,
     :class:`ReductionClause`) are copied field by field, lists and dicts
-    element by element, and the frozen leaves (spans, types, strings,
-    numbers, booleans and ``None``) are shared.  Any other type raises
+    element by element, and the frozen leaves (spans, types, dialects,
+    strings, numbers, booleans and ``None``) are shared.  Any other type raises
     :class:`TypeError`, so a mutable field type added later fails loudly
     instead of being aliased between the copies.
     """

@@ -33,10 +33,6 @@ def _mk(name: str, nargs, where: str, ret: str, py=None, cuda_only: bool = False
     return Builtin(name, lo, hi, where, cuda_only, ret, py)
 
 
-def _clamped_int(v: float) -> int:
-    return int(v)
-
-
 _MATH1_F = {
     "sqrtf": math.sqrt, "fabsf": abs, "expf": math.exp, "logf": math.log,
     "log2f": math.log2, "log10f": math.log10, "sinf": math.sin,

@@ -5,12 +5,18 @@ The analyzer's product is a :class:`DiagnosticBag` whose rendered text is the
 worded to match the clang/nvcc phrasing that real LLMs are trained on (e.g.
 ``use of undeclared identifier 'foo'``), since the simulated LLM's repair
 matcher keys on them the way a real model attends to error tokens.
+
+Analysis is also the only typer of the language: it leaves each expression's
+type on the node (``Expr.static_type``, read with :func:`expr_type`), and the
+interpreter's code generator reads it from there.  The static facts at the
+end of the module (:func:`collect_local_types`, :func:`sole_inner_for`,
+:func:`canonical`) serve the code generator and the transpiler alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.minilang import ast
 from repro.minilang import types as ty
@@ -90,22 +96,24 @@ class Analyzer:
 
         for fn in self.functions.values():
             self._check_function(fn, global_scope)
+        self.program.analyzed_for = self.dialect
         return AnalysisResult(self.diagnostics, self.program)
 
     # ------------------------------------------------------------------
     def _check_global(self, gv: ast.GlobalVar, scope: _Scope) -> None:
         decl = gv.decl
         var_type = decl.type
+        ctx = _FunctionContext(
+            ast.FuncDef(ty.VOID, "<global-init>", [], ast.Block()), in_device=False
+        )
         if decl.array_size is not None:
+            self._expr_type(decl.array_size, scope, ctx)
             var_type = decl.type.pointer_to()
         if not scope.declare(decl.name, var_type):
             self.diagnostics.error(
                 "redefinition", f"redefinition of '{decl.name}'", gv.span
             )
         if decl.init is not None:
-            ctx = _FunctionContext(
-                ast.FuncDef(ty.VOID, "<global-init>", [], ast.Block()), in_device=False
-            )
             init_type = self._expr_type(decl.init, scope, ctx)
             if init_type is not None and not ty.assignable(var_type, init_type):
                 self.diagnostics.error(
@@ -376,7 +384,15 @@ class Analyzer:
     def _expr_type(
         self, expr: ast.Expr, scope: _Scope, ctx: _FunctionContext
     ) -> Optional[ty.Type]:
-        """Type-check ``expr``; returns None if a sub-expression errored."""
+        """Type-check ``expr`` and leave its type on it (None if a
+        sub-expression errored)."""
+        t = self._check_expr(expr, scope, ctx)
+        expr.static_type = t
+        return t
+
+    def _check_expr(
+        self, expr: ast.Expr, scope: _Scope, ctx: _FunctionContext
+    ) -> Optional[ty.Type]:
         if isinstance(expr, ast.IntLit):
             return ty.INT
         if isinstance(expr, ast.FloatLit):
@@ -822,3 +838,99 @@ class Analyzer:
 def analyze(program: ast.Program, dialect: Dialect) -> AnalysisResult:
     """Run semantic analysis over ``program`` for the given dialect."""
     return Analyzer(program, dialect).run()
+
+
+# ---------------------------------------------------------------------------
+# Static facts for the code generator and the transpiler
+# ---------------------------------------------------------------------------
+
+
+def expr_type(expr: ast.Expr) -> Optional[ty.Type]:
+    """The type analysis left on ``expr`` (None where it reported an error).
+
+    An expression analysis never saw has no type to read: asking for one
+    raises :class:`LookupError` instead of guessing.
+    """
+    try:
+        return expr.static_type
+    except AttributeError:
+        raise LookupError(
+            f"{type(expr).__name__} at {expr.span} has no static type: "
+            "semantic analysis never saw it"
+        ) from None
+
+
+def collect_local_types(fn: ast.FuncDef) -> Dict[str, ty.Type]:
+    """Static name -> type map for a function (params + all declarations).
+
+    Scopes are flattened; the semantic analyzer has already validated scoping,
+    and redeclaration with a *different* type across sibling scopes is outside
+    the supported subset.
+    """
+    out: Dict[str, ty.Type] = {}
+    for p in fn.params:
+        if p.name:
+            out[p.name] = p.type
+    for s in ast.walk_stmts(fn.body):
+        if isinstance(s, ast.VarDecl):
+            out[s.name] = s.type.pointer_to() if s.array_size is not None else s.type
+    return out
+
+
+def sole_inner_for(body: ast.Stmt) -> Optional[ast.For]:
+    """The ``for`` loop that is ``body``, alone or as a block's only statement."""
+    if isinstance(body, ast.For):
+        return body
+    if isinstance(body, ast.Block) and len(body.stmts) == 1 and isinstance(
+        body.stmts[0], ast.For
+    ):
+        return body.stmts[0]
+    return None
+
+
+def canonical(loop: ast.For) -> Optional[Tuple]:
+    """(var, start, cmp, bound, delta) of a canonical loop, or None.
+
+    ``delta`` is ``(sign, expr)``: ``expr`` None means a unit step.
+    """
+    init = loop.init
+    if isinstance(init, ast.VarDecl) and init.init is not None:
+        var, start = init.name, init.init
+    elif (
+        isinstance(init, ast.ExprStmt)
+        and isinstance(init.expr, ast.Assign)
+        and init.expr.op == "="
+        and isinstance(init.expr.target, ast.Ident)
+    ):
+        var, start = init.expr.target.name, init.expr.value
+    else:
+        return None
+    cond = loop.cond
+    if not (
+        isinstance(cond, ast.Binary)
+        and cond.op in ("<", "<=", ">", ">=")
+        and isinstance(cond.left, ast.Ident)
+        and cond.left.name == var
+    ):
+        return None
+    step = loop.step
+    delta = None
+    if isinstance(step, (ast.Postfix, ast.Unary)) and step.op in ("++", "--"):
+        if isinstance(step.operand, ast.Ident) and step.operand.name == var:
+            delta = (1 if step.op == "++" else -1, None)
+    elif isinstance(step, ast.Assign) and isinstance(step.target, ast.Ident) and (
+        step.target.name == var
+    ):
+        if step.op == "+=":
+            delta = (1, step.value)
+        elif step.op == "-=":
+            delta = (-1, step.value)
+        elif step.op == "=" and isinstance(step.value, ast.Binary) and (
+            step.value.op in ("+", "-")
+            and isinstance(step.value.left, ast.Ident)
+            and step.value.left.name == var
+        ):
+            delta = (1 if step.value.op == "+" else -1, step.value.right)
+    if delta is None:
+        return None
+    return (var, start, cond.op, cond.right, delta)

@@ -53,9 +53,3 @@ class SourceFile:
         if 1 <= lineno <= len(self._lines):
             return self._lines[lineno - 1]
         return ""
-
-    @property
-    def line_count(self) -> int:
-        if not self._lines:
-            self._lines = self.text.splitlines()
-        return len(self._lines)

@@ -64,10 +64,6 @@ class Type:
     def is_numeric(self) -> bool:
         return self.is_integer or self.is_real
 
-    @property
-    def is_string(self) -> bool:
-        return self.kind is Kind.CHAR and self.pointers == 1
-
     # -- sizing (bytes, used by sizeof and the perf model) -------------------
     @property
     def size(self) -> int:

@@ -37,10 +37,6 @@ class Baseline:
     def runtime_seconds(self) -> float:
         return self.execution.runtime_seconds
 
-    @property
-    def compile_command(self) -> str:
-        return self.compile_result.command
-
 
 #: Cache key: (source, dialect, args, work_scale, launch_scale).
 BaselineKey = Tuple[str, str, Tuple[str, ...], float, float]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import UnknownApplicationError, UnknownSuiteError
 from repro.hecbench.spec import AppSpec
 from repro.minilang.source import Dialect
-from repro.synth.families import FAMILIES, GeneratedPair, get_family
+from repro.synth.families import FAMILIES, get_family
 from repro.toolchain import Executor, compiler_for
 from repro.utils.rng import RngStream
 
@@ -88,12 +88,6 @@ def _synthesized_scales(spec: SynthSpec) -> Tuple[float, float]:
     work = 10.0 ** rng.uniform(3.0, 5.5) * spec.difficulty
     launch = 10.0 ** rng.uniform(0.5, 3.0) * spec.difficulty
     return round(work, 1), round(launch, 3)
-
-
-def generate_pair(spec: SynthSpec) -> GeneratedPair:
-    """Render the paired sources for a spec (byte-deterministic)."""
-    family = get_family(spec.family)
-    return family.generate(spec.difficulty, spec.seed)
 
 
 def generate_app(spec: SynthSpec) -> AppSpec:

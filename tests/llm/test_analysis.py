@@ -92,6 +92,32 @@ class TestSubstitute:
         )
         assert pragma.pragma.maps[0].name == "arr"
 
+    def test_loop_variable_is_renamed_once(self):
+        # A value of the mapping that is also a key must not be renamed again.
+        body = body_of("void f() { int s = 0; for (int i = 0; i < 4; i++) { s += i; } }")
+        substitute(body, {"i": "j", "j": "k"})
+        from repro.minilang import ast
+
+        loop = next(s for s in ast.walk_stmts(body) if isinstance(s, ast.For))
+        assert loop.init.name == "j"
+        assert collect_identifiers(loop) == {"j", "s"}
+
+    def test_pragma_clauses_are_renamed_once(self):
+        body = body_of(
+            "void f(float* a, int n, int m) {\n"
+            "#pragma omp target teams distribute parallel for map(tofrom: a[0:n]) "
+            "num_threads(n)\n"
+            "for (int i = 0; i < m; i++) { a[i] = 0.0f; }\n"
+            "}",
+            Dialect.OMP,
+        )
+        substitute(body, {"n": "m", "m": "k"})
+        from repro.minilang import ast
+
+        pragma = next(s for s in ast.walk_stmts(body) if isinstance(s, ast.Pragma))
+        assert pragma.pragma.maps[0].length.name == "m"
+        assert pragma.pragma.num_threads.name == "m"
+
     def test_empty_mapping_noop(self):
         body = body_of("void f(int x) { x = x + 1; }")
         substitute(body, {})

@@ -155,3 +155,37 @@ class TestErrors:
         )
         with pytest.raises(TranspileError):
             Transpiler().translate(src, Dialect.OMP, Dialect.CUDA)
+
+
+#: The offloaded loop's header -> whether OpenMP -> CUDA translation accepts
+#: it.  Only ``for (int v = start; v < bound; v++ | ++v | v += 1)`` becomes a
+#: kernel; every other form is refused rather than mistranslated.
+LOOP_FORMS = {
+    "i++": ("int i = 0; i < n; i++", True),
+    "++i": ("int i = 0; i < n; ++i", True),
+    "i += 1": ("int i = 0; i < n; i += 1", True),
+    "i = i + 1": ("int i = 0; i < n; i = i + 1", False),
+    "i += 2": ("int i = 0; i < n; i += 2", False),
+    "i--": ("int i = 0; i < n; i--", False),
+    "i <= n": ("int i = 0; i <= n; i++", False),
+    "i > 0": ("int i = 0; i > 0; i++", False),
+    "assignment initialiser": ("i = 0; i < n; i++", False),
+}
+
+
+@pytest.mark.parametrize("form", list(LOOP_FORMS))
+def test_offloaded_loop_forms(form):
+    header, accepted = LOOP_FORMS[form]
+    src = (
+        "int main() { int n = 8; int i;\n"
+        "float* a = (float*)malloc(n * sizeof(float));\n"
+        "#pragma omp target teams distribute parallel for map(tofrom: a[0:n])\n"
+        f"for ({header}) {{ a[i] = 2.0f; }}\n"
+        "return 0; }"
+    )
+    tr = Transpiler()
+    if accepted:
+        assert "__global__" in tr.translate(src, Dialect.OMP, Dialect.CUDA)
+    else:
+        with pytest.raises(TranspileError, match="not canonical"):
+            tr.translate(src, Dialect.OMP, Dialect.CUDA)

@@ -103,6 +103,12 @@ class TestBasicChecks:
             " float x = p * q; return 0; }"
         )
 
+    def test_global_array_size_is_checked(self):
+        assert "undeclared-ident" in error_codes(
+            "float a[m];\n" + MAIN
+        )
+        assert sema("int n = 4;\nfloat a[n + 1];\n" + MAIN, Dialect.C).ok
+
     def test_pointer_plus_int_allowed(self):
         res = sema(
             "int main() { float* p = (float*)malloc(16); float* q = p + 2; return 0; }",
