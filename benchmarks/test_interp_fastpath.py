@@ -5,7 +5,9 @@ per launch, the thread loop inside the kernel's generated launcher);
 kernels with ``__syncthreads`` are generated as generator functions that
 the executor interleaves at each barrier.
 This microbench launches the *same arithmetic* both ways — once as a plain
-kernel, once with a (semantically idle) trailing barrier — and reports the
+kernel, once with a (semantically idle) trailing barrier — and a third
+time as an OpenMP ``target teams distribute parallel for`` loop over mapped
+arrays (run inside the generated function that holds it).  It reports the
 per-launch latency of each, plus the compile cache's hit rate over repeated
 front-ends of identical source.
 
@@ -63,14 +65,37 @@ def _kernel_source(with_barrier: bool) -> str:
     )
 
 
-def _per_launch_seconds(source_text: str) -> float:
-    program, diags = parse(SourceFile("bench.cu", source_text, Dialect.CUDA))
+def _omp_source() -> str:
+    return (
+        "int main(int argc, char** argv) {\n"
+        f"  int n = {GRID_DIM * BLOCK_DIM};\n"
+        "  int iters = atoi(argv[1]);\n"
+        "  float* a = (float*)malloc(n * sizeof(float));\n"
+        "  float* b = (float*)malloc(n * sizeof(float));\n"
+        "  #pragma omp target data map(to: a[0:n]) map(from: b[0:n])\n"
+        "  {\n"
+        "    for (int it = 0; it < iters; it++) {\n"
+        "      #pragma omp target teams distribute parallel for\n"
+        "      for (int i = 0; i < n; i++) {\n"
+        "        float x = a[i];\n"
+        "        for (int k = 0; k < 8; k++) { x = x * 1.0001f + 0.5f; }\n"
+        "        b[i] = x;\n"
+        "      }\n"
+        "    }\n"
+        "  }\n"
+        "  return 0;\n"
+        "}\n"
+    )
+
+
+def _per_launch_seconds(source_text: str, dialect: Dialect = Dialect.CUDA) -> float:
+    program, diags = parse(SourceFile("bench", source_text, dialect))
     assert not diags.has_errors, diags.render()
     # One warm-up run on the SAME runner generates and compiles the
     # program's code and binds it to the runner, so the measured run is
     # pure launch+execute.  The runner's profile accumulates across runs,
     # hence the +1 in the event-count assertion.
-    runner = ProgramRunner(program, Dialect.CUDA)
+    runner = ProgramRunner(program, dialect)
     warmup = runner.run(["1"])
     assert warmup.ok, warmup.error
     start = time.perf_counter()
@@ -85,6 +110,7 @@ def _per_launch_seconds(source_text: str) -> float:
 def test_fastpath_per_launch_latency():
     fast_s = _per_launch_seconds(_kernel_source(with_barrier=False))
     barrier_s = _per_launch_seconds(_kernel_source(with_barrier=True))
+    omp_s = _per_launch_seconds(_omp_source(), Dialect.OMP)
 
     clear_compile_cache()
     for _ in range(COMPILES):
@@ -100,6 +126,7 @@ def test_fastpath_per_launch_latency():
                 "threads_per_launch": GRID_DIM * BLOCK_DIM,
                 "per_launch_us_fastpath": round(fast_s * 1e6, 1),
                 "per_launch_us_barrier": round(barrier_s * 1e6, 1),
+                "per_launch_us_omp": round(omp_s * 1e6, 1),
                 "barrier_vs_fastpath": round(barrier_s / fast_s, 2),
                 "compile_cache": {
                     "compiles": COMPILES,

@@ -4,13 +4,16 @@ Expression types come from semantic analysis (:func:`expr_type` reads what
 :mod:`repro.minilang.semantics` left on each node).  On top of them
 :class:`ProgramFacts` decides whether a pointer could reach an arithmetic
 slot (the guard on typed code) and finds the locals that always hold a
-Python ``int`` or ``float``.  The loop-nest helpers read OpenMP loop nests
+Python ``int`` or ``float``, and :class:`BodyFacts` says, for each function
+and each ``target`` loop body, which names it writes or dereferences and
+whether it can free or remap a buffer (the gate on hoisting pointer
+resolution out of a launch).  The loop-nest helpers read OpenMP loop nests
 the way the ``target`` loop schedule executes them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.minilang import ast
 from repro.minilang import types as ty
@@ -46,6 +49,52 @@ def is_alloc_call(e: ast.Expr) -> bool:
     return isinstance(e, ast.Call) and e.callee in ("malloc", "calloc")
 
 
+#: Builtins that free a buffer.
+_FREES = ("free", "cudaFree")
+
+
+class BodyFacts(NamedTuple):
+    """What one function or ``target`` loop body does to names and buffers."""
+
+    #: names it takes the address of (``&name``)
+    addressed: FrozenSet[str]
+    #: names it assigns, steps or declares, and the addressed ones
+    written: FrozenSet[str]
+    #: names it indexes or dereferences
+    accessed: FrozenSet[str]
+    #: nothing in it (a call of ``free``, ``cudaFree`` or a user function,
+    #: a launch, a map clause) can free or remap a buffer
+    stable: bool
+
+
+def body_facts(stmts: List[ast.Stmt], exprs: List[ast.Expr], functions) -> BodyFacts:
+    addressed: Set[str] = set()
+    written = {s.name for s in stmts if type(s) is ast.VarDecl}
+    accessed: Set[str] = set()
+    stable = not any(type(s) is ast.Pragma and s.pragma.maps for s in stmts)
+    for e in exprs:
+        t = type(e)
+        if t is ast.Assign:
+            if type(e.target) is ast.Ident:
+                written.add(e.target.name)
+        elif (t is ast.Unary or t is ast.Postfix) and type(e.operand) is ast.Ident:
+            if e.op == "&":
+                addressed.add(e.operand.name)
+            elif e.op == "*":
+                accessed.add(e.operand.name)
+            elif e.op in ("++", "--"):
+                written.add(e.operand.name)
+        elif t is ast.Index:
+            if type(e.base) is ast.Ident:
+                accessed.add(e.base.name)
+        elif t is ast.Launch or t is ast.Call and (
+            e.callee in _FREES or e.callee in functions
+        ):
+            stable = False
+    return BodyFacts(frozenset(addressed), frozenset(written | addressed),
+                     frozenset(accessed), stable)
+
+
 class ProgramFacts:
     """Whole-program facts the emitter needs (types, kernels, guards)."""
 
@@ -74,6 +123,20 @@ class ProgramFacts:
             name: ast.walk_exprs(fn.body, clauses=dialect is not Dialect.CUDA)
             for name, fn in self.functions.items()
         }
+        self.bodies = {
+            name: body_facts(self.stmts[name], self.exprs[name], self.functions)
+            for name in self.functions
+        }
+        #: the facts of each ``target`` loop's body, by ``id`` of its pragma
+        self.target_bodies: Dict[int, BodyFacts] = {}
+        if dialect is not Dialect.CUDA:
+            for stmts in self.stmts.values():
+                for s in stmts:
+                    if is_target_loop(s):
+                        self.target_bodies[id(s)] = body_facts(
+                            list(ast.walk_stmts(s.body)), ast.walk_exprs(s.body),
+                            self.functions,
+                        )
         self.typed = self._typed()
         self.int_clean: Dict[str, Set[str]] = {}
         self.float_clean: Dict[str, Set[str]] = {}
@@ -157,7 +220,7 @@ class ProgramFacts:
         always hold a Python float (optimistic fixpoint per function)."""
         for name, fn in self.functions.items():
             types = self.local_types[name]
-            excluded = self.address_taken(name) | reduction_names(self.stmts[name])
+            excluded = self.bodies[name].addressed | reduction_names(self.stmts[name])
             ints = {n for n, t in types.items() if t.is_integer} - excluded
             reals = {n for n, t in types.items() if t.is_real} - excluded
             reals -= {p.name for p in fn.params}
@@ -167,8 +230,8 @@ class ProgramFacts:
             self.float_clean[name] = reals
         # Globals: only writes through '&' escape the truncating stores.
         taken: Set[str] = set()
-        for name in self.functions:
-            taken |= self.address_taken(name)
+        for facts in self.bodies.values():
+            taken |= facts.addressed
         self.int_clean[""] = {
             n for n, t in self.global_types.items() if t.is_integer
         } - taken
@@ -191,11 +254,7 @@ class ProgramFacts:
         ints, reals = self.int_clean[name], self.float_clean[name]
         before = (len(ints), len(reals))
         for s in self.stmts[name]:
-            if isinstance(s, ast.Pragma) and s.body is not None and (
-                self.dialect is not Dialect.CUDA
-                and s.pragma.is_target and s.pragma.is_loop
-                and isinstance(s.body, ast.For)
-            ):
+            if self.dialect is not Dialect.CUDA and is_target_loop(s):
                 for var, start in nest_starts(s.body, s.pragma.collapse):
                     if not self.is_int(start, name, types):
                         ints.discard(var)
@@ -231,13 +290,6 @@ class ProgramFacts:
                     if index >= len(e.args) or not self.is_int(e.args[index], name, types):
                         return False
         return found
-
-    def address_taken(self, fname: str) -> Set[str]:
-        """Names the function takes the address of (``&name``)."""
-        return {
-            e.operand.name for e in self.exprs[fname]
-            if isinstance(e, ast.Unary) and e.op == "&" and isinstance(e.operand, ast.Ident)
-        }
 
     def contains(self, fname: str, kind) -> bool:
         return any(isinstance(s, kind) for s in self.stmts[fname])
@@ -334,6 +386,13 @@ class ProgramFacts:
         if isinstance(e, ast.Ternary):
             return self.is_float(e.then, fname, types) and self.is_float(e.other, fname, types)
         return False
+
+
+def is_target_loop(s: ast.Stmt) -> bool:
+    """An OpenMP ``target`` loop construct over a ``for`` loop."""
+    return isinstance(s, ast.Pragma) and s.pragma.is_target and s.pragma.is_loop and (
+        isinstance(s.body, ast.For)
+    )
 
 
 def reduction_names(stmts: List[ast.Stmt]) -> Set[str]:

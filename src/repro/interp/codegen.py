@@ -20,6 +20,22 @@ every operation that can fault; where a fault discards them (kernels,
 device functions, ``target`` loops and host ``parallel`` regions) ops are
 charged once per straight-line block.
 
+Flat and slow kernel launchers and ``target`` loop nests resolve a pointer
+once per launch (:mod:`repro.interp.access`) where static facts prove
+nothing can change it (:class:`~repro.interp.analysis.BodyFacts`): a
+Python local or parameter the body never assigns, declares or takes the
+address of, in a body with no map clause, launch or call that could free
+or remap a buffer (``free``, ``cudaFree``, a user function).  Resolution
+never raises: a NULL, freed, unmapped or host pointer resolves to length
+0, so it faults only at an access that runs, with the per-access form's
+message (a NULL test stays in front of an index that can itself fault).
+Load and store bytes through it are charged once per launch as access
+count x ``elem_bytes``; a fault discards them with the launch's other
+counts.  Launchers and nests keep the step budget in a local, handed to
+``ctx`` around every call and written back when they end, so
+``steps_used`` is exact on every exit.  Functions nothing calls and
+kernels nothing launches are not emitted.
+
 Static types specialise arithmetic.  They are the types semantic
 analysis left on each expression (:func:`repro.minilang.semantics.expr_type`),
 with the static facts of :mod:`repro.interp.analysis` on top:
@@ -43,8 +59,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import GuestRuntimeError, InterpreterError, ResourceLimitExceeded
 from repro.gpu.stats import HostParallelEvent, KernelEvent, OpCounters, TransferEvent
+from repro.interp.access import ATOMIC_UPDATE, AccessEmitter, Elem, Hoisted
 from repro.interp.analysis import OMP_CONSTANT, ProgramFacts, strip_cast
-from repro.interp.memory import ElemRef, MemoryManager, Pointer, ScalarRef
+from repro.interp.memory import MemoryManager, Pointer, ScalarRef
 from repro.interp.regions import Frame, RegionEmitter
 from repro.interp.values import (
     COMBINE,
@@ -72,14 +89,6 @@ _SEGFAULT = "Segmentation fault (core dumped)"
 _GEOM_INDEX = {"threadIdx": 0, "blockIdx": 1, "blockDim": 2, "gridDim": 3}
 _GEOM_LOCAL = {"threadIdx": "tid", "blockIdx": "bid", "blockDim": "block",
                "gridDim": "grid"}
-
-_ATOMIC_UPDATE = {
-    "atomicAdd": "{old} + {v}",
-    "atomicSub": "{old} - {v}",
-    "atomicMax": "max({old}, {v})",
-    "atomicMin": "min({old}, {v})",
-    "atomicExch": "{v}",
-}
 
 #: A line's assignments to guest locals (``v_x = ...``, ``v_x += ...``).
 _ASSIGNS = re.compile(r"(v_\w+)\s*(?:[-+*/%&|^]|<<|>>|//)?=(?!=)")
@@ -131,11 +140,12 @@ class _RegionExit(Exception):
 
 
 _RUNTIME = {
-    "Pointer": Pointer, "ElemRef": ElemRef, "ScalarRef": ScalarRef,
+    "Pointer": Pointer, "ScalarRef": ScalarRef,
     "OpCounters": OpCounters, "KernelEvent": KernelEvent,
     "TransferEvent": TransferEvent, "HostParallelEvent": HostParallelEvent,
     "GuestRuntimeError": GuestRuntimeError, "InterpreterError": InterpreterError,
     "GuestExit": GuestExit, "chk": MemoryManager.check_access,
+    "_view": MemoryManager.device_view, "_fault": MemoryManager.device_fault,
     "c_div": c_div, "c_mod": c_mod, "nan": math.nan,
     "SEGV": _SEGFAULT, "BARRIER": BARRIER,
     "_add": pointer_add, "_sub": pointer_sub, "_step": pointer_step,
@@ -154,6 +164,10 @@ class _Unsupported(Exception):
     """A construct the interpreter cannot run (raised when it is called)."""
 
 
+#: Accumulator prefix -> the ``OpCounters`` field it settles into.
+_COUNTERS = (("o", "ops"), ("lb", "load_bytes"), ("sb", "store_bytes"), ("at", "atomics"))
+
+
 class _Module:
     """Collects constants shared by every function of one program."""
 
@@ -163,6 +177,8 @@ class _Module:
         self._const_names: Dict[Tuple[str, object], str] = {}
         #: builtin name -> runner attribute bound in ``bind``
         self.bound: Dict[str, str] = {}
+        #: some code calls a barrier kernel as a function
+        self.barrier_call = False
 
     def const(self, value, tag: str = "K") -> str:
         key = (tag, value)
@@ -178,7 +194,7 @@ class _Module:
         return local
 
 
-class _Emitter(RegionEmitter):
+class _Emitter(AccessEmitter, RegionEmitter):
     """Writes the body of one generated Python function."""
 
     def __init__(self, mod: _Module, fname: str, fn: ast.FuncDef, *,
@@ -189,7 +205,7 @@ class _Emitter(RegionEmitter):
         self.fname = fname
         self.fn = fn
         self.types = self.prog.local_types.get(fname, {})
-        self.addr = (self.prog.address_taken(fname) & set(self.types)
+        self.addr = (self.prog.bodies[fname].addressed & set(self.types)
                      if fname in self.prog.functions else set())
         self.lines: List[str] = []
         self.ind = indent
@@ -208,7 +224,16 @@ class _Emitter(RegionEmitter):
         self.dynamic = False
         #: locals already checked non-NULL in the current straight-line code
         self.nonnull: Set[str] = set()
-        self.last_access: Tuple[str, str] = ("", "")
+        self.last_access: Optional[Elem] = None
+        #: guest pointer -> its launch-resolved temps (kernels, target loops)
+        self.hoisted: Dict[str, Hoisted] = {}
+        #: hoisted access counts not yet added (counter temp -> amount)
+        self.tally: Dict[str, int] = {}
+        #: the local that holds the step budget in a launch (None: ``ctx``)
+        self.budget: Optional[str] = None
+        #: the code charges steps to ``budget``, and hands it to calls
+        self.budget_used = False
+        self.handoffs = 0
 
     # -- low level -----------------------------------------------------------
     def emit(self, line: str) -> None:
@@ -226,9 +251,30 @@ class _Emitter(RegionEmitter):
         self.emit(f"{name} += {amount}")
 
     def flush(self) -> None:
-        if self.pending:
-            self.count("o", str(self.pending))
-            self.pending = 0
+        self.settle_counts(self.pending, self.tally)
+        self.pending = 0
+        self.tally = {}
+
+    def settle_counts(self, ops: int, tally: Dict[str, int]) -> None:
+        if ops:
+            self.count("o", str(ops))
+        for name, n in tally.items():
+            self.touched.add(name)
+            self.emit(f"{name} += {n}")
+
+    def charges(self, counters: str, acc: str = "", hoisted=()) -> List[str]:
+        """Lines adding accumulators ``acc`` (and the hoisted pointers'
+        access counts times their ``elem_bytes``) to ``counters``."""
+        out = []
+        for k, attr in _COUNTERS:
+            terms = [k + acc] if k + acc in self.touched else []
+            for h in hoisted:
+                n = {"lb": h.loads, "sb": h.stores}.get(k)
+                if n in self.touched:
+                    terms.append(f"{n} * {h.eb}")
+            if terms:
+                out.append(f"{counters}.{attr} += {' + '.join(terms)}")
+        return out
 
     def fault(self) -> None:
         """An operation that can fault follows: settle counts if exact."""
@@ -237,21 +283,21 @@ class _Emitter(RegionEmitter):
 
     @contextlib.contextmanager
     def capture(self, reset: bool = False, deeper: int = 0):
-        saved_lines, saved_pending = self.lines, self.pending
+        saved_lines, saved_pending, saved_tally = self.lines, self.pending, self.tally
         self.lines = buf = []
         self.ind += deeper
         if reset:
-            self.pending = 0
-        box = {"lines": buf, "pending": 0}
+            self.pending, self.tally = 0, {}
+        box = {"lines": buf, "pending": 0, "tally": {}}
         try:
             yield box
         finally:
-            box["pending"] = self.pending
+            box["pending"], box["tally"] = self.pending, self.tally
             self.lines = saved_lines
             self.ind -= deeper
             if reset:
                 # Conditionally run code proves nothing afterwards.
-                self.pending = saved_pending
+                self.pending, self.tally = saved_pending, saved_tally
                 self.nonnull.clear()
 
     def block(self, header: str, body) -> None:
@@ -268,8 +314,25 @@ class _Emitter(RegionEmitter):
         self.nonnull.clear()
 
     def steps(self) -> None:
-        self.emit("ctx.steps_left -= 1")
-        self.emit("if ctx.steps_left < 0: ctx.consume_steps(0)")
+        if self.budget is None:
+            self.emit("ctx.steps_left -= 1")
+            self.emit("if ctx.steps_left < 0: ctx.consume_steps(0)")
+            return
+        b = self.budget
+        self.budget_used = True
+        self.emit(f"{b} -= 1")
+        self.emit(f"if {b} < 0: ctx.steps_left = {b}; ctx.consume_steps(0)")
+
+    def calling(self, line: str) -> None:
+        """``line`` runs guest code that charges ``ctx``: hand it the budget."""
+        if self.budget is None:
+            self.emit(line)
+            return
+        self.budget_used = True
+        self.handoffs += 1
+        self.emit(f"ctx.steps_left = {self.budget}")
+        self.emit(line)
+        self.emit(f"{self.budget} = ctx.steps_left")
 
     def raise_segv(self, detail: str) -> None:
         self.emit(f"raise GuestRuntimeError(SEGV, detail={detail!r})")
@@ -407,87 +470,7 @@ class _Emitter(RegionEmitter):
             return f"ctx.geom[{_GEOM_INDEX[name]}]"
         return "1" if name in ("blockDim", "gridDim") else "0"
 
-    # -- memory ----------------------------------------------------------------
-    def pointer(self, base: ast.Expr, detail: str) -> str:
-        """Evaluate a pointer operand and fault on NULL."""
-        p = self.expr(base)
-        if not (p.startswith("v_") or self.stable(p)):
-            p = self.spill(p)
-        if p in self.nonnull:
-            return p
-        self.fault()
-        self.emit(f"if {p} is None: raise GuestRuntimeError(SEGV, detail={detail!r})")
-        self.nonnull.add(p)
-        return p
-
-    def index(self, p: str, index: ast.Expr) -> Tuple[str, str]:
-        with self.capture() as cap:
-            i = self.expr(index)
-        if cap["lines"] and not self.stable(p):
-            t = self.tmp()
-            self.emit(f"{t} = {p}")
-            p = t
-        self.lines.extend(cap["lines"])
-        if not self.is_int(index):
-            i = f"int({i})"
-        return p, i
-
-    def access(self, base: ast.Expr, index: ast.Expr) -> Tuple[str, str]:
-        """Checked element access: (buffer temp, element index temp)."""
-        p = self.pointer(base, "NULL pointer dereference")
-        p, i = self.index(p, index)
-        self.fault()
-        b, k = self.tmp(), self.tmp()
-        self.emit(f"{b} = {p}.buf")
-        self.emit(f"{k} = {p}.off + {i}")
-        if self.space == "omp":
-            self.emit(
-                f"if {b}.space == 'host' and {b}.shadow is not None and not {b}.freed "
-                f"and 0 <= {k} < {b}.shadow.length: {b} = {b}.shadow"
-            )
-            self.emit(
-                f"elif {b}.space != 'device' or {b}.freed or {k} < 0 or {k} >= {b}.length: "
-                f"{b} = chk({b}, {k}, True)"
-            )
-        else:
-            self.dynamic |= self.space == "dyn"
-            sp, dev = {
-                "host": ("'host'", "False"), "device": ("'device'", "True"),
-            }.get(self.space, ("SP", "DEV"))
-            self.emit(
-                f"if {b}.space != {sp} or {b}.freed or {k} < 0 or {k} >= {b}.length: "
-                f"{b} = chk({b}, {k}, {dev})"
-            )
-        return b, k
-
-    def load(self, base: ast.Expr, index: ast.Expr) -> str:
-        b, k = self.access(base, index)
-        self.last_access = (b, k)
-        r = self.tmp()
-        self.emit(f"{r} = {b}.cells[{k}]")
-        self.count("lb", f"{b}.elem_bytes")
-        self.pending += 1
-        return r
-
-    def put(self, b: str, k: str, v: str, value: ast.Expr) -> None:
-        self.count("sb", f"{b}.elem_bytes")
-        if self.is_float(value):
-            conv = f"{v} if {b}.is_float else int({v})"
-        elif self.is_int(value):
-            conv = f"float({v}) if {b}.is_float else {v}"
-        else:
-            conv = f"float({v}) if {b}.is_float else int({v})"
-        self.emit(f"{b}.cells[{k}] = {conv}")
-
-    def store(self, target: ast.Index, v: str, value: ast.Expr) -> None:
-        """``target = v`` where ``v`` was already evaluated."""
-        with self.capture() as cap:
-            b, k = self.access(target.base, target.index)
-        if cap["lines"] and not self.stable(v):
-            v = self.spill(v)
-        self.lines.extend(cap["lines"])
-        self.put(b, k, v, value)
-
+    # -- memory (accesses themselves: repro.interp.access) -------------------
     @staticmethod
     def deref(target: ast.Expr) -> ast.Expr:
         """``*p`` as ``p[0]``, typed as the ``*p`` it stands for."""
@@ -506,25 +489,6 @@ class _Emitter(RegionEmitter):
                 and x.name not in CONSTANTS and x.name not in GEOMETRY_BUILTINS)
             for x in ast.walk_exprs(e)
         )
-
-    def reaccess(self, target: ast.Index, b: str, k: str) -> Tuple[str, str]:
-        """The store half of a read-modify-write evaluates base and index
-        again; when both are pure only their op counts repeat and the
-        checked buffer is reused."""
-        if self.pure(target.base) and self.pure(target.index):
-            pending = self.pending
-            with self.capture() as cap:
-                self.expr(target.base)
-                self.expr(target.index)
-            if not cap["lines"]:
-                return b, k
-            self.pending = pending  # the code above is discarded
-        return self.access(target.base, target.index)
-
-    def elem_ref(self, operand: ast.Index) -> str:
-        p = self.pointer(operand.base, "NULL pointer dereference in '&expr[i]'")
-        p, i = self.index(p, operand.index)
-        return f"ElemRef({p}.offset_by({i}))"
 
     # -- operators ---------------------------------------------------------
     def unary(self, e: ast.Unary) -> str:
@@ -555,7 +519,7 @@ class _Emitter(RegionEmitter):
         if isinstance(operand, ast.Index):
             return self.elem_ref(operand)
         if isinstance(operand, ast.Unary) and operand.op == "*":
-            return f"ElemRef({self.expr(operand.operand)})"
+            return self.expr(operand.operand)
         raise _Unsupported("unsupported operand of '&'")
 
     def logical(self, e: ast.Binary, as_truth: bool = False) -> str:
@@ -572,8 +536,7 @@ class _Emitter(RegionEmitter):
         self.emit(f"if {left}:" if e.op == "&&" else f"if not ({left}):")
         self.lines.extend(cap["lines"])
         self.ind += 1
-        if cap["pending"]:
-            self.count("o", str(cap["pending"]))
+        self.settle_counts(cap["pending"], cap["tally"])
         self.emit(f"{t} = 1 if {right} else 0")
         self.ind -= 1
         return t
@@ -619,7 +582,8 @@ class _Emitter(RegionEmitter):
         fn, pyop = ("c_div", "//") if e.op == "/" else ("c_mod", "%")
         if self.is_int(e.left) and self.is_int(e.right):
             a, b = self.spill_atom(a), self.spill_atom(b)
-            fast = f"{a} {pyop} {b} if {a} >= 0 and {b} > 0 else {fn}({a}, {b})"
+            positive = f"{a} >= 0" if b.isdigit() and int(b) else f"{a} >= 0 and {b} > 0"
+            fast = f"{a} {pyop} {b} if {positive} else {fn}({a}, {b})"
         elif e.op == "/" and (self.is_float(e.left) or self.is_float(e.right)) and (
             self.arith(e.left) and self.arith(e.right)
         ):
@@ -657,8 +621,7 @@ class _Emitter(RegionEmitter):
         for cap, v in ((then_cap, a), (other_cap, b)):
             self.lines.extend(cap["lines"])
             self.ind += 1
-            if cap["pending"]:
-                self.count("o", str(cap["pending"]))
+            self.settle_counts(cap["pending"], cap["tally"])
             self.emit(f"{t} = {v}")
             self.ind -= 1
             if cap is then_cap:
@@ -733,12 +696,12 @@ class _Emitter(RegionEmitter):
                 return v
             self.pending += 1
             old = self.load(target.base, target.index)
-            b, k = self.last_access
+            el = self.last_access
             v = self.expr(e.value)
             new = self.combine(op[:-1], old, v, e.value, target, typed=self.arith(target))
             new = self.spill(new) if not self.stable(new) else new
-            b2, k2 = self.reaccess(target, b, k)
-            self.put(b2, k2, new, ast.Binary(op=op[:-1], left=target, right=e.value))
+            el = self.reaccess(target, el)
+            self.put(el, new, ast.Binary(op=op[:-1], left=target, right=e.value))
             return new
         raise _Unsupported(f"unsupported assignment target {type(target).__name__}")
 
@@ -822,11 +785,11 @@ class _Emitter(RegionEmitter):
         if isinstance(target, ast.Index):
             self.pending += 1
             old = self.load(target.base, target.index)
-            b, k = self.last_access
+            el = self.last_access
             new = self.tmp()
             self.emit(f"{new} = {old} {'+' if delta > 0 else '-'} 1")
-            b2, k2 = self.reaccess(target, b, k)
-            self.put(b2, k2, new, ast.Binary(op="+", left=target, right=_ONE))
+            el = self.reaccess(target, el)
+            self.put(el, new, ast.Binary(op="+", left=target, right=_ONE))
             return old if want == "old" else new
         raise _Unsupported("unsupported increment/decrement target")
 
@@ -864,7 +827,8 @@ class _Emitter(RegionEmitter):
         callee = f"f_{e.callee}"
         if fn.is_kernel and self.prog.contains(e.callee, ast.SyncThreads):
             callee = "_barrier_call"
-        self.emit(f"{t} = {callee}({', '.join(out)})")
+            self.mod.barrier_call = True
+        self.calling(f"{t} = {callee}({', '.join(out)})")
         return t
 
     def math_call(self, e: ast.Call, b) -> str:
@@ -880,12 +844,16 @@ class _Emitter(RegionEmitter):
         self.flush()
         self.emit("try:")
         self.ind += 1
+        handoffs = self.handoffs
         args = self.ordered(e.args)
         self.flush()  # the arguments' ops count even when the call raises
         self.emit(f"{t} = {fn}({', '.join(args)})")
         self.ind -= 1
         self.emit("except (ValueError, OverflowError):")
         self.emit(f"    {t} = nan")
+        if self.handoffs != handoffs:
+            # A call in the arguments raised before taking its budget back.
+            self.emit(f"    {self.budget} = min({self.budget}, ctx.steps_left)")
         self.nonnull.clear()
         return t
 
@@ -894,7 +862,7 @@ class _Emitter(RegionEmitter):
         first = e.args[0] if e.args else None
         if name.startswith("atomic") and isinstance(first, ast.Unary) and (
             first.op == "&" and isinstance(first.operand, ast.Index)
-        ) and (name in _ATOMIC_UPDATE or name == "atomicCAS"):
+        ) and (name in ATOMIC_UPDATE or name == "atomicCAS"):
             return self.atomic_elem(e, first.operand)
         args = self.ordered(e.args)
         if name in OMP_CONSTANT:
@@ -949,61 +917,10 @@ class _Emitter(RegionEmitter):
                 return t.pointee()
         return None
 
-    def atomic(self, name: str, args: List[str]) -> str:
-        ref = self.spill_atom(args[0]) if args else "None"
-        value = args[1] if len(args) > 1 else "0"
-        if name not in _ATOMIC_UPDATE and name != "atomicCAS":
-            self.emit(f"raise InterpreterError({f'atomic {name!r} not implemented'!r})")
-            return "None"
-        fn = self.mod.bind("B_atomic", "_atomic_cell")
-        old, cell = self.tmp(), self.tmp()
-        self.emit(f"{cell} = {fn}({ref}, {name!r})")
-        self.emit(f"{old} = {cell}[0]")
-        self.count("at", "1")
-        self.count("sb", "4")
-        if name == "atomicCAS":
-            cmp_, val = args[1], args[2]
-            self.emit(f"if {old} == {cmp_}: {cell}[1]({val})")
-        else:
-            new = _ATOMIC_UPDATE[name].format(old=old, v=value)
-            self.emit(f"{cell}[1]({new})")
-        return old
-
-    def atomic_elem(self, e: ast.Call, target: ast.Index) -> str:
-        """``atomicOp(&a[i], ...)`` on the element directly (no ElemRef)."""
-        p = self.pointer(target.base, "NULL pointer dereference in '&expr[i]'")
-        p, i = self.index(p, target.index)
-        b, k = self.tmp(), self.tmp()
-        self.emit(f"{b} = {p}.buf")
-        self.emit(f"{k} = {p}.off + {i}")
-        args = self.ordered(e.args[1:])
-        self.fault()
-        if self.space == "dyn":
-            self.dynamic = True
-            sp, dev = "SP", "DEV"
-        else:
-            sp, dev = "'device'", "True"
-        self.emit(
-            f"if {b}.space != {sp} or {b}.freed or {k} < 0 or {k} >= {b}.length: "
-            f"{b} = chk({b}, {k}, {dev})"
-        )
-        old = self.tmp()
-        self.emit(f"{old} = {b}.cells[{k}]")
-        self.count("at", "1")
-        self.count("sb", "4")
-        if e.callee == "atomicCAS":
-            new = args[1]
-            self.emit(f"if {old} == {args[0]}: "
-                      f"{b}.cells[{k}] = float({new}) if {b}.is_float else int({new})")
-        else:
-            new = _ATOMIC_UPDATE[e.callee].format(old=old, v=args[0] if args else "0")
-            self.emit(f"{b}.cells[{k}] = float({new}) if {b}.is_float else int({new})")
-        return old
-
     def launch(self, e: ast.Launch) -> str:
         grid, block, *args = self.ordered([e.grid, e.block] + list(e.args))
         self.fault()
-        self.emit(f"launch({e.kernel!r}, int({grid}), int({block}), [{', '.join(args)}])")
+        self.calling(f"launch({e.kernel!r}, int({grid}), int({block}), [{', '.join(args)}])")
         return "None"
 
     def cast(self, e: ast.Cast) -> str:
@@ -1279,10 +1196,9 @@ class ProgramCode:
         parts: List[str] = []
         names: List[str] = []
         kernels: List[str] = []
-        called = {
-            e.callee for exprs in prog.exprs.values()
-            for e in exprs if isinstance(e, ast.Call)
-        }
+        exprs = [e for body in prog.exprs.values() for e in body]
+        called = {e.callee for e in exprs if isinstance(e, ast.Call)}
+        launched = {e.kernel for e in exprs if isinstance(e, ast.Launch)}
         for name, fn in prog.functions.items():
             if fn.is_kernel:
                 barrier = prog.contains(name, ast.SyncThreads)
@@ -1297,10 +1213,13 @@ class ProgramCode:
                         s for s in prog.stmts[name]
                         if isinstance(s, ast.VarDecl) and s.shared
                     ]
-                parts.append(self._kernel(mod, name, fn, path))
-                kernels.append(name)
+                if name in launched:
+                    parts.append(self._kernel(mod, name, fn, path))
+                    kernels.append(name)
                 if name not in called or barrier:
                     continue
+            elif name not in called and name != "main":
+                continue
             parts.append(self._function(mod, name, fn))
             names.append(name)
         parts.append(self._globals(mod, prog))
@@ -1308,14 +1227,16 @@ class ProgramCode:
                 "    mem = ctx.memory", "    launch = R.launch",
                 "    ev = ctx.profile.events.append"]
         head += [f"    {local} = R.{attr}" for local, attr in sorted(mod.bound.items())]
-        head.append(
-            "    def _barrier_call(*args): raise InterpreterError("
-            "'kernel with barriers must go through launch()')"
-        )
+        if mod.barrier_call:
+            head.append(
+                "    def _barrier_call(*args): raise InterpreterError("
+                "'kernel with barriers must go through launch()')"
+            )
         tail = [
             "    return ({" + ", ".join(f"{n!r}: f_{n}" for n in names) + "}, {"
             + ", ".join(f"{k!r}: k_{k}" for k in kernels) + "}, {"
-            + ", ".join(f"{k!r}: s_{k}" for k in self.shared) + "}, init_globals)"
+            + ", ".join(f"{k!r}: s_{k}" for k in kernels if k in self.shared)
+            + "}, init_globals)"
         ]
         source = "\n".join(head + parts + tail) + "\n"
         namespace = dict(_RUNTIME)
@@ -1389,10 +1310,7 @@ class ProgramCode:
               indent: int = 2) -> str:
         pad = "    " * indent
         lines = ["    " + header] + [pad + line for line in prologue]
-        settle = [f"{counters}.{attr} += {k}"
-                  for k, attr in (("o", "ops"), ("lb", "load_bytes"),
-                                  ("sb", "store_bytes"), ("at", "atomics"))
-                  if k in em.touched]
+        settle = em.charges(counters)
         if not settle:
             return "\n".join(lines + em.lines)
         lines.append(pad + "o = lb = sb = at = 0")
@@ -1428,17 +1346,16 @@ class ProgramCode:
         header = f"def k_{name}(grid, block, args, C):"
         em = _Emitter(mod, name, fn, exact=False, space="device", geom_local=True,
                       indent=4)
+        em.budget = "st"
         frame = Frame("thread")
         exprs = mod.prog.exprs[name]
-        assigned = {
-            e.target.name for e in exprs
-            if isinstance(e, ast.Assign) and isinstance(e.target, ast.Ident)
-        } | {
-            e.operand.name for e in exprs
-            if isinstance(e, (ast.Unary, ast.Postfix)) and e.op in ("++", "--")
-            and isinstance(e.operand, ast.Ident)
-        } | em.addr
-        rebind = unpack and any(p.name in assigned for p in fn.params)
+        facts = mod.prog.bodies[name]
+        rebind = unpack and any(p.name in facts.written for p in fn.params)
+        em.hoisted, resolve = em.hoist([
+            p.name for p, py in zip(fn.params, params)
+            if facts.stable and p.type.is_pointer and py == p.name
+            and p.name in facts.accessed and p.name not in facts.written
+        ])
         try:
             em.frames.append(Frame("func"))
             em.frames.append(frame)
@@ -1457,17 +1374,20 @@ class ProgramCode:
             em.flush()
         except _Unsupported as exc:
             return self._stub(header, exc)
-        lines = ["    " + header, "        o = lb = sb = at = 0"]
-        if unpack and not rebind:
-            lines.append("        " + unpack)
-        lines.append("        for bid in range(grid):")
-        lines.append("            for tid in range(block):")
-        lines += em.lines or ["                pass"]
-        for k, attr in (("o", "ops"), ("lb", "load_bytes"), ("sb", "store_bytes"),
-                        ("at", "atomics")):
-            if k in em.touched:
-                lines.append(f"        C.{attr} += {k}")
-        return "\n".join(lines)
+        pad = "        "
+        loop = ["for bid in range(grid):", "    for tid in range(block):"]
+        body = [pad + line for line in loop] + (em.lines or [pad + "        pass"])
+        if em.budget_used:
+            # The budget only falls, so the lower of the two is the later.
+            body = ([pad + "st = ctx.steps_left", pad + "try:"]
+                    + ["    " + line for line in body]
+                    + [pad + "finally:", pad + "    ctx.steps_left = min(ctx.steps_left, st)"])
+        head = ["o = lb = sb = at = 0"]
+        if unpack and (resolve or not rebind):
+            head.append(unpack)
+        tail = em.charges("C", hoisted=em.hoisted.values())
+        return "\n".join(["    " + header] + [pad + line for line in head + resolve]
+                         + body + [pad + line for line in tail])
 
     def _shared_sizes(self, mod: _Module, name: str, fn: ast.FuncDef) -> str:
         header = f"def s_{name}():"

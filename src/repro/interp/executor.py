@@ -18,7 +18,7 @@ from repro.errors import GuestRuntimeError, InterpreterError
 from repro.gpu.stats import ExecutionProfile, KernelEvent, OpCounters, TransferEvent
 from repro.interp.codegen import BARRIER, GuestExit, ProgramCode
 from repro.interp.context import ExecContext, Limits
-from repro.interp.memory import Buffer, ElemRef, MemoryManager, Pointer, ScalarRef
+from repro.interp.memory import Buffer, MemoryManager, Pointer, ScalarRef
 from repro.interp.values import c_printf
 from repro.minilang import ast
 from repro.minilang import types as ty
@@ -215,7 +215,7 @@ class ProgramRunner:
     # CUDA runtime API
     # ------------------------------------------------------------------
     def _cuda_malloc(self, ref, nbytes, elem_hint: Optional[ty.Type]):
-        if not isinstance(ref, (ScalarRef, ElemRef)):
+        if not isinstance(ref, (ScalarRef, Pointer)):
             raise GuestRuntimeError(
                 _SEGFAULT, detail="cudaMalloc needs a pointer-to-pointer"
             )
@@ -225,7 +225,7 @@ class ProgramRunner:
             ptr.buf.label = ref.name
             ref.set(ptr)
         else:
-            ref.ptr.buf.cells[ref.ptr.off] = ptr
+            ref.buf.cells[ref.off] = ptr
         return 0
 
     def _cuda_free(self, ptr):
@@ -289,13 +289,9 @@ class ProgramRunner:
     def _atomic_cell(self, ref, name: str) -> Tuple[object, Callable]:
         """The current value at an atomic's target and a writer for it."""
         device = self.ctx.space == "device"
-        if isinstance(ref, ElemRef):
-            p = ref.ptr
-            buf = MemoryManager.check_access(p.buf, p.off, device)
-            off = p.off
-        elif isinstance(ref, ScalarRef):
+        if isinstance(ref, ScalarRef):
             return ref.get(), ref.set
-        elif isinstance(ref, Pointer):
+        if isinstance(ref, Pointer):
             buf = MemoryManager.check_access(ref.buf, ref.off, device)
             off = ref.off
         else:

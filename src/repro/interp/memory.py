@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import GuestRuntimeError
+from repro.errors import GuestRuntimeError, InterpreterError
 from repro.minilang import types as ty
 
 _SEGFAULT = "Segmentation fault (core dumped)"
@@ -121,15 +121,6 @@ class ScalarRef:
 
     def set(self, value) -> None:
         self.env[self.name] = value
-
-
-class ElemRef:
-    """``&array[i]`` — a reference to one buffer element."""
-
-    __slots__ = ("ptr",)
-
-    def __init__(self, ptr: Pointer) -> None:
-        self.ptr = ptr
 
 
 class MemoryManager:
@@ -244,6 +235,37 @@ class MemoryManager:
                 ),
             )
         return buf
+
+    # ------------------------------------------------------------------
+    # Pointers resolved once per launch (the generated code's hoisted form)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def device_view(ptr) -> tuple:
+        """``(cells, offset, length, elem_bytes, is_float)`` of what device
+        code reaches through ``ptr``: a device buffer, or the shadow of a
+        mapped host buffer.
+
+        Never raises.  A NULL, freed, unmapped or non-pointer value
+        resolves to length 0, so each access through it takes
+        :meth:`device_fault`.
+        """
+        if ptr.__class__ is Pointer:
+            buf = ptr.buf
+            if buf.space == "host" and not buf.freed:
+                buf = buf.shadow
+            if buf is not None and buf.space == "device" and not buf.freed:
+                return buf.cells, ptr.off, buf.length, buf.elem_bytes, buf.is_float
+            return (), ptr.off, 0, 0, False
+        return (), 0, 0, 0, False
+
+    @staticmethod
+    def device_fault(ptr, index: int, detail: str = "NULL pointer dereference") -> None:
+        """Raise what device code's access to element ``index`` of ``ptr``
+        raises when :meth:`device_view` puts it out of range."""
+        if ptr is None:
+            raise GuestRuntimeError(_SEGFAULT, detail=detail)
+        MemoryManager.check_access(ptr.buf, index, True)
+        raise InterpreterError(f"element {index} resolved out of range but is valid")
 
     # ------------------------------------------------------------------
     # OpenMP mapping

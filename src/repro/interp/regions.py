@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.interp.analysis import nest_levels
+from repro.interp.analysis import is_target_loop, nest_levels
 from repro.minilang import ast
 from repro.minilang.source import Dialect
 
@@ -52,7 +52,7 @@ class RegionEmitter:
         d = pragma.directive
         if d == "target data":
             self.target_data(s)
-        elif pragma.is_target and pragma.is_loop and isinstance(s.body, ast.For):
+        elif is_target_loop(s):
             self.target_loop(s)
         elif d == "target":
             self.target_serial(s)
@@ -115,9 +115,11 @@ class RegionEmitter:
         """Open a region with its own counters and accumulators.
 
         Returns the counters temp and four emission callbacks: ``enter``
-        and ``leave`` switch the emitter into and out of the region,
-        ``restore`` puts back the ambient counters (and space), ``settle``
-        adds the region's accumulators to its counters.
+        and ``leave`` switch the emitter into and out of the region (whose
+        accesses hoist nothing of an enclosing launch's), ``restore`` puts
+        back the ambient counters (and space), ``settle`` adds the region's
+        accumulators, and the access counts of the pointers it hoisted, to
+        its counters.
         """
         self.flush()
         self.nacc += 1
@@ -126,7 +128,7 @@ class RegionEmitter:
         self.emit(f"{c} = OpCounters()")
         self.emit(f"o{acc} = lb{acc} = sb{acc} = at{acc} = 0")
         self.emit(f"{pc} = ctx.counters")
-        saved = (self.acc, self.exact, self.space)
+        saved = (self.acc, self.exact, self.space, self.hoisted, self.budget)
         if space is not None:
             self.emit(f"{ps} = ctx.space")
         self.emit(f"ctx.counters = {c}")
@@ -134,24 +136,22 @@ class RegionEmitter:
             self.emit("ctx.space = 'device'")
 
         def enter():
-            self.acc, self.exact = acc, exact
+            self.acc, self.exact, self.hoisted = acc, exact, {}
             if space is not None:
                 self.space = space
 
         def leave():
             self.flush()
-            self.acc, self.exact, self.space = saved
+            self.acc, self.exact, self.space, self.hoisted, self.budget = saved
 
         def restore():
             self.emit(f"ctx.counters = {pc}")
             if space is not None:
                 self.emit(f"ctx.space = {ps}")
 
-        def settle():
-            for k, attr in (("o", "ops"), ("lb", "load_bytes"), ("sb", "store_bytes"),
-                            ("at", "atomics")):
-                if f"{k}{acc}" in self.touched:
-                    self.emit(f"{c}.{attr} += {k}{acc}")
+        def settle(hoisted=()):
+            for line in self.charges(c, acc, hoisted):
+                self.emit(line)
 
         return c, enter, leave, restore, settle
 
@@ -205,23 +205,46 @@ class RegionEmitter:
         return saved
 
     def target_loop(self, s: ast.Pragma) -> None:
+        """A ``target`` loop nest.  Where no map clause or call in its body
+        can free or remap a buffer, each pointer local it dereferences but
+        never writes is resolved once, before the nest.  The nest keeps the
+        step budget in a local unless an enclosing one already does."""
         pragma = s.pragma
         entered = self.maps_enter(pragma)
         c, enter, leave, restore, settle = self.region(exact=False, space="omp")
         saved = self.reduction_enter(pragma)
         cnt = self.tmp()
+        facts = self.prog.target_bodies[id(s)]
+        hoisted, resolve = self.hoist(sorted(
+            name for name in facts.accessed - facts.written
+            if facts.stable and name in self.types and name not in self.addr
+            and self.types[name].is_pointer
+        ))
+        for line in resolve:
+            self.emit(line)
+        own = self.budget is None
+        budget = "st" if own else self.budget
+        if own:
+            self.emit(f"{budget} = ctx.steps_left")
 
         def body():
             enter()
+            self.hoisted, self.budget = hoisted, budget
             self.emit(f"{cnt} = 0")
             self.nest(s.body, pragma.collapse, cnt)
             leave()
 
+        def final():
+            restore()
+            if own:
+                # The budget only falls, so the lower of the two is the later.
+                self.emit(f"ctx.steps_left = min(ctx.steps_left, {budget})")
+
         self.frames.append(Frame("try"))
         self.block("try:", body)
         self.frames.pop()
-        self.block("finally:", restore)
-        settle()
+        self.block("finally:", final)
+        settle(hoisted.values())
         red = pragma.reduction
         for lv, sv in saved:
             self.emit(f"{lv} = _reduce_target({red.op!r}, {sv}, {lv})")

@@ -102,13 +102,10 @@ class Analyzer:
     # ------------------------------------------------------------------
     def _check_global(self, gv: ast.GlobalVar, scope: _Scope) -> None:
         decl = gv.decl
-        var_type = decl.type
         ctx = _FunctionContext(
             ast.FuncDef(ty.VOID, "<global-init>", [], ast.Block()), in_device=False
         )
-        if decl.array_size is not None:
-            self._expr_type(decl.array_size, scope, ctx)
-            var_type = decl.type.pointer_to()
+        var_type = self._declared_type(decl, scope, ctx)
         if not scope.declare(decl.name, var_type):
             self.diagnostics.error(
                 "redefinition", f"redefinition of '{decl.name}'", gv.span
@@ -231,17 +228,22 @@ class Analyzer:
                     stmt.span,
                 )
 
+    def _declared_type(self, decl: ast.VarDecl, scope: _Scope,
+                       ctx: _FunctionContext) -> ty.Type:
+        """The variable's type; an array's size must be an integer."""
+        if decl.array_size is None:
+            return decl.type
+        st = self._expr_type(decl.array_size, scope, ctx)
+        if st is not None and not st.is_integer:
+            self.diagnostics.error(
+                "array-size-type",
+                f"size of array '{decl.name}' has non-integer type '{st}'",
+                decl.span,
+            )
+        return decl.type.pointer_to()
+
     def _check_vardecl(self, decl: ast.VarDecl, scope: _Scope, ctx: _FunctionContext) -> None:
-        var_type = decl.type
-        if decl.array_size is not None:
-            st = self._expr_type(decl.array_size, scope, ctx)
-            if st is not None and not st.is_integer:
-                self.diagnostics.error(
-                    "array-size-type",
-                    f"size of array '{decl.name}' has non-integer type '{st}'",
-                    decl.span,
-                )
-            var_type = decl.type.pointer_to()
+        var_type = self._declared_type(decl, scope, ctx)
         if decl.shared and not ctx.in_device:
             self.diagnostics.error(
                 "shared-outside-kernel",

@@ -196,6 +196,22 @@ class TestMemorySpaces:
         )
         assert out.stdout == "0.0\n"
 
+    def test_cuda_malloc_into_an_array_element(self):
+        out = run_cuda(
+            "int main() {\n"
+            "  float** ptrs = (float**)malloc(2 * sizeof(float*));\n"
+            "  for (int i = 0; i < 2; i++) { cudaMalloc(&ptrs[i], 4 * sizeof(float)); }\n"
+            "  float* h = (float*)malloc(4 * sizeof(float));\n"
+            "  h[2] = 2.5f;\n"
+            "  cudaMemcpy(ptrs[1], h, 4 * sizeof(float), cudaMemcpyHostToDevice);\n"
+            "  float* back = (float*)malloc(4 * sizeof(float));\n"
+            "  cudaMemcpy(back, ptrs[1], 4 * sizeof(float), cudaMemcpyDeviceToHost);\n"
+            '  printf("%.1f %d\\n", back[2], ptrs[0] != ptrs[1]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.stdout) == (None, "2.5 1\n")
+
 
 class TestAtomics:
     def test_atomic_add_counts_all_threads(self):

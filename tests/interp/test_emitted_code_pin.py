@@ -36,7 +36,7 @@ from repro.pipeline.stages.generate import extract_target_code
 from repro.prompts.builder import PromptBuilder
 from tests.interp.test_guest_cost_pin import PROGRAMS
 
-PINNED = "bae698690435ce60c70a4dba5bd33f764283775d519690a3e86343fb05fa8291"
+PINNED = "89b6c93e9bfedfb887f031a4e3af670ccc8dc3aa3e9c322f9d8e605a6d971278"
 
 BUILDS = 225
 

@@ -220,6 +220,14 @@ class TestMemory:
         )
         assert out.stdout == "12 13\n"
 
+    def test_address_of_an_element_is_a_pointer(self):
+        out = run_source(
+            "int main() { int* p = (int*)malloc(10 * sizeof(int));\n"
+            "int* q = &p[7]; long d = q - p; q[0] = 5; int* r = &*q;\n"
+            'printf("%ld %d %d\\n", d, p[7], r[0]); free(p); return 0; }'
+        )
+        assert (out.error, out.stdout) == (None, "7 5 5\n")
+
     def test_int_array_stores_truncate(self):
         out = run_source(
             "int main() { int* p = (int*)malloc(sizeof(int)); p[0] = 3.7;\n"

@@ -109,6 +109,15 @@ class TestBasicChecks:
         )
         assert sema("int n = 4;\nfloat a[n + 1];\n" + MAIN, Dialect.C).ok
 
+    def test_array_size_must_be_an_integer_at_file_and_function_scope(self):
+        for text in ("float a[2.5];\n" + MAIN,
+                     "int main() { float a[2.5]; return 0; }\n"):
+            errors = sema(text, Dialect.C).diagnostics.errors
+            assert [(d.code, d.message) for d in errors] == [(
+                "array-size-type",
+                "size of array 'a' has non-integer type 'double'",
+            )], text
+
     def test_pointer_plus_int_allowed(self):
         res = sema(
             "int main() { float* p = (float*)malloc(16); float* q = p + 2; return 0; }",
