@@ -234,12 +234,29 @@ class ProgramRunner:
 
     def _cuda_memset(self, ptr, value, nbytes):
         self._require_pointer(ptr, "cudaMemset")
-        count = int(nbytes) // ptr.buf.elem_bytes
-        fill = 0.0 if ptr.buf.is_float else 0
+        buf = ptr.buf
+        if buf.space != "device":
+            # As for cudaMemcpy: cudaErrorInvalidValue, nothing written.
+            return 1
+        if buf.freed:
+            raise GuestRuntimeError(
+                _ILLEGAL, detail="cudaMemset on a freed buffer"
+            )
+        nbytes = int(nbytes)
+        count = nbytes // buf.elem_bytes
+        if count < 0 or ptr.off < 0 or ptr.off + count > buf.length:
+            raise GuestRuntimeError(
+                _ILLEGAL,
+                detail=(
+                    f"cudaMemset of {nbytes} bytes overruns buffer "
+                    f"(len {buf.length})"
+                ),
+            )
+        fill = 0.0 if buf.is_float else 0
         if int(value) != 0:
-            fill = float(value) if ptr.buf.is_float else int(value)
+            fill = float(value) if buf.is_float else int(value)
         for i in range(ptr.off, ptr.off + count):
-            ptr.buf.cells[i] = fill
+            buf.cells[i] = fill
         return 0
 
     def _cuda_memcpy(self, dst, src, nbytes, kind) -> int:

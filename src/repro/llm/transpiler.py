@@ -38,9 +38,9 @@ from repro.minilang import ast
 from repro.minilang import types as ty
 from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS
 from repro.minilang.codegen import CodegenStyle, generate
-from repro.minilang.parser import parse
 from repro.minilang.semantics import canonical, collect_local_types, sole_inner_for
 from repro.minilang.source import Dialect, SourceFile
+from repro.toolchain.compiler import parse_once
 
 
 class TranspileError(ReproError):
@@ -117,7 +117,12 @@ def _expr_stmt(e: ast.Expr) -> ast.ExprStmt:
 
 
 def _parse_source(text: str, dialect: Dialect) -> ast.Program:
-    program, diags = parse(SourceFile("input", text, dialect))
+    """The program of ``text``, from the compiler's parse memo.
+
+    The baseline build has usually parsed this text already; the program is
+    shared with the compiler, so every pass below copies what it rewrites.
+    """
+    program, diags = parse_once(SourceFile("input", text, dialect))
     if diags.has_errors:
         raise TranspileError(
             "source program does not parse:\n" + diags.render()

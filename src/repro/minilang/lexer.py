@@ -10,19 +10,24 @@ leaves (directives, string and char literals, an unterminated ``/*``, an
 invalid character, the end of input) is a small position-based branch of
 the same loop.
 
+A :class:`Token` and its :class:`~repro.minilang.source.Span` are named
+tuples, immutable and cheap to build: the lexer makes one of each for every
+token of every text the compiler and the simulated LLM parse, and the
+stream always ends with exactly one ``EOF`` token.
+
 ``#pragma`` lines are captured as single ``PRAGMA`` tokens (their clause
-text is parsed later by :mod:`repro.minilang.pragma`); ``#include`` and the
-other conditional/definition directives are tolerated and skipped so
-LLM-style output that carries them still lexes.  Errors become diagnostics,
-never exceptions: LLM output is untrusted input to the compiler.
+text is parsed later by :func:`repro.minilang.parser.parse_omp_pragma`);
+``#include`` and the other conditional/definition directives are
+tolerated and skipped so LLM-style output that carries them still lexes.
+Errors become diagnostics, never exceptions: LLM output is untrusted input
+to the compiler.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.minilang.diagnostics import DiagnosticBag
 from repro.minilang.source import Span
@@ -40,6 +45,9 @@ class TokenKind(enum.Enum):
     EOF = "end of file"
 
 
+# Bound once: a module global is cheaper to load than an enum member.
+_PUNCT, _KEYWORD = TokenKind.PUNCT, TokenKind.KEYWORD
+
 KEYWORDS = frozenset(
     {
         "int", "float", "double", "char", "bool", "void", "long", "unsigned",
@@ -52,17 +60,18 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its kind, its text and where it starts."""
+
     kind: TokenKind
     text: str
     span: Span
 
     def is_punct(self, text: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.text == text
+        return self.text == text and self.kind is _PUNCT
 
     def is_keyword(self, text: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == text
+        return self.text == text and self.kind is _KEYWORD
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Token({self.kind.name}, {self.text!r}, {self.span})"
@@ -147,6 +156,10 @@ class Lexer:
         error = self.diagnostics.error
         match = (_CUDA_PATTERN if self.cuda_launch_syntax else _C_PATTERN).match
         keyword, ident, punct = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT
+        # Spans and the common tokens are built by ``tuple.__new__`` from
+        # their fields in order: the same values the classes' own
+        # ``__new__`` would build, without its Python-level call.
+        new = tuple.__new__
         out: List[Token] = []
         append = out.append
         pos = 0  # where the next match starts
@@ -165,17 +178,17 @@ class Lexer:
                 line += text.count("\n", seen, nl) + 1
                 bol = nl + 1
             seen = start
-            span = Span(line, start - bol + 1)
+            span = new(Span, (line, start - bol + 1))
             if group == _WORD_GROUP:
                 word = text[start:end]
-                append(Token(keyword if word in KEYWORDS else ident, word, span))
+                append(new(Token, (keyword if word in KEYWORDS else ident, word, span)))
                 pos = end
             elif group == _PUNCT_GROUP:
-                append(Token(punct, text[start:end], span))
+                append(new(Token, (punct, text[start:end], span)))
                 pos = end
             elif group == _NUMBER_GROUP:
                 number = text[start:end]
-                append(Token(_number_kind(number), number, span))
+                append(new(Token, (_number_kind(number), number, span)))
                 pos = end
             elif group == _OPEN_COMMENT_GROUP:
                 error("unterminated-comment", "unterminated /* comment", span)
@@ -227,7 +240,8 @@ class Lexer:
 
 
 def lex(text: str, cuda_launch_syntax: bool = False) -> List[Token]:
-    """Convenience: lex ``text`` and return tokens, raising on lex errors."""
+    """Convenience: lex ``text`` and return its tokens.  Lex errors are
+    dropped; a :class:`Lexer` given a bag keeps them."""
     bag = DiagnosticBag()
     toks = Lexer(text, bag, cuda_launch_syntax=cuda_launch_syntax).tokens()
     return toks

@@ -8,6 +8,10 @@ host C++ compiler reports CUDA qualifiers as unknown identifiers.
 
 Errors are accumulated as diagnostics with statement-level recovery, so a
 single run reports multiple problems, the way clang/nvcc stderr does.
+
+The parser reads the lexer's token list through one cursor, ``pos``, which
+never moves past the ``EOF`` token that ends the list: the current token is
+read without a bounds check, and only lookahead (``_ahead``) clamps.
 """
 
 from __future__ import annotations
@@ -19,6 +23,15 @@ from repro.minilang.diagnostics import DiagnosticBag
 from repro.minilang.lexer import Lexer, Token, TokenKind
 from repro.minilang.source import Dialect, SourceFile, Span
 from repro.minilang import types as ty
+
+# Token kinds bound once as module globals: the parser tests a kind at
+# nearly every token, and a global is cheaper to load than an enum member.
+_IDENT, _KEYWORD, _PUNCT, _PRAGMA, _EOF = (
+    TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.PRAGMA, TokenKind.EOF,
+)
+_INT_LIT, _FLOAT_LIT, _STRING_LIT, _CHAR_LIT = (
+    TokenKind.INT_LIT, TokenKind.FLOAT_LIT, TokenKind.STRING_LIT, TokenKind.CHAR_LIT,
+)
 
 _TYPE_KEYWORDS = {"int", "float", "double", "char", "bool", "void", "long", "unsigned", "size_t"}
 
@@ -74,6 +87,9 @@ class Parser:
             cuda_launch_syntax=(source.dialect is Dialect.CUDA),
         )
         self.tokens: List[Token] = lexer.tokens()
+        #: Index of the EOF token that ends ``tokens``.
+        self._last = len(self.tokens) - 1
+        #: The cursor: index of the current token, never past ``_last``.
         self.pos = 0
         #: Current nesting level (see :data:`MAX_NESTING`).
         self.depth = depth
@@ -81,19 +97,24 @@ class Parser:
     # ------------------------------------------------------------------
     # Token helpers
     # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        p = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[p]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def _ahead(self, offset: int) -> Token:
+        """The token ``offset`` places past the current one (EOF at most)."""
+        return self.tokens[min(self.pos + offset, self._last)]
 
     def _at_punct(self, text: str) -> bool:
-        return self._peek().is_punct(text)
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind is _PUNCT
 
     def _at_keyword(self, text: str) -> bool:
-        return self._peek().is_keyword(text)
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind is _KEYWORD
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
+        if self.pos < self._last:
             self.pos += 1
         return tok
 
@@ -116,7 +137,7 @@ class Parser:
 
     def _expect_ident(self, context: str = "") -> Token:
         tok = self._peek()
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is _IDENT:
             return self._advance()
         where = f" {context}" if context else ""
         self.diagnostics.error(
@@ -141,14 +162,14 @@ class Parser:
 
     @staticmethod
     def _describe(tok: Token) -> str:
-        if tok.kind is TokenKind.EOF:
+        if tok.kind is _EOF:
             return "end of file"
         return f"'{tok.text}'"
 
     def _sync_to(self, *stops: str) -> None:
         """Skip tokens until one of ``stops`` (consumed) or EOF, balancing braces."""
         depth = 0
-        while self._peek().kind is not TokenKind.EOF:
+        while self._peek().kind is not _EOF:
             tok = self._peek()
             if tok.is_punct("{"):
                 depth += 1
@@ -158,7 +179,7 @@ class Parser:
                         self._advance()
                     return
                 depth -= 1
-            elif depth == 0 and tok.kind is TokenKind.PUNCT and tok.text in stops:
+            elif depth == 0 and tok.kind is _PUNCT and tok.text in stops:
                 self._advance()
                 return
             self._advance()
@@ -167,10 +188,10 @@ class Parser:
     # Types
     # ------------------------------------------------------------------
     def _at_type(self, offset: int = 0) -> bool:
-        tok = self._peek(offset)
+        tok = self._ahead(offset)
         if tok.is_keyword("const"):
             return self._at_type(offset + 1)
-        return tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_KEYWORDS
+        return tok.kind is _KEYWORD and tok.text in _TYPE_KEYWORDS
 
     def _parse_type(self) -> Tuple[ty.Type, bool]:
         """Parse ``[const] scalar '*'*``; returns (type, is_const)."""
@@ -179,7 +200,7 @@ class Parser:
             self._advance()
             is_const = True
         tok = self._peek()
-        if not (tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_KEYWORDS):
+        if not (tok.kind is _KEYWORD and tok.text in _TYPE_KEYWORDS):
             self.diagnostics.error(
                 "expected-type", f"expected type name, found {self._describe(tok)}", tok.span
             )
@@ -205,7 +226,7 @@ class Parser:
     def parse_program(self) -> ast.Program:
         program = ast.Program()
         program.span = Span(1, 1)
-        while self._peek().kind is not TokenKind.EOF:
+        while self._peek().kind is not _EOF:
             try:
                 self._parse_topdecl(program)
             except _ParseBailout:
@@ -217,7 +238,7 @@ class Parser:
 
     def _parse_topdecl(self, program: ast.Program) -> None:
         tok = self._peek()
-        if tok.kind is TokenKind.PRAGMA:
+        if tok.kind is _PRAGMA:
             self.diagnostics.warning(
                 "pragma-at-top-level", "ignoring pragma at file scope", tok.span
             )
@@ -226,7 +247,7 @@ class Parser:
 
         qualifier: Optional[str] = None
         span = tok.span
-        if tok.kind is TokenKind.KEYWORD and tok.text in ("__global__", "__device__", "__host__"):
+        if tok.kind is _KEYWORD and tok.text in ("__global__", "__device__", "__host__"):
             qualifier = tok.text if tok.text != "__host__" else None
             self._advance()
 
@@ -256,14 +277,14 @@ class Parser:
         params: List[ast.Param] = []
         if not self._at_punct(")"):
             while True:
-                if self._at_keyword("void") and self._peek(1).is_punct(")"):
+                if self._at_keyword("void") and self._ahead(1).is_punct(")"):
                     self._advance()
                     break
                 p_span = self._peek().span
                 p_type, _ = self._parse_type()
                 restrict = False
                 p_name = ""
-                if self._peek().kind is TokenKind.IDENT:
+                if self._peek().kind is _IDENT:
                     p_name = self._advance().text
                 params.append(ast.Param(type=p_type, name=p_name, span=p_span, restrict=restrict))
                 if not self._accept_punct(","):
@@ -300,7 +321,7 @@ class Parser:
         block = ast.Block()
         block.span = open_tok.span
         while not self._at_punct("}"):
-            if self._peek().kind is TokenKind.EOF:
+            if self._peek().kind is _EOF:
                 self.diagnostics.error(
                     "unclosed-block", "expected '}' to close block", open_tok.span
                 )
@@ -330,7 +351,7 @@ class Parser:
         tok = self._peek()
         span = tok.span
 
-        if tok.kind is TokenKind.PRAGMA:
+        if tok.kind is _PRAGMA:
             return self._parse_pragma_stmt()
 
         if tok.is_punct("{"):
@@ -339,7 +360,7 @@ class Parser:
             self._advance()
             return ast.Block().with_span(span)
 
-        if tok.kind is TokenKind.KEYWORD:
+        if tok.kind is _KEYWORD:
             kw = tok.text
             if kw == "if":
                 return self._parse_if()
@@ -371,10 +392,10 @@ class Parser:
                 return decl.with_span(span)
 
         if self._at_type() and (
-            self._peek(1).kind is TokenKind.IDENT
-            or (self._peek(1).is_punct("*"))
-            or self._peek(1).is_keyword("const")
-            or (self._peek(1).kind is TokenKind.KEYWORD and self._peek(1).text in _TYPE_KEYWORDS)
+            self._ahead(1).kind is _IDENT
+            or (self._ahead(1).is_punct("*"))
+            or self._ahead(1).is_keyword("const")
+            or (self._ahead(1).kind is _KEYWORD and self._ahead(1).text in _TYPE_KEYWORDS)
         ):
             decl_type, is_const = self._parse_type()
             name_tok = self._expect_ident("after type in declaration")
@@ -382,7 +403,7 @@ class Parser:
 
         # __syncthreads() is a statement-level intrinsic with barrier
         # semantics; recognize it here so the executor can special-case it.
-        if tok.kind is TokenKind.IDENT and tok.text == "__syncthreads":
+        if tok.kind is _IDENT and tok.text == "__syncthreads":
             self._advance()
             self._expect_punct("(", "after '__syncthreads'")
             self._expect_punct(")", "after '__syncthreads('")
@@ -508,7 +529,7 @@ class Parser:
     def _parse_assignment(self) -> ast.Expr:
         left = self._parse_ternary()
         tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in _ASSIGN_OPS:
+        if tok.kind is _PUNCT and tok.text in _ASSIGN_OPS:
             self._advance()
             self._nest()
             value = self._parse_assignment()
@@ -534,7 +555,7 @@ class Parser:
         left = self._parse_unary()
         while True:
             tok = self._peek()
-            if tok.kind is not TokenKind.PUNCT:
+            if tok.kind is not _PUNCT:
                 break
             prec = _BIN_PREC.get(tok.text)
             if prec is None or prec < min_prec:
@@ -548,7 +569,7 @@ class Parser:
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in ("-", "+", "!", "~", "*", "&", "++", "--"):
+        if tok.kind is _PUNCT and tok.text in ("-", "+", "!", "~", "*", "&", "++", "--"):
             self._advance()
             self._nest()
             operand = self._parse_unary()
@@ -556,14 +577,14 @@ class Parser:
             if tok.text == "+":
                 return operand
             return ast.Unary(op=tok.text, operand=operand).with_span(tok.span)
-        if tok.is_keyword("sizeof"):
+        if tok.text == "sizeof" and tok.kind is _KEYWORD:
             self._advance()
             self._expect_punct("(", "after 'sizeof'")
             size_type, _ = self._parse_type()
             self._expect_punct(")", "to close sizeof")
             return ast.SizeOf(type=size_type).with_span(tok.span)
         # Cast: '(' type ')' unary
-        if tok.is_punct("(") and self._at_type(1):
+        if tok.text == "(" and tok.kind is _PUNCT and self._at_type(1):
             # Look ahead to confirm a cast rather than, e.g. "(int_var + 1)".
             self._advance()
             cast_type, _ = self._parse_type()
@@ -578,17 +599,19 @@ class Parser:
         expr = self._parse_primary()
         while True:
             tok = self._peek()
-            if tok.is_punct("["):
+            if tok.kind is not _PUNCT:
+                return expr
+            if tok.text == "[":
                 self._advance()
                 self._nest()
                 index = self._parse_expr()
                 self._expect_punct("]", "to close subscript")
                 self.depth -= 1
                 expr = ast.Index(base=expr, index=index).with_span(tok.span)
-            elif tok.is_punct("."):
+            elif tok.text == ".":
                 self._advance()
                 field_tok = self._peek()
-                if field_tok.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
+                if field_tok.kind in (_IDENT, _KEYWORD):
                     self._advance()
                     expr = ast.Member(obj=expr, field_name=field_tok.text).with_span(tok.span)
                 else:
@@ -598,7 +621,7 @@ class Parser:
                         field_tok.span,
                     )
                     raise _ParseBailout()
-            elif tok.is_punct("++") or tok.is_punct("--"):
+            elif tok.text == "++" or tok.text == "--":
                 self._advance()
                 expr = ast.Postfix(op=tok.text, operand=expr).with_span(tok.span)
             else:
@@ -607,38 +630,9 @@ class Parser:
     def _parse_primary(self) -> ast.Expr:
         tok = self._peek()
         span = tok.span
+        kind = tok.kind
 
-        if tok.kind is TokenKind.INT_LIT:
-            self._advance()
-            text = tok.text.rstrip("uUlL")
-            value = int(text, 16) if text.lower().startswith("0x") else int(text)
-            return ast.IntLit(value=value, text=tok.text).with_span(span)
-        if tok.kind is TokenKind.FLOAT_LIT:
-            self._advance()
-            return ast.FloatLit(
-                value=float(tok.text.rstrip("fFlL")), text=tok.text
-            ).with_span(span)
-        if tok.kind is TokenKind.STRING_LIT:
-            self._advance()
-            raw = tok.text[1:-1]
-            value = (
-                raw.replace("\\n", "\n").replace("\\t", "\t")
-                .replace('\\"', '"').replace("\\\\", "\\")
-            )
-            return ast.StrLit(value=value).with_span(span)
-        if tok.kind is TokenKind.CHAR_LIT:
-            self._advance()
-            raw = tok.text[1:-1]
-            value = {"\\n": "\n", "\\t": "\t", "\\0": "\0", "\\'": "'"}.get(raw, raw)
-            return ast.CharLit(value=value).with_span(span)
-        if tok.is_keyword("true") or tok.is_keyword("false"):
-            self._advance()
-            return ast.BoolLit(value=(tok.text == "true")).with_span(span)
-        if tok.is_keyword("NULL") or tok.is_keyword("nullptr"):
-            self._advance()
-            return ast.NullLit(spelling=tok.text).with_span(span)
-
-        if tok.kind is TokenKind.IDENT:
+        if kind is _IDENT:
             self._advance()
             name = tok.text
             if self._at_punct("<<<"):
@@ -656,6 +650,37 @@ class Parser:
                 self.depth -= 1
                 return ast.Call(callee=name, args=args).with_span(span)
             return ast.Ident(name=name).with_span(span)
+
+        if kind is _INT_LIT:
+            self._advance()
+            text = tok.text.rstrip("uUlL")
+            value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            return ast.IntLit(value=value, text=tok.text).with_span(span)
+        if kind is _FLOAT_LIT:
+            self._advance()
+            return ast.FloatLit(
+                value=float(tok.text.rstrip("fFlL")), text=tok.text
+            ).with_span(span)
+        if kind is _STRING_LIT:
+            self._advance()
+            raw = tok.text[1:-1]
+            value = (
+                raw.replace("\\n", "\n").replace("\\t", "\t")
+                .replace('\\"', '"').replace("\\\\", "\\")
+            )
+            return ast.StrLit(value=value).with_span(span)
+        if kind is _CHAR_LIT:
+            self._advance()
+            raw = tok.text[1:-1]
+            value = {"\\n": "\n", "\\t": "\t", "\\0": "\0", "\\'": "'"}.get(raw, raw)
+            return ast.CharLit(value=value).with_span(span)
+        if kind is _KEYWORD:
+            if tok.text in ("true", "false"):
+                self._advance()
+                return ast.BoolLit(value=(tok.text == "true")).with_span(span)
+            if tok.text in ("NULL", "nullptr"):
+                self._advance()
+                return ast.NullLit(spelling=tok.text).with_span(span)
 
         if tok.is_punct("("):
             self._advance()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 
 class Dialect(enum.Enum):
@@ -23,9 +23,12 @@ class Dialect(enum.Enum):
         return {"c": ".c", "cuda": ".cu", "omp": ".cpp"}[self.value]
 
 
-@dataclass(frozen=True)
-class Span:
-    """1-based source position (start of the relevant token)."""
+class Span(NamedTuple):
+    """1-based source position (start of the relevant token).
+
+    A named pair, cheap to build for every token: spans compare and hash
+    as their ``(line, col)`` and print as ``line:col``.
+    """
 
     line: int
     col: int

@@ -14,6 +14,14 @@ code, and synthetic-suite regeneration replays known sources — so the memo
 turns all of that into dictionary lookups.  Results are safe to share: the
 returned :class:`CompileResult` (program AST included) is treated as
 read-only by every consumer.
+
+Below it sits the parse memo (:func:`parse_once`), keyed by ``(text,
+dialect)``: a parse reads nothing else (spans carry no file name), so the
+compile memo's misses and the simulated LLM's transpiler share one parse
+of each text.  It holds the program and parse diagnostics of error-free
+parses only, and a compile that fails drops its text's entry, so a text
+whose compile fails keeps no AST.  :func:`clear_compile_cache` clears both
+memos; :func:`compile_cache_stats` counts the compile memo alone.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.minilang import analyze, parse
 from repro.minilang.ast import Program
@@ -57,19 +65,20 @@ class CompileResult:
 class CompileCache:
     """Content-addressed memo of front-end results.
 
-    Entries are keyed by the SHA-256 of the source text plus the dialect
-    and filename (the filename is part of the rendered compile command and
-    of diagnostic locations, so it belongs to the identity).  The cache is
-    a bounded LRU — sources are small, but a long campaign should not grow
-    memory without bound — and is thread-safe so concurrent grid workers
-    can share it.  ``hits`` / ``misses`` expose the traffic; the throughput
-    benchmarks report them.
+    Compile results are keyed by :meth:`key`: the SHA-256 of the source
+    text plus the dialect and filename (the filename is part of the
+    rendered compile command and of diagnostic locations, so it belongs to
+    the identity); the parse memo is a second instance keyed by ``(text,
+    dialect)``.  The cache is a bounded LRU — sources are small, but a long
+    campaign should not grow memory without bound — and is thread-safe so
+    concurrent grid workers can share it.  ``hits`` / ``misses`` expose the
+    traffic; the throughput benchmarks report them.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, str, str], CompileResult]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -78,7 +87,7 @@ class CompileCache:
         digest = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
         return (digest, dialect.value, filename)
 
-    def get(self, key: Tuple[str, str, str]) -> Optional[CompileResult]:
+    def get(self, key: Hashable) -> Any:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -88,12 +97,16 @@ class CompileCache:
             self.hits += 1
             return entry
 
-    def put(self, key: Tuple[str, str, str], result: CompileResult) -> None:
+    def put(self, key: Hashable, result: Any) -> None:
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
+
+    def discard(self, key: Hashable) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:
@@ -120,10 +133,31 @@ class CompileCache:
 #: process holds its own).
 _COMPILE_CACHE = CompileCache()
 
+#: Process-wide parse memo: ``(text, dialect)`` -> ``(program, parse
+#: diagnostics)`` of error-free parses (see :func:`parse_once`).
+_PARSE_MEMO = CompileCache()
+
 
 def compile_cache_stats() -> Dict[str, float]:
-    """Hit/miss counters of the process-wide compile cache."""
+    """Hit/miss counters of the process-wide compile cache (the parse
+    memo below it is not counted)."""
     return _COMPILE_CACHE.stats()
+
+
+def parse_once(source: SourceFile) -> Tuple[Program, DiagnosticBag]:
+    """``parse(source)``, memoized by ``(text, dialect)``.
+
+    A miss calls this module's :func:`parse` and keeps the result when it
+    has no errors.  Every caller shares the returned program and
+    diagnostics, so both must be treated as read-only.
+    """
+    key = (source.text, source.dialect)
+    parsed = _PARSE_MEMO.get(key)
+    if parsed is None:
+        parsed = parse(source)
+        if not parsed[1].has_errors:
+            _PARSE_MEMO.put(key, parsed)
+    return parsed
 
 
 #: Per-thread outcome of the calling thread's latest
@@ -142,8 +176,10 @@ def last_compile_cached() -> bool:
 
 
 def clear_compile_cache() -> None:
-    """Drop every memoized front-end result and reset the counters."""
+    """Drop every memoized front-end result and parse, and reset the
+    counters."""
     _COMPILE_CACHE.clear()
+    _PARSE_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -179,7 +215,7 @@ class CompilerDriver:
         source = SourceFile(fname, source_text, self.dialect)
         command = self.command(fname)
 
-        program, parse_diags = parse(source)
+        program, parse_diags = parse_once(source)
         bag = DiagnosticBag()
         bag.extend(parse_diags)
         if not parse_diags.has_errors:
@@ -187,6 +223,8 @@ class CompilerDriver:
             bag.extend(sema.diagnostics)
 
         ok = not bag.has_errors
+        if not ok:
+            _PARSE_MEMO.discard((source.text, source.dialect))
         stderr = bag.render(source)
         return CompileResult(
             ok=ok,

@@ -196,6 +196,52 @@ class TestMemorySpaces:
         )
         assert out.stdout == "0.0\n"
 
+    @staticmethod
+    def _memset_on(setup: str, nbytes: str):
+        return run_cuda(
+            "int main() {\n"
+            f"  {setup}\n"
+            f"  int rc = cudaMemset(d, 0, {nbytes});\n"
+            '  printf("%d %.1f\\n", rc, d[1]);\n'
+            "  return 0;\n"
+            "}"
+        )
+
+    def test_cuda_memset_past_the_end_is_an_illegal_access(self):
+        out = self._memset_on(
+            "float* d; cudaMalloc(&d, 4 * sizeof(float));", "1000"
+        )
+        assert out.error == (
+            "CUDA error: an illegal memory access was encountered"
+        )
+        assert out.error_detail == (
+            "cudaMemset of 1000 bytes overruns buffer (len 4)"
+        )
+
+    def test_cuda_memset_of_a_negative_count_is_an_illegal_access(self):
+        out = self._memset_on(
+            "float* d; cudaMalloc(&d, 4 * sizeof(float));", "-8"
+        )
+        assert "illegal memory access" in out.error
+        assert out.error_detail == (
+            "cudaMemset of -8 bytes overruns buffer (len 4)"
+        )
+
+    def test_cuda_memset_on_a_freed_buffer_is_an_illegal_access(self):
+        out = self._memset_on(
+            "float* d; cudaMalloc(&d, 4 * sizeof(float)); cudaFree(d);",
+            "4 * sizeof(float)",
+        )
+        assert "illegal memory access" in out.error
+        assert out.error_detail == "cudaMemset on a freed buffer"
+
+    def test_cuda_memset_on_a_host_pointer_writes_nothing(self):
+        out = self._memset_on(
+            "float* d = (float*)malloc(4 * sizeof(float)); d[1] = 9.0f;",
+            "4 * sizeof(float)",
+        )
+        assert (out.error, out.stdout) == (None, "1 9.0\n")
+
     def test_cuda_malloc_into_an_array_element(self):
         out = run_cuda(
             "int main() {\n"
