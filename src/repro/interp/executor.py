@@ -167,9 +167,11 @@ class ProgramRunner:
         fill = float(value) if ptr.buf.is_float else int(value)
         if int(value) == 0:
             fill = 0.0 if ptr.buf.is_float else 0
-        buf = MemoryManager.check_access(
-            ptr.buf, ptr.off + max(0, count - 1), ctx.space == "device"
-        ) if count > 0 else ptr.buf
+        buf = ptr.buf
+        if count > 0:
+            device = ctx.space == "device"
+            MemoryManager.check_access(buf, ptr.off, device)
+            buf = MemoryManager.check_access(buf, ptr.off + count - 1, device)
         for i in range(ptr.off, ptr.off + count):
             buf.cells[i] = fill
         ctx.counters.store_bytes += count * ptr.buf.elem_bytes
@@ -181,8 +183,9 @@ class ProgramRunner:
         self._require_pointer(src, "memcpy")
         count = int(nbytes) // dst.buf.elem_bytes
         if count > 0:
-            MemoryManager.check_access(dst.buf, dst.off + count - 1, False)
-            MemoryManager.check_access(src.buf, src.off + count - 1, False)
+            for ptr in (dst, src):
+                MemoryManager.check_access(ptr.buf, ptr.off, False)
+                MemoryManager.check_access(ptr.buf, ptr.off + count - 1, False)
         dst.buf.cells[dst.off:dst.off + count] = (
             src.buf.cells[src.off:src.off + count]
         )
@@ -283,8 +286,8 @@ class ProgramRunner:
                 _ILLEGAL, detail="cudaMemcpy on a freed buffer"
             )
         count = nbytes // dst.buf.elem_bytes
-        if count < 0 or src.off + count > src.buf.length or (
-            dst.off + count > dst.buf.length
+        if count < 0 or min(src.off, dst.off) < 0 or (
+            src.off + count > src.buf.length or dst.off + count > dst.buf.length
         ):
             raise GuestRuntimeError(
                 _ILLEGAL,

@@ -182,18 +182,6 @@ def substitute(node, mapping: Dict[str, str]):
     return node
 
 
-def assigned_scalars(node: ast.Stmt) -> Set[str]:
-    """Names of scalar variables assigned anywhere in the statement tree."""
-    out: Set[str] = set()
-    for expr in ast.walk_exprs(node):
-        if isinstance(expr, ast.Assign) and isinstance(expr.target, ast.Ident):
-            out.add(expr.target.name)
-        elif isinstance(expr, (ast.Unary, ast.Postfix)) and expr.op in ("++", "--"):
-            if isinstance(expr.operand, ast.Ident):
-                out.add(expr.operand.name)
-    return out
-
-
 def declared_names(node: ast.Stmt) -> Set[str]:
     """Names declared (VarDecl / for-init) within the statement tree."""
     out: Set[str] = set()

@@ -124,7 +124,6 @@ MODEL_STYLES: Dict[str, TranspileOptions] = {
 
 _L = (("use_data_region", False),)       # literal staging (slow translations)
 _H = (("hoist_invariant_repeat", True),)  # idempotent-repeat hoisting
-_NT = (("emit_num_threads", True),)
 
 _PAPER: Dict[Tuple[str, str, str], CellPlan] = {}
 

@@ -16,7 +16,7 @@ Behaviour per scenario comes from a :class:`~repro.llm.profiles.CellPlan`:
   self_corrections`` is clean;
 * a correction prompt only advances the state when the quoted stderr
   matches the active fault's signature (the repair must be *about* the
-  error), multiplied by a per-model repair probability in stochastic mode;
+  error);
 * ``na-*`` outcomes re-inject an unfixable fault class forever, which is
   how the paper's N/A cells emerge from the loop's iteration cap or the
   output comparison.
@@ -25,6 +25,7 @@ Behaviour per scenario comes from a :class:`~repro.llm.profiles.CellPlan`:
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.llm.base import ChatMessage, GenerationResult, LLMClient
@@ -65,7 +66,6 @@ class SimulatedLLM(LLMClient):
         target_dialect: Dialect,
         plan: Optional[CellPlan] = None,
         seed: int = 0,
-        repair_probability: float = 1.0,
     ) -> None:
         spec = get_model(model_key)
         self.spec = spec
@@ -82,7 +82,6 @@ class SimulatedLLM(LLMClient):
                 self.rng.child("plan"), target_dialect
             )
         self.plan = plan
-        self.repair_probability = repair_probability
         #: Number of repairs that have landed so far.
         self.state = 0
         #: Total chat calls (for accounting/tests).
@@ -92,9 +91,7 @@ class SimulatedLLM(LLMClient):
             (spec.key, direction_key(source_dialect, target_dialect))
         )
         if tweaks:
-            from dataclasses import replace as _replace
-
-            base = _replace(base, **dict(tweaks))
+            base = replace(base, **dict(tweaks))
         self.options: TranspileOptions = plan.options_for(base)
         #: The conversation's translation before planned faults.  It is a
         #: pure function of the source, :attr:`options` and the dialects,
@@ -269,12 +266,7 @@ class SimulatedLLM(LLMClient):
         if fault is None:
             return True
         signatures = fault.error_signature
-        mentioned = not signatures or any(sig in error for sig in signatures)
-        if not mentioned:
-            return False
-        if self.repair_probability >= 1.0:
-            return True
-        return self.rng.bernoulli(self.repair_probability)
+        return not signatures or any(sig in error for sig in signatures)
 
     # ------------------------------------------------------------------
     # Prompt parsing

@@ -16,16 +16,16 @@ same patterns an LLM applies when translating HeCBench codes —
   accumulators are recognized and rewritten as ``reduction(+:)`` scalars.
 
 :class:`TranspileOptions` carries the per-model style knobs (naming, block
-size, data-region usage, loop-invariant hoisting, reduction strategy,
-formatting) that make different "LLMs" produce visibly different — yet
-equivalent — translations, which is what spreads the paper's Sim-T/Sim-L
-similarity and runtime-Ratio metrics across models.
+size, data-region usage, loop-invariant hoisting, formatting) that make
+different "LLMs" produce visibly different — yet equivalent — translations,
+which is what spreads the paper's Sim-T/Sim-L similarity and runtime-Ratio
+metrics across models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.llm.analysis import (
@@ -57,28 +57,20 @@ class TranspileOptions:
     kernel_name_template: str = "{stem}_kernel"
     #: Thread-block size used for generated launches.
     block_size: int = 256
-    #: CUDA->OMP: wrap device phase in one `target data` region instead of
-    #: per-loop map clauses.  OMP->CUDA: hoist staging out of loops.
+    #: CUDA->OMP: wrap the device phase in one `target data` region instead
+    #: of per-loop map clauses.  OMP->CUDA translation ignores it.
     use_data_region: bool = True
     #: Hoist a loop whose body is loop-invariant (idempotent re-launch) out
     #: of its repetition loop.  Mirrors LLM translations that drop
     #: benchmark-timing repetitions.
     hoist_invariant_repeat: bool = False
-    #: CUDA->OMP handling of single-cell atomic accumulators:
-    #: "reduction" rewrites to a reduction(+:) scalar, "atomic" keeps
-    #: `#pragma omp atomic`.
-    reduction_style: str = "reduction"
     #: Name used for generated flat loop indices.
     loop_var: str = "i"
-    #: Emit num_threads(block_size) on generated OMP loop pragmas.
-    emit_num_threads: bool = False
     #: CUDA->OMP: privatize array atomics — each device iteration handles a
     #: chunk with a local histogram merged with few atomics.  Mirrors the
     #: paper's §V-D DeepSeek/atomicCost anecdote ("fewer atomic operations",
     #: large speedup with identical output).
     privatize_atomics: bool = False
-    #: Chunk length used by the privatized-atomics rewrite.
-    privatize_chunk: int = 64
     #: Systematic identifier renaming ("suffix" | "verbose" | None).  Models
     #: with a renaming scheme produce structurally identical but lexically
     #: divergent code — the dominant driver of low Sim-T/Sim-L scores.
@@ -90,6 +82,10 @@ class TranspileOptions:
     hoist_decls: bool = False
     #: Code formatting.
     codegen: CodegenStyle = field(default_factory=CodegenStyle)
+
+
+#: Iterations per device iteration in the privatized-atomics rewrite.
+_PRIVATIZE_CHUNK = 64
 
 
 def _int_lit(v: int) -> ast.IntLit:
@@ -128,6 +124,79 @@ def _parse_source(text: str, dialect: Dialect) -> ast.Program:
             "source program does not parse:\n" + diags.render()
         )
     return program
+
+
+def _counting_loop(var: str, bound: ast.Expr, body: List[ast.Stmt]) -> ast.For:
+    """``for (int var = 0; var < bound; var++) { body }``."""
+    return ast.For(
+        init=ast.VarDecl(type=ty.INT, name=var, init=_int_lit(0)),
+        cond=ast.Binary(op="<", left=_ident(var), right=bound),
+        step=ast.Postfix(op="++", operand=_ident(var)),
+        body=ast.Block(stmts=body),
+    )
+
+
+def _rewrite_stmts(
+    body: ast.Stmt, rewrite: Callable[[ast.Stmt], Optional[ast.Stmt]]
+) -> ast.Block:
+    """Replace statements under ``body`` in place, and return it as a block.
+
+    ``rewrite(stmt)`` returns a replacement, or None to keep ``stmt`` and
+    visit what it holds.  Every statement list and every arm of an ``if``
+    or a loop is visited, braced or not, ``else if`` included; pragma
+    bodies and replacements are not.
+    """
+
+    def visit(stmt: ast.Stmt) -> ast.Stmt:
+        new = rewrite(stmt)
+        if new is not None:
+            return new
+        if isinstance(stmt, ast.Block):
+            stmt.stmts = [visit(s) for s in stmt.stmts]
+        elif isinstance(stmt, ast.If):
+            stmt.then = visit(stmt.then)
+            if stmt.other is not None:
+                stmt.other = visit(stmt.other)
+        elif isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
+            stmt.body = visit(stmt.body)
+        return stmt
+
+    block = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
+    visit(block)
+    return block
+
+
+def _device_span(top: List[ast.Stmt], offloads: Callable[[ast.Stmt], bool],
+                 missing: str) -> Tuple[int, int]:
+    """Indices of the first and last statement of ``top`` that ``offloads``;
+    raises ``TranspileError(missing)`` when none does."""
+    hits = [i for i, stmt in enumerate(top) if offloads(stmt)]
+    if not hits:
+        raise TranspileError(missing)
+    return hits[0], hits[-1]
+
+
+def _rename_loop_header(loop: ast.Stmt, rename: Dict[str, str]) -> None:
+    """Rename in the header of a ``for``, ``while`` or ``do`` loop."""
+    if isinstance(loop, ast.For):
+        parts = (loop.init, loop.cond, loop.step)
+    else:
+        parts = (loop.cond,)
+    for part in parts:
+        if part is not None:
+            substitute(part, rename)
+
+
+def _malloc_target(call: ast.Call) -> Optional[str]:
+    """The pointer ``cudaMalloc(&p, ...)`` (or ``(void**)&p``) allocates."""
+    target = call.args[0]
+    if isinstance(target, ast.Cast):
+        target = target.operand
+    if isinstance(target, ast.Unary) and target.op == "&" and isinstance(
+        target.operand, ast.Ident
+    ):
+        return target.operand.name
+    return None
 
 
 def _unit_loop(loop: ast.For) -> Optional[Tuple[str, ast.Expr, ast.Expr]]:
@@ -232,7 +301,7 @@ class _Omp2Cuda:
 
         new_body = ast.Block()
         top = list(body.stmts)
-        first, last = self._device_span(top)
+        first, last = _device_span(top, self._offloads, "no target construct found")
         for i, stmt in enumerate(top):
             if i == first:
                 new_body.stmts.extend(self._staging_prologue())
@@ -250,20 +319,13 @@ class _Omp2Cuda:
             qualifier=None,
         )
 
-    def _device_span(self, top: List[ast.Stmt]) -> Tuple[int, int]:
-        first = last = -1
-        for i, stmt in enumerate(top):
-            uses = any(
-                isinstance(s, ast.Pragma) and s.pragma.is_target
-                for s in ast.walk_stmts(stmt)
-            )
-            if uses:
-                if first == -1:
-                    first = i
-                last = i
-        if first == -1:
-            raise TranspileError("no target construct found")
-        return first, last
+    @staticmethod
+    def _offloads(stmt: ast.Stmt) -> bool:
+        """Does ``stmt`` hold a target construct?"""
+        return any(
+            isinstance(s, ast.Pragma) and s.pragma.is_target
+            for s in ast.walk_stmts(stmt)
+        )
 
     def _staging_prologue(self) -> List[ast.Stmt]:
         out: List[ast.Stmt] = []
@@ -335,16 +397,7 @@ class _Omp2Cuda:
                 stmts=body_stmts
             )
             # Device-phase host statements reference device pointers.
-            if isinstance(new, ast.For) and new.init is not None:
-                substitute(new.init, self.rename)
-            if new.cond is not None:
-                substitute(new.cond, self.rename)
-            if isinstance(new, ast.For) and new.step is not None:
-                substitute(new.step, self.rename)
-            return [new]
-        if isinstance(stmt, ast.If):
-            new = ast.clone(stmt)
-            substitute(new, self.rename)
+            _rename_loop_header(new, self.rename)
             return [new]
         # Plain host statement inside the device phase: pointer swaps and
         # friends must act on the device pointers.
@@ -410,16 +463,10 @@ class _Omp2Cuda:
         for name in params:
             t = self.var_types[name]
             kparams.append(ast.Param(type=t, name=name))
-            if name in self.rename:
-                args.append(_ident(self.rename[name]))
-            else:
-                args.append(_ident(name))
+            args.append(_ident(self.rename.get(name, name)))
         # Reduction buffers become extra pointer params.
-        red_buf_names: Dict[str, str] = {}
         for rname in reduction_names:
-            buf_param = rname + "_sum"
-            red_buf_names[rname] = buf_param
-            kparams.append(ast.Param(type=red_types[rname].pointer_to(), name=buf_param))
+            kparams.append(ast.Param(type=red_types[rname].pointer_to(), name=rname + "_sum"))
 
         # Kernel body: flat index + guard.
         lv = self.opt.loop_var
@@ -440,8 +487,6 @@ class _Omp2Cuda:
             guard = ast.Binary(op="<", left=_ident(lv), right=ast.clone(bound))
             mapping = {var: lv}
             substitute(body, mapping)
-            sub_body = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
-            kbody.stmts.append(ast.If(cond=guard, then=sub_body))
             total_expr: ast.Expr = (
                 ast.clone(bound)
                 if start_is_zero
@@ -461,8 +506,7 @@ class _Omp2Cuda:
             ))
             total_expr = _mul(ast.clone(bound), ast.clone(inner_bound))
             guard = ast.Binary(op="<", left=_ident(lv), right=ast.clone(total_expr))
-            sub_body = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
-            kbody.stmts.append(ast.If(cond=guard, then=sub_body))
+        kbody.stmts.append(ast.If(cond=guard, then=body))
 
         kernel = ast.FuncDef(
             return_type=ty.VOID, name=kname, params=kparams, body=kbody,
@@ -519,84 +563,66 @@ class _Omp2Cuda:
             out.append(_expr_stmt(_call("free", _ident(hbuf))))
         return out
 
-    def _rewrite_reduction_body(self, body: ast.Stmt, names: List[str]) -> ast.Stmt:
+    @staticmethod
+    def _rewrite_reduction_body(body: ast.Stmt, names: List[str]) -> ast.Block:
         """Turn ``s += e;`` into ``atomicAdd(&s_sum[0], e);``."""
-        wrapper = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
 
-        def rewrite_block(block: ast.Block) -> None:
-            for i, s in enumerate(block.stmts):
-                if (
-                    isinstance(s, ast.ExprStmt)
-                    and isinstance(s.expr, ast.Assign)
-                    and isinstance(s.expr.target, ast.Ident)
-                    and s.expr.target.name in names
-                ):
-                    rname = s.expr.target.name
-                    if s.expr.op == "+=":
-                        value = s.expr.value
-                    elif s.expr.op == "=" and (
-                        isinstance(s.expr.value, ast.Binary)
-                        and s.expr.value.op == "+"
-                        and isinstance(s.expr.value.left, ast.Ident)
-                        and s.expr.value.left.name == rname
-                    ):
-                        value = s.expr.value.right
-                    else:
-                        raise TranspileError(
-                            f"reduction variable '{rname}' updated in an "
-                            f"unsupported way"
-                        )
-                    block.stmts[i] = _expr_stmt(_call(
-                        "atomicAdd",
-                        ast.Unary(op="&", operand=ast.Index(
-                            base=_ident(rname + "_sum"), index=_int_lit(0)
-                        )),
-                        value,
-                    ))
-                elif isinstance(s, ast.Block):
-                    rewrite_block(s)
-                elif isinstance(s, ast.If):
-                    for part in (s.then, s.other):
-                        if isinstance(part, ast.Block):
-                            rewrite_block(part)
-                elif isinstance(s, (ast.For, ast.While, ast.DoWhile)):
-                    if isinstance(s.body, ast.Block):
-                        rewrite_block(s.body)
-        rewrite_block(wrapper)
-        return wrapper
+        def rewrite(s: ast.Stmt) -> Optional[ast.Stmt]:
+            if not (
+                isinstance(s, ast.ExprStmt)
+                and isinstance(s.expr, ast.Assign)
+                and isinstance(s.expr.target, ast.Ident)
+                and s.expr.target.name in names
+            ):
+                return None
+            rname = s.expr.target.name
+            if s.expr.op == "+=":
+                value = s.expr.value
+            elif s.expr.op == "=" and (
+                isinstance(s.expr.value, ast.Binary)
+                and s.expr.value.op == "+"
+                and isinstance(s.expr.value.left, ast.Ident)
+                and s.expr.value.left.name == rname
+            ):
+                value = s.expr.value.right
+            else:
+                raise TranspileError(
+                    f"reduction variable '{rname}' updated in an "
+                    f"unsupported way"
+                )
+            return _expr_stmt(_call(
+                "atomicAdd",
+                ast.Unary(op="&", operand=ast.Index(
+                    base=_ident(rname + "_sum"), index=_int_lit(0)
+                )),
+                value,
+            ))
 
-    def _rewrite_atomics(self, body: ast.Stmt) -> ast.Stmt:
+        return _rewrite_stmts(body, rewrite)
+
+    @staticmethod
+    def _rewrite_atomics(body: ast.Stmt) -> ast.Block:
         """Turn ``#pragma omp atomic`` + update into a CUDA atomic call."""
-        wrapper = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
 
-        def rewrite_block(block: ast.Block) -> None:
-            for i, s in enumerate(block.stmts):
-                if isinstance(s, ast.Pragma) and s.pragma.directive == "atomic":
-                    upd = s.body
-                    if not (
-                        isinstance(upd, ast.ExprStmt)
-                        and isinstance(upd.expr, ast.Assign)
-                        and upd.expr.op in ("+=", "-=")
-                        and isinstance(upd.expr.target, ast.Index)
-                    ):
-                        raise TranspileError("unsupported atomic update form")
-                    fn = "atomicAdd" if upd.expr.op == "+=" else "atomicSub"
-                    block.stmts[i] = _expr_stmt(_call(
-                        fn,
-                        ast.Unary(op="&", operand=ast.clone(upd.expr.target)),
-                        ast.clone(upd.expr.value),
-                    ))
-                elif isinstance(s, ast.Block):
-                    rewrite_block(s)
-                elif isinstance(s, ast.If):
-                    for part in (s.then, s.other):
-                        if isinstance(part, ast.Block):
-                            rewrite_block(part)
-                elif isinstance(s, (ast.For, ast.While, ast.DoWhile)):
-                    if isinstance(s.body, ast.Block):
-                        rewrite_block(s.body)
-        rewrite_block(wrapper)
-        return wrapper
+        def rewrite(s: ast.Stmt) -> Optional[ast.Stmt]:
+            if not (isinstance(s, ast.Pragma) and s.pragma.directive == "atomic"):
+                return None
+            upd = s.body
+            if not (
+                isinstance(upd, ast.ExprStmt)
+                and isinstance(upd.expr, ast.Assign)
+                and upd.expr.op in ("+=", "-=")
+                and isinstance(upd.expr.target, ast.Index)
+            ):
+                raise TranspileError("unsupported atomic update form")
+            fn = "atomicAdd" if upd.expr.op == "+=" else "atomicSub"
+            return _expr_stmt(_call(
+                fn,
+                ast.Unary(op="&", operand=ast.clone(upd.expr.target)),
+                ast.clone(upd.expr.value),
+            ))
+
+        return _rewrite_stmts(body, rewrite)
 
     def _kernel_name(self) -> str:
         name = self.opt.kernel_name_template.format(
@@ -646,7 +672,7 @@ class _DeviceBuf:
 
     @property
     def map_kind(self) -> str:
-        to = self.h2d or (self.read and not self.h2d and self.host_alias is not None)
+        to = self.h2d or (self.read and self.host_alias is not None)
         frm = self.d2h
         if to and frm:
             return "tofrom"
@@ -691,20 +717,21 @@ class _Cuda2Omp:
         self._fix_aliases(body)
         self._analyze_kernel_accesses(body)
         self._detect_reduction_buffers(body)
-        self._build_names(fn)
+        self._build_names()
 
         top = list(body.stmts)
-        first, last = self._device_span(top)
+        # Staging calls (cudaMalloc, cudaMemcpy, cudaFree, synchronize) do
+        # not extend the span: the data region's entry and exit transfers
+        # subsume them, and host reads of the results (checksum loops,
+        # printf) stay outside the region, after its copy-back.
+        first, last = _device_span(top, self._offloads, "no device phase found")
         new_stmts: List[ast.Stmt] = []
         device_stmts: List[ast.Stmt] = []
         for i, stmt in enumerate(top):
-            if i < first or i > last:
-                transformed = self._transform_host_stmt(stmt, in_device_phase=False)
-                new_stmts.extend(transformed)
-            else:
-                device_stmts.extend(
-                    self._transform_host_stmt(stmt, in_device_phase=True)
-                )
+            inside = first <= i <= last
+            (device_stmts if inside else new_stmts).extend(
+                self._transform_host_stmt(stmt, inside)
+            )
             if i == last:
                 new_stmts.extend(self._wrap_device_phase(device_stmts))
         new_body = ast.Block(stmts=new_stmts)
@@ -720,13 +747,8 @@ class _Cuda2Omp:
                 continue
             e = stmt.expr
             if isinstance(e, ast.Call) and e.callee == "cudaMalloc" and len(e.args) == 2:
-                target = e.args[0]
-                if isinstance(target, ast.Cast):
-                    target = target.operand
-                if isinstance(target, ast.Unary) and target.op == "&" and isinstance(
-                    target.operand, ast.Ident
-                ):
-                    dname = target.operand.name
+                dname = _malloc_target(e)
+                if dname is not None:
                     t = self.var_types.get(dname)
                     if t is None or not t.is_pointer:
                         raise TranspileError(
@@ -771,16 +793,10 @@ class _Cuda2Omp:
         for i, s in enumerate(ast.walk_stmts(body)):
             if isinstance(s, ast.VarDecl) and s.name not in decl_pos:
                 decl_pos[s.name] = i
-            if span_start is None:
-                for e in ast.walk_exprs(s) if isinstance(
-                    s, (ast.ExprStmt, ast.VarDecl, ast.If, ast.For, ast.While,
-                        ast.DoWhile, ast.Return)
-                ) else []:
-                    if isinstance(e, ast.Launch) or (
-                        isinstance(e, ast.Call) and e.callee == "cudaMemset"
-                    ):
-                        span_start = i
-                        break
+            if span_start is None and not isinstance(s, (ast.Block, ast.Pragma)) and (
+                self._offloads(s)
+            ):
+                span_start = i
         claimed: Set[str] = set()
         for buf in self.bufs.values():
             alias = buf.host_alias
@@ -808,8 +824,6 @@ class _Cuda2Omp:
             buf.d2h = True
 
     def _analyze_kernel_accesses(self, body: ast.Block) -> None:
-        # Track pointer-swap aliasing: a swapped pair shares access kinds.
-        alias_groups: Dict[str, Set[str]] = {}
         for stmt in ast.walk_stmts(body):
             for e in ast.walk_exprs(stmt) if not isinstance(stmt, ast.Pragma) else []:
                 if isinstance(e, ast.Launch):
@@ -828,8 +842,6 @@ class _Cuda2Omp:
 
     def _detect_reduction_buffers(self, body: ast.Block) -> None:
         """Find single-cell atomicAdd accumulators (the residual pattern)."""
-        if self.opt.reduction_style != "reduction":
-            return
         for dname, buf in self.bufs.items():
             size = buf.bytes_expr
             if not isinstance(size, ast.SizeOf):
@@ -886,7 +898,7 @@ class _Cuda2Omp:
                 return dname[len(prefix):]
         return dname + "_v"
 
-    def _build_names(self, fn: ast.FuncDef) -> None:
+    def _build_names(self) -> None:
         taken = set(self.var_types)
         for buf in self.bufs.values():
             if buf.host_alias is not None or buf.reduction_scalar is not None:
@@ -908,43 +920,21 @@ class _Cuda2Omp:
             b.dname: (b.reduction_scalar or b.host_name) for b in self.bufs.values()
         }
         # Host buffers that only mirror a reduction cell: h_res[0] -> scalar.
-        self.red_host_mirrors: Dict[str, str] = {}
+        self.red_host_mirrors: Set[str] = set()
 
-    def _device_span(self, top: List[ast.Stmt]) -> Tuple[int, int]:
-        """Span of statements that must live inside the ``target data``
-        region: launches and device-side memsets.
-
-        Staging calls (cudaMalloc / cudaMemcpy / cudaFree / synchronize)
-        deliberately do NOT extend the span — the data region's entry/exit
-        transfers subsume them, and host-side reads of the results (checksum
-        loops, printf) must stay *outside* the region so they observe the
-        copied-back data.
-        """
-
-        def uses_device(stmt: ast.Stmt) -> bool:
-            for s in ast.walk_stmts(stmt):
-                for e in ast.walk_exprs(s):
-                    if isinstance(e, ast.Launch):
-                        return True
-                    if isinstance(e, ast.Call) and e.callee == "cudaMemset":
-                        return True
-            return False
-
-        first = last = -1
-        for i, stmt in enumerate(top):
-            if uses_device(stmt):
-                if first == -1:
-                    first = i
-                last = i
-        if first == -1:
-            raise TranspileError("no device phase found")
-        return first, last
+    @staticmethod
+    def _offloads(stmt: ast.Stmt) -> bool:
+        """Does ``stmt`` hold a launch or a device-side memset?"""
+        return any(
+            isinstance(e, ast.Launch)
+            or (isinstance(e, ast.Call) and e.callee == "cudaMemset")
+            for e in ast.walk_exprs(stmt)
+        )
 
     # -- phase B -----------------------------------------------------------
     def _wrap_device_phase(self, stmts: List[ast.Stmt]) -> List[ast.Stmt]:
-        prologue: List[ast.Stmt] = []
         if not self.opt.use_data_region:
-            return prologue + stmts
+            return stmts
         pragma = ast.OmpPragma(directive="target data")
         for buf in self.bufs.values():
             if buf.reduction_scalar is not None:
@@ -953,8 +943,7 @@ class _Cuda2Omp:
                 kind=buf.map_kind, name=buf.host_name,
                 lower=_int_lit(0), length=buf.length_expr(),
             ))
-        node = ast.Pragma(pragma=pragma, body=ast.Block(stmts=stmts))
-        return prologue + [node]
+        return [ast.Pragma(pragma=pragma, body=ast.Block(stmts=stmts))]
 
     def _transform_host_stmt(
         self, stmt: ast.Stmt, in_device_phase: bool
@@ -995,20 +984,7 @@ class _Cuda2Omp:
             new = ast.clone(stmt)
             new.body = ast.Block(stmts=new_body_stmts)
             if in_device_phase:
-                if isinstance(new, ast.For):
-                    for part in (new.init,):
-                        if part is not None:
-                            substitute(part, self.rename)
-                    for part in (new.cond, new.step):
-                        if part is not None:
-                            substitute(part, self.rename)
-                else:
-                    substitute(new.cond, self.rename)
-            return [new]
-        if isinstance(stmt, ast.If):
-            new = ast.clone(stmt)
-            if in_device_phase:
-                substitute(new, self.rename)
+                _rename_loop_header(new, self.rename)
             return [new]
         new = ast.clone(stmt)
         if in_device_phase:
@@ -1030,7 +1006,7 @@ class _Cuda2Omp:
             and len(inner.args) == 1 and isinstance(inner.args[0], ast.SizeOf)
             and decl.type.is_pointer
         ):
-            self.red_host_mirrors[decl.name] = ""
+            self.red_host_mirrors.add(decl.name)
             return None
         return decl
 
@@ -1063,29 +1039,23 @@ class _Cuda2Omp:
             if e.callee == "cudaMalloc":
                 # Synthesized host partners and reduction scalars materialize
                 # at the allocation site, so later references see them.
-                target = e.args[0]
-                if isinstance(target, ast.Cast):
-                    target = target.operand
-                if isinstance(target, ast.Unary) and target.op == "&" and (
-                    isinstance(target.operand, ast.Ident)
-                ):
-                    buf = self.bufs.get(target.operand.name)
-                    if buf is not None and buf.reduction_scalar is not None:
-                        init = (
-                            ast.FloatLit(value=0.0, text="0.0")
-                            if buf.elem.is_real else _int_lit(0)
-                        )
-                        return [ast.VarDecl(
-                            type=buf.elem, name=buf.reduction_scalar, init=init
-                        )]
-                    if buf is not None and buf.synth_name is not None:
-                        return [ast.VarDecl(
-                            type=buf.elem.pointer_to(), name=buf.synth_name,
-                            init=ast.Cast(
-                                type=buf.elem.pointer_to(),
-                                operand=_call("malloc", ast.clone(buf.bytes_expr)),
-                            ),
-                        )]
+                buf = self.bufs.get(_malloc_target(e))
+                if buf is not None and buf.reduction_scalar is not None:
+                    init = (
+                        ast.FloatLit(value=0.0, text="0.0")
+                        if buf.elem.is_real else _int_lit(0)
+                    )
+                    return [ast.VarDecl(
+                        type=buf.elem, name=buf.reduction_scalar, init=init
+                    )]
+                if buf is not None and buf.synth_name is not None:
+                    return [ast.VarDecl(
+                        type=buf.elem.pointer_to(), name=buf.synth_name,
+                        init=ast.Cast(
+                            type=buf.elem.pointer_to(),
+                            operand=_call("malloc", ast.clone(buf.bytes_expr)),
+                        ),
+                    )]
                 return []
             if e.callee in ("cudaFree", "cudaDeviceSynchronize",
                             "cudaGetLastError"):
@@ -1115,9 +1085,6 @@ class _Cuda2Omp:
             if buf.reduction_scalar is not None:
                 for mirror in self.red_host_mirrors:
                     mirror_to_scalar[mirror] = buf.reduction_scalar
-        for e in ast.walk_exprs(stmt):
-            for sub in ast.walk_exprs(e):
-                pass
         def fix(expr):
             for child_name in ("left", "right", "operand", "cond", "then",
                                "other", "value", "target", "base", "index"):
@@ -1211,15 +1178,10 @@ class _Cuda2Omp:
         # Zero on the device with a target loop (like hand-written ports).
         lv = self.opt.loop_var
         zero = ast.FloatLit(value=0.0, text="0.0f") if buf.elem.is_real else _int_lit(0)
-        loop = ast.For(
-            init=ast.VarDecl(type=ty.INT, name=lv, init=_int_lit(0)),
-            cond=ast.Binary(op="<", left=_ident(lv), right=buf.length_expr()),
-            step=ast.Postfix(op="++", operand=_ident(lv)),
-            body=ast.Block(stmts=[_expr_stmt(ast.Assign(
-                op="=", target=ast.Index(base=_ident(buf.host_name), index=_ident(lv)),
-                value=zero,
-            ))]),
-        )
+        loop = _counting_loop(lv, buf.length_expr(), [_expr_stmt(ast.Assign(
+            op="=", target=ast.Index(base=_ident(buf.host_name), index=_ident(lv)),
+            value=zero,
+        ))])
         pragma = ast.OmpPragma(directive="target teams distribute parallel for")
         if not self.opt.use_data_region:
             pragma.maps.append(ast.MapClause(
@@ -1279,32 +1241,27 @@ class _Cuda2Omp:
         # Rewrite atomics.
         new_body, used_reduction = self._rewrite_kernel_atomics(new_body, red_scalar)
 
-        pragma = ast.OmpPragma(directive="target teams distribute parallel for")
+        pragma = self._loop_pragma(new_body)
         if used_reduction and red_scalar is not None:
             pragma.reduction = ast.ReductionClause(op="+", names=[red_scalar])
-        if self.opt.emit_num_threads:
-            pragma.num_threads = _int_lit(self.opt.block_size)
-        if not self.opt.use_data_region:
-            # Per-loop maps from access analysis.
-            acc = pointer_access_kinds(new_body)
-            for name, info in sorted(acc.items()):
-                for buf in self.bufs.values():
-                    if buf.host_name == name and buf.reduction_scalar is None:
-                        pragma.maps.append(ast.MapClause(
-                            kind=info.map_kind, name=name,
-                            lower=_int_lit(0), length=buf.length_expr(),
-                        ))
-                        break
-
-        loop = ast.For(
-            init=ast.VarDecl(type=ty.INT, name=idx_var, init=_int_lit(0)),
-            cond=ast.Binary(op="<", left=_ident(idx_var), right=new_bound),
-            step=ast.Postfix(op="++", operand=_ident(idx_var)),
-            body=new_body if isinstance(new_body, ast.Block) else ast.Block(
-                stmts=[new_body]
-            ),
-        )
+        loop = _counting_loop(idx_var, new_bound, new_body.stmts)
         return pre_stmts + [ast.Pragma(pragma=pragma, body=loop)]
+
+    def _loop_pragma(self, body: ast.Stmt) -> ast.OmpPragma:
+        """The offload pragma of a loop over ``body``, with one map clause
+        per device buffer it touches unless a data region holds them."""
+        pragma = ast.OmpPragma(directive="target teams distribute parallel for")
+        if self.opt.use_data_region:
+            return pragma
+        for name, info in sorted(pointer_access_kinds(body).items()):
+            for buf in self.bufs.values():
+                if buf.host_name == name and buf.reduction_scalar is None:
+                    pragma.maps.append(ast.MapClause(
+                        kind=info.map_kind, name=name,
+                        lower=_int_lit(0), length=buf.length_expr(),
+                    ))
+                    break
+        return pragma
 
     def _privatized_atomic_loop(
         self, body: ast.Stmt, idx_var: str, bound: ast.Expr
@@ -1317,9 +1274,8 @@ class _Cuda2Omp:
         identical output, a fraction of the atomic traffic (§V-D DeepSeek
         anecdote).
         """
-        wrapper = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
         hist_name: Optional[str] = None
-        for e in ast.walk_exprs(wrapper):
+        for e in ast.walk_exprs(body):
             if isinstance(e, ast.Call) and e.callee in ("atomicAdd", "atomicSub"):
                 tgt = e.args[0]
                 if not (
@@ -1344,52 +1300,33 @@ class _Cuda2Omp:
         if hist_buf is None or hist_buf.elem.is_real:
             return None
         nbins = hist_buf.length_expr()
-        chunk = self.opt.privatize_chunk
+        chunk = _PRIVATIZE_CHUNK
         local = "local_" + hist_name
 
-        # Body with atomicAdd(&hist[E], V) -> local[E] += V.
-        inner_body = ast.clone(wrapper)
+        def rewrite(s: ast.Stmt) -> Optional[ast.Stmt]:
+            """atomicAdd(&hist[E], V) -> local[E] += V."""
+            if not (isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call) and (
+                s.expr.callee in ("atomicAdd", "atomicSub")
+            )):
+                return None
+            tgt = s.expr.args[0].operand  # Index, validated above
+            op = "+=" if s.expr.callee == "atomicAdd" else "-="
+            return _expr_stmt(ast.Assign(
+                op=op,
+                target=ast.Index(base=_ident(local), index=ast.clone(tgt.index)),
+                value=ast.clone(s.expr.args[1]),
+            ))
 
-        def rewrite(block: ast.Block) -> None:
-            for i, s in enumerate(block.stmts):
-                if isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call) and (
-                    s.expr.callee in ("atomicAdd", "atomicSub")
-                ):
-                    tgt = s.expr.args[0].operand  # Index, validated above
-                    op = "+=" if s.expr.callee == "atomicAdd" else "-="
-                    block.stmts[i] = _expr_stmt(ast.Assign(
-                        op=op,
-                        target=ast.Index(base=_ident(local), index=ast.clone(tgt.index)),
-                        value=ast.clone(s.expr.args[1]),
-                    ))
-                elif isinstance(s, ast.Block):
-                    rewrite(s)
-                elif isinstance(s, ast.If):
-                    for part in (s.then, s.other):
-                        if isinstance(part, ast.Block):
-                            rewrite(part)
-                elif isinstance(s, (ast.For, ast.While, ast.DoWhile)):
-                    if isinstance(s.body, ast.Block):
-                        rewrite(s.body)
-        rewrite(inner_body)
-
-        def counting_loop(var: str, bound_expr: ast.Expr, body_stmts: List[ast.Stmt]) -> ast.For:
-            return ast.For(
-                init=ast.VarDecl(type=ty.INT, name=var, init=_int_lit(0)),
-                cond=ast.Binary(op="<", left=_ident(var), right=bound_expr),
-                step=ast.Postfix(op="++", operand=_ident(var)),
-                body=ast.Block(stmts=body_stmts),
-            )
-
+        inner_body = _rewrite_stmts(ast.clone(body), rewrite)
         chunk_body = ast.Block(stmts=[
             ast.VarDecl(type=ty.INT, name=local, array_size=ast.clone(nbins)),
-            counting_loop("v", ast.clone(nbins), [
+            _counting_loop("v", ast.clone(nbins), [
                 _expr_stmt(ast.Assign(
                     op="=", target=ast.Index(base=_ident(local), index=_ident("v")),
                     value=_int_lit(0),
                 )),
             ]),
-            counting_loop("k", _int_lit(chunk), [
+            _counting_loop("k", _int_lit(chunk), [
                 ast.VarDecl(
                     type=ty.INT, name=idx_var,
                     init=ast.Binary(
@@ -1403,7 +1340,7 @@ class _Cuda2Omp:
                     then=inner_body,
                 ),
             ]),
-            counting_loop("v", ast.clone(nbins), [
+            _counting_loop("v", ast.clone(nbins), [
                 ast.If(
                     cond=ast.Binary(
                         op=">",
@@ -1431,19 +1368,8 @@ class _Cuda2Omp:
             left=ast.Binary(op="+", left=ast.clone(bound), right=_int_lit(chunk - 1)),
             right=_int_lit(chunk),
         )
-        pragma = ast.OmpPragma(directive="target teams distribute parallel for")
-        if not self.opt.use_data_region:
-            acc = pointer_access_kinds(chunk_body)
-            for name, info in sorted(acc.items()):
-                for buf in self.bufs.values():
-                    if buf.host_name == name and buf.reduction_scalar is None:
-                        pragma.maps.append(ast.MapClause(
-                            kind=info.map_kind, name=name,
-                            lower=_int_lit(0), length=buf.length_expr(),
-                        ))
-                        break
-        loop = counting_loop("chunk_i", nchunks, chunk_body.stmts)
-        return [ast.Pragma(pragma=pragma, body=loop)]
+        loop = _counting_loop("chunk_i", nchunks, chunk_body.stmts)
+        return [ast.Pragma(pragma=self._loop_pragma(chunk_body), body=loop)]
 
     def _extract_kernel_loop(self, kernel: ast.FuncDef):
         """Match the canonical guarded-thread-index kernel shape."""
@@ -1486,74 +1412,47 @@ class _Cuda2Omp:
                 and e.field_name == "x"
             )
 
-        left, right = expr.left, expr.right
-        if is_geom(right, "threadIdx") and isinstance(left, ast.Binary) and (
-            left.op == "*"
-        ):
-            a, b = left.left, left.right
-            return (is_geom(a, "blockIdx") and is_geom(b, "blockDim")) or (
-                is_geom(a, "blockDim") and is_geom(b, "blockIdx")
-            )
-        if is_geom(left, "threadIdx") and isinstance(right, ast.Binary) and (
-            right.op == "*"
-        ):
-            a, b = right.left, right.right
-            return (is_geom(a, "blockIdx") and is_geom(b, "blockDim")) or (
-                is_geom(a, "blockDim") and is_geom(b, "blockIdx")
-            )
+        for tid, prod in ((expr.right, expr.left), (expr.left, expr.right)):
+            if is_geom(tid, "threadIdx") and isinstance(prod, ast.Binary) and (
+                prod.op == "*"
+            ):
+                a, b = prod.left, prod.right
+                return (is_geom(a, "blockIdx") and is_geom(b, "blockDim")) or (
+                    is_geom(a, "blockDim") and is_geom(b, "blockIdx")
+                )
         return False
 
-    def _rewrite_kernel_atomics(self, body: ast.Stmt, red_scalar: Optional[str]):
+    @staticmethod
+    def _rewrite_kernel_atomics(body: ast.Stmt, red_scalar: Optional[str]):
         """atomicAdd -> `#pragma omp atomic` or reduction accumulation."""
         used_reduction = False
-        wrapper = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
 
-        def rewrite_block(block: ast.Block) -> None:
+        def rewrite(s: ast.Stmt) -> Optional[ast.Stmt]:
             nonlocal used_reduction
-            new_stmts: List[ast.Stmt] = []
-            for s in block.stmts:
-                if isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call) and (
-                    s.expr.callee in ("atomicAdd", "atomicSub")
-                ):
-                    tgt, val = s.expr.args[0], s.expr.args[1]
-                    op = "+=" if s.expr.callee == "atomicAdd" else "-="
-                    if (
-                        red_scalar is not None
-                        and isinstance(tgt, ast.Unary) and tgt.op == "&"
-                        and isinstance(tgt.operand, ast.Index)
-                        and isinstance(tgt.operand.base, ast.Ident)
-                        and tgt.operand.base.name == "__red__" + red_scalar
-                    ):
-                        used_reduction = True
-                        new_stmts.append(_expr_stmt(ast.Assign(
-                            op=op, target=_ident(red_scalar), value=val
-                        )))
-                        continue
-                    if isinstance(tgt, ast.Unary) and tgt.op == "&" and isinstance(
-                        tgt.operand, ast.Index
-                    ):
-                        pragma = ast.OmpPragma(directive="atomic")
-                        new_stmts.append(ast.Pragma(
-                            pragma=pragma,
-                            body=_expr_stmt(ast.Assign(
-                                op=op, target=ast.clone(tgt.operand), value=val
-                            )),
-                        ))
-                        continue
-                    raise TranspileError("unsupported atomic target in kernel")
-                if isinstance(s, ast.Block):
-                    rewrite_block(s)
-                elif isinstance(s, ast.If):
-                    for part in (s.then, s.other):
-                        if isinstance(part, ast.Block):
-                            rewrite_block(part)
-                elif isinstance(s, (ast.For, ast.While, ast.DoWhile)):
-                    if isinstance(s.body, ast.Block):
-                        rewrite_block(s.body)
-                new_stmts.append(s)
-            block.stmts = new_stmts
-        rewrite_block(wrapper)
-        return wrapper, used_reduction
+            if not (isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call) and (
+                s.expr.callee in ("atomicAdd", "atomicSub")
+            )):
+                return None
+            tgt, val = s.expr.args[0], s.expr.args[1]
+            op = "+=" if s.expr.callee == "atomicAdd" else "-="
+            if not (isinstance(tgt, ast.Unary) and tgt.op == "&" and isinstance(
+                tgt.operand, ast.Index
+            )):
+                raise TranspileError("unsupported atomic target in kernel")
+            if red_scalar is not None and isinstance(tgt.operand.base, ast.Ident) and (
+                tgt.operand.base.name == "__red__" + red_scalar
+            ):
+                used_reduction = True
+                return _expr_stmt(ast.Assign(op=op, target=_ident(red_scalar), value=val))
+            return ast.Pragma(
+                pragma=ast.OmpPragma(directive="atomic"),
+                body=_expr_stmt(ast.Assign(
+                    op=op, target=ast.clone(tgt.operand), value=val
+                )),
+            )
+
+        block = _rewrite_stmts(body, rewrite)
+        return block, used_reduction
 
 
 # =====================================================================

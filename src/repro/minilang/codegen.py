@@ -36,12 +36,7 @@ class CodegenStyle:
     indent: str = "  "
     brace_same_line: bool = True
     pointer_left: bool = True  # "float* a" vs "float *a"
-    space_around_ops: bool = True
-    blank_line_between_functions: bool = True
     rename: Optional[Dict[str, str]] = None  # identifier renaming map
-
-    def op(self, text: str) -> str:
-        return f" {text} " if self.space_around_ops else text
 
 
 DEFAULT_STYLE = CodegenStyle()
@@ -77,7 +72,7 @@ class CodeGenerator:
         if program.globals:
             em.line()
         for fn in program.functions:
-            if not first and self.style.blank_line_between_functions:
+            if not first:
                 em.line()
             self._emit_function(fn, em)
             first = False
@@ -108,25 +103,13 @@ class CodeGenerator:
         )
         qual = f"{fn.qualifier} " if fn.qualifier else ""
         header = f"{qual}{self._type_text(fn.return_type, self._name(fn.name))}({params})"
-        if self.style.brace_same_line:
-            em.line(header + " {")
-        else:
-            em.line(header)
-            em.line("{")
-        em.depth += 1
-        for stmt in fn.body.stmts:
-            self._emit_stmt(stmt, em)
-        em.depth -= 1
-        em.line("}")
+        self._emit_braced(header, fn.body, em)
 
     # ------------------------------------------------------------------
     def _emit_stmt(self, stmt: ast.Stmt, em: _Emitter) -> None:
         if isinstance(stmt, ast.Block):
             em.line("{")
-            em.depth += 1
-            for s in stmt.stmts:
-                self._emit_stmt(s, em)
-            em.depth -= 1
+            self._emit_nested(stmt, em)
             em.line("}")
         elif isinstance(stmt, ast.VarDecl):
             em.line(self._vardecl_text(stmt))
@@ -140,16 +123,9 @@ class CodeGenerator:
             head = f"while ({self.expr(stmt.cond)})"
             self._emit_braced(head, stmt.body, em)
         elif isinstance(stmt, ast.DoWhile):
-            if self.style.brace_same_line:
-                em.line("do {")
-            else:
-                em.line("do")
-                em.line("{")
-            em.depth += 1
-            for s in self._body_stmts(stmt.body):
-                self._emit_stmt(s, em)
-            em.depth -= 1
-            em.line(f"}} while ({self.expr(stmt.cond)});")
+            self._emit_braced(
+                "do", stmt.body, em, close=f"}} while ({self.expr(stmt.cond)});"
+            )
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 em.line(f"return {self.expr(stmt.value)};")
@@ -168,57 +144,40 @@ class CodeGenerator:
         else:
             raise AssertionError(f"unhandled statement node {type(stmt).__name__}")
 
-    def _body_stmts(self, body: ast.Stmt) -> List[ast.Stmt]:
-        if isinstance(body, ast.Block):
-            return body.stmts
-        return [body]
+    def _emit_nested(self, body: ast.Stmt, em: _Emitter) -> None:
+        """The statements of ``body`` (a block's, or ``body`` itself), one
+        level deeper."""
+        em.depth += 1
+        for s in body.stmts if isinstance(body, ast.Block) else [body]:
+            self._emit_stmt(s, em)
+        em.depth -= 1
 
-    def _emit_braced(self, head: str, body: ast.Stmt, em: _Emitter) -> None:
+    def _emit_braced(self, head: str, body: ast.Stmt, em: _Emitter,
+                     close: str = "}") -> None:
+        """``head``, its opening brace placed by style, ``body`` one level
+        deeper, then ``close`` unless it is empty."""
         if self.style.brace_same_line:
             em.line(head + " {")
         else:
             em.line(head)
             em.line("{")
-        em.depth += 1
-        for s in self._body_stmts(body):
-            self._emit_stmt(s, em)
-        em.depth -= 1
-        em.line("}")
+        self._emit_nested(body, em)
+        if close:
+            em.line(close)
 
     def _emit_if(self, stmt: ast.If, em: _Emitter) -> None:
-        head = f"if ({self.expr(stmt.cond)})"
-        if self.style.brace_same_line:
-            em.line(head + " {")
-        else:
-            em.line(head)
-            em.line("{")
-        em.depth += 1
-        for s in self._body_stmts(stmt.then):
-            self._emit_stmt(s, em)
-        em.depth -= 1
-        if stmt.other is None:
-            em.line("}")
-            return
-        if isinstance(stmt.other, ast.If):
-            em.line("} else " + f"if ({self.expr(stmt.other.cond)})" + " {")
-            em.depth += 1
-            for s in self._body_stmts(stmt.other.then):
-                self._emit_stmt(s, em)
-            em.depth -= 1
-            if stmt.other.other is not None:
-                em.line("} else {")
-                em.depth += 1
-                for s in self._body_stmts(stmt.other.other):
-                    self._emit_stmt(s, em)
-                em.depth -= 1
-            em.line("}")
-        else:
+        """One ``else if`` arm shares the closing brace's line; the rest of a
+        longer chain nests inside its ``else``."""
+        self._emit_braced(f"if ({self.expr(stmt.cond)})", stmt.then, em, close="")
+        other = stmt.other
+        if isinstance(other, ast.If):
+            em.line(f"}} else if ({self.expr(other.cond)}) {{")
+            self._emit_nested(other.then, em)
+            other = other.other
+        if other is not None:
             em.line("} else {")
-            em.depth += 1
-            for s in self._body_stmts(stmt.other):
-                self._emit_stmt(s, em)
-            em.depth -= 1
-            em.line("}")
+            self._emit_nested(other, em)
+        em.line("}")
 
     def _emit_for(self, stmt: ast.For, em: _Emitter) -> None:
         init = ""
@@ -241,7 +200,7 @@ class CodeGenerator:
         else:
             text = f"{prefix}{self._type_text(decl.type, name)}"
         if decl.init is not None:
-            text += f"{self.style.op('=')}{self.expr(decl.init)}"
+            text += f" = {self.expr(decl.init)}"
         return text + ";"
 
     # ------------------------------------------------------------------
@@ -319,11 +278,11 @@ class CodeGenerator:
             prec = _PREC[e.op]
             left = self.expr(e.left, prec)
             right = self.expr(e.right, prec + 1)
-            return f"{left}{self.style.op(e.op)}{right}", prec
+            return f"{left} {e.op} {right}", prec
         if isinstance(e, ast.Assign):
             target = self.expr(e.target, 1)
             value = self.expr(e.value, 0)
-            return f"{target}{self.style.op(e.op)}{value}", 0
+            return f"{target} {e.op} {value}", 0
         if isinstance(e, ast.Ternary):
             return (
                 f"{self.expr(e.cond, 1)} ? {self.expr(e.then)} : {self.expr(e.other)}",

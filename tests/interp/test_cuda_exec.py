@@ -242,6 +242,24 @@ class TestMemorySpaces:
         )
         assert (out.error, out.stdout) == (None, "1 9.0\n")
 
+    def test_cuda_memcpy_to_a_negative_offset_is_an_illegal_access(self):
+        out = run_cuda(
+            "int main() {\n"
+            "  float* h = (float*)malloc(4 * sizeof(float));\n"
+            "  for (int i = 0; i < 4; i++) { h[i] = 1.0f; }\n"
+            "  float* d;\n"
+            "  cudaMalloc(&d, 4 * sizeof(float));\n"
+            "  int rc = cudaMemcpy(d - 1, h, 4 * sizeof(float), cudaMemcpyHostToDevice);\n"
+            '  printf("%d\\n", rc);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.stdout, out.error, out.error_detail) == (
+            "",
+            "CUDA error: an illegal memory access was encountered",
+            "cudaMemcpy of 16 bytes overruns buffer (src len 4, dst len 4)",
+        )
+
     def test_cuda_malloc_into_an_array_element(self):
         out = run_cuda(
             "int main() {\n"

@@ -250,6 +250,33 @@ class TestMemory:
         )
         assert out.stdout == "0\n"
 
+    def test_memcpy_to_a_negative_offset_segfaults(self):
+        out = run_source(
+            "int main() { float* g = (float*)malloc(4 * sizeof(float));\n"
+            "float* h = (float*)malloc(4 * sizeof(float));\n"
+            "for (int i = 0; i < 4; i++) { g[i] = 0.0f; h[i] = 1.0f; }\n"
+            "memcpy(g - 1, h, 4 * sizeof(float));\n"
+            'printf("%.1f %.1f\\n", g[0], g[3]); return 0; }'
+        )
+        assert (out.stdout, out.error, out.error_detail) == (
+            "",
+            "Segmentation fault (core dumped)",
+            "index -1 out of bounds for buffer ? of length 4",
+        )
+
+    def test_memset_at_a_negative_offset_segfaults(self):
+        out = run_source(
+            "int main() { int* g = (int*)malloc(4 * sizeof(int));\n"
+            "for (int i = 0; i < 4; i++) { g[i] = i + 5; }\n"
+            "memset(g - 1, 0, 2 * sizeof(int));\n"
+            'printf("%d %d\\n", g[0], g[3]); return 0; }'
+        )
+        assert (out.stdout, out.error, out.error_detail) == (
+            "",
+            "Segmentation fault (core dumped)",
+            "index -1 out of bounds for buffer ? of length 4",
+        )
+
     def test_global_variables(self):
         out = run_source(
             "int counter = 10;\n"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.llm.analysis import (
-    assigned_scalars,
     collect_identifiers,
     declared_names,
     pointer_access_kinds,
@@ -125,10 +124,6 @@ class TestSubstitute:
 
 
 class TestScalarHelpers:
-    def test_assigned_scalars(self):
-        body = body_of("void f(int a, int b, int c) { a = 1; b += 2; c++; }")
-        assert assigned_scalars(body) == {"a", "b", "c"}
-
     def test_declared_names(self):
         body = body_of("void f() { int x = 1; { float y = 2.0f; } }")
         assert declared_names(body) == {"x", "y"}

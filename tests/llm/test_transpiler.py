@@ -88,17 +88,9 @@ class TestStyles:
 
     def test_reduction_styles(self):
         app = get_app("jacobi")
-        atomic_code, run_a, _ = run_translated(
-            app, Dialect.CUDA, Dialect.OMP,
-            TranspileOptions(reduction_style="atomic"),
-        )
-        red_code, run_r, _ = run_translated(
-            app, Dialect.CUDA, Dialect.OMP,
-            TranspileOptions(reduction_style="reduction"),
-        )
-        assert run_a.stdout == run_r.stdout
+        red_code, run_r, ref = run_translated(app, Dialect.CUDA, Dialect.OMP)
+        assert run_r.stdout == ref.stdout
         assert "reduction(+:" in red_code
-        assert "#pragma omp atomic" in atomic_code
 
     def test_rename_scheme_changes_identifiers_consistently(self):
         app = get_app("layout")
@@ -189,3 +181,99 @@ def test_offloaded_loop_forms(form):
     else:
         with pytest.raises(TranspileError, match="not canonical"):
             tr.translate(src, Dialect.OMP, Dialect.CUDA)
+
+
+# -- updates in unbraced and ``else if`` arms ---------------------------------
+#
+# Reduction updates, OpenMP atomics and CUDA atomics are rewritten wherever
+# they sit in the offloaded body: in an arm without braces or in an
+# ``else if`` arm as well as in a braced block.
+
+_REDUCTION_HEAD = """int main() {
+  int n = 16;
+  float* a = (float*)malloc(n * sizeof(float));
+  for (int i = 0; i < n; i++) {
+    a[i] = (float)((i * 5) % 7 - 2);
+  }
+  float s = 0.0f;
+  #pragma omp target teams distribute parallel for map(to: a[0:n]) reduction(+: s)
+  for (int i = 0; i < n; i++) {
+"""
+
+_REDUCTION_TAIL = """  }
+  printf("%f\\n", s);
+  free(a);
+  return 0;
+}
+"""
+
+ARM_SOURCES = {
+    "reduction in an unbraced arm": (
+        Dialect.OMP,
+        _REDUCTION_HEAD + "    if (a[i] > 0.0f) s += a[i];\n" + _REDUCTION_TAIL,
+    ),
+    "reduction in an else-if arm": (
+        Dialect.OMP,
+        _REDUCTION_HEAD + (
+            "    if (a[i] > 2.0f) {\n"
+            "      s += a[i];\n"
+            "    } else if (a[i] > 0.0f) {\n"
+            "      s += 3.0f * a[i];\n"
+            "    }\n"
+        ) + _REDUCTION_TAIL,
+    ),
+    "atomicAdd in an unbraced arm": (Dialect.CUDA, """\
+__global__ void hist(int* a, int* h, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) {
+    if (a[i] > 1) atomicAdd(&h[a[i]], 1);
+  }
+}
+
+int main() {
+  int n = 64;
+  int nb = 8;
+  int* a = (int*)malloc(n * sizeof(int));
+  int* h = (int*)malloc(nb * sizeof(int));
+  for (int i = 0; i < n; i++) {
+    a[i] = (i * 3) % nb;
+  }
+  int* d_a;
+  int* d_h;
+  cudaMalloc(&d_a, n * sizeof(int));
+  cudaMalloc(&d_h, nb * sizeof(int));
+  cudaMemcpy(d_a, a, n * sizeof(int), cudaMemcpyHostToDevice);
+  cudaMemset(d_h, 0, nb * sizeof(int));
+  hist<<<(n + 31) / 32, 32>>>(d_a, d_h, n);
+  cudaMemcpy(h, d_h, nb * sizeof(int), cudaMemcpyDeviceToHost);
+  for (int b = 0; b < nb; b++) {
+    printf("%d ", h[b]);
+  }
+  printf("\\n");
+  cudaFree(d_a);
+  cudaFree(d_h);
+  free(a);
+  free(h);
+  return 0;
+}
+"""),
+}
+
+
+def _stdout(code, dialect):
+    cr = compiler_for(dialect).compile(code)
+    assert cr.ok, cr.stderr
+    run = Executor().run(cr.program, dialect, [])
+    assert run.ok, run.stderr
+    return run.stdout
+
+
+@pytest.mark.parametrize("case,privatize", [(case, False) for case in ARM_SOURCES] + [
+    ("atomicAdd in an unbraced arm", True),
+])
+def test_updates_in_every_arm_are_translated(case, privatize):
+    src_d, src = ARM_SOURCES[case]
+    tgt_d = Dialect.CUDA if src_d is Dialect.OMP else Dialect.OMP
+    tr = Transpiler(TranspileOptions(privatize_atomics=privatize))
+    code = tr.translate(src, src_d, tgt_d)
+    assert _stdout(code, tgt_d) == _stdout(src, src_d)

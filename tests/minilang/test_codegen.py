@@ -124,10 +124,3 @@ class TestLiteralFidelity:
         out = roundtrip(src)
         assert '"x  y"' in out
         assert 'printf("x  y") + 1' in out
-
-    def test_compact_style_binary_spacing(self):
-        out = roundtrip(
-            "int f(int a, int b) { return a * b + a / b; }",
-            style=CodegenStyle(space_around_ops=False),
-        )
-        assert "a*b+a/b" in out

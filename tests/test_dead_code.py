@@ -1,5 +1,6 @@
 """Dead definitions: every function, method and class defined under
-``src/`` is named somewhere besides its own definition, in the package,
+``src/``, and every name a module assigns at its top level, is named
+somewhere besides its own definition, in the package,
 its tests, benchmarks, examples, ``perfbench/``, ``README.md`` or the CI
 workflows.  A name that occurs exactly once in all of them is a
 definition nothing calls, subclasses or documents, so it goes."""
@@ -32,11 +33,29 @@ def _word_counts() -> Counter:
     return counts
 
 
+def _module_targets(node):
+    """Names a module-level assignment statement binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+
+
 def _definitions():
-    """(qualified name, bare name) of every def and class under src/."""
+    """(qualified name, bare name) of every def and class under src/, and of
+    every name assigned at a module's top level."""
     for path in sorted((ROOT / "src").rglob("*.py")):
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for name in _module_targets(node):
+                yield f"{module}.{name}", name
         todo = [(module, node) for node in tree.body]
         while todo:
             scope, node = todo.pop()
