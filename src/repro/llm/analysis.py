@@ -1,19 +1,22 @@
 """Static analyses used by the rule-based transpiler.
 
-Small, purpose-built passes over the mini-language AST:
+Small, purpose-built passes over the mini-language AST; each iterates
+:func:`repro.minilang.ast.walk_exprs` or ``walk_stmts`` rather than
+recursing on its own:
 
 * :func:`collect_identifiers` — free identifiers of an expression/statement;
 * :func:`pointer_access_kinds` — read/write classification of every pointer
-  dereferenced inside a statement (drives OpenMP ``map`` kind inference and
+  subscripted inside a statement (drives OpenMP ``map`` kind inference and
   the CUDA ``cudaMemcpy`` direction choices);
 * :func:`substitute` — capture-naive identifier substitution (adequate
-  because generated kernels use fresh parameter names).
+  because generated kernels use fresh parameter names);
+* :func:`declared_names` — names declared within a statement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.minilang import ast
 
@@ -53,101 +56,36 @@ class AccessInfo:
 
 
 def pointer_access_kinds(node: ast.Stmt) -> Dict[str, AccessInfo]:
-    """Classify each subscripted base identifier as read and/or written."""
+    """Classify each subscripted base identifier as read and/or written.
+
+    ``&a[i]`` (an atomic's target), a compound assignment to ``a[i]`` and
+    ``++``/``--`` on it mark ``a`` read and written; the target of ``=`` is
+    written; every other subscript is a read, the inner one of ``a[i][j]``
+    included.  ``*p`` is not classified, nor are pragma clauses.
+    """
     info: Dict[str, AccessInfo] = {}
-
-    def touch(name: str) -> AccessInfo:
-        return info.setdefault(name, AccessInfo())
-
-    def base_name(expr: ast.Expr) -> Optional[str]:
-        if isinstance(expr, ast.Ident):
-            return expr.name
-        if isinstance(expr, ast.Index):
-            return base_name(expr.base)
-        if isinstance(expr, ast.Unary) and expr.op in ("*", "&"):
-            return base_name(expr.operand)
-        return None
-
-    def visit_expr(expr: Optional[ast.Expr], as_write: bool = False) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ast.Index):
-            name = base_name(expr.base)
-            if name is not None:
-                acc = touch(name)
-                if as_write:
-                    acc.written = True
-                else:
-                    acc.read = True
-            visit_expr(expr.index)
-            # nested bases (a[b[i]]) read the inner array
-            if isinstance(expr.base, ast.Index):
-                visit_expr(expr.base)
-            return
+    #: id of each written subscript -> whether it is read as well
+    written: Dict[int, bool] = {}
+    for expr in ast.walk_exprs(node, clauses=False):
         if isinstance(expr, ast.Assign):
-            visit_expr(expr.target, as_write=True)
-            if expr.op != "=":
-                visit_expr(expr.target, as_write=False)
-            visit_expr(expr.value)
-            return
-        if isinstance(expr, (ast.Unary, ast.Postfix)):
-            if isinstance(expr, ast.Unary) and expr.op == "&":
-                # &a[i] passed to an atomic: treat as read+write
-                name = base_name(expr.operand)
-                if name is not None:
-                    acc = touch(name)
-                    acc.read = True
-                    acc.written = True
-                visit_expr(
-                    expr.operand.index if isinstance(expr.operand, ast.Index) else None
-                )
-                return
-            if expr.op in ("++", "--"):
-                visit_expr(expr.operand, as_write=True)
-                visit_expr(expr.operand, as_write=False)
-                return
-            visit_expr(expr.operand)
-            return
-        if isinstance(expr, ast.Binary):
-            visit_expr(expr.left)
-            visit_expr(expr.right)
-            return
-        if isinstance(expr, ast.Ternary):
-            visit_expr(expr.cond)
-            visit_expr(expr.then)
-            visit_expr(expr.other)
-            return
-        if isinstance(expr, ast.Call):
-            for a in expr.args:
-                visit_expr(a)
-            return
-        if isinstance(expr, ast.Launch):
-            visit_expr(expr.grid)
-            visit_expr(expr.block)
-            for a in expr.args:
-                visit_expr(a)
-            return
-        if isinstance(expr, ast.Cast):
-            visit_expr(expr.operand)
-            return
-        if isinstance(expr, ast.Member):
-            visit_expr(expr.obj)
-            return
-
-    for stmt in ast.walk_stmts(node):
-        if isinstance(stmt, ast.ExprStmt):
-            visit_expr(stmt.expr)
-        elif isinstance(stmt, ast.VarDecl):
-            visit_expr(stmt.init)
-        elif isinstance(stmt, ast.If):
-            visit_expr(stmt.cond)
-        elif isinstance(stmt, ast.For):
-            visit_expr(stmt.cond)
-            visit_expr(stmt.step)
-        elif isinstance(stmt, (ast.While, ast.DoWhile)):
-            visit_expr(stmt.cond)
-        elif isinstance(stmt, ast.Return):
-            visit_expr(stmt.value)
+            written[id(expr.target)] = expr.op != "="
+        elif isinstance(expr, (ast.Unary, ast.Postfix)) and expr.op in ("&", "++", "--"):
+            written[id(expr.operand)] = True
+        elif isinstance(expr, ast.Index):
+            base = expr.base
+            while isinstance(base, ast.Index) or (
+                isinstance(base, ast.Unary) and base.op in ("*", "&")
+            ):
+                base = base.base if isinstance(base, ast.Index) else base.operand
+            if not isinstance(base, ast.Ident):
+                continue
+            acc = info.setdefault(base.name, AccessInfo())
+            also_read = written.get(id(expr))
+            if also_read is None:
+                acc.read = True
+            else:
+                acc.written = True
+                acc.read = acc.read or also_read
     return info
 
 

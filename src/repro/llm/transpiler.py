@@ -12,8 +12,10 @@ same patterns an LLM applies when translating HeCBench codes —
 * CUDA -> OpenMP: kernels matching the canonical ``int i = blockIdx.x *
   blockDim.x + threadIdx.x; if (i < n) {...}`` shape are folded back into
   parallel loops; staging collapses into a ``target data`` region (smart
-  style) or per-loop map clauses (literal style); single-cell atomicAdd
-  accumulators are recognized and rewritten as ``reduction(+:)`` scalars.
+  style) or per-loop map clauses (literal style); every one-cell buffer a
+  launch only ``atomicAdd``s into becomes a scalar, all of a launch's listed
+  in one ``reduction(+: ...)`` clause, and the host pointers each cell is
+  copied back into read its scalar instead.
 
 :class:`TranspileOptions` carries the per-model style knobs (naming, block
 size, data-region usage, loop-invariant hoisting, formatting) that make
@@ -25,10 +27,11 @@ metrics across models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ReproError
 from repro.llm.analysis import (
+    AccessInfo,
     collect_identifiers,
     declared_names,
     pointer_access_kinds,
@@ -136,34 +139,78 @@ def _counting_loop(var: str, bound: ast.Expr, body: List[ast.Stmt]) -> ast.For:
     )
 
 
+#: What a ``_rewrite_stmts`` callback returns: a statement, a list of them,
+#: or None.
+_Rewritten = Union[None, ast.Stmt, List[ast.Stmt]]
+
+
 def _rewrite_stmts(
-    body: ast.Stmt, rewrite: Callable[[ast.Stmt], Optional[ast.Stmt]]
+    body: ast.Stmt, rewrite: Callable[[ast.Stmt], _Rewritten]
 ) -> ast.Block:
     """Replace statements under ``body`` in place, and return it as a block.
 
-    ``rewrite(stmt)`` returns a replacement, or None to keep ``stmt`` and
-    visit what it holds.  Every statement list and every arm of an ``if``
-    or a loop is visited, braced or not, ``else if`` included; pragma
-    bodies and replacements are not.
+    ``rewrite(stmt)`` returns a replacement statement or list of statements,
+    or None to keep ``stmt`` and visit what it holds.  A list is spliced into
+    the enclosing statement list, and braced when it fills an arm.  Every
+    statement list and every arm of an ``if`` or a loop is visited, braced or
+    not, ``else if`` included; pragma bodies, ``for`` initialisers and
+    replacements are not.
     """
 
-    def visit(stmt: ast.Stmt) -> ast.Stmt:
+    def visit(stmt: ast.Stmt) -> Union[ast.Stmt, List[ast.Stmt]]:
         new = rewrite(stmt)
         if new is not None:
             return new
         if isinstance(stmt, ast.Block):
-            stmt.stmts = [visit(s) for s in stmt.stmts]
+            stmts: List[ast.Stmt] = []
+            for s in stmt.stmts:
+                new = visit(s)
+                if isinstance(new, list):
+                    stmts.extend(new)
+                else:
+                    stmts.append(new)
+            stmt.stmts = stmts
         elif isinstance(stmt, ast.If):
-            stmt.then = visit(stmt.then)
+            stmt.then = arm(stmt.then)
             if stmt.other is not None:
-                stmt.other = visit(stmt.other)
+                stmt.other = arm(stmt.other)
         elif isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
-            stmt.body = visit(stmt.body)
+            stmt.body = arm(stmt.body)
         return stmt
+
+    def arm(stmt: ast.Stmt) -> ast.Stmt:
+        new = visit(stmt)
+        return ast.Block(stmts=new) if isinstance(new, list) else new
 
     block = body if isinstance(body, ast.Block) else ast.Block(stmts=[body])
     visit(block)
     return block
+
+
+def _rewrite_clone(
+    stmt: ast.Stmt, rewrite: Callable[[ast.Stmt], _Rewritten]
+) -> List[ast.Stmt]:
+    """The statements replacing ``stmt``: a clone of it, rewritten in place
+    by ``_rewrite_stmts``.  ``stmt`` itself, which the parse memo shares,
+    is left as it is."""
+    return _rewrite_stmts(ast.Block(stmts=[ast.clone(stmt)]), rewrite).stmts
+
+
+def _rename_head(stmt: ast.Stmt, rename: Dict[str, str]) -> None:
+    """Rename in the parts of ``stmt`` that ``_rewrite_stmts`` does not
+    visit: an ``if``'s condition, a loop's header, nothing of a block, and
+    all of any other statement."""
+    if isinstance(stmt, ast.For):
+        parts = (stmt.init, stmt.cond, stmt.step)
+    elif isinstance(stmt, (ast.If, ast.While, ast.DoWhile)):
+        parts = (stmt.cond,)
+    elif isinstance(stmt, ast.Block):
+        parts = ()
+    else:
+        parts = (stmt,)
+    for part in parts:
+        if part is not None:
+            substitute(part, rename)
 
 
 def _device_span(top: List[ast.Stmt], offloads: Callable[[ast.Stmt], bool],
@@ -174,17 +221,6 @@ def _device_span(top: List[ast.Stmt], offloads: Callable[[ast.Stmt], bool],
     if not hits:
         raise TranspileError(missing)
     return hits[0], hits[-1]
-
-
-def _rename_loop_header(loop: ast.Stmt, rename: Dict[str, str]) -> None:
-    """Rename in the header of a ``for``, ``while`` or ``do`` loop."""
-    if isinstance(loop, ast.For):
-        parts = (loop.init, loop.cond, loop.step)
-    else:
-        parts = (loop.cond,)
-    for part in parts:
-        if part is not None:
-            substitute(part, rename)
 
 
 def _malloc_target(call: ast.Call) -> Optional[str]:
@@ -256,33 +292,32 @@ class _Omp2Cuda:
         body = fn.body
 
         # Phase A: find device arrays (from map clauses anywhere within).
-        records: Dict[str, _ArrayRecord] = {}
-        has_device = False
-        for stmt in ast.walk_stmts(body):
-            if isinstance(stmt, ast.Pragma) and stmt.pragma.is_target:
-                has_device = True
-                for mc in stmt.pragma.maps:
-                    t = self.var_types.get(mc.name)
-                    if t is None or not t.is_pointer or mc.length is None:
-                        continue
-                    rec = records.get(mc.name)
-                    if rec is None:
-                        rec = _ArrayRecord(
-                            name=mc.name, elem=t.pointee(), length=ast.clone(mc.length)
-                        )
-                        records[mc.name] = rec
-                    if mc.kind in ("to", "tofrom"):
-                        rec.to = True
-                    if mc.kind in ("from", "tofrom"):
-                        rec.frm = True
-        if not has_device:
+        targets = [
+            s for s in ast.walk_stmts(body)
+            if isinstance(s, ast.Pragma) and s.pragma.is_target
+        ]
+        if not targets:
             return ast.clone(fn)
+        records: Dict[str, _ArrayRecord] = {}
+        for stmt in targets:
+            for mc in stmt.pragma.maps:
+                t = self.var_types.get(mc.name)
+                if t is None or not t.is_pointer or mc.length is None:
+                    continue
+                rec = records.get(mc.name)
+                if rec is None:
+                    rec = _ArrayRecord(
+                        name=mc.name, elem=t.pointee(), length=ast.clone(mc.length)
+                    )
+                    records[mc.name] = rec
+                if mc.kind in ("to", "tofrom"):
+                    rec.to = True
+                if mc.kind in ("from", "tofrom"):
+                    rec.frm = True
         # Arrays touched inside device loops without explicit maps (data
         # region case covers them; keep union of kinds from access analysis).
-        for stmt in ast.walk_stmts(body):
-            if isinstance(stmt, ast.Pragma) and stmt.pragma.is_target and (
-                stmt.body is not None
-            ):
+        for stmt in targets:
+            if stmt.body is not None:
                 for name, acc in pointer_access_kinds(stmt.body).items():
                     t = self.var_types.get(name)
                     if t is None or not t.is_pointer:
@@ -306,7 +341,7 @@ class _Omp2Cuda:
             if i == first:
                 new_body.stmts.extend(self._staging_prologue())
             if first <= i <= last:
-                new_body.stmts.extend(self._transform_stmt(stmt))
+                new_body.stmts.extend(_rewrite_clone(stmt, self._device_phase_stmt))
             else:
                 new_body.stmts.append(ast.clone(stmt))
             if i == last:
@@ -367,16 +402,13 @@ class _Omp2Cuda:
         return out
 
     # ------------------------------------------------------------------
-    def _transform_stmt(self, stmt: ast.Stmt) -> List[ast.Stmt]:
+    def _device_phase_stmt(self, stmt: ast.Stmt) -> _Rewritten:
+        """``_rewrite_stmts`` callback over the device phase: target loops
+        become launches, data regions are unwrapped, host pragmas dropped."""
         if isinstance(stmt, ast.Pragma):
             pragma = stmt.pragma
             if pragma.directive == "target data":
-                inner: List[ast.Stmt] = []
-                body = stmt.body
-                stmts = body.stmts if isinstance(body, ast.Block) else [body]
-                for s in stmts:
-                    inner.extend(self._transform_stmt(s))
-                return inner
+                return _rewrite_stmts(stmt.body, self._device_phase_stmt).stmts
             if pragma.is_target and pragma.is_loop and isinstance(stmt.body, ast.For):
                 return self._emit_launch(pragma, stmt.body)
             if pragma.is_target:
@@ -384,26 +416,11 @@ class _Omp2Cuda:
                     f"unsupported target construct '{pragma.directive}'"
                 )
             # Host pragma: drop the pragma, keep the statement.
-            return [ast.clone(stmt.body)] if stmt.body is not None else []
-        if isinstance(stmt, ast.Block):
-            blk = ast.Block()
-            for s in stmt.stmts:
-                blk.stmts.extend(self._transform_stmt(s))
-            return [blk]
-        if isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
-            new = ast.clone(stmt)
-            body_stmts = self._transform_stmt(new.body)
-            new.body = body_stmts[0] if len(body_stmts) == 1 else ast.Block(
-                stmts=body_stmts
-            )
-            # Device-phase host statements reference device pointers.
-            _rename_loop_header(new, self.rename)
-            return [new]
-        # Plain host statement inside the device phase: pointer swaps and
+            return stmt.body if stmt.body is not None else []
+        # Host statements inside the device phase: pointer swaps and
         # friends must act on the device pointers.
-        new = ast.clone(stmt)
-        substitute(new, self.rename)
-        return [new]
+        _rename_head(stmt, self.rename)
+        return None
 
     # ------------------------------------------------------------------
     def _emit_launch(self, pragma: ast.OmpPragma, loop: ast.For) -> List[ast.Stmt]:
@@ -421,7 +438,6 @@ class _Omp2Cuda:
             if inner is None:
                 raise TranspileError("inner collapsed loop is not canonical")
             body = inner_for.body
-        body = ast.clone(body)
 
         # Reduction handling: rewrite `s += e;` into atomicAdd on a buffer.
         reduction_names: List[str] = []
@@ -649,10 +665,11 @@ class _DeviceBuf:
     synth_name: Optional[str] = None
     h2d: bool = False
     d2h: bool = False
-    written: bool = False
     read: bool = False
     #: single-cell accumulator recognized for reduction rewriting
     reduction_scalar: Optional[str] = None
+    #: host pointers a device-to-host copy of this buffer fills
+    host_copies: List[str] = field(default_factory=list)
 
     @property
     def host_name(self) -> str:
@@ -688,9 +705,6 @@ class _Cuda2Omp:
         self.src = program
         self.opt = options
         self.kernels = {f.name: f for f in program.functions if f.is_kernel}
-        self.device_fns = {
-            f.name: f for f in program.functions if f.is_device
-        }
 
     def run(self) -> ast.Program:
         out = ast.Program()
@@ -714,23 +728,23 @@ class _Cuda2Omp:
         self._collect_buffers(body)
         if not self.bufs:
             return ast.clone(fn)
-        self._fix_aliases(body)
-        self._analyze_kernel_accesses(body)
-        self._detect_reduction_buffers(body)
-        self._build_names()
-
-        top = list(body.stmts)
+        top = body.stmts
         # Staging calls (cudaMalloc, cudaMemcpy, cudaFree, synchronize) do
         # not extend the span: the data region's entry and exit transfers
         # subsume them, and host reads of the results (checksum loops,
         # printf) stay outside the region, after its copy-back.
         first, last = _device_span(top, self._offloads, "no device phase found")
+        exprs = ast.walk_exprs(body)
+        self._fix_aliases(top, first, exprs)
+        self._analyze_launches([e for e in exprs if isinstance(e, ast.Launch)])
+        self._build_names()
+
         new_stmts: List[ast.Stmt] = []
         device_stmts: List[ast.Stmt] = []
         for i, stmt in enumerate(top):
             inside = first <= i <= last
             (device_stmts if inside else new_stmts).extend(
-                self._transform_host_stmt(stmt, inside)
+                self._translate_host(stmt, inside)
             )
             if i == last:
                 new_stmts.extend(self._wrap_device_phase(device_stmts))
@@ -742,11 +756,12 @@ class _Cuda2Omp:
 
     # -- phase A -----------------------------------------------------------
     def _collect_buffers(self, body: ast.Block) -> None:
-        for stmt in ast.walk_stmts(body):
-            if not isinstance(stmt, ast.ExprStmt):
-                continue
-            e = stmt.expr
-            if isinstance(e, ast.Call) and e.callee == "cudaMalloc" and len(e.args) == 2:
+        calls = [
+            s.expr for s in ast.walk_stmts(body)
+            if isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call)
+        ]
+        for e in calls:
+            if e.callee == "cudaMalloc" and len(e.args) == 2:
                 dname = _malloc_target(e)
                 if dname is not None:
                     t = self.var_types.get(dname)
@@ -757,11 +772,8 @@ class _Cuda2Omp:
                     self.bufs[dname] = _DeviceBuf(
                         dname=dname, elem=t.pointee(), bytes_expr=ast.clone(e.args[1])
                     )
-        for stmt in ast.walk_stmts(body):
-            if not isinstance(stmt, ast.ExprStmt):
-                continue
-            e = stmt.expr
-            if isinstance(e, ast.Call) and e.callee == "cudaMemcpy" and len(e.args) == 4:
+        for e in calls:
+            if e.callee == "cudaMemcpy" and len(e.args) == 4:
                 dst, src, _, kind = e.args
                 kname = kind.name if isinstance(kind, ast.Ident) else ""
                 if kname == "cudaMemcpyHostToDevice" and isinstance(dst, ast.Ident):
@@ -774,100 +786,88 @@ class _Cuda2Omp:
                     buf = self.bufs.get(src.name)
                     if buf is not None:
                         buf.d2h = True
-                        if isinstance(dst, ast.Ident) and buf.host_alias is None:
-                            buf.host_alias = dst.name
+                        if isinstance(dst, ast.Ident):
+                            buf.host_copies.append(dst.name)
+                            if buf.host_alias is None:
+                                buf.host_alias = dst.name
 
-    def _fix_aliases(self, body: ast.Block) -> None:
+    def _fix_aliases(
+        self, top: List[ast.Stmt], first: int, exprs: List[ast.Expr]
+    ) -> None:
         """Validate host aliases and widen map kinds for swapped pointers.
 
         * A host array can alias at most one device buffer, and must be
-          declared before the device phase begins (otherwise the ``target
-          data`` map clause would reference an undeclared name) — late or
-          duplicate partners get synthesized host arrays instead.
+          declared before the device phase begins at ``top[first]``
+          (otherwise the ``target data`` map clause would reference an
+          undeclared name) — late or duplicate partners get synthesized
+          host arrays instead.
         * Device pointer variables that are *reassigned* (the ping-pong swap
           idiom) must be mapped ``tofrom``: the final results may live in
-          either physical buffer, so both need copy-back.
+          either physical buffer, so both need copy-back.  ``exprs`` are
+          the function's expressions.
         """
         decl_pos: Dict[str, int] = {}
-        span_start = None
-        for i, s in enumerate(ast.walk_stmts(body)):
-            if isinstance(s, ast.VarDecl) and s.name not in decl_pos:
-                decl_pos[s.name] = i
-            if span_start is None and not isinstance(s, (ast.Block, ast.Pragma)) and (
-                self._offloads(s)
-            ):
-                span_start = i
+        for i, stmt in enumerate(top):
+            for s in ast.walk_stmts(stmt):
+                if isinstance(s, ast.VarDecl):
+                    decl_pos.setdefault(s.name, i)
         claimed: Set[str] = set()
         for buf in self.bufs.values():
             alias = buf.host_alias
             if alias is None:
                 continue
-            pos = decl_pos.get(alias)
-            late = pos is not None and span_start is not None and pos >= span_start
-            if alias in claimed or late:
+            if alias in claimed or decl_pos.get(alias, -1) >= first:
                 buf.host_alias = None
             else:
                 claimed.add(alias)
         # Swap idiom: any assignment to a device-pointer variable.
         reassigned: Set[str] = set()
-        for s in ast.walk_stmts(body):
-            for e in ast.walk_exprs(s):
-                if isinstance(e, ast.Assign) and isinstance(e.target, ast.Ident) and (
-                    e.target.name in self.bufs
-                ):
-                    reassigned.add(e.target.name)
-                    if isinstance(e.value, ast.Ident) and e.value.name in self.bufs:
-                        reassigned.add(e.value.name)
+        for e in exprs:
+            if isinstance(e, ast.Assign) and isinstance(e.target, ast.Ident) and (
+                e.target.name in self.bufs
+            ):
+                reassigned.add(e.target.name)
+                if isinstance(e.value, ast.Ident) and e.value.name in self.bufs:
+                    reassigned.add(e.value.name)
         for name in reassigned:
             buf = self.bufs[name]
             buf.h2d = True
             buf.d2h = True
 
-    def _analyze_kernel_accesses(self, body: ast.Block) -> None:
-        for stmt in ast.walk_stmts(body):
-            for e in ast.walk_exprs(stmt) if not isinstance(stmt, ast.Pragma) else []:
-                if isinstance(e, ast.Launch):
-                    kernel = self.kernels.get(e.kernel)
-                    if kernel is None:
-                        continue
-                    acc = pointer_access_kinds(kernel.body)
-                    for param, arg in zip(kernel.params, e.args):
-                        if isinstance(arg, ast.Ident) and arg.name in self.bufs:
-                            info = acc.get(param.name)
-                            if info is None:
-                                continue
-                            buf = self.bufs[arg.name]
-                            buf.read = buf.read or info.read
-                            buf.written = buf.written or info.written
-
-    def _detect_reduction_buffers(self, body: ast.Block) -> None:
-        """Find single-cell atomicAdd accumulators (the residual pattern)."""
-        for dname, buf in self.bufs.items():
-            size = buf.bytes_expr
-            if not isinstance(size, ast.SizeOf):
+    def _analyze_launches(self, launches: List[ast.Launch]) -> None:
+        """Mark each buffer read where a kernel it is passed to reads it
+        (classifying each kernel's accesses once), and find the single-cell
+        atomicAdd accumulators: one-cell buffers that every launch passing
+        one uses only through ``atomicAdd`` on cell 0."""
+        kinds: Dict[str, Dict[str, AccessInfo]] = {}
+        accumulates: Dict[str, bool] = {}
+        for e in launches:
+            kernel = self.kernels.get(e.kernel)
+            if kernel is None:
                 continue
-            # Find the kernel param bound to this buffer and check its uses.
-            used_ok = None
-            for stmt in ast.walk_stmts(body):
-                for e in ast.walk_exprs(stmt):
-                    if isinstance(e, ast.Launch):
-                        kernel = self.kernels.get(e.kernel)
-                        if kernel is None:
-                            continue
-                        for param, arg in zip(kernel.params, e.args):
-                            if isinstance(arg, ast.Ident) and arg.name == dname:
-                                used_ok = self._only_atomic_add_cell0(
-                                    kernel.body, param.name
-                                )
-            if used_ok:
-                buf.reduction_scalar = self._strip_prefix(dname)
+            if e.kernel not in kinds:
+                kinds[e.kernel] = pointer_access_kinds(kernel.body)
+            for param, arg in zip(kernel.params, e.args):
+                buf = self.bufs.get(arg.name) if isinstance(arg, ast.Ident) else None
+                if buf is None:
+                    continue
+                info = kinds[e.kernel].get(param.name)
+                if info is not None and info.read:
+                    buf.read = True
+                if isinstance(buf.bytes_expr, ast.SizeOf):
+                    accumulates[arg.name] = accumulates.get(arg.name, True) and (
+                        self._only_atomic_add_cell0(kernel.body, param.name)
+                    )
+        for dname, ok in accumulates.items():
+            if ok:
+                self.bufs[dname].reduction_scalar = self._strip_prefix(dname)
 
     @staticmethod
     def _only_atomic_add_cell0(body: ast.Stmt, pname: str) -> bool:
-        ok = False
-        matched_targets = set()
-        exprs = ast.walk_exprs(body)
-        for e in exprs:
+        """Does ``body`` use ``pname`` only as ``atomicAdd(&pname[0], v)``,
+        and at least once?"""
+        cells: Set[int] = set()  # the pointer's uses inside those atomics
+        for e in ast.walk_exprs(body):
             if isinstance(e, ast.Call) and e.callee == "atomicAdd":
                 tgt = e.args[0]
                 if (
@@ -878,19 +878,10 @@ class _Cuda2Omp:
                     and isinstance(tgt.operand.index, ast.IntLit)
                     and tgt.operand.index.value == 0
                 ):
-                    ok = True
-                    matched_targets.add(id(tgt.operand))
-                    matched_targets.add(id(tgt.operand.base))
-        for e in exprs:
-            if id(e) in matched_targets:
-                continue
-            if isinstance(e, ast.Index) and isinstance(e.base, ast.Ident) and (
-                e.base.name == pname
-            ):
-                return False  # read/written elsewhere in the kernel
-            if isinstance(e, ast.Ident) and e.name == pname:
-                return False  # bare use outside the accumulator pattern
-        return ok
+                    cells.add(id(tgt.operand.base))
+            elif isinstance(e, ast.Ident) and e.name == pname and id(e) not in cells:
+                return False  # any other use of the pointer
+        return bool(cells)
 
     def _strip_prefix(self, dname: str) -> str:
         for prefix in ("d_", "dev_", "gpu_"):
@@ -919,8 +910,13 @@ class _Cuda2Omp:
         self.rename = {
             b.dname: (b.reduction_scalar or b.host_name) for b in self.bufs.values()
         }
-        # Host buffers that only mirror a reduction cell: h_res[0] -> scalar.
-        self.red_host_mirrors: Set[str] = set()
+        # Host pointers a reduction cell is copied back into (``h_res``)
+        # read the cell's scalar instead.
+        self.mirrors = {
+            host: b.reduction_scalar
+            for b in self.bufs.values() if b.reduction_scalar is not None
+            for host in b.host_copies
+        }
 
     @staticmethod
     def _offloads(stmt: ast.Stmt) -> bool:
@@ -945,70 +941,45 @@ class _Cuda2Omp:
             ))
         return [ast.Pragma(pragma=pragma, body=ast.Block(stmts=stmts))]
 
-    def _transform_host_stmt(
-        self, stmt: ast.Stmt, in_device_phase: bool
-    ) -> List[ast.Stmt]:
-        if isinstance(stmt, ast.VarDecl):
-            if stmt.name in self.bufs:
-                return []  # device pointer declarations disappear
-            new = ast.clone(stmt)
-            if in_device_phase:
-                substitute(new, self.rename)
-            if any(b.reduction_scalar is not None for b in self.bufs.values()):
-                new2 = self._rewrite_red_mirror_decl(new)
-                if new2 is None:
-                    return []
-                new = new2
-            return [new]
-        if isinstance(stmt, ast.ExprStmt):
-            return self._transform_expr_stmt(stmt, in_device_phase)
-        if isinstance(stmt, ast.Block):
-            blk = ast.Block()
-            for s in stmt.stmts:
-                blk.stmts.extend(self._transform_host_stmt(s, in_device_phase))
-            return [blk]
-        if isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
-            new_body_stmts: List[ast.Stmt] = []
-            body = stmt.body if isinstance(stmt.body, ast.Block) else ast.Block(
-                stmts=[stmt.body]
-            )
-            for s in body.stmts:
-                new_body_stmts.extend(self._transform_host_stmt(s, in_device_phase))
-            if (
-                in_device_phase
-                and self.opt.hoist_invariant_repeat
-                and isinstance(stmt, ast.For)
-                and self._is_invariant_repeat(stmt, new_body_stmts)
-            ):
-                return new_body_stmts
-            new = ast.clone(stmt)
-            new.body = ast.Block(stmts=new_body_stmts)
-            if in_device_phase:
-                _rename_loop_header(new, self.rename)
-            return [new]
-        new = ast.clone(stmt)
-        if in_device_phase:
-            substitute(new, self.rename)
-        return [new]
+    def _translate_host(self, stmt: ast.Stmt, device: bool) -> List[ast.Stmt]:
+        """The statements replacing the top-level host statement ``stmt``;
+        ``device`` says whether it lies in the device phase."""
 
-    def _rewrite_red_mirror_decl(self, decl: ast.VarDecl):
-        """Drop host mirror buffers of reduction scalars (h_res pattern)."""
-        # A decl like `double* h_res = (double*)malloc(sizeof(double));`
-        if decl.init is None:
-            return decl
-        init = decl.init
-        if isinstance(init, ast.Cast):
-            inner = init.operand
-        else:
-            inner = init
-        if (
-            isinstance(inner, ast.Call) and inner.callee == "malloc"
-            and len(inner.args) == 1 and isinstance(inner.args[0], ast.SizeOf)
-            and decl.type.is_pointer
-        ):
-            self.red_host_mirrors.add(decl.name)
+        def rewrite(s: ast.Stmt) -> _Rewritten:
+            if isinstance(s, ast.VarDecl) and (
+                s.name in self.bufs or self._is_red_mirror_decl(s)
+            ):
+                return []  # device pointers and reduction mirrors disappear
+            if isinstance(s, ast.ExprStmt):
+                new = self._translate_call(s.expr)
+                if new is not None:
+                    return new
+            if not device:
+                return None
+            _rename_head(s, self.rename)
+            if self.opt.hoist_invariant_repeat and isinstance(s, ast.For):
+                body = _rewrite_stmts(s.body, rewrite).stmts
+                if self._is_invariant_repeat(s, body):
+                    return body
+                s.body = ast.Block(stmts=body)
+                return s
             return None
-        return decl
+
+        out = _rewrite_clone(stmt, rewrite)
+        if self.mirrors:
+            for s in out:
+                self._read_mirrors(s)
+        return out
+
+    def _is_red_mirror_decl(self, decl: ast.VarDecl) -> bool:
+        """Is ``decl`` a reduction mirror's one-cell allocation, like
+        ``double* h_res = (double*)malloc(sizeof(double));``?"""
+        init = decl.init.operand if isinstance(decl.init, ast.Cast) else decl.init
+        return (
+            decl.name in self.mirrors
+            and isinstance(init, ast.Call) and init.callee == "malloc"
+            and len(init.args) == 1 and isinstance(init.args[0], ast.SizeOf)
+        )
 
     def _is_invariant_repeat(self, loop: ast.For, body_stmts: List[ast.Stmt]) -> bool:
         """True when re-executing the body is idempotent w.r.t. outputs."""
@@ -1031,10 +1002,9 @@ class _Cuda2Omp:
                     return False
         return True
 
-    def _transform_expr_stmt(
-        self, stmt: ast.ExprStmt, in_device_phase: bool
-    ) -> List[ast.Stmt]:
-        e = stmt.expr
+    def _translate_call(self, e: ast.Expr) -> Optional[List[ast.Stmt]]:
+        """The statements replacing the launch or CUDA runtime call ``e``, an
+        expression statement's expression, or None to keep it."""
         if isinstance(e, ast.Call):
             if e.callee == "cudaMalloc":
                 # Synthesized host partners and reduction scalars materialize
@@ -1065,50 +1035,32 @@ class _Cuda2Omp:
             if e.callee == "cudaMemset":
                 return self._transform_memset(e)
             if e.callee == "free" and e.args and isinstance(e.args[0], ast.Ident) and (
-                e.args[0].name in self.red_host_mirrors
+                e.args[0].name in self.mirrors
             ):
                 return []
         if isinstance(e, ast.Launch):
             return self._transform_launch(e)
-        new = ast.clone(stmt)
-        if in_device_phase:
-            substitute(new, self.rename)
-        # h_res[0] -> scalar rename for reduction mirrors.
-        self._rewrite_mirror_reads(new)
-        return [new]
+        return None
 
-    def _rewrite_mirror_reads(self, stmt: ast.Stmt) -> None:
-        if not self.red_host_mirrors:
-            return
-        mirror_to_scalar = {}
-        for buf in self.bufs.values():
-            if buf.reduction_scalar is not None:
-                for mirror in self.red_host_mirrors:
-                    mirror_to_scalar[mirror] = buf.reduction_scalar
-        def fix(expr):
-            for child_name in ("left", "right", "operand", "cond", "then",
-                               "other", "value", "target", "base", "index"):
-                child = getattr(expr, child_name, None)
-                if isinstance(child, ast.Index) and isinstance(
-                    child.base, ast.Ident
-                ) and child.base.name in mirror_to_scalar:
-                    setattr(expr, child_name, _ident(mirror_to_scalar[child.base.name]))
-                elif isinstance(child, ast.Expr):
-                    fix(child)
-            if isinstance(expr, (ast.Call, ast.Launch)):
-                for i, a in enumerate(expr.args):
-                    if isinstance(a, ast.Index) and isinstance(a.base, ast.Ident) and (
-                        a.base.name in mirror_to_scalar
-                    ):
-                        expr.args[i] = _ident(mirror_to_scalar[a.base.name])
-                    else:
-                        fix(a)
-        if isinstance(stmt, ast.ExprStmt):
-            fix(stmt.expr)
-            if isinstance(stmt.expr, ast.Index) and isinstance(
-                stmt.expr.base, ast.Ident
-            ) and stmt.expr.base.name in mirror_to_scalar:
-                stmt.expr = _ident(mirror_to_scalar[stmt.expr.base.name])
+    def _read_mirrors(self, stmt: ast.Stmt) -> None:
+        """Replace each read of a reduction mirror's cell under ``stmt``,
+        ``h_res[0]``, with the cell's scalar, in place."""
+
+        def scalar(e: object) -> Optional[ast.Ident]:
+            if isinstance(e, ast.Index) and isinstance(e.base, ast.Ident) and (
+                e.base.name in self.mirrors
+            ):
+                return _ident(self.mirrors[e.base.name])
+            return None
+
+        for node in (*ast.walk_stmts(stmt), *ast.walk_exprs(stmt)):
+            for name, child in vars(node).items():
+                if isinstance(child, list):
+                    child[:] = [scalar(c) or c for c in child]
+                else:
+                    new = scalar(child)
+                    if new is not None:
+                        setattr(node, name, new)
 
     def _transform_memcpy(self, e: ast.Call) -> List[ast.Stmt]:
         dst, src, nbytes, kind = e.args
@@ -1147,7 +1099,7 @@ class _Cuda2Omp:
         }
         for end in (dst, src):
             if isinstance(end, ast.Ident) and (
-                end.name in red_scalars or end.name in self.red_host_mirrors
+                end.name in red_scalars or end.name in self.mirrors
             ):
                 return []
         new_args = [ast.clone(dst), ast.clone(src), ast.clone(nbytes)]
@@ -1203,16 +1155,15 @@ class _Cuda2Omp:
         # host aliases).
         mapping: Dict[str, str] = {}
         pre_stmts: List[ast.Stmt] = []
-        red_scalar: Optional[str] = None
+        red_scalars: List[str] = []
         for param, arg in zip(kernel.params, e.args):
             if isinstance(arg, ast.Ident):
-                target = self.rename.get(arg.name, arg.name)
                 buf = self.bufs.get(arg.name)
                 if buf is not None and buf.reduction_scalar is not None:
-                    red_scalar = buf.reduction_scalar
-                    mapping[param.name] = "__red__" + red_scalar
+                    red_scalars.append(buf.reduction_scalar)
+                    mapping[param.name] = "__red__" + buf.reduction_scalar
                 else:
-                    mapping[param.name] = target
+                    mapping[param.name] = self.rename.get(arg.name, arg.name)
             elif isinstance(arg, (ast.IntLit, ast.FloatLit)):
                 # Literal argument: bind via a fresh const-ish local.
                 mapping[param.name] = param.name
@@ -1233,17 +1184,19 @@ class _Cuda2Omp:
         substitute(new_body, mapping)
         substitute(new_bound, mapping)
 
-        if self.opt.privatize_atomics and red_scalar is None:
+        if self.opt.privatize_atomics and not red_scalars:
             privatized = self._privatized_atomic_loop(new_body, idx_var, new_bound)
             if privatized is not None:
                 return pre_stmts + privatized
 
         # Rewrite atomics.
-        new_body, used_reduction = self._rewrite_kernel_atomics(new_body, red_scalar)
+        new_body, used = self._rewrite_kernel_atomics(new_body, red_scalars)
 
         pragma = self._loop_pragma(new_body)
-        if used_reduction and red_scalar is not None:
-            pragma.reduction = ast.ReductionClause(op="+", names=[red_scalar])
+        if used:
+            pragma.reduction = ast.ReductionClause(
+                op="+", names=[name for name in red_scalars if name in used]
+            )
         loop = _counting_loop(idx_var, new_bound, new_body.stmts)
         return pre_stmts + [ast.Pragma(pragma=pragma, body=loop)]
 
@@ -1423,12 +1376,15 @@ class _Cuda2Omp:
         return False
 
     @staticmethod
-    def _rewrite_kernel_atomics(body: ast.Stmt, red_scalar: Optional[str]):
-        """atomicAdd -> `#pragma omp atomic` or reduction accumulation."""
-        used_reduction = False
+    def _rewrite_kernel_atomics(
+        body: ast.Stmt, red_scalars: List[str]
+    ) -> Tuple[ast.Block, Set[str]]:
+        """atomicAdd -> `#pragma omp atomic`, or accumulation into one of
+        ``red_scalars``; also returns the scalars accumulated into."""
+        accumulators = {"__red__" + name: name for name in red_scalars}
+        used: Set[str] = set()
 
         def rewrite(s: ast.Stmt) -> Optional[ast.Stmt]:
-            nonlocal used_reduction
             if not (isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call) and (
                 s.expr.callee in ("atomicAdd", "atomicSub")
             )):
@@ -1439,11 +1395,11 @@ class _Cuda2Omp:
                 tgt.operand, ast.Index
             )):
                 raise TranspileError("unsupported atomic target in kernel")
-            if red_scalar is not None and isinstance(tgt.operand.base, ast.Ident) and (
-                tgt.operand.base.name == "__red__" + red_scalar
-            ):
-                used_reduction = True
-                return _expr_stmt(ast.Assign(op=op, target=_ident(red_scalar), value=val))
+            base = tgt.operand.base
+            scalar = accumulators.get(base.name) if isinstance(base, ast.Ident) else None
+            if scalar is not None:
+                used.add(scalar)
+                return _expr_stmt(ast.Assign(op=op, target=_ident(scalar), value=val))
             return ast.Pragma(
                 pragma=ast.OmpPragma(directive="atomic"),
                 body=_expr_stmt(ast.Assign(
@@ -1451,8 +1407,7 @@ class _Cuda2Omp:
                 )),
             )
 
-        block = _rewrite_stmts(body, rewrite)
-        return block, used_reduction
+        return _rewrite_stmts(body, rewrite), used
 
 
 # =====================================================================

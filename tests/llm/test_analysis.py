@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.llm.analysis import (
     collect_identifiers,
     declared_names,
@@ -65,6 +67,29 @@ class TestPointerAccessKinds:
         acc = pointer_access_kinds(body)
         assert acc["a"].read
         assert acc["idx"].read and not acc["idx"].written
+
+
+#: Statement -> the (read, written) pair ``pointer_access_kinds`` gives each
+#: pointer it classifies.
+ACCESS_KINDS = {
+    "a2[i][j] = v;": {"a2": (True, True)},
+    "a[i] += v;": {"a": (True, True)},
+    "a[i]++;": {"a": (True, True)},
+    "atomicAdd(&h[k], 1);": {"h": (True, True)},
+    "x = a[b[i]];": {"a": (True, False), "b": (True, False)},
+    "*p = v;": {},
+}
+
+
+@pytest.mark.parametrize("stmt", list(ACCESS_KINDS))
+def test_access_kinds(stmt):
+    body = body_of(
+        "__global__ void f(float** a2, float* a, int* b, int* h, float* p, "
+        "int i, int j, int k, float v) { float x; " + stmt + " }",
+        Dialect.CUDA,
+    )
+    acc = pointer_access_kinds(body)
+    assert {name: (a.read, a.written) for name, a in acc.items()} == ACCESS_KINDS[stmt]
 
 
 class TestSubstitute:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hecbench import all_apps, get_app
+from repro.llm import transpiler
 from repro.llm.transpiler import TranspileError, TranspileOptions, Transpiler
 from repro.minilang.source import Dialect
 from repro.toolchain import Executor, compiler_for
@@ -183,11 +184,14 @@ def test_offloaded_loop_forms(form):
             tr.translate(src, Dialect.OMP, Dialect.CUDA)
 
 
-# -- updates in unbraced and ``else if`` arms ---------------------------------
+# -- shapes the pin's corpus lacks ----------------------------------------------
 #
 # Reduction updates, OpenMP atomics and CUDA atomics are rewritten wherever
 # they sit in the offloaded body: in an arm without braces or in an
-# ``else if`` arm as well as in a braced block.
+# ``else if`` arm as well as in a braced block.  Launches and ``target``
+# loops are translated inside a host ``if`` arm; a reduction's result can be
+# read anywhere on the host, beside other one-cell host buffers; and one
+# kernel may accumulate into several one-cell buffers.
 
 _REDUCTION_HEAD = """int main() {
   int n = 16;
@@ -206,6 +210,45 @@ _REDUCTION_TAIL = """  }
   return 0;
 }
 """
+
+
+def _sum_source(printed, before="", after="", freed=""):
+    """A CUDA sum of eight 1.5s into the one-cell buffer ``d_res``, copied
+    back into ``h_res``.  ``printed`` is printf's argument list; ``before``
+    runs ahead of the device phase, ``after`` follows the copy-back and
+    ``freed`` frees what ``before`` allocates."""
+    return f"""\
+__global__ void sum(float* a, float* res, int n) {{
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) {{
+    atomicAdd(&res[0], a[i]);
+  }}
+}}
+
+int main() {{
+  int n = 8;
+  float* a = (float*)malloc(n * sizeof(float));
+  for (int i = 0; i < n; i++) {{
+    a[i] = 1.5f;
+  }}
+{before}  float* h_res = (float*)malloc(sizeof(float));
+  float* d_a;
+  float* d_res;
+  cudaMalloc(&d_a, n * sizeof(float));
+  cudaMalloc(&d_res, sizeof(float));
+  cudaMemcpy(d_a, a, n * sizeof(float), cudaMemcpyHostToDevice);
+  cudaMemset(d_res, 0, sizeof(float));
+  sum<<<1, 32>>>(d_a, d_res, n);
+  cudaMemcpy(h_res, d_res, sizeof(float), cudaMemcpyDeviceToHost);
+{after}  printf({printed});
+  cudaFree(d_a);
+  cudaFree(d_res);
+  free(a);
+{freed}  free(h_res);
+  return 0;
+}}
+"""
+
 
 ARM_SOURCES = {
     "reduction in an unbraced arm": (
@@ -257,6 +300,95 @@ int main() {
   return 0;
 }
 """),
+    "launch in an if arm": (Dialect.CUDA, """\
+__global__ void fill(float* a, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) {
+    a[i] = 2.0f;
+  }
+}
+
+int main() {
+  int n = 8;
+  float* h = (float*)malloc(n * sizeof(float));
+  float* d;
+  cudaMalloc(&d, n * sizeof(float));
+  if (n > 4) {
+    fill<<<1, 32>>>(d, n);
+  }
+  cudaMemcpy(h, d, n * sizeof(float), cudaMemcpyDeviceToHost);
+  printf("%.1f\\n", h[n - 1]);
+  cudaFree(d);
+  free(h);
+  return 0;
+}
+"""),
+    "target loop in an if arm": (Dialect.OMP, """\
+int main() {
+  int n = 8;
+  float* a = (float*)malloc(n * sizeof(float));
+  #pragma omp target teams distribute parallel for map(from: a[0:n])
+  for (int i = 0; i < n; i++) {
+    a[i] = 1.0f;
+  }
+  if (n > 4) {
+    #pragma omp target teams distribute parallel for map(tofrom: a[0:n])
+    for (int i = 0; i < n; i++) {
+      a[i] = a[i] * 2.0f;
+    }
+  }
+  printf("%.1f\\n", a[n - 1]);
+  free(a);
+  return 0;
+}
+"""),
+    "reduction result read into a declaration": (Dialect.CUDA, _sum_source(
+        '"%.1f\\n", total', after="  float total = h_res[0];\n",
+    )),
+    "one-cell host buffer beside a reduction": (Dialect.CUDA, _sum_source(
+        '"%.1f %d\\n", h_res[0], count[0]',
+        before="  int* count = (int*)malloc(sizeof(int));\n  count[0] = n;\n",
+        freed="  free(count);\n",
+    )),
+    "two accumulators in one kernel": (Dialect.CUDA, """\
+__global__ void moments(float* a, float* s, float* q, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) {
+    atomicAdd(&s[0], a[i]);
+    atomicAdd(&q[0], a[i] * a[i]);
+  }
+}
+
+int main() {
+  int n = 8;
+  float* a = (float*)malloc(n * sizeof(float));
+  for (int i = 0; i < n; i++) {
+    a[i] = (float)(i + 1);
+  }
+  float* h_s = (float*)malloc(sizeof(float));
+  float* h_q = (float*)malloc(sizeof(float));
+  float* d_a;
+  float* d_s;
+  float* d_q;
+  cudaMalloc(&d_a, n * sizeof(float));
+  cudaMalloc(&d_s, sizeof(float));
+  cudaMalloc(&d_q, sizeof(float));
+  cudaMemcpy(d_a, a, n * sizeof(float), cudaMemcpyHostToDevice);
+  cudaMemset(d_s, 0, sizeof(float));
+  cudaMemset(d_q, 0, sizeof(float));
+  moments<<<1, 32>>>(d_a, d_s, d_q, n);
+  cudaMemcpy(h_s, d_s, sizeof(float), cudaMemcpyDeviceToHost);
+  cudaMemcpy(h_q, d_q, sizeof(float), cudaMemcpyDeviceToHost);
+  printf("%.1f %.1f\\n", h_s[0], h_q[0]);
+  cudaFree(d_a);
+  cudaFree(d_s);
+  cudaFree(d_q);
+  free(a);
+  free(h_s);
+  free(h_q);
+  return 0;
+}
+"""),
 }
 
 
@@ -268,12 +400,61 @@ def _stdout(code, dialect):
     return run.stdout
 
 
+@pytest.mark.parametrize("use_data_region", [True, False])
 @pytest.mark.parametrize("case,privatize", [(case, False) for case in ARM_SOURCES] + [
     ("atomicAdd in an unbraced arm", True),
 ])
-def test_updates_in_every_arm_are_translated(case, privatize):
+def test_updates_in_every_arm_are_translated(case, privatize, use_data_region):
     src_d, src = ARM_SOURCES[case]
     tgt_d = Dialect.CUDA if src_d is Dialect.OMP else Dialect.OMP
-    tr = Transpiler(TranspileOptions(privatize_atomics=privatize))
+    tr = Transpiler(TranspileOptions(
+        privatize_atomics=privatize, use_data_region=use_data_region,
+    ))
     code = tr.translate(src, src_d, tgt_d)
     assert _stdout(code, tgt_d) == _stdout(src, src_d)
+
+
+_NESTED_LAUNCHES = """\
+__global__ void bump(float* a, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) {
+    a[i] = a[i] + 1.0f;
+  }
+}
+
+int main() {
+  int n = 8;
+  float* a = (float*)malloc(n * sizeof(float));
+  float* d_a;
+  cudaMalloc(&d_a, n * sizeof(float));
+  cudaMemset(d_a, 0, n * sizeof(float));
+  for (int r = 0; r < 2; r++) {
+    for (int s = 0; s < 3; s++) {
+      if (s != r) {
+        bump<<<1, 32>>>(d_a, n);
+      }
+    }
+  }
+  cudaMemcpy(a, d_a, n * sizeof(float), cudaMemcpyDeviceToHost);
+  printf("%.1f\\n", a[0]);
+  cudaFree(d_a);
+  free(a);
+  return 0;
+}
+"""
+
+
+def test_each_kernel_is_classified_once(monkeypatch):
+    """A launch nested in loops is analysed once, not once per enclosing
+    statement."""
+    classified = []
+    real = transpiler.pointer_access_kinds
+
+    def counting(node):
+        classified.append(node)
+        return real(node)
+
+    monkeypatch.setattr(transpiler, "pointer_access_kinds", counting)
+    code = Transpiler().translate(_NESTED_LAUNCHES, Dialect.CUDA, Dialect.OMP)
+    assert len(classified) == 1
+    assert _stdout(code, Dialect.OMP) == _stdout(_NESTED_LAUNCHES, Dialect.CUDA)
