@@ -61,13 +61,13 @@ class Elem(NamedTuple):
 class AccessEmitter:
     """Pointer access emission, mixed into the statement emitter."""
 
-    def hoist(self, names: List[str]) -> Tuple[Dict[str, Hoisted], List[str]]:
-        """Resolve the pointer locals ``names`` for a launch: their records
-        and the lines, run once per launch, that resolve them."""
-        hoisted: Dict[str, Hoisted] = {}
+    def hoist(self, pointers: List[ast.Symbol]) -> Tuple[Dict[ast.Symbol, Hoisted], List[str]]:
+        """Resolve the pointer locals ``pointers`` for a launch: their
+        records and the lines, run once per launch, that resolve them."""
+        hoisted: Dict[ast.Symbol, Hoisted] = {}
         lines = []
-        for name in names:
-            h = hoisted[name] = Hoisted(self.local(name), *(self.tmp() for _ in range(7)))
+        for sym in pointers:
+            h = hoisted[sym] = Hoisted(self.local(sym), *(self.tmp() for _ in range(7)))
             lines.append(f"{h.cells}, {h.off}, {h.n}, {h.eb}, {h.is_float} = _view({h.ptr})")
         if hoisted:
             counts = [t for h in hoisted.values() for t in (h.loads, h.stores)]
@@ -104,7 +104,7 @@ class AccessEmitter:
         must fault before ``exprs`` (an index, then an atomic's operands)
         can, as it did when each access tested it: keep that test unless
         they are pure and the index an integer."""
-        h = self.hoisted.get(base.name) if isinstance(base, ast.Ident) else None
+        h = self.hoisted.get(base.symbol) if isinstance(base, ast.Ident) else None
         if h is not None and not (
             self.is_int(exprs[0]) and all(self.pure(e) for e in exprs)
         ):

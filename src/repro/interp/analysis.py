@@ -1,29 +1,26 @@
 """Static facts about a guest program, for the code generator.
 
-Expression types come from semantic analysis (:func:`expr_type` reads what
-:mod:`repro.minilang.semantics` left on each node).  On top of them
-:class:`ProgramFacts` decides whether a pointer could reach an arithmetic
-slot (the guard on typed code) and finds the locals that always hold a
-Python ``int`` or ``float``, and :class:`BodyFacts` says, for each function
-and each ``target`` loop body, which names it writes or dereferences and
-whether it can free or remap a buffer (the gate on hoisting pointer
-resolution out of a launch).  The loop-nest helpers read OpenMP loop nests
-the way the ``target`` loop schedule executes them.
+Expression types and variables come from semantic analysis (:func:`expr_type`
+reads a node's type, ``Ident.symbol`` the declaration a name is bound to).
+On top of them :class:`ProgramFacts` decides whether a pointer could reach
+an arithmetic slot (the guard on typed code) and finds the variables that
+always hold a Python ``int`` or ``float``, and :class:`BodyFacts` says, for
+each function and each ``target`` loop body, which variables it writes or
+dereferences and whether it can free or remap a buffer (the gate on hoisting
+pointer resolution out of a launch).  These sets hold symbols, not names.
+The loop-nest helpers read OpenMP loop nests the way the ``target`` loop
+schedule executes them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.minilang import ast
 from repro.minilang import types as ty
 from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS
-from repro.minilang.semantics import (
-    canonical,
-    collect_local_types,
-    expr_type,
-    sole_inner_for,
-)
+from repro.minilang.semantics import canonical, expr_type, sole_inner_for
 from repro.minilang.source import Dialect
 
 #: Math builtins whose result is not always a Python float.
@@ -54,39 +51,39 @@ _FREES = ("free", "cudaFree")
 
 
 class BodyFacts(NamedTuple):
-    """What one function or ``target`` loop body does to names and buffers."""
+    """What one function or ``target`` loop body does to variables and buffers."""
 
-    #: names it takes the address of (``&name``)
-    addressed: FrozenSet[str]
-    #: names it assigns, steps or declares, and the addressed ones
-    written: FrozenSet[str]
-    #: names it indexes or dereferences
-    accessed: FrozenSet[str]
+    #: variables it takes the address of (``&name``)
+    addressed: FrozenSet[ast.Symbol]
+    #: variables it assigns, steps or declares, and the addressed ones
+    written: FrozenSet[ast.Symbol]
+    #: variables it indexes or dereferences
+    accessed: FrozenSet[ast.Symbol]
     #: nothing in it (a call of ``free``, ``cudaFree`` or a user function,
     #: a launch, a map clause) can free or remap a buffer
     stable: bool
 
 
 def body_facts(stmts: List[ast.Stmt], exprs: List[ast.Expr], functions) -> BodyFacts:
-    addressed: Set[str] = set()
-    written = {s.name for s in stmts if type(s) is ast.VarDecl}
-    accessed: Set[str] = set()
+    addressed: Set[ast.Symbol] = set()
+    written = {s.symbol for s in stmts if type(s) is ast.VarDecl}
+    accessed: Set[ast.Symbol] = set()
     stable = not any(type(s) is ast.Pragma and s.pragma.maps for s in stmts)
     for e in exprs:
         t = type(e)
         if t is ast.Assign:
             if type(e.target) is ast.Ident:
-                written.add(e.target.name)
+                written.add(e.target.symbol)
         elif (t is ast.Unary or t is ast.Postfix) and type(e.operand) is ast.Ident:
             if e.op == "&":
-                addressed.add(e.operand.name)
+                addressed.add(e.operand.symbol)
             elif e.op == "*":
-                accessed.add(e.operand.name)
+                accessed.add(e.operand.symbol)
             elif e.op in ("++", "--"):
-                written.add(e.operand.name)
+                written.add(e.operand.symbol)
         elif t is ast.Index:
             if type(e.base) is ast.Ident:
-                accessed.add(e.base.name)
+                accessed.add(e.base.symbol)
         elif t is ast.Launch or t is ast.Call and (
             e.callee in _FREES or e.callee in functions
         ):
@@ -105,16 +102,7 @@ class ProgramFacts:
             prev = self.functions.get(fn.name)
             if prev is None or fn.body.stmts:
                 self.functions[fn.name] = fn
-        self.global_types: Dict[str, ty.Type] = {}
-        self.global_decls: List[ast.VarDecl] = []
-        for gv in program.globals:
-            decl = gv.decl
-            t = decl.type.pointer_to() if decl.array_size is not None else decl.type
-            self.global_types[decl.name] = t
-            self.global_decls.append(decl)
-        self.local_types = {
-            name: collect_local_types(fn) for name, fn in self.functions.items()
-        }
+        self.global_decls: List[ast.VarDecl] = [gv.decl for gv in program.globals]
         #: every statement / expression of each function, walked once
         self.stmts = {
             name: list(ast.walk_stmts(fn.body)) for name, fn in self.functions.items()
@@ -137,9 +125,12 @@ class ProgramFacts:
                             list(ast.walk_stmts(s.body)), ast.walk_exprs(s.body),
                             self.functions,
                         )
+        #: the variables some function takes the address of
+        self.addressed = frozenset().union(*(f.addressed for f in self.bodies.values()))
         self.typed = self._typed()
-        self.int_clean: Dict[str, Set[str]] = {}
-        self.float_clean: Dict[str, Set[str]] = {}
+        #: variables that always hold a Python ``int`` / ``float``
+        self.int_clean: Set[ast.Symbol] = set()
+        self.float_clean: Set[ast.Symbol] = set()
         if self.typed:
             self._clean_sets()
 
@@ -216,90 +207,74 @@ class ProgramFacts:
 
     # -- provably-int / provably-float variables ----------------------------
     def _clean_sets(self) -> None:
-        """Integer locals that always hold a Python int, real locals that
-        always hold a Python float (optimistic fixpoint per function)."""
-        for name, fn in self.functions.items():
-            types = self.local_types[name]
-            excluded = self.bodies[name].addressed | reduction_names(self.stmts[name])
-            ints = {n for n, t in types.items() if t.is_integer} - excluded
-            reals = {n for n, t in types.items() if t.is_real} - excluded
-            reals -= {p.name for p in fn.params}
-            if fn.is_kernel:
-                ints -= {p.name for p in fn.params if p.type.is_integer}
-            self.int_clean[name] = ints
-            self.float_clean[name] = reals
+        """Integer variables that always hold a Python int, real locals that
+        always hold a Python float (optimistic fixpoint)."""
+        ints, reals = self.int_clean, self.float_clean
+        stmts = list(chain.from_iterable(self.stmts.values()))
+        # A real parameter may be passed an int; a kernel's integer
+        # parameter is clean when every launch passes an int (below).
+        local = [s.symbol for s in stmts if type(s) is ast.VarDecl] + [
+            p.symbol for fn in self.functions.values() if not fn.is_kernel
+            for p in fn.params if p.name and p.type.is_integer
+        ]
+        excluded = self.addressed.union(*(
+            s.pragma.reduction.symbols for s in stmts
+            if type(s) is ast.Pragma and s.pragma.reduction is not None
+        ))
+        ints.update(v for v in local if v.type.is_integer and v not in excluded)
+        reals.update(v for v in local if v.type.is_real and v not in excluded)
         # Globals: only writes through '&' escape the truncating stores.
-        taken: Set[str] = set()
-        for facts in self.bodies.values():
-            taken |= facts.addressed
-        self.int_clean[""] = {
-            n for n, t in self.global_types.items() if t.is_integer
-        } - taken
-        self.float_clean[""] = set()
-        changed = True
-        while changed:
-            changed = False
-            for name, fn in self.functions.items():
-                changed |= self._refine(name, fn)
-        # Kernel integer params: clean when every launch passes an int.
+        ints.update(d.symbol for d in self.global_decls
+                    if d.symbol.type.is_integer and d.symbol not in self.addressed)
+        while self._refine(stmts):
+            pass
         for name, fn in self.functions.items():
-            if not fn.is_kernel:
-                continue
-            for i, p in enumerate(fn.params):
-                if p.type.is_integer and p.name and self._launch_args_int(name, i):
-                    self.int_clean[name].add(p.name)
+            if fn.is_kernel:
+                ints.update(p.symbol for i, p in enumerate(fn.params) if p.name
+                            and p.type.is_integer and self._launch_args_int(name, i))
 
-    def _refine(self, name: str, fn: ast.FuncDef) -> bool:
-        types = self.local_types[name]
-        ints, reals = self.int_clean[name], self.float_clean[name]
+    def _refine(self, stmts: List[ast.Stmt]) -> bool:
+        ints, reals = self.int_clean, self.float_clean
         before = (len(ints), len(reals))
-        for s in self.stmts[name]:
+        for s in stmts:
             if self.dialect is not Dialect.CUDA and is_target_loop(s):
                 for var, start in nest_starts(s.body, s.pragma.collapse):
-                    if not self.is_int(start, name, types):
+                    if not self.is_int(start):
                         ints.discard(var)
                     reals.discard(var)
-            if isinstance(s, ast.VarDecl) and s.name in reals:
-                if s.array_size is not None or s.init is None or not (
-                    self.is_float(s.init, name, types)
-                ):
-                    if not (s.init is None and s.array_size is None and s.type.is_real):
-                        reals.discard(s.name)
-        for e in self.exprs[name]:
-            if isinstance(e, ast.Assign) and isinstance(e.target, ast.Ident):
-                tname = e.target.name
-                if tname in reals and tname in types:
-                    if e.op == "=":
-                        ok = self.is_float(e.value, name, types)
-                    elif e.op in ("+=", "-=", "*=", "/="):
-                        t = expr_type(e.value)
-                        ok = t is not None and t.is_numeric
-                    else:
-                        ok = False
-                    if not ok:
-                        reals.discard(tname)
+            # (a real local is a scalar: arrays have pointer type)
+            if isinstance(s, ast.VarDecl) and s.symbol in reals and s.init is not None and (
+                not self.is_float(s.init)
+            ):
+                reals.discard(s.symbol)
+        for e in chain.from_iterable(self.exprs.values()):
+            if isinstance(e, ast.Assign) and isinstance(e.target, ast.Ident) and (
+                e.target.symbol in reals
+            ):
+                if e.op == "=":
+                    ok = self.is_float(e.value)
+                elif e.op in ("+=", "-=", "*=", "/="):
+                    t = expr_type(e.value)
+                    ok = t is not None and t.is_numeric
+                else:
+                    ok = False
+                if not ok:
+                    reals.discard(e.target.symbol)
         return before != (len(ints), len(reals))
 
     def _launch_args_int(self, kernel: str, index: int) -> bool:
         found = False
-        for name in self.functions:
-            types = self.local_types[name]
-            for e in self.exprs[name]:
-                if isinstance(e, ast.Launch) and e.kernel == kernel:
-                    found = True
-                    if index >= len(e.args) or not self.is_int(e.args[index], name, types):
-                        return False
+        for e in chain.from_iterable(self.exprs.values()):
+            if isinstance(e, ast.Launch) and e.kernel == kernel:
+                found = True
+                if index >= len(e.args) or not self.is_int(e.args[index]):
+                    return False
         return found
 
     def contains(self, fname: str, kind) -> bool:
         return any(isinstance(s, kind) for s in self.stmts[fname])
 
-    def _var_clean(self, table, fname: str, name: str, types) -> bool:
-        if name in types:
-            return name in table.get(fname, ())
-        return name in self.global_types and name in table.get("", ())
-
-    def is_int(self, e: ast.Expr, fname: str, types) -> bool:
+    def is_int(self, e: ast.Expr) -> bool:
         """Is ``e``'s run-time value always a Python ``int``?"""
         if isinstance(e, ast.Binary) and e.op in (
             "&&", "||", "==", "!=", "<", ">", "<=", ">=", "&", "|", "^", "<<", ">>"
@@ -312,39 +287,39 @@ class ProgramFacts:
         if isinstance(e, (ast.IntLit, ast.CharLit, ast.BoolLit, ast.SizeOf, ast.Member)):
             return True
         if isinstance(e, ast.Ident):
-            if e.name in types or e.name in self.global_types:
-                return self._var_clean(self.int_clean, fname, e.name, types)
+            if e.symbol is not None:
+                return e.symbol in self.int_clean
             if e.name in CONSTANTS:
                 return isinstance(CONSTANTS[e.name][0], int)
             return e.name in GEOMETRY_BUILTINS
         if isinstance(e, ast.Unary):
             if e.op in ("-", "~"):
-                return self.is_int(e.operand, fname, types)
+                return self.is_int(e.operand)
             if e.op in ("++", "--"):
-                return self.is_int(e.operand, fname, types)
+                return self.is_int(e.operand)
             if e.op == "*":
                 t = expr_type(e)
                 return t is not None and t.is_integer
             return False
         if isinstance(e, ast.Postfix):
-            return self.is_int(e.operand, fname, types)
+            return self.is_int(e.operand)
         if isinstance(e, ast.Binary):
             if e.op in ("+", "-", "*", "/", "%"):
-                return self.is_int(e.left, fname, types) and self.is_int(e.right, fname, types)
+                return self.is_int(e.left) and self.is_int(e.right)
             return False
         if isinstance(e, ast.Assign):
             t = expr_type(e.target)
             if isinstance(e.target, ast.Ident):
                 return t is not None and t.is_integer
-            return e.op == "=" and self.is_int(e.value, fname, types)
+            return e.op == "=" and self.is_int(e.value)
         if isinstance(e, ast.Ternary):
-            return self.is_int(e.then, fname, types) and self.is_int(e.other, fname, types)
+            return self.is_int(e.then) and self.is_int(e.other)
         if isinstance(e, ast.Call):
             fn = self.functions.get(e.callee)
             if fn is not None:
                 return fn.return_type.is_integer
             if e.callee in ("abs", "min", "max"):
-                return all(self.is_int(a, fname, types) for a in e.args)
+                return all(self.is_int(a) for a in e.args)
             return e.callee in ("rand", "atoi", "printf", "fprintf") or (
                 e.callee in OMP_CONSTANT and e.callee != "omp_set_num_threads"
             )
@@ -355,15 +330,15 @@ class ProgramFacts:
             return e.type.is_integer
         return False
 
-    def is_float(self, e: ast.Expr, fname: str, types) -> bool:
+    def is_float(self, e: ast.Expr) -> bool:
         """Is ``e``'s run-time value always a Python ``float``?"""
         if not self.typed:
             return False
         if isinstance(e, ast.FloatLit):
             return True
         if isinstance(e, ast.Ident):
-            if e.name in types:
-                return self._var_clean(self.float_clean, fname, e.name, types)
+            if e.symbol is not None:
+                return e.symbol in self.float_clean
             return e.name in CONSTANTS and isinstance(CONSTANTS[e.name][0], float)
         if isinstance(e, ast.Cast):
             return e.type.is_real
@@ -371,12 +346,12 @@ class ProgramFacts:
             t = expr_type(e)
             return t is not None and t.is_real
         if isinstance(e, ast.Unary) and e.op == "-":
-            return self.is_float(e.operand, fname, types)
+            return self.is_float(e.operand)
         if isinstance(e, ast.Binary) and e.op in ("+", "-", "*", "/"):
             a, b = expr_type(e.left), expr_type(e.right)
             if a is None or b is None or not (a.is_numeric and b.is_numeric):
                 return False
-            return self.is_float(e.left, fname, types) or self.is_float(e.right, fname, types)
+            return self.is_float(e.left) or self.is_float(e.right)
         if isinstance(e, ast.Call):
             b = BUILTINS.get(e.callee)
             return (
@@ -384,7 +359,7 @@ class ProgramFacts:
                 and e.callee not in NON_FLOAT_MATH and len(e.args) in (1, 2)
             )
         if isinstance(e, ast.Ternary):
-            return self.is_float(e.then, fname, types) and self.is_float(e.other, fname, types)
+            return self.is_float(e.then) and self.is_float(e.other)
         return False
 
 
@@ -393,14 +368,6 @@ def is_target_loop(s: ast.Stmt) -> bool:
     return isinstance(s, ast.Pragma) and s.pragma.is_target and s.pragma.is_loop and (
         isinstance(s.body, ast.For)
     )
-
-
-def reduction_names(stmts: List[ast.Stmt]) -> Set[str]:
-    out: Set[str] = set()
-    for s in stmts:
-        if isinstance(s, ast.Pragma) and s.pragma.reduction is not None:
-            out.update(s.pragma.reduction.names)
-    return out
 
 
 def nest_levels(loop: ast.For, collapse: int) -> List[Tuple]:
@@ -420,5 +387,12 @@ def nest_levels(loop: ast.For, collapse: int) -> List[Tuple]:
     return levels
 
 
+def loop_symbol(loop: ast.For) -> Optional[ast.Symbol]:
+    """The variable a canonical loop's initialiser sets."""
+    init = loop.init
+    return init.symbol if isinstance(init, ast.VarDecl) else init.expr.target.symbol
+
+
 def nest_starts(loop: ast.For, collapse: int):
-    return [(parts[0], parts[1]) for _, parts in nest_levels(loop, collapse)]
+    """(variable, start) of each canonical level of a nest."""
+    return [(loop_symbol(level), parts[1]) for level, parts in nest_levels(loop, collapse)]

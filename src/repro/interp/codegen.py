@@ -3,8 +3,10 @@
 The emitter writes one Python function per guest function, one launcher
 per kernel (its thread loop included) and inlines every OpenMP region
 into the function that holds it, then builds the module with
-``compile()``.  Guest locals are Python locals, so executing a statement
-costs the bytecodes it needs rather than one Python call per AST node.
+``compile()``.  Each guest local declaration is one Python local, so
+executing a statement costs the bytecodes it needs rather than one Python
+call per AST node: ``v_<name>``, or ``v_<depth>_<name>`` for one that hides
+a same-named local (``Symbol.depth``; no C name starts with a digit).
 
 The generated code is a factory, ``bind(runner)``: the module is compiled
 once per program and dialect (:meth:`ProgramCode.of` keeps it on the
@@ -204,9 +206,6 @@ class _Emitter(AccessEmitter, RegionEmitter):
         self.prog = mod.prog
         self.fname = fname
         self.fn = fn
-        self.types = self.prog.local_types.get(fname, {})
-        self.addr = (self.prog.bodies[fname].addressed & set(self.types)
-                     if fname in self.prog.functions else set())
         self.lines: List[str] = []
         self.ind = indent
         self.ntemp = 0
@@ -226,7 +225,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
         self.nonnull: Set[str] = set()
         self.last_access: Optional[Elem] = None
         #: guest pointer -> its launch-resolved temps (kernels, target loops)
-        self.hoisted: Dict[str, Hoisted] = {}
+        self.hoisted: Dict[ast.Symbol, Hoisted] = {}
         #: hoisted access counts not yet added (counter temp -> amount)
         self.tally: Dict[str, int] = {}
         #: the local that holds the step budget in a launch (None: ``ctx``)
@@ -372,18 +371,18 @@ class _Emitter(AccessEmitter, RegionEmitter):
         return self.prog.typed and t is not None and t.is_pointer
 
     def is_int(self, e: ast.Expr) -> bool:
-        return self.prog.is_int(e, self.fname, self.types)
+        return self.prog.is_int(e)
 
     def is_float(self, e: ast.Expr) -> bool:
-        return self.prog.is_float(e, self.fname, self.types)
+        return self.prog.is_float(e)
 
-    def local(self, name: str) -> Optional[str]:
-        """Python lvalue of a guest variable (None: an unknown name)."""
-        if name in self.types:
-            return f"E[{name!r}]" if name in self.addr else f"v_{name}"
-        if name in self.prog.global_types:
-            return f"G[{name!r}]"
-        return None
+    def local(self, sym: Optional[ast.Symbol]) -> Optional[str]:
+        """Python lvalue of a guest variable (None: not a variable)."""
+        if sym is None:
+            return None
+        if sym.is_global:
+            return f"G[{sym.name!r}]"
+        return f"E[{_key(sym)!r}]" if sym in self.prog.addressed else f"v_{_key(sym)}"
 
     def space_expr(self) -> str:
         if self.space == "dyn":
@@ -451,7 +450,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
 
     def ident(self, e: ast.Ident) -> str:
         name = e.name
-        lv = self.local(name)
+        lv = self.local(e.symbol)
         if lv is not None:
             return lv
         if name in CONSTANTS:
@@ -485,7 +484,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             isinstance(x, (ast.Assign, ast.Call, ast.Launch, ast.Postfix, ast.Index))
             or (isinstance(x, ast.Unary) and x.op in ("++", "--", "*"))
             or (isinstance(x, ast.Binary) and x.op in ("/", "%"))
-            or (isinstance(x, ast.Ident) and self.local(x.name) is None
+            or (isinstance(x, ast.Ident) and x.symbol is None
                 and x.name not in CONSTANTS and x.name not in GEOMETRY_BUILTINS)
             for x in ast.walk_exprs(e)
         )
@@ -512,10 +511,10 @@ class _Emitter(AccessEmitter, RegionEmitter):
 
     def address_of(self, operand: ast.Expr) -> str:
         if isinstance(operand, ast.Ident):
-            name = operand.name
-            if name in self.types:
-                return f"ScalarRef(E, {name!r})"
-            return f"ScalarRef(G, {name!r})"
+            sym = operand.symbol
+            if sym is None or sym.is_global:
+                return f"ScalarRef(G, {operand.name!r})"
+            return f"ScalarRef(E, {_key(sym)!r})"
         if isinstance(operand, ast.Index):
             return self.elem_ref(operand)
         if isinstance(operand, ast.Unary) and operand.op == "*":
@@ -674,11 +673,8 @@ class _Emitter(AccessEmitter, RegionEmitter):
     def assign(self, e: ast.Assign, want: bool) -> str:
         op, target = e.op, e.target
         if isinstance(target, ast.Ident):
-            name = target.name
-            t = self.types.get(name)
-            if t is None and name in self.prog.global_types:
-                t = self.prog.global_types[name]
-            lv = self.local(name) or f"v_{name}"
+            t = target.symbol and target.symbol.type
+            lv = self.local(target.symbol) or f"v_{target.name}"
             integer = t is not None and t.is_integer
             if op == "=":
                 v = self.value_for(t, e.value)
@@ -756,11 +752,8 @@ class _Emitter(AccessEmitter, RegionEmitter):
     def rmw(self, target: ast.Expr, delta: int, want: str) -> str:
         """``++``/``--``; ``want`` is old | new | none."""
         if isinstance(target, ast.Ident):
-            name = target.name
-            t = self.types.get(name)
-            if t is None and name in self.prog.global_types:
-                t = self.prog.global_types[name]
-            lv = self.local(name) or f"v_{name}"
+            t = target.symbol and target.symbol.type
+            lv = self.local(target.symbol) or f"v_{target.name}"
             self.pending += 1
             sign = "+" if delta > 0 else "-"
             if self.prog.typed and t is not None and t.is_numeric:
@@ -995,7 +988,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
     def vardecl(self, s: ast.VarDecl) -> None:
         if s.shared:
             return
-        lv = self.local(s.name) or f"v_{s.name}"
+        lv = self.local(s.symbol)
         if s.array_size is not None:
             n = self.expr(s.array_size)
             self.fault()
@@ -1160,6 +1153,11 @@ class _Emitter(AccessEmitter, RegionEmitter):
             self.lines.extend(line[4:] for line in inner)
 
 
+def _key(sym: ast.Symbol) -> str:
+    """A guest local's name in generated code (after ``v_``, or in ``E``)."""
+    return f"{sym.depth}_{sym.name}" if sym.depth else sym.name
+
+
 def _param_names(fn: ast.FuncDef) -> List[str]:
     """Python parameter names; unnamed or repeated guest params get dummies
     (a later guest param of the same name wins, as in a dict)."""
@@ -1297,11 +1295,11 @@ class ProgramCode:
         return self._wrap(header, prologue, em, "C")
 
     def _env(self, em: _Emitter, fn: ast.FuncDef, params: List[str]) -> List[str]:
-        if not em.addr:
+        if all(s is None or s.is_global for s in em.prog.bodies[em.fname].addressed):
             return []
         out = ["E = {}"]
         for p, py in zip(fn.params, params):
-            if p.name in em.addr and py == p.name:
+            if p.symbol in em.prog.addressed and py == p.name:
                 out.append(f"E[{p.name!r}] = v_{py}")
         return out
 
@@ -1339,7 +1337,7 @@ class ProgramCode:
                 prologue.append(unpack)
             prologue += self._env(em, fn, params)
             for i, decl in enumerate(self.shared[name]):
-                prologue.append(f"{em.local(decl.name) or 'v_' + decl.name} = shared[{i}]")
+                prologue.append(f"{em.local(decl.symbol)} = shared[{i}]")
             body = self._wrap(header, prologue, em, "C")
             sizes = self._shared_sizes(mod, name, fn)
             return body + "\n" + sizes
@@ -1350,11 +1348,11 @@ class ProgramCode:
         frame = Frame("thread")
         exprs = mod.prog.exprs[name]
         facts = mod.prog.bodies[name]
-        rebind = unpack and any(p.name in facts.written for p in fn.params)
+        rebind = unpack and any(p.symbol in facts.written for p in fn.params)
         em.hoisted, resolve = em.hoist([
-            p.name for p, py in zip(fn.params, params)
+            p.symbol for p, py in zip(fn.params, params)
             if facts.stable and p.type.is_pointer and py == p.name
-            and p.name in facts.accessed and p.name not in facts.written
+            and p.symbol in facts.accessed and p.symbol not in facts.written
         ])
         try:
             em.frames.append(Frame("func"))
@@ -1410,7 +1408,6 @@ class ProgramCode:
         header = "def init_globals():"
         fake = ast.FuncDef(ty.VOID, "<globals>", [], ast.Block())
         em = _Emitter(mod, "", fake, exact=True, space="host")
-        em.types = {}
         em.frames.append(Frame("func"))
         try:
             for decl in prog.global_decls:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.interp.analysis import is_target_loop, nest_levels
+from repro.interp.analysis import is_target_loop, loop_symbol, nest_levels
 from repro.minilang import ast
 from repro.minilang.source import Dialect
 
@@ -67,11 +67,9 @@ class RegionEmitter:
     def maps_enter(self, pragma: ast.OmpPragma) -> List[Tuple[str, ast.MapClause]]:
         entered = []
         for mc in pragma.maps:
-            t = self.types.get(mc.name) or self.prog.global_types.get(mc.name)
-            if t is None or not t.is_pointer:
+            if mc.symbol is None or not mc.symbol.type.is_pointer:
                 continue  # scalar maps are firstprivate-ish: no transfer cost
-            p = self.expr(ast.Ident(name=mc.name))
-            p = self.spill(p)
+            p = self.spill(self.local(mc.symbol))
             self.fault()
             self.emit(
                 f"if {p} is None: raise GuestRuntimeError(SEGV, "
@@ -194,10 +192,10 @@ class RegionEmitter:
         if red is None:
             return saved
         ident = self.mod.const(red.op, "R")
-        for rname in red.names:
-            if rname not in self.types:
+        for sym in red.symbols:
+            if sym is None or sym.is_global:
                 continue  # a non-local reduces into a slot nothing reads
-            lv = self.local(rname)
+            lv = self.local(sym)
             sv = self.tmp()
             self.emit(f"{sv} = {lv}")
             self.emit(f"{lv} = _IDENTITY[{ident}]")
@@ -215,11 +213,11 @@ class RegionEmitter:
         saved = self.reduction_enter(pragma)
         cnt = self.tmp()
         facts = self.prog.target_bodies[id(s)]
-        hoisted, resolve = self.hoist(sorted(
-            name for name in facts.accessed - facts.written
-            if facts.stable and name in self.types and name not in self.addr
-            and self.types[name].is_pointer
-        ))
+        hoisted, resolve = self.hoist(sorted((
+            sym for sym in facts.accessed - facts.written
+            if facts.stable and not sym.is_global and sym not in self.prog.addressed
+            and sym.type.is_pointer
+        ), key=self.local))
         for line in resolve:
             self.emit(line)
         own = self.budget is None
@@ -279,7 +277,7 @@ class RegionEmitter:
         self.level(levels, 0, cnt)
 
     def level(self, levels, depth: int, cnt: str) -> None:
-        loop, (var, start, cmp, bound, (sign, dexpr)) = levels[depth]
+        loop, (_var, start, cmp, bound, (sign, dexpr)) = levels[depth]
         n, bnd, d = self.tmp(), self.tmp(), self.tmp()
         self.emit(f"{n} = {self.expr(start)}")
         self.emit(f"{bnd} = {self.expr(bound)}")
@@ -289,7 +287,7 @@ class RegionEmitter:
             x = self.expr(dexpr)
             self.emit(f"{d} = {'' if sign > 0 else '-'}int({x})")
         self.flush()
-        lv = self.local(var) if var in self.types else None
+        lv = self.local(loop_symbol(loop))
         innermost = depth + 1 == len(levels)
 
         def advance():

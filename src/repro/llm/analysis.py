@@ -10,7 +10,8 @@ recursing on its own:
   the CUDA ``cudaMemcpy`` direction choices);
 * :func:`substitute` — capture-naive identifier substitution (adequate
   because generated kernels use fresh parameter names);
-* :func:`declared_names` — names declared within a statement.
+* :func:`declared_names` — names declared within a statement;
+* :func:`collect_local_types` — a function's variable types by name, scopes flattened.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Set
 
 from repro.minilang import ast
+from repro.minilang import types as ty
 
 
 def collect_identifiers(node) -> Set[str]:
@@ -126,4 +128,20 @@ def declared_names(node: ast.Stmt) -> Set[str]:
     for stmt in ast.walk_stmts(node):
         if isinstance(stmt, ast.VarDecl):
             out.add(stmt.name)
+    return out
+
+
+def collect_local_types(fn: ast.FuncDef) -> Dict[str, ty.Type]:
+    """Static name -> type map for a function (params + all declarations).
+
+    Scopes are flattened: a name declared again in an inner or sibling
+    block keeps its last declaration's type.
+    """
+    out: Dict[str, ty.Type] = {}
+    for p in fn.params:
+        if p.name:
+            out[p.name] = p.type
+    for s in ast.walk_stmts(fn.body):
+        if isinstance(s, ast.VarDecl):
+            out[s.name] = s.type.pointer_to() if s.array_size is not None else s.type
     return out

@@ -33,6 +33,7 @@ from repro.errors import ReproError
 from repro.llm.analysis import (
     AccessInfo,
     collect_identifiers,
+    collect_local_types,
     declared_names,
     pointer_access_kinds,
     substitute,
@@ -41,7 +42,7 @@ from repro.minilang import ast
 from repro.minilang import types as ty
 from repro.minilang.builtins import BUILTINS, CONSTANTS, GEOMETRY_BUILTINS
 from repro.minilang.codegen import CodegenStyle, generate
-from repro.minilang.semantics import canonical, collect_local_types, sole_inner_for
+from repro.minilang.semantics import canonical, sole_inner_for
 from repro.minilang.source import Dialect, SourceFile
 from repro.toolchain.compiler import parse_once
 

@@ -20,6 +20,17 @@ class Node:
     span: Span
 
 
+@dataclass(frozen=True, eq=False)
+class Symbol:
+    """A declared variable (global, parameter or local), equal only to
+    itself; ``depth`` counts the same-named locals of its function it hides."""
+
+    name: str
+    type: Type
+    depth: int
+    is_global: bool
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -73,6 +84,9 @@ class NullLit(Expr):
 @dataclass
 class Ident(Expr):
     name: str
+    #: the declaration analysis bound it to (None: not a variable); a field,
+    #: not a later attribute, so node dicts keep sharing their keys
+    symbol: Optional[Symbol] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -168,12 +182,14 @@ class MapClause:
     name: str
     lower: Optional[Expr] = None
     length: Optional[Expr] = None
+    symbol: Optional[Symbol] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class ReductionClause:
     op: str  # "+", "*", "max", "min"
     names: List[str] = field(default_factory=list)
+    symbols: List[Optional[Symbol]] = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass
@@ -243,6 +259,7 @@ class VarDecl(Stmt):
     array_size: Optional[Expr] = None
     shared: bool = False
     const: bool = False
+    symbol: Optional[Symbol] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -320,6 +337,7 @@ class Param(Node):
     name: str
     span: Span = UNKNOWN_SPAN
     restrict: bool = False
+    symbol: Optional[Symbol] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -475,7 +493,7 @@ def walk_exprs(node, clauses: bool = True) -> "list":
 
 
 #: Immutable values an AST holds; a clone shares them.
-_SHARED = frozenset({Span, Type, Dialect, str, int, float, bool, type(None)})
+_SHARED = frozenset({Span, Type, Dialect, Symbol, str, int, float, bool, type(None)})
 #: Mutable records an AST is built from; a clone copies them.
 _RECORDS = (Node, MapClause, ReductionClause)
 
@@ -486,9 +504,9 @@ def clone(value):
     Nodes and the clause records (:class:`MapClause`,
     :class:`ReductionClause`) are copied field by field, lists and dicts
     element by element, and the frozen leaves (spans, types, dialects,
-    strings, numbers, booleans and ``None``) are shared.  Any other type raises
-    :class:`TypeError`, so a mutable field type added later fails loudly
-    instead of being aliased between the copies.
+    symbols, strings, numbers, booleans and ``None``) are shared.  Any
+    other type raises :class:`TypeError`, so a mutable field type added
+    later fails loudly instead of being aliased between the copies.
     """
     cls = type(value)
     if cls in _SHARED:

@@ -1,4 +1,4 @@
-"""Semantic analysis: symbol resolution, type checking, dialect legality.
+"""Semantic analysis: name binding, type checking, dialect legality.
 
 The analyzer's product is a :class:`DiagnosticBag` whose rendered text is the
 "compiler stderr" that the LASSI pipeline feeds back to the LLM.  Messages are
@@ -6,15 +6,18 @@ worded to match the clang/nvcc phrasing that real LLMs are trained on (e.g.
 ``use of undeclared identifier 'foo'``), since the simulated LLM's repair
 matcher keys on them the way a real model attends to error tokens.
 
-Analysis is also the only typer of the language: it leaves each expression's
-type on the node (``Expr.static_type``, read with :func:`expr_type`), and the
-interpreter's code generator reads it from there.  The static facts at the
-end of the module (:func:`collect_local_types`, :func:`sole_inner_for`,
-:func:`canonical`) serve the code generator and the transpiler alike.
+Analysis is also the only name resolver and typer of the language: it gives
+each declaration one :class:`~repro.minilang.ast.Symbol`, binds every name
+(``Ident``, map and reduction clauses) to the symbol in scope there, and
+leaves each expression's type on the node (``Expr.static_type``, read with
+:func:`expr_type`); the interpreter's code generator reads both.  The loop
+helpers at the end (:func:`sole_inner_for`, :func:`canonical`) serve the
+code generator and the transpiler alike.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -27,10 +30,10 @@ from repro.minilang.source import Dialect, Span
 
 @dataclass
 class _Scope:
-    vars: Dict[str, ty.Type] = field(default_factory=dict)
+    vars: Dict[str, ast.Symbol] = field(default_factory=dict)
     parent: Optional["_Scope"] = None
 
-    def lookup(self, name: str) -> Optional[ty.Type]:
+    def lookup(self, name: str) -> Optional[ast.Symbol]:
         scope: Optional[_Scope] = self
         while scope is not None:
             if name in scope.vars:
@@ -38,10 +41,17 @@ class _Scope:
             scope = scope.parent
         return None
 
-    def declare(self, name: str, type_: ty.Type) -> bool:
-        if name in self.vars:
+    def declare(self, node, type_: ty.Type, is_global: bool = False) -> bool:
+        """Declare ``node``, a declaration or a parameter, here (False: already
+        declared in this scope).  It keeps the symbol an earlier analysis gave
+        it, so analysing again binds every use to the same object."""
+        if node.symbol is None:
+            hidden = self.lookup(node.name)
+            depth = hidden.depth + 1 if hidden is not None and not hidden.is_global else 0
+            node.symbol = ast.Symbol(node.name, type_, depth, is_global)
+        if node.name in self.vars:
             return False
-        self.vars[name] = type_
+        self.vars[node.name] = node.symbol
         return True
 
 
@@ -106,7 +116,7 @@ class Analyzer:
             ast.FuncDef(ty.VOID, "<global-init>", [], ast.Block()), in_device=False
         )
         var_type = self._declared_type(decl, scope, ctx)
-        if not scope.declare(decl.name, var_type):
+        if not scope.declare(decl, var_type, is_global=True):
             self.diagnostics.error(
                 "redefinition", f"redefinition of '{decl.name}'", gv.span
             )
@@ -137,14 +147,15 @@ class Analyzer:
             )
         scope = _Scope(parent=global_scope)
         for param in fn.params:
-            if param.name and not scope.declare(param.name, param.type):
+            if param.name and not scope.declare(param, param.type):
                 self.diagnostics.error(
                     "redefinition",
                     f"redefinition of parameter '{param.name}'",
                     param.span,
                 )
         ctx = _FunctionContext(fn, in_device=fn.qualifier in ("__global__", "__device__"))
-        self._check_stmt(fn.body, scope, ctx)
+        for s in fn.body.stmts:
+            self._check_stmt(s, scope, ctx)
         if (
             not fn.return_type.is_void
             and fn.name != "main"
@@ -250,7 +261,7 @@ class Analyzer:
                 "__shared__ variables are only allowed in device code",
                 decl.span,
             )
-        if not scope.declare(decl.name, var_type):
+        if not scope.declare(decl, var_type):
             self.diagnostics.error(
                 "redefinition", f"redefinition of '{decl.name}'", decl.span
             )
@@ -266,6 +277,11 @@ class Analyzer:
 
     def _check_pragma(self, stmt: ast.Pragma, scope: _Scope, ctx: _FunctionContext) -> None:
         pragma = stmt.pragma
+        for mc in pragma.maps:
+            mc.symbol = scope.lookup(mc.name)
+        red = pragma.reduction
+        if red is not None:
+            red.symbols = [scope.lookup(name) for name in red.names]
         if self.dialect is Dialect.CUDA:
             # nvcc without -fopenmp: pragma is ignored with a warning; the
             # attached statement still compiles (and will run serially).
@@ -284,7 +300,7 @@ class Analyzer:
                 stmt.span,
             )
         for mc in pragma.maps:
-            if scope.lookup(mc.name) is None:
+            if mc.symbol is None:
                 self.diagnostics.error(
                     "undeclared-ident",
                     f"use of undeclared identifier '{mc.name}' in map clause",
@@ -293,20 +309,19 @@ class Analyzer:
             for bound in (mc.lower, mc.length):
                 if bound is not None:
                     self._expr_type(bound, scope, ctx)
-        if pragma.reduction is not None:
-            for name in pragma.reduction.names:
-                rt = scope.lookup(name)
-                if rt is None:
+        if red is not None:
+            for name, sym in zip(red.names, red.symbols):
+                if sym is None:
                     self.diagnostics.error(
                         "undeclared-ident",
                         f"use of undeclared identifier '{name}' in reduction clause",
                         stmt.span,
                     )
-                elif rt.is_pointer:
+                elif sym.type.is_pointer:
                     self.diagnostics.error(
                         "reduction-pointer",
                         f"a reduction list item must be of scalar type, "
-                        f"'{name}' has type '{rt}'",
+                        f"'{name}' has type '{sym.type}'",
                         stmt.span,
                     )
         for expr in (pragma.num_threads, pragma.thread_limit, pragma.num_teams,
@@ -466,9 +481,9 @@ class Analyzer:
         self, expr: ast.Ident, scope: _Scope, ctx: _FunctionContext
     ) -> Optional[ty.Type]:
         name = expr.name
-        t = scope.lookup(name)
-        if t is not None:
-            return t
+        sym = expr.symbol = scope.lookup(name)
+        if sym is not None:
+            return sym.type
         if name in CONSTANTS:
             value, cuda_only = CONSTANTS[name]
             if cuda_only and self.dialect is not Dialect.CUDA:
@@ -837,9 +852,14 @@ class Analyzer:
         return ty.VOID
 
 
+#: The parse memo shares programs between threads: one analysis at a time.
+_ANALYSIS_LOCK = threading.Lock()
+
+
 def analyze(program: ast.Program, dialect: Dialect) -> AnalysisResult:
     """Run semantic analysis over ``program`` for the given dialect."""
-    return Analyzer(program, dialect).run()
+    with _ANALYSIS_LOCK:
+        return Analyzer(program, dialect).run()
 
 
 # ---------------------------------------------------------------------------
@@ -860,23 +880,6 @@ def expr_type(expr: ast.Expr) -> Optional[ty.Type]:
             f"{type(expr).__name__} at {expr.span} has no static type: "
             "semantic analysis never saw it"
         ) from None
-
-
-def collect_local_types(fn: ast.FuncDef) -> Dict[str, ty.Type]:
-    """Static name -> type map for a function (params + all declarations).
-
-    Scopes are flattened; the semantic analyzer has already validated scoping,
-    and redeclaration with a *different* type across sibling scopes is outside
-    the supported subset.
-    """
-    out: Dict[str, ty.Type] = {}
-    for p in fn.params:
-        if p.name:
-            out[p.name] = p.type
-    for s in ast.walk_stmts(fn.body):
-        if isinstance(s, ast.VarDecl):
-            out[s.name] = s.type.pointer_to() if s.array_size is not None else s.type
-    return out
 
 
 def sole_inner_for(body: ast.Stmt) -> Optional[ast.For]:

@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.minilang.source import Dialect, SourceFile
+
+# Property tests draw the same examples on every tier-1 run and carry no
+# wall-clock deadline; ``--hypothesis-profile=explore`` draws fresh random
+# examples under Hypothesis' default deadline (a CI step runs them so).
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("explore")
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -95,6 +95,50 @@ class TestKernelLaunch:
         )
         assert out.stdout == "t0\nt1\nt2\n"
 
+    def test_inner_declaration_hides_a_kernel_local_only_in_its_block(self):
+        out = run_cuda(
+            "__global__ void k(float* a) {\n"
+            "  int i = threadIdx.x;\n"
+            "  float v = a[i];\n"
+            "  { float v = 2.0f; a[i] = v; }\n"
+            "  a[i] = a[i] + v;\n"
+            "}\n"
+            "int main() {\n"
+            "  float h[4];\n"
+            "  for (int i = 0; i < 4; i++) { h[i] = 1.0f; }\n"
+            "  float* d;\n"
+            "  cudaMalloc(&d, 4 * sizeof(float));\n"
+            "  cudaMemcpy(d, h, 4 * sizeof(float), cudaMemcpyHostToDevice);\n"
+            "  k<<<1, 4>>>(d);\n"
+            "  cudaMemcpy(h, d, 4 * sizeof(float), cudaMemcpyDeviceToHost);\n"
+            '  printf("%.1f %.1f\\n", h[0], h[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert out.stdout == "3.0 3.0\n"
+
+    def test_inner_declaration_leaves_a_kernel_parameter_for_later_threads(self):
+        # Thread 0 declares its own NULL 'a'; every thread still writes
+        # through the parameter.
+        out = run_cuda(
+            "__global__ void k(float* a, int n) {\n"
+            "  int i = threadIdx.x;\n"
+            "  if (i == 0) { float* a = NULL; }\n"
+            "  if (i < n) { a[i] = 1.0f; }\n"
+            "}\n"
+            "int main() {\n"
+            "  float* d;\n"
+            "  cudaMalloc(&d, 4 * sizeof(float));\n"
+            "  k<<<1, 4>>>(d, 4);\n"
+            "  float h[4];\n"
+            "  cudaMemcpy(h, d, 4 * sizeof(float), cudaMemcpyDeviceToHost);\n"
+            '  printf("%.1f %.1f %.1f %.1f\\n", h[0], h[1], h[2], h[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert out.error is None
+        assert out.stdout == "1.0 1.0 1.0 1.0\n"
+
 
 class TestMemorySpaces:
     def test_host_deref_of_device_pointer_segfaults(self):

@@ -36,7 +36,7 @@ from repro.pipeline.stages.generate import extract_target_code
 from repro.prompts.builder import PromptBuilder
 from tests.interp.test_guest_cost_pin import PROGRAMS
 
-PINNED = "89b6c93e9bfedfb887f031a4e3af670ccc8dc3aa3e9c322f9d8e605a6d971278"
+PINNED = "d37eefc391f3575988d57ff86352eb426a16c52ed435ce11a176e82af10936bd"
 
 BUILDS = 225
 

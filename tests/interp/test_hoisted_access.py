@@ -534,7 +534,9 @@ def function_source(source: str, name: str) -> str:
     return source[start:] if end < 0 else source[start:end]
 
 
-#: Kernel statements that write ``a`` or take its address.
+#: Kernel statements that write ``a`` or take its address, and one that
+#: declares another ``a`` in an inner block: a declaration writes only the
+#: variable it declares, so the parameter stays hoisted.
 WRITES = {
     "assigns": "a = a + 1;",
     "increments": "a++;",
@@ -559,7 +561,7 @@ def test_kernel_pointer_is_hoisted_only_when_never_written(write, monkeypatch):
         "}\n"
     )
     kernel = function_source(generated(text, Dialect.CUDA, monkeypatch), "k_k")
-    if write is None:
+    if write in (None, "declares"):
         assert "_view(v_a)" in kernel and ".buf" not in kernel
     else:
         assert "_view(" not in kernel and ".buf" in kernel

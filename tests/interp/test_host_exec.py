@@ -168,6 +168,49 @@ class TestControlFlow:
         assert "timed out" in out.error
 
 
+class TestScopes:
+    """A declaration in an inner or sibling block is its own variable."""
+
+    def test_inner_declaration_hides_a_parameter_only_in_its_block(self):
+        out = run_source(
+            "int f(int n) { if (n > 0) { int n = 5; } return n; }\n"
+            'int main() { printf("%d\\n", f(9)); return 0; }'
+        )
+        assert out.stdout == "9\n"
+
+    def test_for_header_declaration_leaves_the_outer_variable(self):
+        out = run_source(
+            "int main() { int i = 7; for (int i = 0; i < 3; i++) {}\n"
+            'printf("%d\\n", i); return 0; }'
+        )
+        assert out.stdout == "7\n"
+
+    def test_inner_int_leaves_an_outer_float_of_the_same_name(self):
+        out = run_source(
+            "int main() { float x = 1.5f; { int x = 2; x = x + 1; }\n"
+            'printf("%f\\n", x); return 0; }'
+        )
+        assert out.stdout == "1.500000\n"
+
+    def test_local_hiding_a_global_leaves_the_global(self):
+        out = run_source(
+            "int g = 4;\n"
+            "int main() { { int g = 9; g = g + 1; }\n"
+            'printf("%d\\n", g); return 0; }'
+        )
+        assert out.stdout == "4\n"
+
+    def test_sibling_declarations_keep_their_own_types(self):
+        out = run_source(
+            "int main() {\n"
+            '  { int y = 0; y = 7.9f; y = y * 2; printf("%d\\n", y); }\n'
+            "  { float y = 1.0f; }\n"
+            "  return 0;\n"
+            "}"
+        )
+        assert out.stdout == "14\n"
+
+
 class TestMemory:
     def test_malloc_write_read(self):
         out = run_source(

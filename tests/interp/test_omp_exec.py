@@ -186,6 +186,34 @@ class TestTargetLoop:
         )
         assert out.stdout == "5\n"
 
+    def test_body_declaration_leaves_the_host_variable(self):
+        out = run_omp(
+            "int main() {\n"
+            "  int n = 4;\n"
+            "  float* a = (float*)malloc(n * sizeof(float));\n"
+            "  int t = 10;\n"
+            "#pragma omp target teams distribute parallel for map(from: a[0:n])\n"
+            "  for (int i = 0; i < n; i++) { int t = i; a[i] = t * 1.0f; }\n"
+            '  printf("%d %.1f\\n", t, a[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert out.stdout == "10 3.0\n"
+
+    def test_global_loop_variable_takes_each_iteration_value(self):
+        out = run_omp(
+            "int g;\n"
+            "int main() {\n"
+            "  int n = 4;\n"
+            "  float* a = (float*)malloc(n * sizeof(float));\n"
+            "#pragma omp target teams distribute parallel for map(from: a[0:n])\n"
+            "  for (g = 0; g < n; g++) { a[g] = g + 1.0f; }\n"
+            '  printf("%.1f %.1f\\n", a[0], a[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert out.stdout == "1.0 4.0\n"
+
 
 class TestTargetData:
     PROG = (

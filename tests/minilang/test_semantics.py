@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.minilang import analyze, parse
+from repro.minilang import analyze, ast, parse
 from repro.minilang.source import Dialect, SourceFile
 
 
@@ -41,6 +41,16 @@ class TestBasicChecks:
     def test_shadowing_in_nested_scope_is_allowed(self):
         res = sema("int main() { int a = 1; { int a = 2; } return a; }", Dialect.C)
         assert res.ok
+
+    def test_parameters_share_the_scope_of_the_body_outermost_block(self):
+        assert "redefinition" in error_codes(
+            "int f(int a) { int a = 1; return a; }\n" + MAIN
+        )
+        assert "redefinition" in error_codes(
+            "__global__ void k(float* a) { float* a = NULL; }\n" + MAIN, Dialect.CUDA
+        )
+        # An inner block may hide a parameter.
+        assert sema("int f(int a) { { int a = 1; } return a; }\n" + MAIN, Dialect.C).ok
 
     def test_unknown_function(self):
         assert "undeclared-function" in error_codes(
@@ -317,6 +327,105 @@ class TestOmpRules:
             )
         )
         assert diags.has_errors
+
+
+def analysed(text: str, dialect: Dialect = Dialect.C) -> ast.Program:
+    program, diags = parse(SourceFile("t", text, dialect))
+    assert not diags.has_errors, diags.render()
+    assert analyze(program, dialect).ok
+    return program
+
+
+def idents(program: ast.Program, name: str):
+    """Every use of ``name``, in source order."""
+    return [
+        e for fn in program.functions for e in ast.walk_exprs(fn.body)
+        if isinstance(e, ast.Ident) and e.name == name
+    ]
+
+
+def decls(program: ast.Program, name: str):
+    """Every declaration of ``name``: globals, parameters, then locals."""
+    out = [gv.decl for gv in program.globals if gv.decl.name == name]
+    for fn in program.functions:
+        out += [p for p in fn.params if p.name == name]
+        out += [s for s in ast.walk_stmts(fn.body)
+                if isinstance(s, ast.VarDecl) and s.name == name]
+    return out
+
+
+#: An OpenMP program with map and reduction clauses, shadowing and a global.
+CLAUSES = """
+int g = 2;
+int main() {
+  int n = 8;
+  float* a = (float*)malloc(n * sizeof(float));
+  float s = 0.0f;
+  #pragma omp target teams distribute parallel for map(tofrom: a[0:n]) reduction(+: s)
+  for (int i = 0; i < n; i++) { float s2 = a[i] * g; { float a = s2; s += a; } }
+  printf("%f\\n", s);
+  return 0;
+}
+"""
+
+
+class TestBindings:
+    def test_an_ident_binds_the_innermost_visible_declaration(self):
+        program = analysed(
+            "int main() { int a = 1; { float a = 2.0f; a = a + 1; } return a; }"
+        )
+        outer, inner = decls(program, "a")
+        uses = idents(program, "a")
+        assert [u.symbol for u in uses] == [inner.symbol, inner.symbol, outer.symbol]
+        assert str(inner.symbol.type) == "float" and str(outer.symbol.type) == "int"
+
+    def test_siblings_have_depth_0_and_a_hiding_declaration_depth_1(self):
+        program = analysed(
+            "int f(int n) { { int n = 1; } { int n = 2; { int n = 3; } } return n; }\n"
+            + MAIN
+        )
+        param, first, second, hiding = decls(program, "n")
+        assert [d.symbol.depth for d in (param, first, second, hiding)] == [0, 1, 1, 2]
+        assert first.symbol is not second.symbol
+        program = analysed("int main() { { int y = 0; } { float y = 1.0f; } return 0; }")
+        assert [d.symbol.depth for d in decls(program, "y")] == [0, 0]
+
+    def test_a_local_hiding_a_global_has_depth_0_and_earlier_uses_bind_the_global(self):
+        program = analysed("int g = 4;\nint main() { int x = g; int g = 9; return g + x; }")
+        glob, local = decls(program, "g")
+        assert glob.symbol.is_global and not local.symbol.is_global
+        assert local.symbol.depth == 0
+        assert [u.symbol for u in idents(program, "g")] == [glob.symbol, local.symbol]
+
+    def test_map_and_reduction_clause_names_are_bound(self):
+        program = analysed(CLAUSES, Dialect.OMP)
+        pragma = next(
+            s for s in ast.walk_stmts(program.function("main").body)
+            if isinstance(s, ast.Pragma)
+        ).pragma
+        assert pragma.maps[0].symbol is decls(program, "a")[0].symbol
+        assert pragma.reduction.symbols == [decls(program, "s")[0].symbol]
+
+    def test_a_clone_shares_the_symbols(self):
+        program = analysed(CLAUSES, Dialect.OMP)
+        copy = ast.clone(program)
+        assert [u.symbol for u in idents(copy, "a")] == [u.symbol for u in idents(program, "a")]
+        assert all(
+            c.symbol is d.symbol for c, d in zip(decls(copy, "s"), decls(program, "s"))
+        )
+
+    def test_analysing_again_in_either_dialect_keeps_every_binding(self):
+        program = analysed(CLAUSES, Dialect.OMP)
+        bound = [d.symbol for name in ("g", "n", "a", "s", "i", "s2")
+                 for d in decls(program, name)]
+        uses = [(e, e.symbol) for fn in program.functions for e in ast.walk_exprs(fn.body)
+                if isinstance(e, ast.Ident)]
+        for dialect in (Dialect.OMP, Dialect.CUDA):
+            analyze(program, dialect)
+            assert [d.symbol for name in ("g", "n", "a", "s", "i", "s2")
+                    for d in decls(program, name)] == bound
+            assert all(e.symbol is sym for e, sym in uses)
+        assert all(any(u.symbol is sym for sym in bound) for u, _ in uses)
 
 
 class TestDiagnosticRendering:

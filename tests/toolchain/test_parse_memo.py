@@ -15,14 +15,16 @@ import threading
 import pytest
 
 from repro.hecbench import all_apps, get_app
-from repro.interp import ProgramRunner
+from repro.interp import ProgramRunner, codegen
 from repro.llm.profiles import direction_key, paper_plan
 from repro.llm.registry import model_keys
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.transpiler import Transpiler
+from repro.minilang import analyze, ast, parse
 from repro.minilang.source import Dialect, SourceFile
 from repro.toolchain import (
     CUDA_COMPILER,
+    OMP_COMPILER,
     clear_compile_cache,
     compile_cache_stats,
     compiler_for,
@@ -142,3 +144,64 @@ def test_threads_parsing_one_text_get_equal_programs():
     stats = compiler._PARSE_MEMO.stats()
     assert stats["hits"] + stats["misses"] == threads * calls
     assert stats["entries"] == 1
+
+
+def _unheld(program: ast.Program):
+    """Uses bound to a symbol that no declaration of ``program`` holds."""
+    held = {gv.decl.symbol for gv in program.globals}
+    for fn in program.functions:
+        held.update(p.symbol for p in fn.params)
+        held.update(s.symbol for s in ast.walk_stmts(fn.body) if isinstance(s, ast.VarDecl))
+    return [
+        e for fn in program.functions for e in ast.walk_exprs(fn.body)
+        if isinstance(e, ast.Ident) and e.symbol is not None and e.symbol not in held
+    ]
+
+
+def test_threads_compiling_one_text_bind_every_use_to_its_declaration(monkeypatch):
+    """Threads that compile one text (each under its own file name, so each
+    misses the compile memo and analyses the memo's shared program) while
+    others build its code for either dialect leave every use bound to a
+    symbol its declaration holds, and code built afterwards is a serial
+    build's."""
+    text = get_app("layout").omp_source
+    source = SourceFile("x.cpp", text, Dialect.OMP)
+    threads, rounds = 4, 30
+    built = []
+
+    def capture(source, filename, mode):
+        built.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(codegen, "compile", capture, raising=False)
+    serial = parse(source)[0]
+    assert analyze(serial, Dialect.OMP).ok
+    codegen.ProgramCode(serial, Dialect.OMP)
+    expected = built[-1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            clear_compile_cache()
+            program = parse_once(source)[0]
+            start = threading.Barrier(threads)
+            compiled = []
+
+            def work(i):
+                start.wait()
+                compiled.append(OMP_COMPILER.compile(text, filename=f"t{i}.cpp").ok)
+                codegen.ProgramCode.of(program, Dialect.CUDA if i % 2 else Dialect.OMP)
+
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+            assert compiled == [True] * threads
+            assert _unheld(program) == []
+            codegen.ProgramCode(program, Dialect.OMP)
+            assert built[-1] == expected
+    finally:
+        sys.setswitchinterval(interval)
