@@ -71,7 +71,7 @@ class KernelEvent:
     #: fallback).  None means the full launch width is available.
     parallel_limit: Optional[int] = None
     #: Which interpreter dispatch path executed the launch: "flat" (the
-    #: barrier-free fast path), "barrier" (__syncthreads interleaving),
+    #: barrier-free fast path), "barrier" (__syncthreads or __shared__),
     #: "slow" (nested per-thread loops), or "omp" for target regions.
     path: str = ""
 

@@ -9,7 +9,9 @@ Architecture:
   its bytecodes instead of one Python call per AST node.  Guest cost
   (ops, bytes, atomics, steps) is counted exactly as before.
 * :mod:`repro.interp.memory` provides NumPy-free list-backed buffers with
-  bounds/space/use-after-free checking: guest bugs surface as the same
+  bounds/space/use-after-free checking.  A variable whose address is taken
+  (or a ``__shared__`` scalar) lives in a one-cell buffer, so ``&x`` is an
+  ordinary pointer like ``&a[i]``.  Guest bugs surface as the same
   runtime errors a real platform produces ("Segmentation fault", "CUDA
   error: an illegal memory access was encountered", ...), which is exactly
   the stderr text LASSI's self-correction loop consumes.

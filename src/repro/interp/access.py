@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.minilang import ast
+from repro.minilang.semantics import expr_type
 
 NULL_DEREF = "NULL pointer dereference"
 NULL_ELEM = "NULL pointer dereference in '&expr[i]'"
@@ -169,7 +170,10 @@ class AccessEmitter:
     def put(self, el: Elem, v: str, value: ast.Expr) -> None:
         self.charge("sb", el)
         f = el.is_float
-        if self.is_float(value):
+        t = expr_type(value)
+        if t is not None and t.is_pointer:
+            conv = v
+        elif self.is_float(value):
             conv = f"{v} if {f} else int({v})"
         elif self.is_int(value):
             conv = f"float({v}) if {f} else {v}"

@@ -7,7 +7,9 @@ an arithmetic slot (the guard on typed code) and finds the variables that
 always hold a Python ``int`` or ``float``, and :class:`BodyFacts` says, for
 each function and each ``target`` loop body, which variables it writes or
 dereferences and whether it can free or remap a buffer (the gate on hoisting
-pointer resolution out of a launch).  These sets hold symbols, not names.
+pointer resolution out of a launch), and which it holds in a one-cell buffer
+(``addressed``: those whose address it takes, and its ``__shared__``
+scalars).  These sets hold symbols, not names.
 The loop-nest helpers read OpenMP loop nests the way the ``target`` loop
 schedule executes them.
 """
@@ -53,7 +55,8 @@ _FREES = ("free", "cudaFree")
 class BodyFacts(NamedTuple):
     """What one function or ``target`` loop body does to variables and buffers."""
 
-    #: variables it takes the address of (``&name``)
+    #: variables held in a one-cell buffer: those it takes the address of
+    #: (``&name``) and the ``__shared__`` scalars it declares
     addressed: FrozenSet[ast.Symbol]
     #: variables it assigns, steps or declares, and the addressed ones
     written: FrozenSet[ast.Symbol]
@@ -65,8 +68,9 @@ class BodyFacts(NamedTuple):
 
 
 def body_facts(stmts: List[ast.Stmt], exprs: List[ast.Expr], functions) -> BodyFacts:
-    addressed: Set[ast.Symbol] = set()
-    written = {s.symbol for s in stmts if type(s) is ast.VarDecl}
+    decls = [s for s in stmts if type(s) is ast.VarDecl]
+    addressed = {s.symbol for s in decls if s.shared and s.array_size is None}
+    written = {s.symbol for s in decls}
     accessed: Set[ast.Symbol] = set()
     stable = not any(type(s) is ast.Pragma and s.pragma.maps for s in stmts)
     for e in exprs:
@@ -125,8 +129,10 @@ class ProgramFacts:
                             list(ast.walk_stmts(s.body)), ast.walk_exprs(s.body),
                             self.functions,
                         )
-        #: the variables some function takes the address of
-        self.addressed = frozenset().union(*(f.addressed for f in self.bodies.values()))
+        #: the variables held in a one-cell buffer (``BodyFacts.addressed``
+        #: of every function, and globals whose address an initialiser takes)
+        inits = body_facts([], ast.walk_exprs(ast.Block(self.global_decls)), self.functions)
+        self.addressed = inits.addressed.union(*(f.addressed for f in self.bodies.values()))
         self.typed = self._typed()
         #: variables that always hold a Python ``int`` / ``float``
         self.int_clean: Set[ast.Symbol] = set()
@@ -271,8 +277,10 @@ class ProgramFacts:
                     return False
         return found
 
-    def contains(self, fname: str, kind) -> bool:
-        return any(isinstance(s, kind) for s in self.stmts[fname])
+    def barrier_path(self, kernel: str) -> bool:
+        """Its threads meet at ``__syncthreads()`` or share ``__shared__`` storage."""
+        return any(type(s) is ast.SyncThreads or type(s) is ast.VarDecl and s.shared
+                   for s in self.stmts[kernel])
 
     def is_int(self, e: ast.Expr) -> bool:
         """Is ``e``'s run-time value always a Python ``int``?"""

@@ -6,7 +6,12 @@ into the function that holds it, then builds the module with
 ``compile()``.  Each guest local declaration is one Python local, so
 executing a statement costs the bytecodes it needs rather than one Python
 call per AST node: ``v_<name>``, or ``v_<depth>_<name>`` for one that hides
-a same-named local (``Symbol.depth``; no C name starts with a digit).
+a same-named local (``Symbol.depth``; no C name starts with a digit).  A
+variable whose address is taken, or a ``__shared__`` scalar, is instead one
+cell of guest memory (:mod:`repro.interp.memory`), allocated where it is
+declared (a parameter moves into its cell at entry) and held in ``m_<key>``
+(a global in ``G['<name>']``): naming it reads or writes ``.cells[0]``,
+at the guest cost of a Python local, and ``&x`` is ``Pointer(<cell>, 0)``.
 
 The generated code is a factory, ``bind(runner)``: the module is compiled
 once per program and dialect (:meth:`ProgramCode.of` keeps it on the
@@ -47,9 +52,11 @@ where a value is provably a Python ``int``.  A program that can move a
 pointer into an arithmetic slot (pointer casts, ``void*`` flows, mixed
 ``memcpy``) gets the generic forms throughout.
 
-Kernels containing ``__syncthreads()`` come out as generator functions
-that yield :data:`BARRIER`, so the executor can interleave a block's
-threads at barrier granularity.
+Kernels containing ``__syncthreads()`` or ``__shared__`` storage take the
+barrier path (:meth:`~repro.interp.analysis.ProgramFacts.barrier_path`):
+they come out as generator functions that yield :data:`BARRIER`, so the
+executor can interleave a block's threads at barrier granularity and give
+each block its own shared storage.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from repro.errors import GuestRuntimeError, InterpreterError, ResourceLimitExcee
 from repro.gpu.stats import HostParallelEvent, KernelEvent, OpCounters, TransferEvent
 from repro.interp.access import ATOMIC_UPDATE, AccessEmitter, Elem, Hoisted
 from repro.interp.analysis import OMP_CONSTANT, ProgramFacts, strip_cast
-from repro.interp.memory import MemoryManager, Pointer, ScalarRef
+from repro.interp.memory import MemoryManager, Pointer
 from repro.interp.regions import Frame, RegionEmitter
 from repro.interp.values import (
     COMBINE,
@@ -96,7 +103,7 @@ _GEOM_LOCAL = {"threadIdx": "tid", "blockIdx": "bid", "blockDim": "block",
 _ASSIGNS = re.compile(r"(v_\w+)\s*(?:[-+*/%&|^]|<<|>>|//)?=(?!=)")
 
 #: A plain read of a guest variable (evaluating it alone does nothing).
-_READ = re.compile(r"[EG]\['\w+'\]")
+_READ = re.compile(r"(?:G\['\w+'\]|m_\w+)(?:\.cells\[0\])?")
 
 #: Temps, literals and module constants: values no later code can change.
 _STABLE = re.compile(r"_t\d+|None|[KTMR]\d+|\(?-?\d[\w.+-]*\)?|'[^'\\]*'|\"[^\"\\]*\"")
@@ -142,8 +149,7 @@ class _RegionExit(Exception):
 
 
 _RUNTIME = {
-    "Pointer": Pointer, "ScalarRef": ScalarRef,
-    "OpCounters": OpCounters, "KernelEvent": KernelEvent,
+    "Pointer": Pointer, "OpCounters": OpCounters, "KernelEvent": KernelEvent,
     "TransferEvent": TransferEvent, "HostParallelEvent": HostParallelEvent,
     "GuestRuntimeError": GuestRuntimeError, "InterpreterError": InterpreterError,
     "GuestExit": GuestExit, "chk": MemoryManager.check_access,
@@ -380,9 +386,30 @@ class _Emitter(AccessEmitter, RegionEmitter):
         """Python lvalue of a guest variable (None: not a variable)."""
         if sym is None:
             return None
-        if sym.is_global:
-            return f"G[{sym.name!r}]"
-        return f"E[{_key(sym)!r}]" if sym in self.prog.addressed else f"v_{_key(sym)}"
+        if sym in self.prog.addressed:
+            return f"{self.cell(sym)}.cells[0]"
+        return f"G[{sym.name!r}]" if sym.is_global else f"v_{_key(sym)}"
+
+    @staticmethod
+    def cell(sym: ast.Symbol) -> str:
+        """The buffer holding a variable whose storage is one cell of guest
+        memory (``m_``: no other name in generated code starts so)."""
+        return f"G[{sym.name!r}]" if sym.is_global else f"m_{_key(sym)}"
+
+    def declare_cell(self, sym: ast.Symbol, emit=None) -> None:
+        """Allocate a variable's cell, in this code's address space."""
+        self.fault()
+        (emit or self.emit)(
+            f"{self.cell(sym)} = mem.alloc({sym.type.size}, "
+            f"{self.mod.const(sym.type, 'T')}, {self.space_expr()}, {sym.name!r}).buf"
+        )
+
+    def param_cells(self, params: List[str]) -> None:
+        """Move each parameter whose address is taken into its cell."""
+        for p, py in zip(self.fn.params, params):
+            if p.symbol in self.prog.addressed and py == p.name:
+                self.declare_cell(p.symbol)
+                self.emit(f"{self.local(p.symbol)} = v_{py}")
 
     def space_expr(self) -> str:
         if self.space == "dyn":
@@ -510,11 +537,8 @@ class _Emitter(AccessEmitter, RegionEmitter):
         raise _Unsupported(f"cannot compile unary op {op}")
 
     def address_of(self, operand: ast.Expr) -> str:
-        if isinstance(operand, ast.Ident):
-            sym = operand.symbol
-            if sym is None or sym.is_global:
-                return f"ScalarRef(G, {operand.name!r})"
-            return f"ScalarRef(E, {_key(sym)!r})"
+        if isinstance(operand, ast.Ident) and operand.symbol is not None:
+            return f"Pointer({self.cell(operand.symbol)}, 0)"
         if isinstance(operand, ast.Index):
             return self.elem_ref(operand)
         if isinstance(operand, ast.Unary) and operand.op == "*":
@@ -697,7 +721,8 @@ class _Emitter(AccessEmitter, RegionEmitter):
             new = self.combine(op[:-1], old, v, e.value, target, typed=self.arith(target))
             new = self.spill(new) if not self.stable(new) else new
             el = self.reaccess(target, el)
-            self.put(el, new, ast.Binary(op=op[:-1], left=target, right=e.value))
+            self.put(el, new, _typed(ast.Binary(op=op[:-1], left=target, right=e.value),
+                                     expr_type(e)))
             return new
         raise _Unsupported(f"unsupported assignment target {type(target).__name__}")
 
@@ -782,7 +807,8 @@ class _Emitter(AccessEmitter, RegionEmitter):
             new = self.tmp()
             self.emit(f"{new} = {old} {'+' if delta > 0 else '-'} 1")
             el = self.reaccess(target, el)
-            self.put(el, new, ast.Binary(op="+", left=target, right=_ONE))
+            self.put(el, new, _typed(ast.Binary(op="+", left=target, right=_ONE),
+                                     expr_type(target)))
             return old if want == "old" else new
         raise _Unsupported("unsupported increment/decrement target")
 
@@ -818,7 +844,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
         self.fault()
         t = self.tmp()
         callee = f"f_{e.callee}"
-        if fn.is_kernel and self.prog.contains(e.callee, ast.SyncThreads):
+        if fn.is_kernel and self.prog.barrier_path(e.callee):
             callee = "_barrier_call"
             self.mod.barrier_call = True
         self.calling(f"{t} = {callee}({', '.join(out)})")
@@ -988,6 +1014,8 @@ class _Emitter(AccessEmitter, RegionEmitter):
     def vardecl(self, s: ast.VarDecl) -> None:
         if s.shared:
             return
+        if s.symbol in self.prog.addressed:
+            self.declare_cell(s.symbol)
         lv = self.local(s.symbol)
         if s.array_size is not None:
             n = self.expr(s.array_size)
@@ -1199,7 +1227,7 @@ class ProgramCode:
         launched = {e.kernel for e in exprs if isinstance(e, ast.Launch)}
         for name, fn in prog.functions.items():
             if fn.is_kernel:
-                barrier = prog.contains(name, ast.SyncThreads)
+                barrier = prog.barrier_path(name)
                 atomics = any(
                     isinstance(e, ast.Call) and e.callee.startswith("atomic")
                     for e in prog.exprs[name]
@@ -1283,6 +1311,7 @@ class ProgramCode:
         em = _Emitter(mod, name, fn, exact=not device, space="dyn")
         try:
             em.frames.append(Frame("func"))
+            em.param_cells(params)
             em.stmt(fn.body)
             em.flush()
             em.emit(f"return {em.default_value()}")
@@ -1291,17 +1320,7 @@ class ProgramCode:
         prologue = ["C = ctx.counters"]
         if em.dynamic:
             prologue += ["SP = ctx.space", "DEV = SP == 'device'"]
-        prologue += self._env(em, fn, params)
         return self._wrap(header, prologue, em, "C")
-
-    def _env(self, em: _Emitter, fn: ast.FuncDef, params: List[str]) -> List[str]:
-        if all(s is None or s.is_global for s in em.prog.bodies[em.fname].addressed):
-            return []
-        out = ["E = {}"]
-        for p, py in zip(fn.params, params):
-            if p.symbol in em.prog.addressed and py == p.name:
-                out.append(f"E[{p.name!r}] = v_{py}")
-        return out
 
     @staticmethod
     def _wrap(header: str, prologue: List[str], em: _Emitter, counters: str,
@@ -1328,16 +1347,24 @@ class ProgramCode:
                           geom_local=True, gen=True)
             try:
                 em.frames.append(Frame("gen"))
+                em.param_cells(params)
                 em.stmt(fn.body)
                 em.flush()
+                if not any(type(s) is ast.SyncThreads for s in mod.prog.stmts[name]):
+                    em.emit("if 0: yield")  # a generator all the same
             except _Unsupported as exc:
                 return self._stub(header, exc, gen=True)
             prologue = ["C = ctx.counters"]
             if unpack:
                 prologue.append(unpack)
-            prologue += self._env(em, fn, params)
             for i, decl in enumerate(self.shared[name]):
-                prologue.append(f"{em.local(decl.symbol)} = shared[{i}]")
+                sym = decl.symbol
+                if decl.array_size is None:  # a scalar: its block's cell
+                    prologue.append(f"{em.cell(sym)} = shared[{i}].buf")
+                    continue
+                if sym in mod.prog.addressed:  # ``&t``: the array pointer in a cell
+                    em.declare_cell(sym, prologue.append)
+                prologue.append(f"{em.local(sym)} = shared[{i}]")
             body = self._wrap(header, prologue, em, "C")
             sizes = self._shared_sizes(mod, name, fn)
             return body + "\n" + sizes
@@ -1366,8 +1393,7 @@ class ProgramCode:
                 em.steps()
             if rebind:
                 em.emit(unpack)
-            for line in self._env(em, fn, params):
-                em.emit(line)
+            em.param_cells(params)
             em.catching(frame, "_ThreadReturn", lambda: em.stmt(fn.body))
             em.flush()
         except _Unsupported as exc:
@@ -1411,22 +1437,7 @@ class ProgramCode:
         em.frames.append(Frame("func"))
         try:
             for decl in prog.global_decls:
-                key = f"G[{decl.name!r}]"
-                if decl.array_size is not None:
-                    n = em.expr(decl.array_size)
-                    em.fault()
-                    em.emit(
-                        f"{key} = mem.alloc(int({n}) * {max(1, decl.type.size)}, "
-                        f"{mod.const(decl.type, 'T')}, 'host', {decl.name!r})"
-                    )
-                elif decl.init is not None:
-                    v = em.expr(decl.init)
-                    v = em.truncate(v, decl.init, decl.type.is_integer)
-                    em.emit(f"{key} = {v}")
-                else:
-                    default = "0.0" if decl.type.is_real else (
-                        "None" if decl.type.is_pointer else "0")
-                    em.emit(f"{key} = {default}")
+                em.vardecl(decl)
             em.flush()
         except _Unsupported as exc:
             return self._stub(header, exc)

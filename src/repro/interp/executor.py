@@ -3,7 +3,7 @@
 The runner is the "operating system + device driver" of the simulation.  It
 owns the execution context, binds the program's generated code
 (:mod:`repro.interp.codegen`) to it, performs kernel launches (with
-barrier-aware thread scheduling when ``__syncthreads`` is present),
+barrier-aware thread scheduling and per-block ``__shared__`` storage),
 implements the C library and CUDA runtime calls the generated code makes,
 and records the kernel and transfer events the performance model consumes.
 OpenMP regions run inside the generated code.
@@ -18,7 +18,7 @@ from repro.errors import GuestRuntimeError, InterpreterError
 from repro.gpu.stats import ExecutionProfile, KernelEvent, OpCounters, TransferEvent
 from repro.interp.codegen import BARRIER, GuestExit, ProgramCode
 from repro.interp.context import ExecContext, Limits
-from repro.interp.memory import Buffer, MemoryManager, Pointer, ScalarRef
+from repro.interp.memory import Buffer, MemoryManager, Pointer
 from repro.interp.values import c_printf
 from repro.minilang import ast
 from repro.minilang import types as ty
@@ -122,17 +122,6 @@ class ProgramRunner:
         )
 
     # ------------------------------------------------------------------
-    # Memory services
-    # ------------------------------------------------------------------
-    def host_alloc(self, nbytes: int, elem: ty.Type) -> Pointer:
-        return self.ctx.memory.alloc(nbytes, elem, "host")
-
-    def stack_alloc(
-        self, count: int, elem: ty.Type, space: str, label: str = ""
-    ) -> Pointer:
-        return self.ctx.memory.alloc(count * max(1, elem.size), elem, space, label)
-
-    # ------------------------------------------------------------------
     # C library (the generated code binds each one by name)
     # ------------------------------------------------------------------
     def _printf(self, *args):
@@ -151,10 +140,10 @@ class ProgramRunner:
 
     def _malloc(self, nbytes):
         # Bare (uncast, unassigned) allocation: byte-granular buffer.
-        return self.host_alloc(int(nbytes), ty.CHAR)
+        return self.ctx.memory.alloc(int(nbytes), ty.CHAR, "host")
 
     def _calloc(self, count, size):
-        return self.host_alloc(int(count) * int(size), ty.CHAR)
+        return self.ctx.memory.alloc(int(count) * int(size), ty.CHAR, "host")
 
     def _free(self, ptr):
         self.ctx.memory.free(ptr, "host")
@@ -218,17 +207,14 @@ class ProgramRunner:
     # CUDA runtime API
     # ------------------------------------------------------------------
     def _cuda_malloc(self, ref, nbytes, elem_hint: Optional[ty.Type]):
-        if not isinstance(ref, (ScalarRef, Pointer)):
+        if not isinstance(ref, Pointer):
             raise GuestRuntimeError(
                 _SEGFAULT, detail="cudaMalloc needs a pointer-to-pointer"
             )
-        elem = elem_hint or ty.FLOAT
-        ptr = self.ctx.memory.alloc(int(nbytes), elem, "device")
-        if isinstance(ref, ScalarRef):
-            ptr.buf.label = ref.name
-            ref.set(ptr)
-        else:
-            ref.buf.cells[ref.off] = ptr
+        # The buffer takes the name of the variable its pointer is stored in.
+        ref.buf.cells[ref.off] = self.ctx.memory.alloc(
+            int(nbytes), elem_hint or ty.FLOAT, "device", ref.buf.label
+        )
         return 0
 
     def _cuda_free(self, ptr):
@@ -308,20 +294,15 @@ class ProgramRunner:
     # ------------------------------------------------------------------
     def _atomic_cell(self, ref, name: str) -> Tuple[object, Callable]:
         """The current value at an atomic's target and a writer for it."""
-        device = self.ctx.space == "device"
-        if isinstance(ref, ScalarRef):
-            return ref.get(), ref.set
-        if isinstance(ref, Pointer):
-            buf = MemoryManager.check_access(ref.buf, ref.off, device)
-            off = ref.off
-        else:
+        if not isinstance(ref, Pointer):
             raise GuestRuntimeError(
                 _ILLEGAL, detail=f"{name} on a non-pointer argument"
             )
+        buf = MemoryManager.check_access(ref.buf, ref.off, self.ctx.space == "device")
 
         def write(v):
-            buf.cells[off] = float(v) if buf.is_float else int(v)
-        return buf.cells[off], write
+            buf.cells[ref.off] = float(v) if buf.is_float else int(v)
+        return buf.cells[ref.off], write
 
     # ------------------------------------------------------------------
     # CUDA kernel launch
@@ -392,7 +373,7 @@ class ProgramRunner:
         ctx = self.ctx
         for bid in range(grid):
             buffers = [
-                self.stack_alloc(n, decl.type, "device", label=decl.name)
+                ctx.memory.alloc(n * max(1, decl.type.size), decl.type, "device", decl.name)
                 for decl, n in zip(shared, shared_sizes())
             ]
             live: List[Tuple[int, object]] = []

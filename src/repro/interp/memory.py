@@ -11,6 +11,11 @@ tagged with an address space:
   dereferencing it from host code raises a segfault, exactly what happens on
   a real system when host code touches a device pointer.
 
+A variable whose address is taken (or a ``__shared__`` scalar) lives in a
+*cell*: a one-element buffer allocated where the variable is declared, in
+that declaration's address space.  ``&x`` is then an ordinary
+:class:`Pointer` to it, so every pointer consumer serves it.
+
 OpenMP ``map`` semantics attach a device *shadow* buffer to a host buffer
 with reference counting (nested ``target data`` regions map once), matching
 the OpenMP present-table model.
@@ -107,27 +112,10 @@ class Pointer:
         return f"Pointer({self.buf!r}+{self.off})"
 
 
-class ScalarRef:
-    """``&scalar_variable`` — a reference into an environment dict."""
-
-    __slots__ = ("env", "name")
-
-    def __init__(self, env: dict, name: str) -> None:
-        self.env = env
-        self.name = name
-
-    def get(self):
-        return self.env[self.name]
-
-    def set(self, value) -> None:
-        self.env[self.name] = value
-
-
 class MemoryManager:
-    """Tracks all live buffers of a guest program run."""
+    """Allocates a guest program run's buffers and counts their bytes."""
 
     def __init__(self) -> None:
-        self.buffers: List[Buffer] = []
         self.host_bytes = 0
         self.device_bytes = 0
         self.byte_limit = 1 << 30  # 1 GiB of simulated memory per space
@@ -161,9 +149,7 @@ class MemoryManager:
                     "CUDA error: out of memory",
                     detail="simulated device memory exhausted",
                 )
-        buf = Buffer(length, elem_bytes, is_float, space, label)
-        self.buffers.append(buf)
-        return Pointer(buf, 0)
+        return Pointer(Buffer(length, elem_bytes, is_float, space, label), 0)
 
     def free(self, ptr: Optional[Pointer], space: str) -> None:
         if ptr is None:

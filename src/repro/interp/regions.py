@@ -287,7 +287,10 @@ class RegionEmitter:
             x = self.expr(dexpr)
             self.emit(f"{d} = {'' if sign > 0 else '-'}int({x})")
         self.flush()
-        lv = self.local(loop_symbol(loop))
+        sym = loop_symbol(loop)
+        if isinstance(loop.init, ast.VarDecl) and sym in self.prog.addressed:
+            self.declare_cell(sym)
+        lv = self.local(sym)
         innermost = depth + 1 == len(levels)
 
         def advance():

@@ -678,12 +678,14 @@ class Analyzer:
         return tt
 
     def _require_lvalue(self, expr: ast.Expr, what: str) -> None:
-        if isinstance(expr, (ast.Ident, ast.Index)):
+        """A variable, an element and ``*p`` are lvalues; a builtin constant,
+        a geometry builtin and its members (typed, with no symbol) are not."""
+        if isinstance(expr, ast.Index) or isinstance(expr, ast.Unary) and expr.op == "*":
             return
-        if isinstance(expr, ast.Unary) and expr.op == "*":
+        if isinstance(expr, ast.Ident) and expr.symbol is not None:
             return
-        if isinstance(expr, ast.Member):
-            return
+        if isinstance(expr, (ast.Ident, ast.Member)) and expr.static_type is None:
+            return  # an undeclared name or a bad member: reported already
         self.diagnostics.error(
             "not-assignable",
             f"expression is not assignable ({what})",

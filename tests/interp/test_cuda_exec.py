@@ -429,6 +429,172 @@ class TestSharedMemoryAndBarriers:
         assert "timed out" in out.error or "launch" in out.error
 
 
+
+class TestAddressOfAVariable:
+    """``&x`` is an ordinary pointer to the variable's one-cell storage, and
+    a ``__shared__`` scalar is one cell per block."""
+
+    def test_device_function_updates_a_kernel_local_through_its_address(self):
+        out = run_cuda(
+            "__device__ void bump(int* p) { *p = *p + 1; }\n"
+            "__global__ void k(int* out) { int c = threadIdx.x; bump(&c); out[threadIdx.x] = c; }\n"
+            "int main() {\n"
+            "  int* d;\n"
+            "  cudaMalloc(&d, 4 * sizeof(int));\n"
+            "  k<<<1, 4>>>(d);\n"
+            "  int h[4];\n"
+            "  cudaMemcpy(h, d, 4 * sizeof(int), cudaMemcpyDeviceToHost);\n"
+            '  printf("%d %d\\n", h[0], h[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "1 4\n")
+
+    def test_kernel_takes_the_address_of_its_own_parameter(self):
+        out = run_cuda(
+            "__global__ void k(int* out, int n) {\n"
+            "  int* pn = &n;\n"
+            "  *pn = *pn * 2;\n"
+            "  out[threadIdx.x] = n + threadIdx.x;\n"
+            "}\n"
+            "int main() {\n"
+            "  int* d;\n"
+            "  cudaMalloc(&d, 2 * sizeof(int));\n"
+            "  k<<<1, 2>>>(d, 5);\n"
+            "  int h[2];\n"
+            "  cudaMemcpy(h, d, 2 * sizeof(int), cudaMemcpyDeviceToHost);\n"
+            '  printf("%d %d\\n", h[0], h[1]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "10 11\n")
+
+    def test_cuda_memcpy_into_the_address_of_a_host_variable(self):
+        out = run_cuda(
+            "__global__ void k(float* d) { d[0] = 4.5f; }\n"
+            "int main() {\n"
+            "  float* d;\n"
+            "  cudaMalloc(&d, sizeof(float));\n"
+            "  k<<<1, 1>>>(d);\n"
+            "  float h = 0.0f;\n"
+            "  cudaMemcpy(&h, d, sizeof(float), cudaMemcpyDeviceToHost);\n"
+            '  printf("%.1f\\n", h);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "4.5\n")
+
+    def test_atomic_add_into_a_shared_scalar(self):
+        out = run_cuda(
+            "__global__ void k(float* out) {\n"
+            "  __shared__ float total;\n"
+            "  if (threadIdx.x == 0) { total = 0.0f; }\n"
+            "  __syncthreads();\n"
+            "  atomicAdd(&total, 1.0f);\n"
+            "  __syncthreads();\n"
+            "  if (threadIdx.x == 0) { out[blockIdx.x] = total; }\n"
+            "}\n"
+            "int main() {\n"
+            "  float* d;\n"
+            "  cudaMalloc(&d, 2 * sizeof(float));\n"
+            "  k<<<2, 8>>>(d);\n"
+            "  float h[2];\n"
+            "  cudaMemcpy(h, d, 2 * sizeof(float), cudaMemcpyDeviceToHost);\n"
+            '  printf("%.1f %.1f\\n", h[0], h[1]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "8.0 8.0\n")
+
+    def test_every_thread_reads_a_shared_scalar_after_the_barrier(self):
+        out = run_cuda(
+            "__global__ void k(int* out) {\n"
+            "  __shared__ int s;\n"
+            "  if (threadIdx.x == 0) { s = 7; }\n"
+            "  __syncthreads();\n"
+            "  out[threadIdx.x] = s;\n"
+            "}\n"
+            "int main() {\n"
+            "  int* d;\n"
+            "  cudaMalloc(&d, 2 * sizeof(int));\n"
+            "  k<<<1, 2>>>(d);\n"
+            "  int h[2];\n"
+            "  cudaMemcpy(h, d, 2 * sizeof(int), cudaMemcpyDeviceToHost);\n"
+            '  printf("%d %d\\n", h[0], h[1]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "7 7\n")
+
+    def test_shared_array_in_a_kernel_without_a_barrier(self):
+        out = run_cuda(
+            "__global__ void k(int* out) {\n"
+            "  __shared__ int t[4];\n"
+            "  t[threadIdx.x] = threadIdx.x * 2;\n"
+            "  out[threadIdx.x] = t[threadIdx.x];\n"
+            "}\n"
+            "int main() {\n"
+            "  int* d;\n"
+            "  cudaMalloc(&d, 4 * sizeof(int));\n"
+            "  k<<<1, 4>>>(d);\n"
+            "  int h[4];\n"
+            "  cudaMemcpy(h, d, 4 * sizeof(int), cudaMemcpyDeviceToHost);\n"
+            '  printf("%d %d\\n", h[1], h[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "2 6\n")
+
+    def test_address_of_a_shared_array(self):
+        out = run_cuda(
+            "__global__ void k(int* out) {\n"
+            "  __shared__ int t[4];\n"
+            "  int** pt = &t;\n"
+            "  t[threadIdx.x] = threadIdx.x;\n"
+            "  __syncthreads();\n"
+            "  out[threadIdx.x] = (*pt)[3 - threadIdx.x];\n"
+            "}\n"
+            "int main() {\n"
+            "  int* d;\n"
+            "  cudaMalloc(&d, 4 * sizeof(int));\n"
+            "  k<<<1, 4>>>(d);\n"
+            "  int h[4];\n"
+            "  cudaMemcpy(h, d, 4 * sizeof(int), cudaMemcpyDeviceToHost);\n"
+            '  printf("%d %d\\n", h[0], h[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "3 0\n")
+
+    def test_taking_the_address_leaves_the_cost_of_naming_it(self):
+        def launch(take):
+            return run_cuda(
+                "__global__ void k(int* out) {\n"
+                f"  int x = threadIdx.x; int* px = {take};\n"
+                "  for (int i = 0; i < 5; i++) { x = x + i; x *= 2; }\n"
+                "  out[threadIdx.x] = x;\n"
+                "}\n"
+                "int main() {\n"
+                "  int* d;\n"
+                "  cudaMalloc(&d, 4 * sizeof(int));\n"
+                "  k<<<1, 4>>>(d);\n"
+                "  int h[4];\n"
+                "  cudaMemcpy(h, d, 4 * sizeof(int), cudaMemcpyDeviceToHost);\n"
+                '  printf("%d\\n", h[3]);\n'
+                "  return 0;\n"
+                "}"
+            )
+
+        plain, addressed = launch("NULL"), launch("&x")
+        assert (addressed.error, addressed.stdout) == (None, plain.stdout)
+        counters = [
+            [(c.ops, c.load_bytes, c.store_bytes, c.atomics)
+             for c in [out.profile.host] + [e.counters for e in out.profile.kernel_events]]
+            for out in (plain, addressed)
+        ]
+        assert counters[0] == counters[1]
+
+
 class TestProfileEvents:
     def test_kernel_event_recorded(self, cuda_vecadd_source):
         out = run_source(cuda_vecadd_source.text, Dialect.CUDA)

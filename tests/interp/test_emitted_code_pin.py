@@ -1,7 +1,9 @@
 """Pin of the interpreter's generated Python over a fixed corpus of programs.
 
-One sha256 covers the source that :class:`repro.interp.codegen.ProgramCode`
-generates for each program of this corpus, in order:
+``emitted_code_pin.json`` holds one sha256 per build of this corpus, of the
+source that :class:`repro.interp.codegen.ProgramCode` generates for it,
+keyed ``"<index>:<name>"`` (names repeat across the two synth seed sets).
+The corpus, in order:
 
 * the guest-cost pin's programs (``tests/interp/test_guest_cost_pin.py``);
 * every Table IV source in both dialects;
@@ -11,8 +13,11 @@ generates for each program of this corpus, in order:
 
 The guest-cost pin proves what the generated code charges; this pin proves
 the code itself is unchanged, so a refactor of the front end or of the code
-generator that should be byte-neutral is shown to be.  A change that alters
-the generated code on purpose re-captures ``PINNED`` and says so.
+generator that should be byte-neutral is shown to be.  A failure lists the
+builds whose code moved.  A change that alters the generated code on
+purpose re-captures the pin and says which builds moved and why::
+
+    PYTHONPATH=src python -m tests.interp.test_emitted_code_pin
 
 The code generator reads each expression's type from semantic analysis, so
 the same corpus also checks that analysis types every expression it can.
@@ -21,6 +26,10 @@ the same corpus also checks that analysis types every expression it can.
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
+from typing import Dict
+from unittest import mock
 
 import pytest
 
@@ -36,7 +45,7 @@ from repro.pipeline.stages.generate import extract_target_code
 from repro.prompts.builder import PromptBuilder
 from tests.interp.test_guest_cost_pin import PROGRAMS
 
-PINNED = "d37eefc391f3575988d57ff86352eb426a16c52ed435ce11a176e82af10936bd"
+PIN = Path(__file__).with_name("emitted_code_pin.json")
 
 BUILDS = 225
 
@@ -86,20 +95,30 @@ def corpus():
     return compiled_corpus()
 
 
-def test_generated_code_is_pinned(corpus, monkeypatch):
+def build_digests(corpus) -> Dict[str, str]:
+    """``"<index>:<name>"`` -> sha256 of the source generated for that build."""
     sources = []
 
     def capture(source, filename, mode):
         sources.append(source)
         return compile(source, filename, mode)
 
-    monkeypatch.setattr(codegen, "compile", capture, raising=False)
-    h = hashlib.sha256()
-    for name, program, dialect in corpus:
-        codegen.ProgramCode(program, dialect)
-        h.update(name.encode("utf-8") + b"\n" + sources[-1].encode("utf-8") + b"\n")
-    assert len(sources) == BUILDS
-    assert h.hexdigest() == PINNED
+    digests = {}
+    with mock.patch.object(codegen, "compile", capture, create=True):
+        for index, (name, program, dialect) in enumerate(corpus):
+            codegen.ProgramCode(program, dialect)
+            digests[f"{index}:{name}"] = hashlib.sha256(
+                sources[-1].encode("utf-8")).hexdigest()
+    assert len(sources) == len(corpus)
+    return digests
+
+
+def test_generated_code_is_pinned(corpus):
+    digests = build_digests(corpus)
+    pinned = json.loads(PIN.read_text(encoding="utf-8"))
+    assert len(digests) == BUILDS
+    moved = [k for k in {**pinned, **digests} if pinned.get(k) != digests.get(k)]
+    assert not moved, f"{len(moved)} build(s) moved: {moved}"
 
 
 def test_analysis_types_every_expression_but_member_objects(corpus):
@@ -118,3 +137,8 @@ def test_analysis_types_every_expression_but_member_objects(corpus):
             objects += len(members)
             untyped += len(missing)
     assert objects == untyped == 369
+
+
+if __name__ == "__main__":
+    PIN.write_text(json.dumps(build_digests(compiled_corpus()), indent=1) + "\n",
+                   encoding="utf-8")

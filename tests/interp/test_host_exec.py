@@ -329,6 +329,77 @@ class TestMemory:
         assert out.stdout == "20\n"
 
 
+
+class TestAddressOfAVariable:
+    """``&x`` is an ordinary pointer to the variable's one-cell storage."""
+
+    def test_swap_through_pointers(self):
+        out = run_source(
+            "void swap(int* a, int* b) { int t = *a; *a = *b; *b = t; }\n"
+            "int main() { int x = 1; int y = 2; swap(&x, &y);\n"
+            'printf("%d %d\\n", x, y); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "2 1\n")
+
+    def test_store_through_an_index_of_a_local_address(self):
+        out = run_source(
+            "int main() { int loc = 3; int* pl = &loc; pl[0] = 11;\n"
+            'printf("%d\\n", loc); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "11\n")
+
+    def test_pointer_to_a_pointer_variable(self):
+        out = run_source(
+            "int main() { int* p = (int*)malloc(2 * sizeof(int)); p[0] = 6;\n"
+            'int** pp = &p; printf("%d\\n", **pp); free(p); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "6\n")
+
+    def test_store_a_pointer_through_a_pointer(self):
+        out = run_source(
+            "int main() { int* p = NULL; int** pp = &p;\n"
+            "int* q = (int*)malloc(2 * sizeof(int)); q[1] = 3; *pp = q;\n"
+            "float* f = (float*)malloc(sizeof(float)); f[0] = 2.5f;\n"
+            "float** arr = (float**)malloc(2 * sizeof(float*)); arr[1] = f;\n"
+            'printf("%d %.1f\\n", p[1], arr[1][0]); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "3 2.5\n")
+
+    def test_address_of_a_global(self):
+        out = run_source(
+            "int g = 3;\n"
+            "void inc(int* p) { *p = *p + 1; }\n"
+            'int main() { inc(&g); printf("%d\\n", g); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "4\n")
+
+    def test_global_initializer_takes_the_address_of_a_global(self):
+        out = run_source(
+            "int g = 3; int* pg = &g;\n"
+            'int main() { *pg = 8; printf("%d\\n", g); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "8\n")
+
+    def test_memset_of_a_variable(self):
+        out = run_source(
+            "int main() { int x = 9; memset(&x, 0, sizeof(int));\n"
+            'printf("%d\\n", x); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "0\n")
+
+    def test_taking_the_address_leaves_the_cost_of_naming_it(self):
+        loop = (
+            "for (int i = 0; i < 10; i++) { x = x + i; x += 2; x++; }\n"
+            'printf("%d\\n", x); return 0; }'
+        )
+        plain = run_source("int main() { int x = 1; int* px = NULL;\n" + loop)
+        addressed = run_source("int main() { int x = 1; int* px = &x;\n" + loop)
+        assert (addressed.error, addressed.stdout) == (None, plain.stdout) == (None, "76\n")
+        counters = [(c.ops, c.load_bytes, c.store_bytes, c.atomics)
+                    for c in (plain.profile.host, addressed.profile.host)]
+        assert counters[0] == counters[1]
+
+
 class TestIo:
     def test_printf_widths_and_precision(self):
         out = run_source(

@@ -215,6 +215,33 @@ class TestTargetLoop:
         assert out.stdout == "1.0 4.0\n"
 
 
+    def test_body_takes_the_address_of_its_own_variable(self):
+        out = run_omp(
+            "int main() {\n"
+            "  int n = 4;\n"
+            "  float* a = (float*)malloc(n * sizeof(float));\n"
+            "#pragma omp target teams distribute parallel for map(from: a[0:n])\n"
+            "  for (int i = 0; i < n; i++) { float v = i * 1.5f; float* pv = &v; a[i] = *pv; }\n"
+            '  printf("%.1f %.1f\\n", a[1], a[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "1.5 4.5\n")
+
+    def test_body_takes_the_address_of_the_loop_variable(self):
+        out = run_omp(
+            "int main() {\n"
+            "  int n = 4;\n"
+            "  float* a = (float*)malloc(n * sizeof(float));\n"
+            "#pragma omp target teams distribute parallel for map(from: a[0:n])\n"
+            "  for (int i = 0; i < n; i++) { int* pi = &i; a[i] = *pi * 2.0f; }\n"
+            '  printf("%.1f %.1f\\n", a[1], a[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "2.0 6.0\n")
+
+
 class TestTargetData:
     PROG = (
         "int main() {\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.minilang import analyze, ast, parse
 from repro.minilang.source import Dialect, SourceFile
 
@@ -96,6 +98,23 @@ class TestBasicChecks:
 
     def test_not_assignable(self):
         assert "not-assignable" in error_codes("int main() { 3 = 4; return 0; }")
+
+    @pytest.mark.parametrize("text, dialect, line, col", [
+        ('int main() { RAND_MAX = 3; printf("%d\\n", RAND_MAX); return 0; }',
+         Dialect.C, 1, 14),
+        ("__global__ void k() { threadIdx.x = 3; }\n" + MAIN, Dialect.CUDA, 1, 32),
+        ("__global__ void k() { int* p = &threadIdx.x; }\n" + MAIN, Dialect.CUDA, 1, 42),
+    ], ids=["constant", "geometry-member", "address-of-geometry-member"])
+    def test_builtins_are_not_assignable(self, text, dialect, line, col):
+        (err,) = sema(text, dialect).diagnostics.errors
+        assert (err.code, err.span) == ("not-assignable", (line, col))
+
+    def test_undeclared_names_and_bad_members_are_reported_once(self):
+        assert error_codes("int main() { x = 1; int* p = &y; return 0; }") == [
+            "undeclared-ident", "undeclared-ident"]
+        assert error_codes(
+            "__global__ void k() { threadIdx.w = 3; }\n" + MAIN, Dialect.CUDA
+        ) == ["bad-member"]
 
     def test_void_function_returning_value(self):
         assert "void-return-value" in error_codes(
