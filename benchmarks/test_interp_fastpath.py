@@ -9,9 +9,15 @@ kernel, once with a (semantically idle) trailing barrier — and a third
 time as an OpenMP ``target teams distribute parallel for`` loop over mapped
 arrays (run inside the generated function that holds it).  It reports the
 per-launch latency of each, plus the compile cache's hit rate over repeated
-front-ends of identical source.
+front-ends of identical source.  A host-loop leg reports the ns per
+iteration of a loop in ``main`` that stores one element and of one that
+loads two, next to the same loops measured before host loops resolved
+their pointers once and kept the step budget in a local.  It is reported,
+not gated.
 
-Emits ``BENCH_interp_fastpath.json`` (picked up as a CI artifact).
+Writes ``BENCH_interp_fastpath.latest.json`` (gitignored; CI uploads it).
+A performance change copies the figures it reports into the committed
+``BENCH_interp_fastpath.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,21 @@ GRID_DIM, BLOCK_DIM = 4, 64
 #: Repeated front-ends of one source for the compile-cache leg.
 COMPILES = 25
 
-BENCH_ARTIFACT = Path("BENCH_interp_fastpath.json")
+#: Iterations of one timed host-loop run, and timed runs per loop (the
+#: fastest is kept).
+HOST_ITERATIONS, HOST_RUNS = 20_000, 5
+
+#: Host loop bodies timed per iteration.
+HOST_LOOPS = {"store": "a[i] = i;", "two_load": "s += a[i] * b[i];"}
+
+#: The host-loop legs on the commit before host loops resolved their
+#: pointers once and kept the step budget in a local: the median of ten
+#: runs of this module, each alternated with a run of the commit that
+#: changed them (shared 2-core box, Python 3.11).  An "after" compares with
+#: these only from the same sitting.
+HOST_LOOP_BEFORE = {"store": 219.4, "two_load": 319.9}
+
+BENCH_ARTIFACT = Path("BENCH_interp_fastpath.latest.json")
 
 
 def _kernel_source(with_barrier: bool) -> str:
@@ -106,6 +126,35 @@ def _per_launch_seconds(source_text: str, dialect: Dialect = Dialect.CUDA) -> fl
     return elapsed / LAUNCHES
 
 
+def _host_loop_source(body: str) -> str:
+    return (
+        "int main(int argc, char** argv) {\n"
+        "  int n = atoi(argv[1]);\n"
+        "  float* a = (float*)malloc(n * sizeof(float));\n"
+        "  float* b = (float*)malloc(n * sizeof(float));\n"
+        "  float s = 0.0f;\n"
+        f"  for (int i = 0; i < n; i++) {{ {body} }}\n"
+        '  printf("%.1f\\n", s);\n'
+        "  return 0;\n"
+        "}\n"
+    )
+
+
+def _per_iteration_ns(body: str) -> float:
+    program, diags = parse(SourceFile("bench", _host_loop_source(body), Dialect.C))
+    assert not diags.has_errors, diags.render()
+    runner = ProgramRunner(program, Dialect.C)
+    assert runner.run(["1"]).ok  # builds and binds the code
+    best = None
+    for _ in range(HOST_RUNS):
+        start = time.perf_counter()
+        outcome = runner.run([str(HOST_ITERATIONS)])
+        elapsed = time.perf_counter() - start
+        assert outcome.ok, outcome.error
+        best = elapsed if best is None else min(best, elapsed)
+    return best / HOST_ITERATIONS * 1e9
+
+
 @pytest.mark.bench
 def test_fastpath_per_launch_latency():
     fast_s = _per_launch_seconds(_kernel_source(with_barrier=False))
@@ -117,6 +166,7 @@ def test_fastpath_per_launch_latency():
         result = CUDA_COMPILER.compile(_kernel_source(with_barrier=False))
         assert result.ok, result.stderr
     cache = compile_cache_stats()
+    host_ns = {name: round(_per_iteration_ns(body), 1) for name, body in HOST_LOOPS.items()}
 
     BENCH_ARTIFACT.write_text(
         json.dumps(
@@ -133,6 +183,11 @@ def test_fastpath_per_launch_latency():
                     "hits": cache["hits"],
                     "misses": cache["misses"],
                     "hit_rate": round(cache["hit_rate"], 4),
+                },
+                "host_loop_ns_per_iteration": {
+                    "iterations": HOST_ITERATIONS,
+                    "before": HOST_LOOP_BEFORE,
+                    "after": host_ns,
                 },
             },
             indent=2,

@@ -5,19 +5,27 @@ pointers.  An access tests its pointer for NULL, reads its buffer and
 offset, and checks space, liveness and bounds (``chk`` raises the fault),
 then charges the buffer's ``elem_bytes``.
 
-Flat and slow kernel launchers and ``target`` loop nests hoist that work
-where nothing can change it during the launch (:meth:`AccessEmitter.hoist`,
-gated by :class:`repro.interp.analysis.BodyFacts`): each such pointer is
-resolved once (:meth:`repro.interp.memory.MemoryManager.device_view`), an
-access through it is ``k = off + i`` and one chained bounds test, and its
-loads and stores are counted and charged once per launch.  It relies on
-the expression emission of :class:`repro.interp.codegen._Emitter`.
+Flat and slow kernel launchers, ``target`` loop nests and the loops of a
+generated function hoist that work where nothing can change it during the
+launch or loop (:meth:`AccessEmitter.hoist`, gated by
+:class:`repro.interp.analysis.BodyFacts`): each such pointer is resolved
+once (:meth:`repro.interp.memory.MemoryManager.view`), and an access
+through it is ``k = off + i`` and one chained bounds test, whose failure
+raises the per-access check's fault.  A launch counts its loads and stores
+and charges them once, as count x ``elem_bytes``.  A loop resolves in its
+function's address space (``DEV``) and charges each access's bytes where
+the per-access form does; in exact (host) code it also settles pending ops
+before the bounds test and keeps the NULL test in front of an index that
+charges ops, so each host counter reads what the per-access form's would
+at any fault.  It relies on the expression emission of
+:class:`repro.interp.codegen._Emitter`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.interp.analysis import BodyFacts
 from repro.minilang import ast
 from repro.minilang.semantics import expr_type
 
@@ -34,8 +42,13 @@ ATOMIC_UPDATE = {
 
 
 class Hoisted(NamedTuple):
-    """Temps of a pointer resolved once per launch (``_view``), and of its
-    load and store counts, charged at the end as count x ``elem_bytes``."""
+    """Temps of a pointer resolved once per launch or loop (``_view``).
+
+    A launch counts its loads and stores (``loads``, ``stores``) and
+    charges them at the end as count x ``elem_bytes``; a loop leaves both
+    empty and charges ``eb`` at each access, as the per-access form does.
+    ``dev`` names the address space of a loop in a function (``DEV``);
+    empty, the view and faults are device code's."""
 
     ptr: str
     cells: str
@@ -45,12 +58,20 @@ class Hoisted(NamedTuple):
     is_float: str
     loads: str
     stores: str
+    dev: str
+
+    def fault_call(self, k: str, detail: str = "") -> str:
+        """The call that raises the fault of an access at ``k`` out of range."""
+        args = [self.ptr, k] + ([repr(detail)] if detail else [])
+        if self.dev:
+            args.append(f"device={self.dev}")
+        return f"_fault({', '.join(args)})"
 
 
 class Elem(NamedTuple):
-    """A checked element access: ``cells[k]``, the buffer's float flag,
-    and either the expression its bytes are charged per access with
-    (``eb``) or the hoisted pointer whose counts it adds to."""
+    """A checked element access: ``cells[k]``, the buffer's float flag, the
+    expression its bytes are charged per access with (``eb``), unless
+    ``hoisted`` is the launch-resolved pointer whose counts it adds to."""
 
     cells: str
     k: str
@@ -62,18 +83,38 @@ class Elem(NamedTuple):
 class AccessEmitter:
     """Pointer access emission, mixed into the statement emitter."""
 
-    def hoist(self, pointers: List[ast.Symbol]) -> Tuple[Dict[ast.Symbol, Hoisted], List[str]]:
-        """Resolve the pointer locals ``pointers`` for a launch: their
-        records and the lines, run once per launch, that resolve them."""
+    def hoist(self, pointers: List[ast.Symbol],
+              dev: Optional[str] = None) -> Tuple[Dict[ast.Symbol, Hoisted], List[str]]:
+        """Resolve the pointer locals ``pointers`` once: their records and
+        the lines that resolve them.  A launch (``dev`` None) counts each
+        pointer's loads and stores; a loop (``dev``, see :class:`Hoisted`)
+        counts nothing."""
         hoisted: Dict[ast.Symbol, Hoisted] = {}
         lines = []
         for sym in pointers:
-            h = hoisted[sym] = Hoisted(self.local(sym), *(self.tmp() for _ in range(7)))
-            lines.append(f"{h.cells}, {h.off}, {h.n}, {h.eb}, {h.is_float} = _view({h.ptr})")
-        if hoisted:
+            ptr = self.local(sym)
+            if dev is None:
+                h = Hoisted(ptr, *(self.tmp() for _ in range(7)), "")
+            else:
+                h = Hoisted(ptr, *(self.tmp() for _ in range(5)), "", "", dev)
+            hoisted[sym] = h
+            view = f"_view({ptr}, {dev})" if dev else f"_view({ptr})"
+            lines.append(f"{h.cells}, {h.off}, {h.n}, {h.eb}, {h.is_float} = {view}")
+        if hoisted and dev is None:
             counts = [t for h in hoisted.values() for t in (h.loads, h.stores)]
             lines.append(" = ".join(counts) + " = 0")
         return hoisted, lines
+
+    def hoistable(self, facts: BodyFacts) -> List[ast.Symbol]:
+        """The pointer locals a body dereferences and never writes, declares
+        or takes the address of, if nothing in it can free or remap a
+        buffer (in order of their generated names)."""
+        if not facts.stable:
+            return []
+        return sorted((
+            sym for sym in facts.accessed - facts.written
+            if not sym.is_global and sym not in self.prog.addressed and sym.type.is_pointer
+        ), key=self.local)
 
     def pointer(self, base: ast.Expr, detail: str) -> str:
         """Evaluate a pointer operand and fault on NULL."""
@@ -101,14 +142,19 @@ class AccessEmitter:
 
     def resolved(self, base: ast.Expr, exprs: List[ast.Expr],
                  detail: str) -> Optional[Hoisted]:
-        """The launch-resolved pointer ``base`` names, if any.  A NULL one
-        must fault before ``exprs`` (an index, then an atomic's operands)
-        can, as it did when each access tested it: keep that test unless
-        they are pure and the index an integer."""
+        """The resolved pointer ``base`` names, if any.  A NULL one must
+        fault before ``exprs`` (an index, then an atomic's operands) can,
+        as it did when each access tested it: keep that test unless they
+        are pure and the index an integer.  Exact code keeps it unless
+        they are names and literals, which charge no ops, so a NULL
+        pointer faults with the same ops charged."""
         h = self.hoisted.get(base.symbol) if isinstance(base, ast.Ident) else None
-        if h is not None and not (
-            self.is_int(exprs[0]) and all(self.pure(e) for e in exprs)
-        ):
+        if h is None:
+            return None
+        plain = self.is_int(exprs[0]) and all(self.pure(e) for e in exprs)
+        if self.exact:
+            plain = plain and all(isinstance(e, (ast.Ident, ast.IntLit)) for e in exprs)
+        if not plain:
             self.pointer(base, detail)
         return h
 
@@ -123,8 +169,9 @@ class AccessEmitter:
         h = self.resolved(base, [index], NULL_DEREF)
         if h is not None:
             k = self.hoisted_index(h, index)
-            self.emit(f"if not 0 <= {k} < {h.n}: _fault({h.ptr}, {k})")
-            return Elem(h.cells, k, h.is_float, "", h)
+            self.fault()
+            self.emit(f"if not 0 <= {k} < {h.n}: {h.fault_call(k)}")
+            return Elem(h.cells, k, h.is_float, h.eb, h if h.loads else None)
         p = self.pointer(base, NULL_DEREF)
         p, i = self.index(p, index)
         self.fault()
@@ -235,7 +282,8 @@ class AccessEmitter:
         if h is not None:
             k = self.hoisted_index(h, target.index)
             args = self.ordered(e.args[1:])
-            self.emit(f"if not 0 <= {k} < {h.n}: _fault({h.ptr}, {k}, {NULL_ELEM!r})")
+            self.fault()
+            self.emit(f"if not 0 <= {k} < {h.n}: {h.fault_call(k, NULL_ELEM)}")
             cells, f = h.cells, h.is_float
         else:
             p = self.pointer(target.base, NULL_ELEM)

@@ -5,9 +5,10 @@ reads a node's type, ``Ident.symbol`` the declaration a name is bound to).
 On top of them :class:`ProgramFacts` decides whether a pointer could reach
 an arithmetic slot (the guard on typed code) and finds the variables that
 always hold a Python ``int`` or ``float``, and :class:`BodyFacts` says, for
-each function and each ``target`` loop body, which variables it writes or
-dereferences and whether it can free or remap a buffer (the gate on hoisting
-pointer resolution out of a launch), and which it holds in a one-cell buffer
+each function, each loop of a generated function and each ``target`` loop
+nest, which variables it writes or dereferences and whether it can free or
+remap a buffer (the gate on hoisting pointer resolution out of a launch or
+a loop), and which it holds in a one-cell buffer
 (``addressed``: those whose address it takes, and its ``__shared__``
 scalars).  These sets hold symbols, not names.
 The loop-nest helpers read OpenMP loop nests the way the ``target`` loop
@@ -51,9 +52,13 @@ def is_alloc_call(e: ast.Expr) -> bool:
 #: Builtins that free a buffer.
 _FREES = ("free", "cudaFree")
 
+#: Loop statements.
+LOOPS = (ast.For, ast.While, ast.DoWhile)
+
 
 class BodyFacts(NamedTuple):
-    """What one function or ``target`` loop body does to variables and buffers."""
+    """What one function, loop or ``target`` loop nest does to variables
+    and buffers."""
 
     #: variables held in a one-cell buffer: those it takes the address of
     #: (``&name``) and the ``__shared__`` scalars it declares
@@ -119,16 +124,31 @@ class ProgramFacts:
             name: body_facts(self.stmts[name], self.exprs[name], self.functions)
             for name in self.functions
         }
-        #: the facts of each ``target`` loop's body, by ``id`` of its pragma
-        self.target_bodies: Dict[int, BodyFacts] = {}
-        if dialect is not Dialect.CUDA:
-            for stmts in self.stmts.values():
-                for s in stmts:
-                    if is_target_loop(s):
-                        self.target_bodies[id(s)] = body_facts(
-                            list(ast.walk_stmts(s.body)), ast.walk_exprs(s.body),
-                            self.functions,
-                        )
+        #: the facts of each loop, by ``id`` of the loop: for a loop of a
+        #: function that is not a kernel, what runs on every iteration (its
+        #: body, condition and step); for the ``for`` of a ``target`` loop,
+        #: the whole nest, whose pointers are resolved before its
+        #: initialiser runs.  The inner levels a ``target`` loop collapses
+        #: run in its nest and have none.
+        self.loop_bodies: Dict[int, BodyFacts] = {}
+        omp = dialect is not Dialect.CUDA
+        levels: Set[int] = set()
+        for name, fn in self.functions.items():
+            for s in self.stmts[name]:
+                if omp and is_target_loop(s):
+                    levels.add(id(s.body))
+                    levels.update(id(lv) for lv, _ in nest_levels(s.body, s.pragma.collapse))
+                    self.loop_bodies[id(s.body)] = body_facts(
+                        list(ast.walk_stmts(s.body)), ast.walk_exprs(s.body), self.functions
+                    )
+                elif type(s) in LOOPS and not fn.is_kernel and id(s) not in levels:
+                    exprs = ast.walk_exprs(s.body, clauses=omp)
+                    for e in (s.cond, s.step) if type(s) is ast.For else (s.cond,):
+                        if e is not None:
+                            exprs += ast.walk_exprs(e)
+                    self.loop_bodies[id(s)] = body_facts(
+                        list(ast.walk_stmts(s.body)), exprs, self.functions
+                    )
         #: the variables held in a one-cell buffer (``BodyFacts.addressed``
         #: of every function, and globals whose address an initialiser takes)
         inits = body_facts([], ast.walk_exprs(ast.Block(self.global_decls)), self.functions)

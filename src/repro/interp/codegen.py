@@ -38,10 +38,26 @@ never raises: a NULL, freed, unmapped or host pointer resolves to length
 message (a NULL test stays in front of an index that can itself fault).
 Load and store bytes through it are charged once per launch as access
 count x ``elem_bytes``; a fault discards them with the launch's other
-counts.  Launchers and nests keep the step budget in a local, handed to
-``ctx`` around every call and written back when they end, so
-``steps_used`` is exact on every exit.  Functions nothing calls and
-kernels nothing launches are not emitted.
+counts.  Launchers keep the step budget in a local, handed to ``ctx``
+around every call and written back when they end, so ``steps_used`` is
+exact on every exit (a ``target`` loop nest charges the local of the
+function that holds it, below).  Functions nothing calls and kernels
+nothing launches are not emitted.
+
+Each loop of a generated function (host code, ``__device__`` functions and
+the functions OpenMP code calls) resolves the pointers its body only reads
+through once per loop, under the same facts, in the address space its
+function runs in (``DEV``; device space inside a ``target`` region).  Host
+counters stay observable after a fault, so these accesses keep the host
+form's exactness: each charges its bytes where the per-access form does,
+pending ops are settled before its bounds test, and the NULL test stays in
+front of an index that charges ops.  A function with a loop keeps the step
+budget in a local from entry, handed to ``ctx`` around every call and
+launch (``target`` loops charge the same local) and written back in the
+function's ``finally`` with ``min`` (the budget only falls), so a kill,
+fault, ``exit()`` or return leaves ``steps_used`` exact.  Neither needs a
+``try`` per loop, which would cost a level of Python's 20 statically
+nested blocks.
 
 Static types specialise arithmetic.  They are the types semantic
 analysis left on each expression (:func:`repro.minilang.semantics.expr_type`),
@@ -69,11 +85,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import GuestRuntimeError, InterpreterError, ResourceLimitExceeded
 from repro.gpu.stats import HostParallelEvent, KernelEvent, OpCounters, TransferEvent
 from repro.interp.access import ATOMIC_UPDATE, AccessEmitter, Elem, Hoisted
-from repro.interp.analysis import OMP_CONSTANT, ProgramFacts, strip_cast
+from repro.interp.analysis import LOOPS, OMP_CONSTANT, ProgramFacts, strip_cast
 from repro.interp.memory import MemoryManager, Pointer
 from repro.interp.regions import Frame, RegionEmitter
 from repro.interp.values import (
-    COMBINE,
     REDUCTION_IDENTITY,
     c_div,
     c_mod,
@@ -153,11 +168,11 @@ _RUNTIME = {
     "TransferEvent": TransferEvent, "HostParallelEvent": HostParallelEvent,
     "GuestRuntimeError": GuestRuntimeError, "InterpreterError": InterpreterError,
     "GuestExit": GuestExit, "chk": MemoryManager.check_access,
-    "_view": MemoryManager.device_view, "_fault": MemoryManager.device_fault,
+    "_view": MemoryManager.view, "_fault": MemoryManager.fault,
     "c_div": c_div, "c_mod": c_mod, "nan": math.nan,
     "SEGV": _SEGFAULT, "BARRIER": BARRIER,
     "_add": pointer_add, "_sub": pointer_sub, "_step": pointer_step,
-    "_update": compound_update, "_COMBINE": COMBINE, "_cast_int": int_cast,
+    "_update": compound_update, "_cast_int": int_cast,
     "_IDENTITY": REDUCTION_IDENTITY, "_reduce_target": reduce_target,
     "_reduce_host": reduce_host, "_ThreadReturn": _ThreadReturn,
     "_NestExit": _NestExit, "_RegionExit": _RegionExit,
@@ -230,11 +245,12 @@ class _Emitter(AccessEmitter, RegionEmitter):
         #: locals already checked non-NULL in the current straight-line code
         self.nonnull: Set[str] = set()
         self.last_access: Optional[Elem] = None
-        #: guest pointer -> its launch-resolved temps (kernels, target loops)
+        #: guest pointer -> its temps, resolved once per launch or loop
         self.hoisted: Dict[ast.Symbol, Hoisted] = {}
         #: hoisted access counts not yet added (counter temp -> amount)
         self.tally: Dict[str, int] = {}
-        #: the local that holds the step budget in a launch (None: ``ctx``)
+        #: the local that holds the step budget in a launch or in a
+        #: function with a loop (None: ``ctx``)
         self.budget: Optional[str] = None
         #: the code charges steps to ``budget``, and hands it to calls
         self.budget_used = False
@@ -400,7 +416,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
         """Allocate a variable's cell, in this code's address space."""
         self.fault()
         (emit or self.emit)(
-            f"{self.cell(sym)} = mem.alloc({sym.type.size}, "
+            f"{self.cell(sym)} = mem.declare({sym.type.size}, "
             f"{self.mod.const(sym.type, 'T')}, {self.space_expr()}, {sym.name!r}).buf"
         )
 
@@ -737,7 +753,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             a = old if (typed and self.is_int(target)) else f"int({old})"
             b = v if self.is_int(value) else f"int({v})"
             return f"({a} {op} {b})"
-        return f"_COMBINE[{op!r}]({old}, {v})"
+        return f"_update({op!r}, {old}, {v})"
 
     def update_ident(self, e: ast.Assign, lv: str, t, integer: bool, want: bool) -> str:
         self.pending += 1
@@ -794,10 +810,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
                 return self.spill(lv)
             o = self.tmp()
             self.emit(f"{o} = {lv}")
-            if self.prog.typed and t is not None and t.is_pointer:
-                self.emit(f"{lv} = {o}.offset_by({delta})")
-            else:
-                self.emit(f"{lv} = _step({o}, {delta})")
+            self.emit(f"{lv} = {self.stepped(o, delta, t)}")
             return o if want == "old" else self.spill(lv)
         target = self.deref(target)
         if isinstance(target, ast.Index):
@@ -805,12 +818,21 @@ class _Emitter(AccessEmitter, RegionEmitter):
             old = self.load(target.base, target.index)
             el = self.last_access
             new = self.tmp()
-            self.emit(f"{new} = {old} {'+' if delta > 0 else '-'} 1")
+            self.emit(f"{new} = {self.stepped(old, delta, expr_type(target))}")
             el = self.reaccess(target, el)
             self.put(el, new, _typed(ast.Binary(op="+", left=target, right=_ONE),
                                      expr_type(target)))
             return old if want == "old" else new
         raise _Unsupported("unsupported increment/decrement target")
+
+    def stepped(self, old: str, delta: int, t: Optional[ty.Type]) -> str:
+        """``old`` moved by ``delta`` (``++``/``--``) in a slot of type ``t``,
+        which may hold a pointer unless typed code proves it numeric."""
+        if self.prog.typed and t is not None and t.is_numeric:
+            return f"{old} {'+' if delta > 0 else '-'} 1"
+        if self.prog.typed and t is not None and t.is_pointer:
+            return f"{old}.offset_by({delta})"
+        return f"_step({old}, {delta})"
 
     # -- calls -----------------------------------------------------------------
     def call(self, e: ast.Call) -> str:
@@ -1022,7 +1044,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             self.fault()
             elem = self.mod.const(s.type, "T")
             self.emit(
-                f"{lv} = mem.alloc(int({n}) * {max(1, s.type.size)}, {elem}, "
+                f"{lv} = mem.declare(int({n}) * {max(1, s.type.size)}, {elem}, "
                 f"{self.space_expr()}, {s.name!r})"
             )
             return
@@ -1040,12 +1062,29 @@ class _Emitter(AccessEmitter, RegionEmitter):
         if s.other is not None:
             self.block("else:", lambda: self.stmt(s.other))
 
-    def loop(self, cont, body) -> None:
-        """A ``while True`` loop whose body is emitted by ``body()``."""
+    def loop(self, s: ast.Stmt, cont, body) -> None:
+        """A ``while True`` loop whose body is emitted by ``body()``.
+
+        A loop of a generated function first resolves each pointer its
+        body only reads through (:meth:`hoistable`) that no enclosing loop
+        resolved, in the address space of the code around it.
+        """
         self.flush()
+        saved = self.hoisted
+        facts = self.prog.loop_bodies.get(id(s))
+        if facts is not None:
+            dev = "DEV" if self.space == "dyn" else ""
+            hoisted, resolve = self.hoist(
+                [sym for sym in self.hoistable(facts) if sym not in saved], dev)
+            if hoisted:
+                self.dynamic |= dev == "DEV"
+                self.hoisted = {**saved, **hoisted}
+            for line in resolve:
+                self.emit(line)
         self.frames.append(Frame("loop", cont))
         self.block("while True:", body)
         self.frames.pop()
+        self.hoisted = saved
 
     def exit_unless(self, cond: Optional[ast.Expr]) -> None:
         if cond is None:
@@ -1073,7 +1112,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             self.stmt(s.body)
             step()
 
-        self.loop(cont, body)
+        self.loop(s, cont, body)
 
     def while_stmt(self, s: ast.While) -> None:
         def cont():
@@ -1085,7 +1124,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             self.steps()
             self.stmt(s.body)
 
-        self.loop(cont, body)
+        self.loop(s, cont, body)
 
     def do_while(self, s: ast.DoWhile) -> None:
         def cont():
@@ -1097,7 +1136,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             self.stmt(s.body)
             self.exit_unless(s.cond)
 
-        self.loop(cont, body)
+        self.loop(s, cont, body)
 
     # -- jumps -------------------------------------------------------------------
     def target_frame(self) -> Tuple[Frame, bool]:
@@ -1309,6 +1348,8 @@ class ProgramCode:
         header = f"def f_{name}({', '.join('v_' + p for p in params)}):"
         device = fn.qualifier == "__device__"
         em = _Emitter(mod, name, fn, exact=not device, space="dyn")
+        if any(type(s) in LOOPS for s in mod.prog.stmts[name]):
+            em.budget = "st"
         try:
             em.frames.append(Frame("func"))
             em.param_cells(params)
@@ -1320,17 +1361,27 @@ class ProgramCode:
         prologue = ["C = ctx.counters"]
         if em.dynamic:
             prologue += ["SP = ctx.space", "DEV = SP == 'device'"]
-        return self._wrap(header, prologue, em, "C")
+        final = None
+        if em.budget_used:
+            prologue.append("st = ctx.steps_left")
+            # The budget only falls, so the lower of the two is the later.
+            final = "ctx.steps_left = min(ctx.steps_left, st)"
+        return self._wrap(header, prologue, em, "C", final)
 
     @staticmethod
     def _wrap(header: str, prologue: List[str], em: _Emitter, counters: str,
-              indent: int = 2) -> str:
-        pad = "    " * indent
+              final: Optional[str] = None) -> str:
+        """The function: ``prologue``, then its body in a ``try`` whose
+        ``finally`` settles its accumulators and runs ``final``."""
+        pad = "        "
         lines = ["    " + header] + [pad + line for line in prologue]
         settle = em.charges(counters)
+        if settle:
+            lines.append(pad + "o = lb = sb = at = 0")
+        if final is not None:
+            settle.append(final)
         if not settle:
             return "\n".join(lines + em.lines)
-        lines.append(pad + "o = lb = sb = at = 0")
         lines.append(pad + "try:")
         lines += ["    " + line for line in em.lines]
         lines.append(pad + "finally:")

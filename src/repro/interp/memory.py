@@ -14,7 +14,9 @@ tagged with an address space:
 A variable whose address is taken (or a ``__shared__`` scalar) lives in a
 *cell*: a one-element buffer allocated where the variable is declared, in
 that declaration's address space.  ``&x`` is then an ordinary
-:class:`Pointer` to it, so every pointer consumer serves it.
+:class:`Pointer` to it, so every pointer consumer serves it.  Cells and
+declared arrays are *declared* storage (:meth:`MemoryManager.declare`),
+which ``free`` refuses as glibc does.
 
 OpenMP ``map`` semantics attach a device *shadow* buffer to a host buffer
 with reference counting (nested ``target data`` regions map once), matching
@@ -37,7 +39,7 @@ class Buffer:
 
     __slots__ = (
         "cells", "length", "elem_bytes", "is_float", "space", "freed",
-        "shadow", "map_depth", "map_kinds", "label",
+        "shadow", "map_depth", "map_kinds", "label", "declared",
     )
 
     def __init__(
@@ -59,6 +61,8 @@ class Buffer:
         self.map_depth = 0
         self.map_kinds: List[str] = []
         self.label = label
+        #: a declaration owns it (a cell or an array), not an allocator
+        self.declared = False
 
     @property
     def nbytes(self) -> int:
@@ -151,6 +155,13 @@ class MemoryManager:
                 )
         return Pointer(Buffer(length, elem_bytes, is_float, space, label), 0)
 
+    def declare(self, nbytes: int, elem_type: ty.Type, space: str, label: str) -> Pointer:
+        """Storage a declaration owns: an array, or the cell of a variable
+        whose address is taken.  ``free`` refuses it."""
+        ptr = self.alloc(nbytes, elem_type, space, label)
+        ptr.buf.declared = True
+        return ptr
+
     def free(self, ptr: Optional[Pointer], space: str) -> None:
         if ptr is None:
             return  # free(NULL) is a no-op
@@ -169,6 +180,11 @@ class MemoryManager:
             raise GuestRuntimeError(
                 _SEGFAULT if space == "host" else "CUDA error: invalid argument",
                 detail=f"{api} called on a {buf.space} pointer",
+            )
+        if buf.declared:
+            raise GuestRuntimeError(
+                "free(): invalid pointer\nAborted (core dumped)",
+                detail=f"free() called on the storage of variable {buf.label}",
             )
         buf.freed = True
         if space == "host":
@@ -223,20 +239,25 @@ class MemoryManager:
         return buf
 
     # ------------------------------------------------------------------
-    # Pointers resolved once per launch (the generated code's hoisted form)
+    # Pointers resolved once per launch or loop (the generated code's
+    # hoisted form)
     # ------------------------------------------------------------------
     @staticmethod
-    def device_view(ptr) -> tuple:
-        """``(cells, offset, length, elem_bytes, is_float)`` of what device
-        code reaches through ``ptr``: a device buffer, or the shadow of a
-        mapped host buffer.
+    def view(ptr, device: bool = True) -> tuple:
+        """``(cells, offset, length, elem_bytes, is_float)`` of what code
+        reaches through ``ptr``: device code (``device``) a device buffer
+        or the shadow of a mapped host buffer, host code a host buffer.
 
-        Never raises.  A NULL, freed, unmapped or non-pointer value
-        resolves to length 0, so each access through it takes
-        :meth:`device_fault`.
+        Never raises.  A NULL, freed or non-pointer value, or a buffer of
+        the other space, resolves to length 0, so each access through it
+        takes :meth:`fault`.
         """
         if ptr.__class__ is Pointer:
             buf = ptr.buf
+            if not device:
+                if buf.space == "host" and not buf.freed:
+                    return buf.cells, ptr.off, buf.length, buf.elem_bytes, buf.is_float
+                return (), ptr.off, 0, 0, False
             if buf.space == "host" and not buf.freed:
                 buf = buf.shadow
             if buf is not None and buf.space == "device" and not buf.freed:
@@ -245,12 +266,13 @@ class MemoryManager:
         return (), 0, 0, 0, False
 
     @staticmethod
-    def device_fault(ptr, index: int, detail: str = "NULL pointer dereference") -> None:
-        """Raise what device code's access to element ``index`` of ``ptr``
-        raises when :meth:`device_view` puts it out of range."""
+    def fault(ptr, index: int, detail: str = "NULL pointer dereference",
+              device: bool = True) -> None:
+        """Raise what the checked access to element ``index`` of ``ptr``
+        raises when :meth:`view` puts it out of range."""
         if ptr is None:
             raise GuestRuntimeError(_SEGFAULT, detail=detail)
-        MemoryManager.check_access(ptr.buf, index, True)
+        MemoryManager.check_access(ptr.buf, index, device)
         raise InterpreterError(f"element {index} resolved out of range but is valid")
 
     # ------------------------------------------------------------------

@@ -126,7 +126,7 @@ class RegionEmitter:
         self.emit(f"{c} = OpCounters()")
         self.emit(f"o{acc} = lb{acc} = sb{acc} = at{acc} = 0")
         self.emit(f"{pc} = ctx.counters")
-        saved = (self.acc, self.exact, self.space, self.hoisted, self.budget)
+        saved = (self.acc, self.exact, self.space, self.hoisted)
         if space is not None:
             self.emit(f"{ps} = ctx.space")
         self.emit(f"ctx.counters = {c}")
@@ -140,7 +140,7 @@ class RegionEmitter:
 
         def leave():
             self.flush()
-            self.acc, self.exact, self.space, self.hoisted, self.budget = saved
+            self.acc, self.exact, self.space, self.hoisted = saved
 
         def restore():
             self.emit(f"ctx.counters = {pc}")
@@ -203,45 +203,30 @@ class RegionEmitter:
         return saved
 
     def target_loop(self, s: ast.Pragma) -> None:
-        """A ``target`` loop nest.  Where no map clause or call in its body
-        can free or remap a buffer, each pointer local it dereferences but
-        never writes is resolved once, before the nest.  The nest keeps the
-        step budget in a local unless an enclosing one already does."""
+        """A ``target`` loop nest.  Where no map clause or call in it can
+        free or remap a buffer, each pointer local it dereferences but
+        never writes is resolved once, before the nest.  The nest charges
+        its steps to the step budget local of the function that holds it."""
         pragma = s.pragma
         entered = self.maps_enter(pragma)
         c, enter, leave, restore, settle = self.region(exact=False, space="omp")
         saved = self.reduction_enter(pragma)
         cnt = self.tmp()
-        facts = self.prog.target_bodies[id(s)]
-        hoisted, resolve = self.hoist(sorted((
-            sym for sym in facts.accessed - facts.written
-            if facts.stable and not sym.is_global and sym not in self.prog.addressed
-            and sym.type.is_pointer
-        ), key=self.local))
+        hoisted, resolve = self.hoist(self.hoistable(self.prog.loop_bodies[id(s.body)]))
         for line in resolve:
             self.emit(line)
-        own = self.budget is None
-        budget = "st" if own else self.budget
-        if own:
-            self.emit(f"{budget} = ctx.steps_left")
 
         def body():
             enter()
-            self.hoisted, self.budget = hoisted, budget
+            self.hoisted = hoisted
             self.emit(f"{cnt} = 0")
             self.nest(s.body, pragma.collapse, cnt)
             leave()
 
-        def final():
-            restore()
-            if own:
-                # The budget only falls, so the lower of the two is the later.
-                self.emit(f"ctx.steps_left = min(ctx.steps_left, {budget})")
-
         self.frames.append(Frame("try"))
         self.block("try:", body)
         self.frames.pop()
-        self.block("finally:", final)
+        self.block("finally:", restore)
         settle(hoisted.values())
         red = pragma.reduction
         for lv, sv in saved:

@@ -320,6 +320,31 @@ class TestMemorySpaces:
         )
         assert (out.error, out.stdout) == (None, "2.5 1\n")
 
+    def test_step_and_update_a_pointer_element(self):
+        out = run_cuda(
+            "__global__ void shift(int* data, int** ptrs, int* out) {\n"
+            "  int i = threadIdx.x;\n"
+            "  ptrs[i] = data + i;\n"
+            "  ptrs[i]++; ptrs[i] += 3; ptrs[i]--; --ptrs[i]; ptrs[i] -= 1;\n"
+            "  int* old = ptrs[i]++;\n"
+            "  out[i] = old[0] * 100 + ptrs[i][0];\n"
+            "}\n"
+            "int main() {\n"
+            "  int* h = (int*)malloc(8 * sizeof(int));\n"
+            "  for (int i = 0; i < 8; i++) { h[i] = i; }\n"
+            "  int* data; int** ptrs; int* out;\n"
+            "  cudaMalloc(&data, 8 * sizeof(int));\n"
+            "  cudaMalloc(&ptrs, 4 * sizeof(int*));\n"
+            "  cudaMalloc(&out, 4 * sizeof(int));\n"
+            "  cudaMemcpy(data, h, 8 * sizeof(int), cudaMemcpyHostToDevice);\n"
+            "  shift<<<1, 4>>>(data, ptrs, out);\n"
+            "  cudaMemcpy(h, out, 4 * sizeof(int), cudaMemcpyDeviceToHost);\n"
+            '  printf("%d %d\\n", h[0], h[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "102 405\n")
+
 
 class TestAtomics:
     def test_atomic_add_counts_all_threads(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.minilang.source import Dialect
@@ -249,6 +250,40 @@ class TestMemory:
     def test_free_null_ok(self):
         out = run_source("int main() { free(NULL); return 0; }")
         assert out.error is None
+
+    #: ``free`` of storage a declaration owns, then a read of it.
+    DECLARED = {
+        "local": "int x = 1; free(&x); printf(\"%d\\n\", x);",
+        "local-array": "int a[2]; a[0] = 5; free(a); printf(\"%d\\n\", a[0]);",
+        "element-of-a-local-array": "int a[2]; free(&a[1]); printf(\"%d\\n\", a[1]);",
+        "global": "free(&g); printf(\"%d\\n\", g);",
+        "global-array": "free(ga); printf(\"%d\\n\", ga[0]);",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DECLARED))
+    def test_free_of_declared_storage_is_an_invalid_pointer(self, kind):
+        out = run_source(
+            "int g = 4; int ga[3];\n"
+            f"int main() {{ {self.DECLARED[kind]} return 0; }}"
+        )
+        assert (out.stdout, out.error, out.exit_code) == (
+            "", "free(): invalid pointer\nAborted (core dumped)", 1)
+
+    def test_step_and_update_a_pointer_element(self):
+        # ``++``, ``--`` and ``+=`` move a pointer held in an element, as
+        # they move a pointer variable.
+        out = run_source(
+            "int main() { int* v = (int*)malloc(6 * sizeof(int));\n"
+            "for (int i = 0; i < 6; i++) { v[i] = i * 10; }\n"
+            "int** arr = (int**)malloc(2 * sizeof(int*)); arr[0] = v;\n"
+            "arr[0]++; int a = arr[0][0];\n"
+            "arr[0] += 3; int b = *arr[0];\n"
+            "arr[0]--; int c = arr[0][0];\n"
+            "int* old = arr[0]++; int d = old[0] * 100 + arr[0][0];\n"
+            "arr[0] -= 4; --arr[0]; ++arr[0];\n"
+            'printf("%d %d %d %d %d\\n", a, b, c, d, arr[0][0]); return 0; }'
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "10 40 30 3040 0\n")
 
     def test_null_deref(self):
         out = run_source("int main() { int* p = NULL; return p[0]; }")

@@ -241,6 +241,28 @@ class TestTargetLoop:
         )
         assert (out.error, out.exit_code, out.stdout) == (None, 0, "2.0 6.0\n")
 
+    def test_body_steps_and_updates_a_pointer_element(self):
+        out = run_omp(
+            "int main() {\n"
+            "  int n = 4;\n"
+            "  int* data = (int*)malloc(8 * sizeof(int));\n"
+            "  for (int i = 0; i < 8; i++) { data[i] = i; }\n"
+            "  int** ptrs = (int**)malloc(n * sizeof(int*));\n"
+            "  int* out = (int*)malloc(n * sizeof(int));\n"
+            "#pragma omp target teams distribute parallel for map(to: data[0:8]) "
+            "map(alloc: ptrs[0:n]) map(from: out[0:n])\n"
+            "  for (int i = 0; i < n; i++) {\n"
+            "    ptrs[i] = data + i;\n"
+            "    ptrs[i]++; ptrs[i] += 3; ptrs[i]--; --ptrs[i]; ptrs[i] -= 1;\n"
+            "    int* old = ptrs[i]++;\n"
+            "    out[i] = old[0] * 100 + ptrs[i][0];\n"
+            "  }\n"
+            '  printf("%d %d\\n", out[0], out[3]);\n'
+            "  return 0;\n"
+            "}"
+        )
+        assert (out.error, out.exit_code, out.stdout) == (None, 0, "102 405\n")
+
 
 class TestTargetData:
     PROG = (
