@@ -126,7 +126,9 @@ class ProgramFacts:
         }
         #: the facts of each loop, by ``id`` of the loop: for a loop of a
         #: function that is not a kernel, what runs on every iteration (its
-        #: body, condition and step); for the ``for`` of a ``target`` loop,
+        #: body, condition and step), except that it dereferences only what
+        #: it does outside the regions in it (:func:`opens_region`), which
+        #: resolve their own pointers; for the ``for`` of a ``target`` loop,
         #: the whole nest, whose pointers are resolved before its
         #: initialiser runs.  The inner levels a ``target`` loop collapses
         #: run in its nest and have none.
@@ -142,13 +144,20 @@ class ProgramFacts:
                         list(ast.walk_stmts(s.body)), ast.walk_exprs(s.body), self.functions
                     )
                 elif type(s) in LOOPS and not fn.is_kernel and id(s) not in levels:
+                    stmts = list(ast.walk_stmts(s.body))
                     exprs = ast.walk_exprs(s.body, clauses=omp)
                     for e in (s.cond, s.step) if type(s) is ast.For else (s.cond,):
                         if e is not None:
                             exprs += ast.walk_exprs(e)
-                    self.loop_bodies[id(s)] = body_facts(
-                        list(ast.walk_stmts(s.body)), exprs, self.functions
-                    )
+                    facts = body_facts(stmts, exprs, self.functions)
+                    regions = [r.body for r in stmts if opens_region(r)] if omp else []
+                    if regions:
+                        inner = {id(e) for body in regions for e in ast.walk_exprs(body)}
+                        own = [e for e in exprs if id(e) not in inner]
+                        facts = facts._replace(
+                            accessed=body_facts([], own, self.functions).accessed
+                        )
+                    self.loop_bodies[id(s)] = facts
         #: the variables held in a one-cell buffer (``BodyFacts.addressed``
         #: of every function, and globals whose address an initialiser takes)
         inits = body_facts([], ast.walk_exprs(ast.Block(self.global_decls)), self.functions)
@@ -395,6 +404,16 @@ def is_target_loop(s: ast.Stmt) -> bool:
     """An OpenMP ``target`` loop construct over a ``for`` loop."""
     return isinstance(s, ast.Pragma) and s.pragma.is_target and s.pragma.is_loop and (
         isinstance(s.body, ast.For)
+    )
+
+
+def opens_region(s: ast.Stmt) -> bool:
+    """An OpenMP construct whose body runs as a region with its own
+    counters, resolving its own pointers: a ``target`` loop, a ``target``
+    region or a host ``parallel`` region (the three that
+    ``RegionEmitter.pragma`` emits through ``region()``)."""
+    return isinstance(s, ast.Pragma) and (
+        is_target_loop(s) or s.pragma.directive in ("target", "parallel for", "parallel")
     )
 
 

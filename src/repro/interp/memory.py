@@ -16,7 +16,9 @@ A variable whose address is taken (or a ``__shared__`` scalar) lives in a
 that declaration's address space.  ``&x`` is then an ordinary
 :class:`Pointer` to it, so every pointer consumer serves it.  Cells and
 declared arrays are *declared* storage (:meth:`MemoryManager.declare`),
-which ``free`` refuses as glibc does.
+which ``free`` refuses as glibc does.  It refuses a pointer into the
+middle of a buffer (``free(p + 1)``) too, and ``cudaFree`` refuses one as
+CUDA does.
 
 OpenMP ``map`` semantics attach a device *shadow* buffer to a host buffer
 with reference counting (nested ``target data`` regions map once), matching
@@ -185,6 +187,13 @@ class MemoryManager:
             raise GuestRuntimeError(
                 "free(): invalid pointer\nAborted (core dumped)",
                 detail=f"free() called on the storage of variable {buf.label}",
+            )
+        if ptr.off:
+            raise GuestRuntimeError(
+                "free(): invalid pointer\nAborted (core dumped)"
+                if space == "host"
+                else "CUDA error: invalid argument",
+                detail=f"free of a pointer {ptr.off} element(s) into buffer {buf.label or '?'}",
             )
         buf.freed = True
         if space == "host":

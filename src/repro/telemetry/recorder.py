@@ -23,7 +23,7 @@ import time
 import traceback
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Optional, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "FlightRecorder",
@@ -49,25 +49,36 @@ class FlightRecorder:
         self.capacity = capacity
         self.directory = Path(directory) if directory else None
         self._lock = threading.Lock()
-        self._events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        #: (perf_counter at arrival, event); events are frozen, so a
+        #: record is built only when the ring is read
+        self._events: Deque[Tuple[float, Any]] = deque(maxlen=capacity)
         self._t0 = time.perf_counter()
         self._context: Dict[str, Any] = {}
 
     # -- event intake ---------------------------------------------------
     def __call__(self, event: Any) -> None:
-        record: Dict[str, Any] = {
-            "t": round(time.perf_counter() - self._t0, 6),
-            "event": type(event).__name__,
-        }
-        fields = getattr(event, "__dataclass_fields__", None)
-        if fields:
-            for name in fields:
+        with self._lock:
+            self._events.append((time.perf_counter(), event))
+
+    def records(self) -> List[Dict[str, Any]]:
+        """The ring as JSON-able records, oldest first: the arrival offset
+        ``t``, the event's class name and its fields (strings cut at 500
+        characters)."""
+        with self._lock:
+            ring = list(self._events)
+        out = []
+        for arrived, event in ring:
+            record: Dict[str, Any] = {
+                "t": round(arrived - self._t0, 6),
+                "event": type(event).__name__,
+            }
+            for name in getattr(event, "__dataclass_fields__", None) or ():
                 value = getattr(event, name, None)
                 if isinstance(value, str) and len(value) > 500:
                     value = value[:500] + "…"
                 record[name] = value
-        with self._lock:
-            self._events.append(record)
+            out.append(record)
+        return out
 
     def set_context(self, **context: Any) -> None:
         """Note what the worker is currently doing (shown in dumps)."""
@@ -94,8 +105,8 @@ class FlightRecorder:
         self, reason: str, exc: Optional[BaseException] = None
     ) -> Optional[Path]:
         """Write the ring to ``flight-<pid>.json``; never raises."""
+        events = self.records()
         with self._lock:
-            events = list(self._events)
             context = dict(self._context)
         payload: Dict[str, Any] = {
             "pid": os.getpid(),

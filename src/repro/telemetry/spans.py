@@ -88,43 +88,46 @@ class SpanTracer:
     pipeline — and tracer — per scenario, mirroring the bus's own
     single-run design).  Call :meth:`drain` after ``pipeline.run()`` to
     collect the finished span dicts and reset for reuse.
+
+    Each span is kept in its :meth:`Span.to_dict` form from the start: a
+    leaf is complete when its event arrives, and a stage or the root
+    gains ``wall``, ``cpu`` and ``attrs`` when it finishes, in that key
+    order, so :meth:`drain` has nothing left to convert.
     """
 
     def __init__(self) -> None:
         self._reset()
 
     def _reset(self) -> None:
-        self._spans: List[Span] = []
-        self._next_id = 0
+        self._spans: List[Dict[str, Any]] = []
         self._t0: Optional[float] = None
-        self._root: Optional[Span] = None
-        self._stage: Optional[Span] = None
+        self._root: Optional[Dict[str, Any]] = None
+        self._root_attrs: Dict[str, Any] = {}
+        self._stage: Optional[Dict[str, Any]] = None
         self._stage_cpu_start = 0.0
         self._root_cpu_start = 0.0
 
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        now = time.perf_counter()
-        if self._t0 is None:
-            self._t0 = now
-        return now - self._t0
-
     def _open(
         self,
         name: str,
         kind: str,
         parent: Optional[int],
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> Span:
-        span = Span(
-            id=self._next_id,
-            name=name,
-            kind=kind,
-            start=self._now(),
-            parent=parent,
-            attrs=dict(attrs or {}),
-        )
-        self._next_id += 1
+        seconds: float = 0.0,
+    ) -> Dict[str, Any]:
+        """A span that opened ``seconds`` before now and lasted as long."""
+        now = time.perf_counter()
+        if self._t0 is None:
+            self._t0 = now
+        span: Dict[str, Any] = {
+            "id": len(self._spans),
+            "name": name,
+            "kind": kind,
+            "start": round(max(0.0, now - self._t0 - seconds), 6),
+            "wall": round(seconds, 6),
+        }
+        if parent is not None:
+            span["parent"] = parent
         self._spans.append(span)
         return span
 
@@ -133,27 +136,23 @@ class SpanTracer:
         kind = type(event).__name__
         if kind == "PipelineStarted":
             self._reset()
-            self._root = self._open(
-                "pipeline",
-                PIPELINE,
-                None,
-                {
-                    "model": event.model,
-                    "source_dialect": event.source_dialect,
-                    "target_dialect": event.target_dialect,
-                },
-            )
+            self._root = self._open("pipeline", PIPELINE, None)
+            self._root_attrs = {
+                "model": event.model,
+                "source_dialect": event.source_dialect,
+                "target_dialect": event.target_dialect,
+            }
             self._root_cpu_start = time.process_time()
         elif kind == "StageStarted":
-            parent = self._root.id if self._root is not None else None
+            parent = self._root["id"] if self._root is not None else None
             self._stage = self._open(event.stage, STAGE, parent)
             self._stage_cpu_start = time.process_time()
         elif kind == "StageFinished":
             stage = self._stage
-            if stage is not None and stage.name == event.stage:
-                stage.wall = event.seconds
-                stage.cpu = time.process_time() - self._stage_cpu_start
-                stage.attrs["outcome"] = event.outcome
+            if stage is not None and stage["name"] == event.stage:
+                stage["wall"] = round(event.seconds, 6)
+                stage["cpu"] = round(time.process_time() - self._stage_cpu_start, 6)
+                stage["attrs"] = {"outcome": event.outcome}
             self._stage = None
         elif kind == "LlmCallFinished":
             self._leaf(
@@ -181,23 +180,25 @@ class SpanTracer:
             self._leaf("execute", EXEC, event.seconds, attrs)
         elif kind == "PipelineFinished":
             if self._root is not None:
-                self._root.wall = event.seconds
-                self._root.cpu = time.process_time() - self._root_cpu_start
-                self._root.attrs["status"] = event.status
+                self._root["wall"] = round(event.seconds, 6)
+                self._root["cpu"] = round(time.process_time() - self._root_cpu_start, 6)
+                self._root_attrs["status"] = event.status
+                self._root["attrs"] = self._root_attrs
 
     def _leaf(
         self, name: str, kind: str, seconds: float, attrs: Dict[str, Any]
     ) -> None:
-        parent = self._stage or self._root
-        span = self._open(name, kind, parent.id if parent else None, attrs)
+        parent = self._stage if self._stage is not None else self._root
         # The event reports a finished region: the span opened `seconds`
         # before now, not at the publish instant.
-        span.start = max(0.0, span.start - seconds)
-        span.wall = seconds
+        span = self._open(name, kind, parent["id"] if parent else None, seconds)
+        span["attrs"] = attrs
 
     # ------------------------------------------------------------------
     def drain(self) -> List[Dict[str, Any]]:
         """Finished span dicts for the run just traced; resets the tracer."""
-        spans = [s.to_dict() for s in self._spans]
+        spans, root = self._spans, self._root
+        if root is not None and "attrs" not in root:
+            root["attrs"] = self._root_attrs  # the run has not finished
         self._reset()
         return spans

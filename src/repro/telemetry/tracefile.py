@@ -95,8 +95,8 @@ class TraceWriter:
                 {
                     "record": "trace",
                     "trace_id": trace_id,
-                    "scenario": dict(scenario),
-                    "spans": [dict(s) for s in spans],
+                    "scenario": scenario,
+                    "spans": spans,
                 }
             )
             + "\n"

@@ -59,45 +59,33 @@ def extract_code_block(response: str, prefer_langs: Optional[List[str]] = None) 
     return None
 
 
+#: What ``strip_comments`` acts on, leftmost first: a ``"..."`` literal
+#: (escapes included; an unterminated one runs to the end of the text), a
+#: ``//`` comment up to the newline, and a ``/* */`` comment (an
+#: unterminated one runs to the end of the text).
+_COMMENT_RE = re.compile(
+    r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)'
+    r"|//[^\n]*"
+    r"|/\*.*?(?:\*/|\Z)",
+    re.DOTALL,
+)
+
+
+def _uncomment(m: "re.Match[str]") -> str:
+    text = m.group()
+    if text[0] == '"':
+        return text
+    # A line comment stops at its newline; a block comment keeps its own.
+    return "\n" * text.count("\n")
+
+
 def strip_comments(code: str) -> str:
     """Remove ``//`` line comments and ``/* */`` block comments.
 
-    String literals are respected (a ``//`` inside quotes survives).
+    String literals are respected (a ``//`` inside quotes survives).  A
+    block comment leaves its newlines behind, so line numbers hold.
     """
-    out: List[str] = []
-    i, n = 0, len(code)
-    in_string = False
-    while i < n:
-        ch = code[i]
-        if in_string:
-            out.append(ch)
-            if ch == "\\" and i + 1 < n:
-                out.append(code[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-            i += 1
-            continue
-        if ch == '"':
-            in_string = True
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and code[i + 1] == "/":
-            while i < n and code[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and code[i + 1] == "*":
-            j = code.find("*/", i + 2)
-            # Preserve line structure of the removed block comment.
-            block = code[i: (j + 2) if j != -1 else n]
-            out.append("\n" * block.count("\n"))
-            i = (j + 2) if j != -1 else n
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_uncomment, code)
 
 
 def dedent_code(code: str) -> str:

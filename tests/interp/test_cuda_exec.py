@@ -224,6 +224,15 @@ class TestMemorySpaces:
         )
         assert out.error is not None
 
+    def test_cuda_free_of_an_interior_pointer_is_an_invalid_argument(self):
+        # As ``cudaFree`` of a host pointer: the error, and no free.
+        out = run_cuda(
+            "int main() { float* d; cudaMalloc(&d, 4 * sizeof(float));\n"
+            'int rc = cudaFree(d + 1); printf("%d\\n", rc); return 0; }'
+        )
+        assert (out.stdout, out.error, out.exit_code) == (
+            "", "CUDA error: invalid argument", 1)
+
     def test_cuda_memset(self):
         out = run_cuda(
             "int main() {\n"

@@ -1053,3 +1053,36 @@ def test_host_loop_pointer_is_hoisted_only_when_stable(write, monkeypatch):
         assert "_view(v_a, DEV)" in main and ".buf" not in main
     else:
         assert "_view(v_a" not in main and ".buf" in main
+
+
+#: Regions in a host loop that read ``b``: each resolves its own pointers.
+REGIONS = {
+    "target-loop": "#pragma omp target teams distribute parallel for\n"
+                   "    for (int i = 0; i < n; i++) { b[i] = b[i] + 1.0f; }",
+    "target": "#pragma omp target\n"
+              "    { for (int i = 0; i < n; i++) { b[i] = b[i] + 1.0f; } }",
+    "parallel-for": "#pragma omp parallel for\n"
+                    "    for (int i = 0; i < n; i++) { b[i] = b[i] + 1.0f; }",
+}
+
+
+@pytest.mark.parametrize("region", sorted(REGIONS))
+def test_host_loop_leaves_a_pointer_read_only_in_a_region_to_it(region, monkeypatch):
+    text = (
+        "int main() {\n"
+        "  int n = 8;\n"
+        "  float s = 0.0f;\n"
+        "  float* a = (float*)malloc(n * sizeof(float));\n"
+        "  float* b = (float*)malloc(n * sizeof(float));\n"
+        "  #pragma omp target data map(tofrom: b[0:n])\n"
+        "  for (int r = 0; r < 2; r++) {\n"
+        f"    {REGIONS[region]}\n"
+        "    s += a[r];\n"
+        "  }\n"
+        "  return 0;\n"
+        "}\n"
+    )
+    main = function_source(generated(text, Dialect.OMP, monkeypatch), "f_main")
+    # The host loop resolves ``a``, which it reads; only the region, or
+    # the loop in it, resolves ``b``.
+    assert "_view(v_a, DEV)" in main and main.count("_view(v_b") == 1

@@ -269,6 +269,22 @@ class TestMemory:
         assert (out.stdout, out.error, out.exit_code) == (
             "", "free(): invalid pointer\nAborted (core dumped)", 1)
 
+    def test_free_of_an_interior_pointer_is_an_invalid_pointer(self):
+        # glibc aborts at the ``free``; the buffer stays allocated.
+        out = run_source(
+            "int main() { int* p = (int*)malloc(4 * sizeof(int));\n"
+            'free(p + 1); p[0] = 1; printf("%d\\n", p[0]); return 0; }'
+        )
+        assert (out.stdout, out.error, out.exit_code) == (
+            "", "free(): invalid pointer\nAborted (core dumped)", 1)
+
+    def test_free_of_a_pointer_stepped_back_to_the_start_frees(self):
+        out = run_source(
+            "int main() { int* p = (int*)malloc(4 * sizeof(int));\n"
+            "int* q = p + 3; free(q - 3); p[0] = 1; return 0; }"
+        )
+        assert out.error_detail == "use-after-free of buffer ?"
+
     def test_step_and_update_a_pointer_element(self):
         # ``++``, ``--`` and ``+=`` move a pointer held in an element, as
         # they move a pointer variable.

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+from difflib import SequenceMatcher
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hecbench import all_apps
+from repro.llm.base import ChatMessage
+from repro.llm.profiles import direction_key, paper_plan
+from repro.llm.registry import model_keys
+from repro.llm.simulated import SimulatedLLM
 from repro.metrics import aggregate, runtime_ratio, sim_l, sim_t, within_10pct_or_faster
 from repro.metrics.aggregate import ScenarioMetrics
+from repro.minilang.source import Dialect
+from repro.pipeline.stages.generate import extract_target_code
+from repro.prompts.builder import PromptBuilder
+from repro.utils.text import strip_comments
+from repro.utils.tokens import tokenize_code
 
 CODE_A = """
 int main() {
@@ -22,6 +34,65 @@ int main() {
 code_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=300
 )
+
+
+def difflib_ratio(code_a: str, code_b: str) -> float:
+    """Sim-T as ``difflib`` computes it: the reference for ``sim_t``."""
+    return SequenceMatcher(
+        None,
+        tokenize_code(strip_comments(code_a)),
+        tokenize_code(strip_comments(code_b)),
+        autojunk=False,
+    ).ratio()
+
+
+@st.composite
+def token_lists(draw):
+    """Two token lists over an alphabet of 2-5 symbols, so that ties and
+    repeats are common; half of the second lists are edited copies of the
+    first."""
+    symbol = st.sampled_from([f"t{k}" for k in range(draw(st.integers(2, 5)))])
+
+    def tokens():
+        # A drawn length: ``st.lists`` alone keeps most lists a few long.
+        n = draw(st.integers(0, 60))
+        return draw(st.lists(symbol, min_size=n, max_size=n))
+
+    a = tokens()
+    if not draw(st.booleans()):
+        return a, tokens()
+    b = list(a)
+    for _ in range(draw(st.integers(0, 8))):
+        at = draw(st.integers(0, len(b)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            b.insert(at, draw(symbol))
+        elif at < len(b):
+            if edit == "delete":
+                del b[at]
+            else:
+                b[at] = draw(symbol)
+    return a, b
+
+
+def first_translations():
+    """(reference, translation) for every simulated model's first
+    translation of every Table IV app in both directions, as the lexer
+    pin's corpus has them (the response text where it holds no code)."""
+    apps = all_apps()
+    for model in model_keys():
+        for src, tgt in ((Dialect.OMP, Dialect.CUDA), (Dialect.CUDA, Dialect.OMP)):
+            builder = PromptBuilder(src, tgt)
+            for app in apps:
+                llm = SimulatedLLM(model, src, tgt,
+                                   plan=paper_plan(model, direction_key(src, tgt), app.name))
+                bundle = builder.build(llm, app.source(src))
+                response = llm.chat([
+                    ChatMessage("system", bundle.system),
+                    ChatMessage("user", bundle.full_user_prompt),
+                ])
+                code = extract_target_code(response.text, tgt)
+                yield app.source(tgt), code if code is not None else response.text
 
 
 class TestSimT:
@@ -52,6 +123,21 @@ class TestSimT:
     def test_bounds(self, a, b):
         s = sim_t(a, b)
         assert 0.0 <= s <= 1.0
+
+    @given(token_lists())
+    @settings(max_examples=200)
+    def test_equals_difflib_ratio(self, pair):
+        a, b = (" ".join(tokens) for tokens in pair)
+        assert sim_t(a, b) == SequenceMatcher(None, *pair, autojunk=False).ratio()
+        assert sim_t(b, a) == SequenceMatcher(None, *pair[::-1], autojunk=False).ratio()
+
+    def test_equals_difflib_ratio_on_the_apps_and_their_translations(self):
+        pairs = [(app.cuda_source, app.omp_source) for app in all_apps()]
+        pairs += first_translations()
+        assert len(pairs) == 90
+        for reference, code in pairs:
+            assert sim_t(reference, code) == difflib_ratio(reference, code)
+            assert sim_t(code, reference) == difflib_ratio(code, reference)
 
 
 class TestSimL:

@@ -34,7 +34,7 @@ class TestRing:
         recorder = FlightRecorder()
         recorder(StageFinished(stage="generate", seconds=0.25,
                                outcome="proceed"))
-        [record] = list(recorder._events)
+        [record] = recorder.records()
         assert record["event"] == "StageFinished"
         assert record["stage"] == "generate"
         assert record["outcome"] == "proceed"
@@ -43,7 +43,7 @@ class TestRing:
     def test_long_string_fields_are_truncated(self):
         recorder = FlightRecorder()
         recorder(StageFinished(stage="x" * 2000, seconds=0.0, outcome="halt"))
-        [record] = list(recorder._events)
+        [record] = recorder.records()
         assert len(record["stage"]) == 501  # 500 chars + ellipsis
 
     def test_clear_drops_events_and_context(self):

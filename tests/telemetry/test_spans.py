@@ -95,6 +95,18 @@ class TestSpanTracer:
         # start after it ended, and never before the run's origin.
         assert 0.0 <= llm["start"] <= stage["start"] + 0.3
 
+    def test_spans_are_in_to_dict_form(self):
+        # Key order included: a span reads as ``Span.to_dict`` writes it,
+        # whether its run finished or not.
+        tracer = SpanTracer()
+        finished = trace_one_run(tracer)
+        tracer(PipelineStarted(model="GPT-4", source_dialect="omp",
+                               target_dialect="cuda"))
+        tracer(StageStarted(stage="generate"))
+        for span in finished + tracer.drain():
+            again = Span.from_dict(span).to_dict()
+            assert again == span and list(again) == list(span)
+
     def test_drain_resets_for_the_next_run(self):
         tracer = SpanTracer()
         first = trace_one_run(tracer)

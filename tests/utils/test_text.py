@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from typing import List
+
+from hypothesis import given, settings, strategies as st
+
+from repro.hecbench import all_apps
 from repro.utils.text import (
     dedent_code,
     extract_code_block,
@@ -54,7 +59,65 @@ class TestExtractCodeBlock:
         assert "int main" in extract_code_block(resp)
 
 
+def strip_comments_by_char(code: str) -> str:
+    """The character-at-a-time ``strip_comments`` that the one-pattern
+    version replaced: the reference it must agree with."""
+    out: List[str] = []
+    i, n = 0, len(code)
+    in_string = False
+    while i < n:
+        ch = code[i]
+        if in_string:
+            out.append(ch)
+            if ch == "\\" and i + 1 < n:
+                out.append(code[i + 1])
+                i += 2
+                continue
+            if ch == '"':
+                in_string = False
+            i += 1
+            continue
+        if ch == '"':
+            in_string = True
+            out.append(ch)
+            i += 1
+            continue
+        if ch == "/" and i + 1 < n and code[i + 1] == "/":
+            while i < n and code[i] != "\n":
+                i += 1
+            continue
+        if ch == "/" and i + 1 < n and code[i + 1] == "*":
+            j = code.find("*/", i + 2)
+            # Preserve line structure of the removed block comment.
+            block = code[i: (j + 2) if j != -1 else n]
+            out.append("\n" * block.count("\n"))
+            i = (j + 2) if j != -1 else n
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
 class TestStripComments:
+    @given(st.text(alphabet=['"', "\\", "/", "*", "'", "\n", " ", "x"], max_size=40))
+    @settings(max_examples=500)
+    def test_matches_the_character_loop(self, code):
+        assert strip_comments(code) == strip_comments_by_char(code)
+
+    def test_matches_the_character_loop_on_the_apps(self):
+        for app in all_apps():
+            for code in (app.cuda_source, app.omp_source):
+                assert strip_comments(code) == strip_comments_by_char(code)
+
+    def test_quirks(self):
+        # A '"' char literal opens a string (which runs to the end here);
+        # a string can end in a lone backslash.
+        assert strip_comments("c = '\"'; // x\n") == "c = '\"'; // x\n"
+        assert strip_comments('s = "a\\') == 's = "a\\'
+        assert strip_comments('s = "a\\"; // x') == 's = "a\\"; // x'
+        assert strip_comments("a /*/ b */ c") == "a  c"
+        assert strip_comments("a //* b\nc */") == "a \nc */"
+
     def test_line_comment(self):
         assert strip_comments("int a; // hello\nint b;") == "int a; \nint b;"
 
