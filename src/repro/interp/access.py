@@ -12,12 +12,14 @@ launch or loop (:meth:`AccessEmitter.hoist`, gated by
 once (:meth:`repro.interp.memory.MemoryManager.view`), and an access
 through it is ``k = off + i`` and one chained bounds test, whose failure
 raises the per-access check's fault.  A launch counts its loads and stores
-and charges them once, as count x ``elem_bytes``.  A loop resolves in its
-function's address space (``DEV``) and charges each access's bytes where
-the per-access form does; in exact (host) code it also settles pending ops
-before the bounds test and keeps the NULL test in front of an index that
-charges ops, so each host counter reads what the per-access form's would
-at any fault.  It relies on the expression emission of
+in its blocks' vectors and charges them once, as count x ``elem_bytes``.
+A loop resolves in its function's address space (``DEV``) and charges
+each access's bytes where the per-access form does; in exact (host) code
+it settles pending ops inside the branch of the NULL and bounds tests that
+always faults, and keeps the NULL test in front of an index that charges
+ops, so each host counter reads what the per-access form's would at any
+fault.  A store through an access that assigns no guest local stores the
+local itself, with no spill.  It relies on the expression emission of
 :class:`repro.interp.codegen._Emitter`.
 """
 
@@ -44,9 +46,10 @@ ATOMIC_UPDATE = {
 class Hoisted(NamedTuple):
     """Temps of a pointer resolved once per launch or loop (``_view``).
 
-    A launch counts its loads and stores (``loads``, ``stores``) and
-    charges them at the end as count x ``elem_bytes``; a loop leaves both
-    empty and charges ``eb`` at each access, as the per-access form does.
+    A launch counts its loads and stores under the names ``loads`` and
+    ``stores`` in its blocks' vectors and charges them at the end as count
+    x ``elem_bytes``; a loop leaves both empty and charges ``eb`` at each
+    access, as the per-access form does.
     ``dev`` names the address space of a loop in a function (``DEV``);
     empty, the view and faults are device code's."""
 
@@ -86,9 +89,9 @@ class AccessEmitter:
     def hoist(self, pointers: List[ast.Symbol],
               dev: Optional[str] = None) -> Tuple[Dict[ast.Symbol, Hoisted], List[str]]:
         """Resolve the pointer locals ``pointers`` once: their records and
-        the lines that resolve them.  A launch (``dev`` None) counts each
-        pointer's loads and stores; a loop (``dev``, see :class:`Hoisted`)
-        counts nothing."""
+        the lines that resolve them.  A launch (``dev`` None) names each
+        pointer's load and store counts; a loop (``dev``, see
+        :class:`Hoisted`) counts nothing."""
         hoisted: Dict[ast.Symbol, Hoisted] = {}
         lines = []
         for sym in pointers:
@@ -100,9 +103,6 @@ class AccessEmitter:
             hoisted[sym] = h
             view = f"_view({ptr}, {dev})" if dev else f"_view({ptr})"
             lines.append(f"{h.cells}, {h.off}, {h.n}, {h.eb}, {h.is_float} = {view}")
-        if hoisted and dev is None:
-            counts = [t for h in hoisted.values() for t in (h.loads, h.stores)]
-            lines.append(" = ".join(counts) + " = 0")
         return hoisted, lines
 
     def hoistable(self, facts: BodyFacts) -> List[ast.Symbol]:
@@ -123,15 +123,14 @@ class AccessEmitter:
             p = self.spill(p)
         if p in self.nonnull:
             return p
-        self.fault()
-        self.emit(f"if {p} is None: raise GuestRuntimeError(SEGV, detail={detail!r})")
+        self.faulting(f"{p} is None", f"raise GuestRuntimeError(SEGV, detail={detail!r})")
         self.nonnull.add(p)
         return p
 
     def index(self, p: str, index: ast.Expr) -> Tuple[str, str]:
         with self.capture() as cap:
             i = self.expr(index)
-        if cap["lines"] and not self.stable(p):
+        if cap["lines"] and not (self.stable(p) or self.kept(p, cap["lines"])):
             t = self.tmp()
             self.emit(f"{t} = {p}")
             p = t
@@ -169,8 +168,7 @@ class AccessEmitter:
         h = self.resolved(base, [index], NULL_DEREF)
         if h is not None:
             k = self.hoisted_index(h, index)
-            self.fault()
-            self.emit(f"if not 0 <= {k} < {h.n}: {h.fault_call(k)}")
+            self.faulting(f"not 0 <= {k} < {h.n}", h.fault_call(k))
             return Elem(h.cells, k, h.is_float, h.eb, h if h.loads else None)
         p = self.pointer(base, NULL_DEREF)
         p, i = self.index(p, index)
@@ -232,7 +230,7 @@ class AccessEmitter:
         """``target = v`` where ``v`` was already evaluated."""
         with self.capture() as cap:
             el = self.access(target.base, target.index)
-        if cap["lines"] and not self.stable(v):
+        if cap["lines"] and not (self.stable(v) or self.kept(v, cap["lines"])):
             v = self.spill(v)
         self.lines.extend(cap["lines"])
         self.put(el, v, value)
@@ -282,8 +280,7 @@ class AccessEmitter:
         if h is not None:
             k = self.hoisted_index(h, target.index)
             args = self.ordered(e.args[1:])
-            self.fault()
-            self.emit(f"if not 0 <= {k} < {h.n}: {h.fault_call(k, NULL_ELEM)}")
+            self.faulting(f"not 0 <= {k} < {h.n}", h.fault_call(k, NULL_ELEM))
             cells, f = h.cells, h.is_float
         else:
             p = self.pointer(target.base, NULL_ELEM)

@@ -162,6 +162,20 @@ class ProgramFacts:
         #: of every function, and globals whose address an initialiser takes)
         inits = body_facts([], ast.walk_exprs(ast.Block(self.global_decls)), self.functions)
         self.addressed = inits.addressed.union(*(f.addressed for f in self.bodies.values()))
+        #: the functions a math builtin's arguments call, directly or through
+        #: other functions: a ValueError raised in them lands in the
+        #: builtin's ``try`` part-way through their code
+        self.guarded: Set[str] = set()
+        todo = [x.callee for name in self.functions for e in self.exprs[name]
+                if self.is_math_call(e) for a in e.args for x in ast.walk_exprs(a)
+                if type(x) is ast.Call and x.callee in self.functions]
+        while todo:
+            name = todo.pop()
+            if name not in self.guarded:
+                self.guarded.add(name)
+                todo += [e.callee for e in self.exprs[name]
+                         if type(e) is ast.Call and e.callee in self.functions]
+        self._exits: Dict[int, FrozenSet[str]] = {}
         self.typed = self._typed()
         #: variables that always hold a Python ``int`` / ``float``
         self.int_clean: Set[ast.Symbol] = set()
@@ -304,6 +318,41 @@ class ProgramFacts:
                 found = True
                 if index >= len(e.args) or not self.is_int(e.args[index]):
                     return False
+        return found
+
+    def is_math_call(self, e: ast.Expr) -> bool:
+        """A call of a math builtin (its generated code catches a
+        ValueError or OverflowError and gives NaN)."""
+        if type(e) is not ast.Call or e.callee in self.functions:
+            return False
+        b = BUILTINS.get(e.callee)
+        return b is not None and b.py is not None and len(e.args) in (1, 2)
+
+    def exits(self, s: ast.Stmt) -> FrozenSet[str]:
+        """The jumps that can take control out of ``s`` other than past its
+        end: ``return``, and ``break`` or ``continue`` of a loop around it.
+        An OpenMP ``target`` loop ends its own iterations."""
+        found = self._exits.get(id(s))
+        if found is not None:
+            return found
+        t = type(s)
+        if t is ast.Return:
+            found = {"return"}
+        elif t is ast.Break:
+            found = {"break"}
+        elif t is ast.Continue:
+            found = {"continue"}
+        elif t in LOOPS:
+            found = self.exits(s.body) - {"break", "continue"}
+        elif t is ast.Block:
+            found = set().union(*(self.exits(x) for x in s.stmts))
+        elif t is ast.If:
+            found = self.exits(s.then) | (self.exits(s.other) if s.other is not None else set())
+        elif t is ast.Pragma and s.body is not None and not (
+            self.dialect is not Dialect.CUDA and is_target_loop(s)
+        ):
+            found = self.exits(s.body)
+        found = self._exits[id(s)] = frozenset(found or ())
         return found
 
     def barrier_path(self, kernel: str) -> bool:

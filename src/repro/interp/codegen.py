@@ -21,11 +21,36 @@ run's state outlives it.
 Guest cost is counted exactly as the deterministic cost model defines
 it.  Op, load, store and atomic counts accumulate in Python locals and
 reach the ambient :class:`~repro.gpu.stats.OpCounters` when a function or
-region ends.  Where a fault leaves the counters observable (host code and
-serial ``target`` regions) pending static op counts are settled before
-every operation that can fault; where a fault discards them (kernels,
-device functions, ``target`` loops and host ``parallel`` regions) ops are
-charged once per straight-line block.
+region ends.  Where a fault discards the counts (kernel launchers,
+``__device__`` functions, ``target`` loop nests and host ``parallel``
+regions) they are charged per block.  A block is straight-line code that
+runs to its end once it starts: it ends only where control can leave it
+(``break``, ``continue``, ``return``, a raise of ``_ThreadReturn``,
+``_NestExit`` or ``_RegionExit``, or a statement holding one of these),
+so an ``if``, loop or math builtin's ``try`` that cannot jump out lies
+inside the block around it, and each of its own suites holds blocks of
+its own.  A block's static counts (ops, atomics, and the loads and stores
+of each launch-resolved pointer) form one vector.  A block with one entry
+adds it to its accumulator; a block with more bumps a counter of its own,
+and where the region settles, each counter times its vector is added.
+Two blocks need no counter: the leading block of a launch's thread body
+runs ``grid * block`` times (once in a barrier kernel's thread, which
+settles itself, and in a device function's call), and the leading block
+of a ``target`` nest's innermost body, up to its first possible exit,
+runs once per iteration the nest already counts when that body cannot
+``break`` or ``return``.  A loop's condition is paid on its exit path and
+carried into the iteration that goes on.  Code inside a math builtin's
+arguments, and any function they call (:attr:`ProgramFacts.guarded`),
+settles its counts where a ValueError caught as NaN can stop it.
+
+Where a fault leaves the counters observable (host code and serial
+``target`` regions) pending ops are settled before every operation that
+can fault, except a partial block at three tests that carry it on: a loop
+condition settles it on the ``break`` path and a step kill on the kill
+path, and a NULL or bounds test inside the branch that always faults.  So
+a host loop that stores or loads through resolved pointers pays one op
+increment per iteration, beside each access's byte charge, and still a
+settle before any call or division that can raise.
 
 Flat and slow kernel launchers and ``target`` loop nests resolve a pointer
 once per launch (:mod:`repro.interp.access`) where static facts prove
@@ -116,6 +141,9 @@ _GEOM_LOCAL = {"threadIdx": "tid", "blockIdx": "bid", "blockDim": "block",
 
 #: A line's assignments to guest locals (``v_x = ...``, ``v_x += ...``).
 _ASSIGNS = re.compile(r"(v_\w+)\s*(?:[-+*/%&|^]|<<|>>|//)?=(?!=)")
+
+#: A guest local's Python name.
+_LOCAL = re.compile(r"v_\w+")
 
 #: A plain read of a guest variable (evaluating it alone does nothing).
 _READ = re.compile(r"(?:G\['\w+'\]|m_\w+)(?:\.cells\[0\])?")
@@ -231,7 +259,21 @@ class _Emitter(AccessEmitter, RegionEmitter):
         self.ind = indent
         self.ntemp = 0
         self.nacc = 0
+        #: the current block's counts: static ops, and static amounts of
+        #: other accumulators and of hoisted pointers' access counts
         self.pending = 0
+        self.tally: Dict[str, int] = {}
+        #: the count of the current suite's leading block, where a launch,
+        #: nest or call gives it (None: the block bumps a counter)
+        self.known: Optional[str] = None
+        #: blocks charged where their region settles: (count, amounts)
+        self.blocks: List[Tuple[str, Dict[str, int]]] = []
+        #: accumulator suffix -> the block counters that settle into it
+        self.counters: Dict[str, List[str]] = {}
+        #: inside a math builtin's arguments, or in a function they call:
+        #: a ValueError can stop the code part-way and carry on after the
+        #: builtin, so counts are settled where they always were
+        self.guard = 0
         self.acc = ""
         self.exact = exact
         #: host | device | omp | dyn (``SP``/``DEV`` read at function entry)
@@ -247,8 +289,6 @@ class _Emitter(AccessEmitter, RegionEmitter):
         self.last_access: Optional[Elem] = None
         #: guest pointer -> its temps, resolved once per launch or loop
         self.hoisted: Dict[ast.Symbol, Hoisted] = {}
-        #: hoisted access counts not yet added (counter temp -> amount)
-        self.tally: Dict[str, int] = {}
         #: the local that holds the step budget in a launch or in a
         #: function with a loop (None: ``ctx``)
         self.budget: Optional[str] = None
@@ -266,83 +306,172 @@ class _Emitter(AccessEmitter, RegionEmitter):
         self.ntemp += 1
         return f"_t{self.ntemp}"
 
+    @property
+    def blocked(self) -> bool:
+        """Counts are settled per block (a fault discards them)."""
+        return not self.exact and not self.guard
+
     def count(self, kind: str, amount: str) -> None:
         name = f"{kind}{self.acc}"
+        if self.blocked and amount.isdigit():
+            self.tally[name] = self.tally.get(name, 0) + int(amount)
+            return
         self.touched.add(name)
         self.emit(f"{name} += {amount}")
 
     def flush(self) -> None:
-        self.settle_counts(self.pending, self.tally)
-        self.pending = 0
-        self.tally = {}
+        """The current block ends here: charge what it counted."""
+        ops, tally = self.pending, self.tally
+        self.pending, self.tally = 0, {}
+        if self.known is None:
+            for line in self.charging(ops, tally):
+                self.emit(line)
+            return
+        vector = self.vector(ops, tally)
+        if vector:
+            self.blocks.append((self.known, vector))
+        self.known = None
 
-    def settle_counts(self, ops: int, tally: Dict[str, int]) -> None:
-        if ops:
-            self.count("o", str(ops))
-        for name, n in tally.items():
-            self.touched.add(name)
-            self.emit(f"{name} += {n}")
+    def vector(self, ops: int, tally: Dict[str, int]) -> Dict[str, int]:
+        out = {f"o{self.acc}": ops} if ops else {}
+        out.update(tally)
+        return out
+
+    def charging(self, ops: int, tally: Dict[str, int]) -> List[str]:
+        """The statements that charge a block's counts where control
+        leaves it: each amount in exact code or where there is only one,
+        else one increment of the block's own counter."""
+        vector = self.vector(ops, tally)
+        if self.exact or len(vector) < 2:
+            self.touched.update(vector)
+            return [f"{name} += {n}" for name, n in vector.items()]
+        counter = f"_b{sum(map(len, self.counters.values())) + 1}"
+        self.counters.setdefault(self.acc, []).append(counter)
+        self.blocks.append((counter, vector))
+        return [f"{counter} += 1"]
+
+    def paying(self) -> str:
+        """The pending counts charged on a path that leaves now, as a
+        statement prefix; they stay pending on the path that goes on."""
+        return "".join(line + "; " for line in self.charging(self.pending, self.tally))
+
+    def terms(self, name: str) -> List[str]:
+        """What accumulator or access count ``name`` adds up to: itself
+        where code increments it, and each block's count times its amount."""
+        out = [name] if name in self.touched else []
+        const = 0
+        for count, vector in self.blocks:
+            n = vector.get(name)
+            if n and count == "1":
+                const += n
+            elif n:
+                out.append(count if n == 1 else f"{count} * {n}")
+        return out + [str(const)] if const else out
 
     def charges(self, counters: str, acc: str = "", hoisted=()) -> List[str]:
-        """Lines adding accumulators ``acc`` (and the hoisted pointers'
-        access counts times their ``elem_bytes``) to ``counters``."""
+        """Lines adding accumulators ``acc`` and their blocks (and the
+        hoisted pointers' access counts times their ``elem_bytes``) to
+        ``counters``."""
         out = []
         for k, attr in _COUNTERS:
-            terms = [k + acc] if k + acc in self.touched else []
+            terms = self.terms(k + acc)
             for h in hoisted:
                 n = {"lb": h.loads, "sb": h.stores}.get(k)
-                if n in self.touched:
-                    terms.append(f"{n} * {h.eb}")
+                counts = self.terms(n) if n else []
+                if len(counts) > 1:
+                    terms.append(f"({' + '.join(counts)}) * {h.eb}")
+                elif counts:
+                    terms.append(f"{counts[0]} * {h.eb}")
             if terms:
                 out.append(f"{counters}.{attr} += {' + '.join(terms)}")
         return out
+
+    def zeroed(self, acc: str = "", hoisted=()) -> List[str]:
+        """The locals ``charges`` reads that code increments: they start at 0."""
+        names = [k + acc for k, _ in _COUNTERS if k + acc in self.touched]
+        names += [n for h in hoisted for n in (h.loads, h.stores) if n in self.touched]
+        return names + self.counters.get(acc, [])
 
     def fault(self) -> None:
         """An operation that can fault follows: settle counts if exact."""
         if self.exact:
             self.flush()
 
+    def faulting(self, test: str, action: str) -> None:
+        """``if test: action``, where ``action`` always faults.  Exact code
+        charges its pending ops on that path and carries them on the other
+        (inside a math builtin's arguments it settles them before)."""
+        pay = ""
+        if self.exact and self.guard:
+            self.flush()
+        elif self.exact:
+            pay = self.paying()
+        self.emit(f"if {test}: {pay}{action}")
+
+    def split(self, s: Optional[ast.Stmt] = None) -> None:
+        """Control flow follows (guest statement ``s``).  Block-counted
+        code ends the block only where it can jump out; other code settles
+        its counts first."""
+        if not self.blocked or (s is not None and self.prog.exits(s)):
+            self.flush()
+
+    @contextlib.contextmanager
+    def scope(self):
+        """A nested suite with blocks of its own: the enclosing block's
+        counts carry over it."""
+        saved = self.pending, self.tally, self.known
+        self.pending, self.tally, self.known = 0, {}, None
+        try:
+            yield
+        finally:
+            self.pending, self.tally, self.known = saved
+
     @contextlib.contextmanager
     def capture(self, reset: bool = False, deeper: int = 0):
-        saved_lines, saved_pending, saved_tally = self.lines, self.pending, self.tally
+        saved_lines = self.lines
         self.lines = buf = []
         self.ind += deeper
-        if reset:
-            self.pending, self.tally = 0, {}
         box = {"lines": buf, "pending": 0, "tally": {}}
         try:
-            yield box
+            if reset:
+                with self.scope():
+                    yield box
+                    box["pending"], box["tally"] = self.pending, self.tally
+                # Conditionally run code proves nothing afterwards.
+                self.nonnull.clear()
+            else:
+                yield box
+                box["pending"], box["tally"] = self.pending, self.tally
         finally:
-            box["pending"], box["tally"] = self.pending, self.tally
             self.lines = saved_lines
             self.ind -= deeper
-            if reset:
-                # Conditionally run code proves nothing afterwards.
-                self.pending, self.tally = saved_pending, saved_tally
-                self.nonnull.clear()
 
     def block(self, header: str, body) -> None:
         """``header:`` then ``body()`` one level deeper (settled at its end)."""
         self.emit(header)
         self.ind += 1
         self.nonnull.clear()
+        known, self.known = self.known, None
         n = len(self.lines)
         body()
         self.flush()
         if len(self.lines) == n:
             self.emit("pass")
+        self.known = known
         self.ind -= 1
         self.nonnull.clear()
 
     def steps(self) -> None:
+        """Charge one step; exact code pays its pending ops if it kills."""
+        pay = self.paying() if self.exact and not self.guard else ""
         if self.budget is None:
             self.emit("ctx.steps_left -= 1")
-            self.emit("if ctx.steps_left < 0: ctx.consume_steps(0)")
+            self.emit(f"if ctx.steps_left < 0: {pay}ctx.consume_steps(0)")
             return
         b = self.budget
         self.budget_used = True
         self.emit(f"{b} -= 1")
-        self.emit(f"if {b} < 0: ctx.steps_left = {b}; ctx.consume_steps(0)")
+        self.emit(f"if {b} < 0: {pay}ctx.steps_left = {b}; ctx.consume_steps(0)")
 
     def calling(self, line: str) -> None:
         """``line`` runs guest code that charges ``ctx``: hand it the budget."""
@@ -363,6 +492,13 @@ class _Emitter(AccessEmitter, RegionEmitter):
         """Unaffected by code that runs after it is produced."""
         return _STABLE.fullmatch(s) is not None
 
+    @staticmethod
+    def kept(s: str, lines: List[str]) -> bool:
+        """``s`` is a guest local that none of ``lines`` assigns (a call
+        cannot assign the caller's Python locals)."""
+        return _LOCAL.fullmatch(s) is not None and all(
+            s not in _ASSIGNS.findall(line) for line in lines)
+
     def spill(self, s: str) -> str:
         if self.stable(s):
             return s
@@ -378,7 +514,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             with self.capture() as cap:
                 s = self.expr(e)
             if cap["lines"]:
-                out = [self.spill(x) for x in out]
+                out = [x if self.kept(x, cap["lines"]) else self.spill(x) for x in out]
                 self.lines.extend(cap["lines"])
             out.append(s)
         return out
@@ -571,11 +707,12 @@ class _Emitter(AccessEmitter, RegionEmitter):
             return f"({inner})" if as_truth else f"(1 if {inner} else 0)"
         t = self.tmp()
         self.emit(f"{t} = {'1' if e.op == '||' else '0'}")
-        self.flush()
+        self.split()
         self.emit(f"if {left}:" if e.op == "&&" else f"if not ({left}):")
         self.lines.extend(cap["lines"])
         self.ind += 1
-        self.settle_counts(cap["pending"], cap["tally"])
+        for line in self.charging(cap["pending"], cap["tally"]):
+            self.emit(line)
         self.emit(f"{t} = 1 if {right} else 0")
         self.ind -= 1
         return t
@@ -655,12 +792,13 @@ class _Emitter(AccessEmitter, RegionEmitter):
                 or other_cap["pending"]):
             return f"({a} if {c} else {b})"
         t = self.tmp()
-        self.flush()
+        self.split()
         self.emit(f"if {c}:")
         for cap, v in ((then_cap, a), (other_cap, b)):
             self.lines.extend(cap["lines"])
             self.ind += 1
-            self.settle_counts(cap["pending"], cap["tally"])
+            for line in self.charging(cap["pending"], cap["tally"]):
+                self.emit(line)
             self.emit(f"{t} = {v}")
             self.ind -= 1
             if cap is then_cap:
@@ -762,10 +900,10 @@ class _Emitter(AccessEmitter, RegionEmitter):
         with self.capture() as cap:
             v = self.expr(e.value)
         old = lv
-        if cap["lines"]:
+        if cap["lines"] and not self.kept(lv, cap["lines"]):
             old = self.tmp()
             self.emit(f"{old} = {lv}")
-            self.lines.extend(cap["lines"])
+        self.lines.extend(cap["lines"])
         if self.prog.typed and t is not None and t.is_numeric:
             new = self.combine(base_op, old, v, e.value, e.target, typed=True)
         elif self.prog.typed and t is not None and t.is_pointer:
@@ -845,7 +983,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             self.fault()
             self.raise_segv(f"call to unknown function '{name}'")
             return "None"
-        if b.py is not None and len(e.args) in (1, 2):
+        if self.prog.is_math_call(e):
             return self.math_call(e, b)
         return self.builtin(e)
 
@@ -880,14 +1018,26 @@ class _Emitter(AccessEmitter, RegionEmitter):
               "max": "max", "fmin": "min", "fmax": "max", "fminf": "min",
               "fmaxf": "max"}.get(name) or self.mod.const(b.py, "M")
         # A ValueError/OverflowError raised while evaluating the call, its
-        # arguments included, makes the result NaN.
+        # arguments included, makes the result NaN.  The code around the
+        # ``try`` counts as it would without one; the arguments' counts are
+        # settled before the call (they count even when it raises) unless
+        # nothing runs before it.
         t = self.tmp()
-        self.flush()
+        self.split()
         self.emit("try:")
         self.ind += 1
         handoffs = self.handoffs
-        args = self.ordered(e.args)
-        self.flush()  # the arguments' ops count even when the call raises
+        start = len(self.lines)
+        with self.scope():
+            self.guard += 1
+            args = self.ordered(e.args)
+            self.guard -= 1
+            if self.guard or len(self.lines) > start:
+                self.flush()
+            ops, tally = self.pending, self.tally
+        self.pending += ops
+        for name, n in tally.items():
+            self.tally[name] = self.tally.get(name, 0) + n
         self.emit(f"{t} = {fn}({', '.join(args)})")
         self.ind -= 1
         self.emit("except (ValueError, OverflowError):")
@@ -1011,7 +1161,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
             self.pragma(s)
         elif isinstance(s, ast.SyncThreads):
             if self.gen:
-                self.flush()
+                self.split()
                 self.emit("yield BARRIER")
             else:
                 self.fault()
@@ -1057,10 +1207,12 @@ class _Emitter(AccessEmitter, RegionEmitter):
 
     def if_stmt(self, s: ast.If) -> None:
         c = self.truth(s.cond)
-        self.flush()
-        self.block(f"if {c}:", lambda: self.stmt(s.then))
+        self.split(s)
+        with self.scope():
+            self.block(f"if {c}:", lambda: self.stmt(s.then))
         if s.other is not None:
-            self.block("else:", lambda: self.stmt(s.other))
+            with self.scope():
+                self.block("else:", lambda: self.stmt(s.other))
 
     def loop(self, s: ast.Stmt, cont, body) -> None:
         """A ``while True`` loop whose body is emitted by ``body()``.
@@ -1069,7 +1221,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
         body only reads through (:meth:`hoistable`) that no enclosing loop
         resolved, in the address space of the code around it.
         """
-        self.flush()
+        self.split(s)
         saved = self.hoisted
         facts = self.prog.loop_bodies.get(id(s))
         if facts is not None:
@@ -1082,16 +1234,20 @@ class _Emitter(AccessEmitter, RegionEmitter):
             for line in resolve:
                 self.emit(line)
         self.frames.append(Frame("loop", cont))
-        self.block("while True:", body)
+        with self.scope():
+            self.block("while True:", body)
         self.frames.pop()
         self.hoisted = saved
 
     def exit_unless(self, cond: Optional[ast.Expr]) -> None:
+        """Leave the loop unless ``cond``: the condition's counts are paid
+        on the way out and carried into the iteration that goes on."""
         if cond is None:
             return
         c = self.truth(cond)
-        self.flush()
-        self.emit(f"if not ({c}): break")
+        if self.guard:
+            self.flush()
+        self.emit(f"if not ({c}): {self.paying()}break")
 
     def for_stmt(self, s: ast.For) -> None:
         if s.init is not None:
@@ -1129,6 +1285,7 @@ class _Emitter(AccessEmitter, RegionEmitter):
     def do_while(self, s: ast.DoWhile) -> None:
         def cont():
             self.exit_unless(s.cond)
+            self.flush()
             self.emit("continue")
 
         def body():
@@ -1348,6 +1505,9 @@ class ProgramCode:
         header = f"def f_{name}({', '.join('v_' + p for p in params)}):"
         device = fn.qualifier == "__device__"
         em = _Emitter(mod, name, fn, exact=not device, space="dyn")
+        em.guard = int(name in mod.prog.guarded)
+        if em.blocked:
+            em.known = "1"  # the leading block runs once a call
         if any(type(s) in LOOPS for s in mod.prog.stmts[name]):
             em.budget = "st"
         try:
@@ -1376,8 +1536,9 @@ class ProgramCode:
         pad = "        "
         lines = ["    " + header] + [pad + line for line in prologue]
         settle = em.charges(counters)
-        if settle:
-            lines.append(pad + "o = lb = sb = at = 0")
+        zeroed = em.zeroed()
+        if zeroed:
+            lines.append(pad + " = ".join(zeroed) + " = 0")
         if final is not None:
             settle.append(final)
         if not settle:
@@ -1396,6 +1557,7 @@ class ProgramCode:
             header = f"def k_{name}(tid, bid, block, grid, args, shared):"
             em = _Emitter(mod, name, fn, exact=False, space="device",
                           geom_local=True, gen=True)
+            em.known = "1"  # each thread settles its own counts
             try:
                 em.frames.append(Frame("gen"))
                 em.param_cells(params)
@@ -1423,6 +1585,7 @@ class ProgramCode:
         em = _Emitter(mod, name, fn, exact=False, space="device", geom_local=True,
                       indent=4)
         em.budget = "st"
+        em.known = "grid * block"  # the leading block runs once a thread
         frame = Frame("thread")
         exprs = mod.prog.exprs[name]
         facts = mod.prog.bodies[name]
@@ -1457,7 +1620,8 @@ class ProgramCode:
             body = ([pad + "st = ctx.steps_left", pad + "try:"]
                     + ["    " + line for line in body]
                     + [pad + "finally:", pad + "    ctx.steps_left = min(ctx.steps_left, st)"])
-        head = ["o = lb = sb = at = 0"]
+        zeroed = em.zeroed(hoisted=em.hoisted.values())
+        head = [" = ".join(zeroed) + " = 0"] if zeroed else []
         if unpack and (resolve or not rebind):
             head.append(unpack)
         tail = em.charges("C", hoisted=em.hoisted.values())
@@ -1467,6 +1631,7 @@ class ProgramCode:
     def _shared_sizes(self, mod: _Module, name: str, fn: ast.FuncDef) -> str:
         header = f"def s_{name}():"
         em = _Emitter(mod, name, fn, exact=False, space="device")
+        em.known = "1"
         em.frames.append(Frame("func"))
         try:
             sizes = []

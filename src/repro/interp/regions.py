@@ -114,17 +114,19 @@ class RegionEmitter:
 
         Returns the counters temp and four emission callbacks: ``enter``
         and ``leave`` switch the emitter into and out of the region (whose
-        accesses hoist nothing of an enclosing launch's), ``restore`` puts
-        back the ambient counters (and space), ``settle`` adds the region's
-        accumulators, and the access counts of the pointers it hoisted, to
-        its counters.
+        accesses hoist nothing of an enclosing launch's, and whose body's
+        leading block runs once), ``restore`` puts back the ambient
+        counters (and space), ``settle`` adds the region's accumulators and
+        blocks, and the access counts of the pointers it hoisted, to its
+        counters, and zeroes what they read where the region opens.
         """
         self.flush()
         self.nacc += 1
         acc = str(self.nacc)
         c, pc, ps = self.tmp(), self.tmp(), self.tmp()
         self.emit(f"{c} = OpCounters()")
-        self.emit(f"o{acc} = lb{acc} = sb{acc} = at{acc} = 0")
+        # The locals its counts go to start at 0 here (once they are known).
+        zero = (self.lines, len(self.lines), "    " * self.ind)
         self.emit(f"{pc} = ctx.counters")
         saved = (self.acc, self.exact, self.space, self.hoisted)
         if space is not None:
@@ -137,6 +139,8 @@ class RegionEmitter:
             self.acc, self.exact, self.hoisted = acc, exact, {}
             if space is not None:
                 self.space = space
+            if self.blocked:
+                self.known = "1"  # the body's leading block runs once
 
         def leave():
             self.flush()
@@ -148,6 +152,10 @@ class RegionEmitter:
                 self.emit(f"ctx.space = {ps}")
 
         def settle(hoisted=()):
+            lines, at, pad = zero
+            zeroed = self.zeroed(acc, hoisted)
+            if zeroed:
+                lines.insert(at, pad + " = ".join(zeroed) + " = 0")
             for line in self.charges(c, acc, hoisted):
                 self.emit(line)
 
@@ -271,7 +279,7 @@ class RegionEmitter:
         else:
             x = self.expr(dexpr)
             self.emit(f"{d} = {'' if sign > 0 else '-'}int({x})")
-        self.flush()
+        self.split()
         sym = loop_symbol(loop)
         if isinstance(loop.init, ast.VarDecl) and sym in self.prog.addressed:
             self.declare_cell(sym)
@@ -293,6 +301,9 @@ class RegionEmitter:
             if lv is not None:
                 self.emit(f"{lv} = {n}")
             if innermost:
+                if self.blocked and self.prog.exits(loop.body) <= {"continue"}:
+                    # The iteration's leading block runs once per count.
+                    self.known = cnt
                 frame = Frame("nest", cont)
                 self.frames.append(frame)
                 self.catching(frame, "_NestExit", lambda: self.stmt(loop.body),
@@ -303,7 +314,8 @@ class RegionEmitter:
             self.flush()
             advance()
 
-        self.block(f"while {n} {cmp} {bnd}:", body)
+        with self.scope():
+            self.block(f"while {n} {cmp} {bnd}:", body)
 
     def host_parallel(self, s: ast.Pragma) -> None:
         pragma = s.pragma

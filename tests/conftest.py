@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from repro.minilang.source import Dialect, SourceFile
+from repro.telemetry.log import get_logger
 
 # Property tests draw the same examples on every tier-1 run and carry no
 # wall-clock deadline; ``--hypothesis-profile=explore`` draws fresh random
@@ -13,6 +14,20 @@ from repro.minilang.source import Dialect, SourceFile
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.register_profile("explore")
 settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def restore_namespace_logger():
+    """Undo what ``repro.telemetry.log.configure()`` does to the ``repro``
+    logger: it turns propagation off and attaches a handler to the stderr
+    of the moment, which capsys closes after the test.  Left behind, both
+    break later tests that read records with ``caplog``."""
+    root = get_logger()
+    saved = list(root.handlers), root.level, root.propagate
+    yield
+    root.handlers[:] = saved[0]
+    root.setLevel(saved[1])
+    root.propagate = saved[2]
 
 
 @pytest.fixture
